@@ -22,8 +22,8 @@ use coign::multiway::{
 };
 use coign::recovery::RecoveryConfig;
 use coign::runtime::{
-    choose_distribution, profile_scenario, profile_scenarios, profile_scenarios_observed,
-    profile_scenarios_parallel, run_distributed, run_distributed_recovering,
+    choose_distribution, profile_scenario, profile_scenarios_observed, profile_scenarios_parallel,
+    run_distributed, run_distributed_recovering,
 };
 use coign::sweep::{sweep, SweepGrid, SweepMode};
 use coign::Application;
@@ -109,7 +109,8 @@ fn main() {
     // 1. Profile replay: sequential vs parallel workers, byte-identical.
     let (sequential, sequential_ms) = timed_min_ms(|| {
         let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-        profile_scenarios(app.as_ref(), &SCENARIOS, &classifier).expect("sequential profile")
+        profile_scenarios_observed(app.as_ref(), &SCENARIOS, &classifier, None)
+            .expect("sequential profile")
     });
     let (parallel, parallel_ms) = timed_min_ms(|| {
         let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
@@ -174,7 +175,8 @@ fn main() {
         TRACE_REPS,
         || {
             let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-            profile_scenarios(app.as_ref(), &SCENARIOS, &classifier).expect("untraced profile");
+            profile_scenarios_observed(app.as_ref(), &SCENARIOS, &classifier, None)
+                .expect("untraced profile");
         },
         || {
             let obs = Obs::enabled();
@@ -362,7 +364,7 @@ fn main() {
     let gen_app =
         coign_gen::GeneratedApp::new(coign_gen::GenSpec::new(42, coign_gen::GenSize::Small));
     let gen_classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-    let gen_profile = profile_scenarios(&gen_app, &["g_main"], &gen_classifier)
+    let gen_profile = profile_scenarios_observed(&gen_app, &["g_main"], &gen_classifier, None)
         .expect("gen:42 profile for the serving harness");
     let gen_dist =
         choose_distribution(&gen_app, &gen_profile, &net_profile).expect("gen:42 analysis");
@@ -497,7 +499,7 @@ fn main() {
     let deg_app =
         coign_gen::GeneratedApp::new(coign_gen::GenSpec::new(3, coign_gen::GenSize::Small));
     let deg_classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-    let deg_profile = profile_scenarios(&deg_app, &["g_main"], &deg_classifier)
+    let deg_profile = profile_scenarios_observed(&deg_app, &["g_main"], &deg_classifier, None)
         .expect("gen:3 profile for the degraded serving run");
     let deg_dist =
         choose_distribution(&deg_app, &deg_profile, &net_profile).expect("gen:3 analysis");

@@ -28,22 +28,20 @@
 use coign::analysis::Distribution;
 use coign::application::Application;
 use coign::classifier::{ClassifierKind, InstanceClassifier};
-use coign::config::RuntimeMode;
+use coign::config::{ConfigRecord, RuntimeMode};
+use coign::jobs::run_indexed;
 use coign::multiway::{replicate_for_distribution, ReplicaRouter, ReplicationPlan};
 use coign::recovery::RecoveryConfig;
 use coign::report;
 use coign::rewriter;
 use coign::runtime::{
-    check_constraints, choose_distribution, derive_constraints, profile_scenarios_crosschecked,
-    run_distributed_faulty_observed, run_distributed_recovering,
-    run_distributed_recovering_observed,
+    check_constraints, choose_distribution, derive_constraints, execute,
+    profile_scenarios_crosschecked, Run,
 };
 use coign::sweep::{sweep, SweepGrid, SweepMode};
 use coign_apps::scenarios::app_by_name;
 use coign_com::{AppImage, ComError, ComResult, ComRuntime, MachineId};
-use coign_dcom::{
-    CallPolicy, Fault, FaultPlan, LinkSelector, NetworkModel, NetworkProfile, TimeWindow,
-};
+use coign_dcom::{Fault, FaultPlan, LinkSelector, NetworkModel, NetworkProfile, TimeWindow};
 use coign_gen::explore::ExploreOptions;
 use coign_gen::{GenSize, GenSpec, GeneratedApp};
 use coign_obs::Obs;
@@ -115,10 +113,7 @@ pub fn resolve_image_spec(spec: &str) -> ComResult<PathBuf> {
         .map_err(|e| ComError::App(format!("cannot create {}: {e}", dir.display())))?;
     let path = dir.join(format!("{}.cimg", gspec.stem()));
     if !path.exists() {
-        let app = GeneratedApp::new(gspec);
-        let mut image = app.image();
-        let classifier = InstanceClassifier::new(ClassifierKind::Ifcb);
-        rewriter::instrument(&mut image, &classifier);
+        let image = instrumented_image(&GeneratedApp::new(gspec));
         let tmp = dir.join(format!("{}.cimg.tmp-{}", gspec.stem(), std::process::id()));
         std::fs::write(&tmp, image.encode())
             .map_err(|e| ComError::App(format!("cannot write {}: {e}", tmp.display())))?;
@@ -158,14 +153,97 @@ fn store(path: &Path, image: &AppImage) -> ComResult<()> {
         .map_err(|e| ComError::App(format!("cannot write {}: {e}", path.display())))
 }
 
+/// A freshly instrumented image of `app`: the Coign runtime inserted, an
+/// empty classifier table in the configuration record.
+fn instrumented_image(app: &dyn Application) -> AppImage {
+    let mut image = app.image();
+    rewriter::instrument(&mut image, &InstanceClassifier::new(ClassifierKind::Ifcb));
+    image
+}
+
+/// Loads an image that must already carry profile data — and, when a
+/// scenario is named, data for that scenario.
+fn load_profiled(path: &Path, scenario: Option<&str>) -> ComResult<(AppImage, ConfigRecord)> {
+    let image = load(path)?;
+    let record = rewriter::read_config(&image)?;
+    if record.profile.total_messages() == 0 {
+        return Err(ComError::App(
+            "no profile accumulated yet — run `coign profile` first".to_string(),
+        ));
+    }
+    if let Some(scenario) = scenario {
+        if !record.profile.scenarios.iter().any(|s| s == scenario) {
+            return Err(ComError::App(format!(
+                "scenario `{scenario}` was never profiled into this image (profiled: {})",
+                record.profile.scenarios.join(", ")
+            )));
+        }
+    }
+    Ok((image, record))
+}
+
+/// What a realized image runs from: its application, the classifier table
+/// and profile it was analyzed with, and the chosen distribution.
+struct Realized {
+    app: Arc<dyn Application>,
+    classifier: Arc<InstanceClassifier>,
+    profile: coign::IccProfile,
+    distribution: Distribution,
+}
+
+/// Loads an image that `coign analyze` has realized. Fast-fails on a
+/// distribution whose constraint set no longer holds (e.g. the record was
+/// realized against different metadata); the error carries the `coign
+/// check` diagnostic report.
+fn load_realized(path: &Path) -> ComResult<Realized> {
+    let image = load(path)?;
+    let record = rewriter::read_config(&image)?;
+    if record.mode != RuntimeMode::Distributed {
+        return Err(ComError::App(
+            "image is not realized — run `coign analyze` first".to_string(),
+        ));
+    }
+    let distribution = record
+        .distribution
+        .ok_or_else(|| ComError::App("record carries no distribution".to_string()))?;
+    let app = app_for_image(&image)?;
+    check_constraints(app.as_ref(), &record.profile)?;
+    Ok(Realized {
+        app,
+        classifier: Arc::new(InstanceClassifier::decode(&record.classifier)?),
+        profile: record.profile,
+        distribution,
+    })
+}
+
+/// Reads a textual fault plan (see [`FaultPlan::parse`]).
+fn read_fault_plan(path: &Path) -> ComResult<FaultPlan> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| ComError::App(format!("cannot read {}: {e}", path.display())))?;
+    FaultPlan::parse(&text)
+}
+
+/// Folds a profiling pass into the image on disk: the summarized log
+/// accumulates and the classifier's grown descriptor table is persisted.
+fn store_profile(
+    path: &Path,
+    image: &mut AppImage,
+    profile: &coign::IccProfile,
+    classifier: &InstanceClassifier,
+) -> ComResult<()> {
+    rewriter::accumulate_profile(image, profile)?;
+    let mut record = rewriter::read_config(image)?;
+    record.classifier = classifier.encode();
+    image.set_config_record(record.encode());
+    store(path, image)
+}
+
 /// `coign instrument <app> <image>` — writes a freshly instrumented image.
 pub fn cmd_instrument(app_name: &str, path: &Path) -> ComResult<String> {
     let app = app_by_name(app_name)
         .or_else(|| coign_gen::app_for_name(app_name))
         .ok_or_else(|| ComError::App(format!("unknown application `{app_name}`")))?;
-    let mut image = app.image();
-    let classifier = InstanceClassifier::new(ClassifierKind::Ifcb);
-    rewriter::instrument(&mut image, &classifier);
+    let image = instrumented_image(app.as_ref());
     store(path, &image)?;
     Ok(format!(
         "instrumented {} -> {} ({} bytes; {} loads first)",
@@ -205,15 +283,12 @@ pub fn cmd_check(path: &Path, json: bool) -> Result<String, String> {
 /// With `--jobs N > 1`, scenarios run on worker threads; the merged log
 /// and the stored classifier table are byte-identical to a sequential
 /// pass regardless of `N` (see
-/// [`coign::runtime::profile_scenarios_parallel`]).
-pub fn cmd_profile(path: &Path, scenarios: &[&str], jobs: usize) -> ComResult<String> {
-    cmd_profile_observed(path, scenarios, jobs, None)
-}
-
-/// [`cmd_profile`] with an optional observability bundle: the command runs
-/// under a `profile` phase span, each scenario under a `scenario:<name>`
-/// span, and every intercepted call emits an `icc_call` instant.
-pub fn cmd_profile_observed(
+/// [`coign::runtime::profile_scenarios_crosschecked`]).
+///
+/// Under an observability bundle the command runs under a `profile` phase
+/// span, each scenario under a `scenario:<name>` span, and every
+/// intercepted call emits an `icc_call` instant.
+pub fn cmd_profile(
     path: &Path,
     scenarios: &[&str],
     jobs: usize,
@@ -231,12 +306,7 @@ pub fn cmd_profile_observed(
     let classifier = Arc::new(InstanceClassifier::decode(&record.classifier)?);
     let (profile, violations) =
         profile_scenarios_crosschecked(app.as_ref(), scenarios, &classifier, jobs, obs)?;
-    rewriter::accumulate_profile(&mut image, &profile)?;
-    // Persist the classifier's grown descriptor table too.
-    let mut record = rewriter::read_config(&image)?;
-    record.classifier = classifier.encode();
-    image.set_config_record(record.encode());
-    store(path, &image)?;
+    store_profile(path, &mut image, &profile, &classifier)?;
     if let Some(o) = obs {
         o.registry
             .counter("coign_effect_violations")
@@ -264,26 +334,13 @@ pub fn cmd_profile_observed(
 
 /// `coign analyze <image> [network]` — chooses a distribution for the
 /// accumulated profile and realizes it in the image.
-pub fn cmd_analyze(path: &Path, network_name: &str) -> ComResult<String> {
-    cmd_analyze_observed(path, network_name, None)
-}
-
-/// [`cmd_analyze`] with an optional observability bundle: the command runs
-/// under an `analyze` phase span, with nested `mincut` (graph cutting) and
-/// `rewrite` (image realization) spans.
-pub fn cmd_analyze_observed(
-    path: &Path,
-    network_name: &str,
-    obs: Option<&Obs>,
-) -> ComResult<String> {
+///
+/// Under an observability bundle the command runs under an `analyze` phase
+/// span, with nested `mincut` (graph cutting) and `rewrite` (image
+/// realization) spans.
+pub fn cmd_analyze(path: &Path, network_name: &str, obs: Option<&Obs>) -> ComResult<String> {
     let _span = obs.map(|o| o.tracer.phase_span("analyze"));
-    let mut image = load(path)?;
-    let record = rewriter::read_config(&image)?;
-    if record.profile.total_messages() == 0 {
-        return Err(ComError::App(
-            "no profile accumulated yet — run `coign profile` first".to_string(),
-        ));
-    }
+    let (mut image, record) = load_profiled(path, None)?;
     let app = app_for_image(&image)?;
     let classifier = InstanceClassifier::decode(&record.classifier)?;
     let network = network_by_name(network_name)?;
@@ -315,24 +372,15 @@ pub fn cmd_analyze_observed(
 /// across a fixed grid of network latency/bandwidth points (warm-starting
 /// each solve from its predecessor and cross-validating against a cold
 /// Dinic solve) and reports where the best distribution changes.
-pub fn cmd_sweep(path: &Path, json: bool) -> ComResult<String> {
-    cmd_sweep_observed(path, json, None)
-}
-
-/// [`cmd_sweep`] with an optional observability bundle: the command runs
-/// under a `sweep` phase span and the registry gains the warm/cold solve
-/// counts. The sweep itself always runs [`SweepMode::WarmValidated`] — one
-/// warm-started solve per grid point, each cross-validated by a cold Dinic
-/// solve — so both counters equal the number of grid points.
-pub fn cmd_sweep_observed(path: &Path, json: bool, obs: Option<&Obs>) -> ComResult<String> {
+///
+/// Under an observability bundle the command runs under a `sweep` phase
+/// span and the registry gains the warm/cold solve counts. The sweep itself
+/// always runs [`SweepMode::WarmValidated`] — one warm-started solve per
+/// grid point, each cross-validated by a cold Dinic solve — so both
+/// counters equal the number of grid points.
+pub fn cmd_sweep(path: &Path, json: bool, obs: Option<&Obs>) -> ComResult<String> {
     let _span = obs.map(|o| o.tracer.phase_span("sweep"));
-    let image = load(path)?;
-    let record = rewriter::read_config(&image)?;
-    if record.profile.total_messages() == 0 {
-        return Err(ComError::App(
-            "no profile accumulated yet — run `coign profile` first".to_string(),
-        ));
-    }
+    let (image, record) = load_profiled(path, None)?;
     let app = app_for_image(&image)?;
     let grid = SweepGrid::paper_networks();
     let result = sweep(
@@ -441,19 +489,11 @@ impl Default for PlaceOptions {
 /// reduces modeled cut traffic. The report is rendered purely from the
 /// resulting placement, so on an application with no replicable classes
 /// `--replicate` output is byte-identical to the plain multiway placement.
+///
+/// Under an observability bundle the command runs under a `place` phase
+/// span and the registry gains `coign_replicas_placed` /
+/// `coign_replication_gain_us` counters.
 pub fn cmd_place(
-    path: &Path,
-    scenario: &str,
-    network_name: &str,
-    opts: &PlaceOptions,
-) -> ComResult<String> {
-    cmd_place_observed(path, scenario, network_name, opts, None)
-}
-
-/// [`cmd_place`] with an optional observability bundle: the command runs
-/// under a `place` phase span and the registry gains
-/// `coign_replicas_placed` / `coign_replication_gain_us` counters.
-pub fn cmd_place_observed(
     path: &Path,
     scenario: &str,
     network_name: &str,
@@ -466,19 +506,7 @@ pub fn cmd_place_observed(
     };
 
     let _span = obs.map(|o| o.tracer.phase_span("place"));
-    let image = load(path)?;
-    let record = rewriter::read_config(&image)?;
-    if record.profile.total_messages() == 0 {
-        return Err(ComError::App(
-            "no profile accumulated yet — run `coign profile` first".to_string(),
-        ));
-    }
-    if !record.profile.scenarios.iter().any(|s| s == scenario) {
-        return Err(ComError::App(format!(
-            "scenario `{scenario}` was never profiled into this image (profiled: {})",
-            record.profile.scenarios.join(", ")
-        )));
-    }
+    let (image, record) = load_profiled(path, Some(scenario))?;
     if opts.machines < 2 {
         return Err(ComError::App(
             "placement needs at least two machines (--machines N)".to_string(),
@@ -633,22 +661,14 @@ pub struct RunFaults {
 /// `coign run <image> <scenario> [network] [--fault-plan FILE]
 /// [--fault-seed N] [--summary]` — executes a realized image distributed,
 /// optionally over a faulty wire.
-pub fn cmd_run(
-    path: &Path,
-    scenario: &str,
-    network_name: &str,
-    faults: &RunFaults,
-) -> ComResult<String> {
-    cmd_run_observed(path, scenario, network_name, faults, None)
-}
-
-/// [`cmd_run`] with an optional observability bundle: the command runs
-/// under a `run` phase span, every cut-crossing call emits an `icc_call`
-/// instant at its simulated-clock time, fault-layer events are traced, the
-/// flight recorder retains the tail of cut-crossing traffic (dumped on
+///
+/// Under an observability bundle the command runs under a `run` phase span,
+/// every cut-crossing call emits an `icc_call` instant at its
+/// simulated-clock time, fault-layer events are traced, the flight recorder
+/// retains the tail of cut-crossing traffic (dumped on
 /// `Timeout`/`Partitioned`/`MachineDown`), and the report's counters are
 /// added to the registry.
-pub fn cmd_run_observed(
+pub fn cmd_run(
     path: &Path,
     scenario: &str,
     network_name: &str,
@@ -656,43 +676,26 @@ pub fn cmd_run_observed(
     obs: Option<&Obs>,
 ) -> ComResult<String> {
     let _span = obs.map(|o| o.tracer.phase_span("run"));
-    let image = load(path)?;
-    let record = rewriter::read_config(&image)?;
-    if record.mode != RuntimeMode::Distributed {
-        return Err(ComError::App(
-            "image is not realized — run `coign analyze` first".to_string(),
-        ));
-    }
-    let distribution = record
-        .distribution
-        .ok_or_else(|| ComError::App("record carries no distribution".to_string()))?;
-    let app = app_for_image(&image)?;
-    // Fast-fail: refuse to execute a distribution whose constraint set no
-    // longer holds (e.g. the record was realized against different
-    // metadata). The error carries the `coign check` diagnostic report.
-    check_constraints(app.as_ref(), &record.profile)?;
-    let classifier = Arc::new(InstanceClassifier::decode(&record.classifier)?);
+    let realized = load_realized(path)?;
     let network = network_by_name(network_name)?;
     let plan = match &faults.plan_path {
         None => FaultPlan::none(),
-        Some(plan_path) => {
-            let text = std::fs::read_to_string(plan_path)
-                .map_err(|e| ComError::App(format!("cannot read {}: {e}", plan_path.display())))?;
-            FaultPlan::parse(&text)?
-        }
+        Some(plan_path) => read_fault_plan(plan_path)?,
     };
-    let report = run_distributed_faulty_observed(
-        app.as_ref(),
-        scenario,
-        &classifier,
-        &distribution,
-        network,
-        SEED,
+    let report = execute(Run {
         plan,
-        CallPolicy::default(),
-        faults.fault_seed,
+        fault_seed: faults.fault_seed,
         obs,
-    )?;
+        ..Run::new(
+            realized.app.as_ref(),
+            scenario,
+            &realized.classifier,
+            &realized.distribution,
+            network,
+            SEED,
+        )
+    })?
+    .report;
     if faults.summary {
         return Ok(format!("scenario={scenario}\n{}", report.summary()));
     }
@@ -810,11 +813,8 @@ struct ChaosTrial {
 /// scenario under the self-healing runtime, check the invariants.
 #[allow(clippy::too_many_arguments)]
 fn chaos_trial(
-    app: &dyn Application,
+    image: &Realized,
     scenario: &str,
-    classifier: &InstanceClassifier,
-    distribution: &Distribution,
-    profile: &coign::IccProfile,
     network: &NetworkModel,
     master_seed: u64,
     horizon_us: u64,
@@ -831,25 +831,26 @@ fn chaos_trial(
         .map(|f| f.to_string())
         .collect::<Vec<_>>()
         .join("; ");
-    let fork = Arc::new(classifier.fork());
-    let run = run_distributed_recovering_observed(
-        app,
-        scenario,
-        &fork,
-        distribution,
-        profile,
-        network.clone(),
-        SEED,
+    let fork = Arc::new(image.classifier.fork());
+    let run = execute(Run {
         plan,
-        CallPolicy::default(),
-        trial_seed,
-        RecoveryConfig {
+        fault_seed: trial_seed,
+        baseline: Some(&image.profile),
+        recovery: Some(RecoveryConfig {
             replicas: replicas.cloned(),
             ..RecoveryConfig::default()
-        },
+        }),
         obs,
-    )?;
-    let coord = &run.coordinator;
+        ..Run::new(
+            image.app.as_ref(),
+            scenario,
+            &fork,
+            &image.distribution,
+            network.clone(),
+            SEED,
+        )
+    })?;
+    let coord = run.coordinator.as_ref().expect("the trial loaded recovery");
     let mut violations = Vec::new();
     // Invariant: every trial either completes, is recovered, or fails with
     // a *typed* transport error — never an untyped crash.
@@ -938,20 +939,12 @@ fn chaos_trial(
 /// double executions, constraint-satisfying post-recovery placements,
 /// warm-started re-solves). The summary is byte-identical for a given
 /// seed, across repeated runs and across `--jobs`.
+///
+/// Under an observability bundle trials emit the full fault/recovery
+/// instrumentation (breaker transitions, `recovery` instants,
+/// flight-recorder dumps) and the recovery counters accumulate in the
+/// registry across trials.
 pub fn cmd_chaos(
-    path: &Path,
-    scenario: &str,
-    network_name: &str,
-    opts: &ChaosOptions,
-) -> ComResult<String> {
-    cmd_chaos_observed(path, scenario, network_name, opts, None)
-}
-
-/// [`cmd_chaos`] with an optional observability bundle: trials emit the
-/// full fault/recovery instrumentation (breaker transitions, `recovery`
-/// instants, flight-recorder dumps) and the recovery counters accumulate
-/// in the registry across trials.
-pub fn cmd_chaos_observed(
     path: &Path,
     scenario: &str,
     network_name: &str,
@@ -959,74 +952,49 @@ pub fn cmd_chaos_observed(
     obs: Option<&Obs>,
 ) -> ComResult<String> {
     let _span = obs.map(|o| o.tracer.phase_span("chaos"));
-    let image = load(path)?;
-    let record = rewriter::read_config(&image)?;
-    if record.mode != RuntimeMode::Distributed {
-        return Err(ComError::App(
-            "image is not realized — run `coign analyze` first".to_string(),
-        ));
-    }
-    let distribution = record
-        .distribution
-        .ok_or_else(|| ComError::App("record carries no distribution".to_string()))?;
-    let app = app_for_image(&image)?;
-    check_constraints(app.as_ref(), &record.profile)?;
-    let classifier = Arc::new(InstanceClassifier::decode(&record.classifier)?);
+    let image = load_realized(path)?;
     let network = network_by_name(network_name)?;
     // A fault-free probe run fixes the horizon the fault windows are drawn
     // from (and proves the scenario is healthy before we break it).
-    let probe = run_distributed_recovering(
-        app.as_ref(),
-        scenario,
-        &classifier,
-        &distribution,
-        &record.profile,
-        network.clone(),
-        SEED,
-        FaultPlan::none(),
-        CallPolicy::default(),
-        0,
-        RecoveryConfig::default(),
-    )?;
+    let probe = execute(Run {
+        baseline: Some(&image.profile),
+        recovery: Some(RecoveryConfig::default()),
+        ..Run::new(
+            image.app.as_ref(),
+            scenario,
+            &image.classifier,
+            &image.distribution,
+            network.clone(),
+            SEED,
+        )
+    })?;
     probe.outcome?;
     let horizon_us = probe.report.clock_us.max(1);
     // With `--replicate`, every trial runs with the same lint-derived
     // routing table a serve fleet would install.
     let replicas = if opts.replicate {
         let net_profile = NetworkProfile::measure(&network, PROFILE_SAMPLES, SEED);
-        derive_replica_router(app.as_ref(), &record.profile, &net_profile, &distribution)
+        derive_replica_router(
+            image.app.as_ref(),
+            &image.profile,
+            &net_profile,
+            &image.distribution,
+        )
     } else {
         None
     };
 
-    let jobs = opts.jobs.max(1).min(opts.trials.max(1));
-    let slots: Vec<std::sync::Mutex<Option<ComResult<ChaosTrial>>>> = (0..opts.trials)
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= opts.trials {
-                    break;
-                }
-                let trial = chaos_trial(
-                    app.as_ref(),
-                    scenario,
-                    &classifier,
-                    &distribution,
-                    &record.profile,
-                    &network,
-                    opts.seed,
-                    horizon_us,
-                    i,
-                    replicas.as_ref(),
-                    obs,
-                );
-                *slots[i].lock().expect("chaos slot") = Some(trial);
-            });
-        }
+    let trials = run_indexed(opts.trials, opts.jobs, |i| {
+        chaos_trial(
+            &image,
+            scenario,
+            &network,
+            opts.seed,
+            horizon_us,
+            i,
+            replicas.as_ref(),
+            obs,
+        )
     });
 
     let mut out = format!(
@@ -1042,11 +1010,8 @@ pub fn cmd_chaos_observed(
     let (mut ok, mut recovered, mut failed) = (0usize, 0usize, 0usize);
     let (mut recoveries, mut migrations) = (0u64, 0u64);
     let mut violations = Vec::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        let trial = slot
-            .into_inner()
-            .expect("chaos slot lock")
-            .expect("chaos worker exited without reporting a result")?;
+    for (i, trial) in trials.into_iter().enumerate() {
+        let trial = trial?;
         out.push_str(&trial.line);
         out.push('\n');
         match trial.outcome {
@@ -1188,20 +1153,12 @@ fn derive_replica_router(
 /// sharded discrete-event simulation with per-link ICC batching and
 /// session-state pooling ([`coign::serve`]). The summary is byte-identical
 /// for a given seed across repeated runs and across `--jobs`.
+///
+/// Under an observability bundle the registry gains the serve counters
+/// (sessions, calls, batches, pool hits/misses), the merged session-latency
+/// histogram, and simulated-throughput gauges — all deterministic, so
+/// `--metrics` output stays byte-identical per seed.
 pub fn cmd_serve(
-    path: &Path,
-    scenario: &str,
-    network_name: &str,
-    opts: &ServeCliOptions,
-) -> ComResult<String> {
-    cmd_serve_observed(path, scenario, network_name, opts, None)
-}
-
-/// [`cmd_serve`] with an optional observability bundle: the registry gains
-/// the serve counters (sessions, calls, batches, pool hits/misses), the
-/// merged session-latency histogram, and simulated-throughput gauges — all
-/// deterministic, so `--metrics` output stays byte-identical per seed.
-pub fn cmd_serve_observed(
     path: &Path,
     scenario: &str,
     network_name: &str,
@@ -1209,19 +1166,7 @@ pub fn cmd_serve_observed(
     obs: Option<&Obs>,
 ) -> ComResult<String> {
     let _span = obs.map(|o| o.tracer.phase_span("serve"));
-    let image = load(path)?;
-    let record = rewriter::read_config(&image)?;
-    if record.profile.total_messages() == 0 {
-        return Err(ComError::App(
-            "no profile accumulated yet — run `coign profile` first".to_string(),
-        ));
-    }
-    if !record.profile.scenarios.iter().any(|s| s == scenario) {
-        return Err(ComError::App(format!(
-            "scenario `{scenario}` was never profiled into this image (profiled: {})",
-            record.profile.scenarios.join(", ")
-        )));
-    }
+    let (image, record) = load_profiled(path, Some(scenario))?;
     let app = app_for_image(&image)?;
     let network = network_by_name(network_name)?;
     // The placement under load: chosen fresh from the accumulated profile
@@ -1234,12 +1179,17 @@ pub fn cmd_serve_observed(
     // chaos` fixes its fault windows — with every non-client machine a
     // victim. Both paths are deterministic per seed, so the faulted
     // summary stays byte-identical across `--jobs`.
+    let fleet = coign::ServeOptions {
+        sessions: opts.sessions,
+        shards: opts.shards,
+        jobs: opts.jobs,
+        seed: opts.seed,
+        batching: opts.batching,
+        window_us: opts.window_us,
+        ..coign::ServeOptions::default()
+    };
     let plan = match (&opts.fault_plan, opts.fault_seed) {
-        (Some(plan_path), _) => {
-            let text = std::fs::read_to_string(plan_path)
-                .map_err(|e| ComError::App(format!("cannot read {}: {e}", plan_path.display())))?;
-            FaultPlan::parse(&text)?
-        }
+        (Some(plan_path), _) => read_fault_plan(plan_path)?,
         (None, 0) => FaultPlan::none(),
         (None, fault_seed) => {
             let mut victims: Vec<MachineId> = distribution
@@ -1250,20 +1200,7 @@ pub fn cmd_serve_observed(
                 .collect();
             victims.sort();
             victims.dedup();
-            let probe = coign::serve::serve(
-                &record.profile,
-                &distribution,
-                &network,
-                &coign::ServeOptions {
-                    sessions: opts.sessions,
-                    shards: opts.shards,
-                    jobs: opts.jobs,
-                    seed: opts.seed,
-                    batching: opts.batching,
-                    window_us: opts.window_us,
-                    ..coign::ServeOptions::default()
-                },
-            )?;
+            let probe = coign::serve::serve(&record.profile, &distribution, &network, &fleet)?;
             FaultPlan::seeded(fault_seed, probe.horizon_us, &victims)
         }
     };
@@ -1287,12 +1224,6 @@ pub fn cmd_serve_observed(
     // a build without telemetry at all.
     let want_timeline = opts.timeline.is_some() || opts.slo_p99_us.is_some();
     let serve_opts = coign::ServeOptions {
-        sessions: opts.sessions,
-        shards: opts.shards,
-        jobs: opts.jobs,
-        seed: opts.seed,
-        batching: opts.batching,
-        window_us: opts.window_us,
         timeline_window_us: if want_timeline {
             opts.timeline_window_us.max(1)
         } else {
@@ -1301,7 +1232,7 @@ pub fn cmd_serve_observed(
         trace_sample: opts.trace_sample,
         faults: plan.clone(),
         replicas,
-        ..coign::ServeOptions::default()
+        ..fleet
     };
     let (report, timeline) = coign::serve::serve_traced(
         &record.profile,
@@ -1311,39 +1242,37 @@ pub fn cmd_serve_observed(
         obs.map(|o| &*o.tracer),
     )?;
     if let Some(o) = obs {
-        o.registry
-            .counter("coign_serve_sessions_total")
-            .add(report.sessions);
-        o.registry
-            .counter("coign_serve_calls_total")
-            .add(report.calls);
-        o.registry
-            .counter("coign_serve_remote_messages_total")
-            .add(report.remote_messages);
-        o.registry
-            .counter("coign_serve_batches_total")
-            .add(report.batches);
-        o.registry
-            .counter("coign_serve_pool_hits_total")
-            .add(report.pool_hits);
-        o.registry
-            .counter("coign_serve_pool_misses_total")
-            .add(report.pool_misses);
-        o.registry
-            .gauge("coign_serve_sim_sessions_per_sec")
-            .set(report.sessions_per_sim_sec());
-        o.registry
-            .gauge("coign_serve_sim_calls_per_sec")
-            .set(report.calls_per_sim_sec());
-        o.registry
-            .gauge("coign_serve_latency_p50_us")
-            .set(report.latency_quantile_us(0.50));
-        o.registry
-            .gauge("coign_serve_latency_p95_us")
-            .set(report.latency_quantile_us(0.95));
-        o.registry
-            .gauge("coign_serve_latency_p99_us")
-            .set(report.latency_quantile_us(0.99));
+        for (name, value) in [
+            ("coign_serve_sessions_total", report.sessions),
+            ("coign_serve_calls_total", report.calls),
+            ("coign_serve_remote_messages_total", report.remote_messages),
+            ("coign_serve_batches_total", report.batches),
+            ("coign_serve_pool_hits_total", report.pool_hits),
+            ("coign_serve_pool_misses_total", report.pool_misses),
+        ] {
+            o.registry.counter(name).add(value);
+        }
+        for (name, value) in [
+            (
+                "coign_serve_sim_sessions_per_sec",
+                report.sessions_per_sim_sec(),
+            ),
+            ("coign_serve_sim_calls_per_sec", report.calls_per_sim_sec()),
+            (
+                "coign_serve_latency_p50_us",
+                report.latency_quantile_us(0.50),
+            ),
+            (
+                "coign_serve_latency_p95_us",
+                report.latency_quantile_us(0.95),
+            ),
+            (
+                "coign_serve_latency_p99_us",
+                report.latency_quantile_us(0.99),
+            ),
+        ] {
+            o.registry.gauge(name).set(value);
+        }
         o.registry
             .histogram("coign_serve_session_latency_us", report.latency.bounds())
             .merge_from(&report.latency);
@@ -1421,9 +1350,7 @@ pub fn cmd_gen(seed: u64, size: GenSize, emit: Option<&Path>, json: bool) -> Com
     if let Some(dir) = emit {
         std::fs::create_dir_all(dir)
             .map_err(|e| ComError::App(format!("cannot create {}: {e}", dir.display())))?;
-        let mut image = app.image();
-        let classifier = InstanceClassifier::new(ClassifierKind::Ifcb);
-        rewriter::instrument(&mut image, &classifier);
+        let image = instrumented_image(&app);
         let path = dir.join(format!("{}.cimg", spec.stem()));
         store(&path, &image)?;
         if !json {
@@ -1437,41 +1364,6 @@ pub fn cmd_gen(seed: u64, size: GenSize, emit: Option<&Path>, json: bool) -> Com
     Ok(out)
 }
 
-/// CLI options for `coign explore` (a thin shell over
-/// [`coign_gen::explore::ExploreOptions`]: the network arrives by name).
-pub struct ExploreCliOptions {
-    /// Explicit fault instants (µs); `None` enumerates a grid.
-    pub faults_at: Option<Vec<u64>>,
-    /// Grid depth: 128·depth instants across the fault-free horizon.
-    pub depth: u32,
-    /// Breaker failure thresholds to permute.
-    pub thresholds: Vec<u32>,
-    /// Add a drift-armed variant of every interleaving.
-    pub with_drift: bool,
-    /// Worker threads (the summary does not depend on it).
-    pub jobs: usize,
-    /// Master seed for per-interleaving fault seeds.
-    pub seed: u64,
-    /// Run every interleaving with the lint-derived replica routing table
-    /// installed, with the no-solve-failover invariants armed.
-    pub with_replicas: bool,
-}
-
-impl Default for ExploreCliOptions {
-    fn default() -> Self {
-        let base = ExploreOptions::default();
-        ExploreCliOptions {
-            faults_at: None,
-            depth: base.depth,
-            thresholds: base.thresholds,
-            with_drift: false,
-            jobs: 1,
-            seed: 0,
-            with_replicas: false,
-        }
-    }
-}
-
 /// `coign explore gen:<seed>[:<size>] <scenario> [network] [--faults-at
 /// T,T,…|--enumerate-depth D] [--thresholds F,F,…] [--drift] [--jobs N]
 /// [--seed N]` — systematic schedule-space exploration around recovery
@@ -1479,12 +1371,13 @@ impl Default for ExploreCliOptions {
 /// interleaving runs under the self-healing runtime and is checked against
 /// the exactly-once ledger, `validate_placement`, and replication-legality
 /// invariants. Violations are minimized and reported as replayable command
-/// lines; the summary is byte-identical per seed across `--jobs`.
+/// lines; the summary is byte-identical per seed across `--jobs`. The
+/// network arrives by name and replaces whatever `opts` carries.
 pub fn cmd_explore(
     image_spec: &str,
     scenario: &str,
     network_name: &str,
-    opts: &ExploreCliOptions,
+    opts: &ExploreOptions,
 ) -> ComResult<String> {
     let rest = image_spec.strip_prefix("gen:").ok_or_else(|| {
         ComError::App(format!(
@@ -1498,19 +1391,12 @@ pub fn cmd_explore(
              gen:<seed>:<size> with size small|medium|large)"
         ))
     })?;
-    let network = network_by_name(network_name)?;
-    let gen_opts = ExploreOptions {
-        network,
+    let opts = ExploreOptions {
+        network: network_by_name(network_name)?,
         network_name: network_name.to_string(),
-        faults_at: opts.faults_at.clone(),
-        depth: opts.depth,
-        thresholds: opts.thresholds.clone(),
-        with_drift: opts.with_drift,
-        jobs: opts.jobs,
-        seed: opts.seed,
-        with_replicas: opts.with_replicas,
+        ..opts.clone()
     };
-    coign_gen::explore::explore(spec, scenario, &gen_opts).map(|report| report.summary)
+    coign_gen::explore::explore(spec, scenario, &opts).map(|report| report.summary)
 }
 
 /// `coign show <image>` — prints the configuration record.
@@ -1647,11 +1533,7 @@ pub fn cmd_script(path: &Path, script_path: &Path) -> ComResult<String> {
     run_ops(&rt, &ops)?;
     let profile = logger.take_profile();
 
-    rewriter::accumulate_profile(&mut image, &profile)?;
-    let mut record = rewriter::read_config(&image)?;
-    record.classifier = classifier.encode();
-    image.set_config_record(record.encode());
-    store(path, &image)?;
+    store_profile(path, &mut image, &profile, &classifier)?;
     Ok(format!(
         "scripted profile ({} op(s)): {} messages, {} bytes, {} instances",
         ops.len(),
@@ -1732,7 +1614,7 @@ mod tests {
         let msg = cmd_instrument("octarine", &path).unwrap();
         assert!(msg.contains("coignrte.dll"));
 
-        let msg = cmd_profile(&path, &["o_oldtb3"], 1).unwrap();
+        let msg = cmd_profile(&path, &["o_oldtb3"], 1, None).unwrap();
         assert!(msg.contains("messages"));
         // Honest annotations: the dynamic cross-check stays silent.
         assert!(!msg.contains("COIGN045"));
@@ -1741,13 +1623,13 @@ mod tests {
         assert!(msg.contains("mode:       profiling"));
         assert!(msg.contains("o_oldtb3"));
 
-        let msg = cmd_analyze(&path, "ethernet").unwrap();
+        let msg = cmd_analyze(&path, "ethernet", None).unwrap();
         assert!(msg.contains("server"));
 
         let msg = cmd_show(&path).unwrap();
         assert!(msg.contains("distributed"));
 
-        let msg = cmd_run(&path, "o_oldtb3", "ethernet", &RunFaults::default()).unwrap();
+        let msg = cmd_run(&path, "o_oldtb3", "ethernet", &RunFaults::default(), None).unwrap();
         assert!(msg.contains("cross-machine"));
         // A clean wire prints no fault line.
         assert!(!msg.contains("faults:"));
@@ -1766,9 +1648,9 @@ mod tests {
     fn profiles_accumulate_across_invocations() {
         let path = temp_image("acc");
         cmd_instrument("benefits", &path).unwrap();
-        let msg = cmd_profile(&path, &["b_vueone"], 1).unwrap();
+        let msg = cmd_profile(&path, &["b_vueone"], 1, None).unwrap();
         assert!(!msg.contains("COIGN045"));
-        cmd_profile(&path, &["b_addone"], 1).unwrap();
+        cmd_profile(&path, &["b_addone"], 1, None).unwrap();
         let show = cmd_show(&path).unwrap();
         assert!(show.contains("b_vueone, b_addone"));
         std::fs::remove_file(&path).ok();
@@ -1784,8 +1666,8 @@ mod tests {
         cmd_instrument("octarine", &seq_path).unwrap();
         cmd_instrument("octarine", &par_path).unwrap();
         let scenarios = ["o_oldtb3", "o_newdoc", "o_oldwp7"];
-        cmd_profile(&seq_path, &scenarios, 1).unwrap();
-        cmd_profile(&par_path, &scenarios, 4).unwrap();
+        cmd_profile(&seq_path, &scenarios, 1, None).unwrap();
+        cmd_profile(&par_path, &scenarios, 4, None).unwrap();
         let seq_bytes = std::fs::read(&seq_path).unwrap();
         let par_bytes = std::fs::read(&par_path).unwrap();
         assert_eq!(seq_bytes, par_bytes);
@@ -1798,18 +1680,18 @@ mod tests {
         let path = temp_image("sweep");
         cmd_instrument("octarine", &path).unwrap();
         // Sweeping before profiling is rejected.
-        assert!(cmd_sweep(&path, false)
+        assert!(cmd_sweep(&path, false, None)
             .unwrap_err()
             .to_string()
             .contains("no profile"));
-        cmd_profile(&path, &["o_oldtb3", "o_newdoc"], 2).unwrap();
-        let human = cmd_sweep(&path, false).unwrap();
+        cmd_profile(&path, &["o_oldtb3", "o_newdoc"], 2, None).unwrap();
+        let human = cmd_sweep(&path, false, None).unwrap();
         assert!(human.contains("partition sweep over 16 network point(s)"));
-        let json = cmd_sweep(&path, true).unwrap();
+        let json = cmd_sweep(&path, true, None).unwrap();
         assert!(json.starts_with("{\"grid\":"));
         assert!(json.contains("\"points\":["));
         // Deterministic output, twice in a row.
-        assert_eq!(json, cmd_sweep(&path, true).unwrap());
+        assert_eq!(json, cmd_sweep(&path, true, None).unwrap());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1817,7 +1699,7 @@ mod tests {
     fn analyze_requires_a_profile() {
         let path = temp_image("noprof");
         cmd_instrument("photodraw", &path).unwrap();
-        let err = cmd_analyze(&path, "ethernet").unwrap_err();
+        let err = cmd_analyze(&path, "ethernet", None).unwrap_err();
         assert!(err.to_string().contains("no profile"));
         std::fs::remove_file(&path).ok();
     }
@@ -1826,8 +1708,8 @@ mod tests {
     fn run_requires_realization() {
         let path = temp_image("norun");
         cmd_instrument("octarine", &path).unwrap();
-        cmd_profile(&path, &["o_newdoc"], 1).unwrap();
-        let err = cmd_run(&path, "o_newdoc", "ethernet", &RunFaults::default()).unwrap_err();
+        cmd_profile(&path, &["o_newdoc"], 1, None).unwrap();
+        let err = cmd_run(&path, "o_newdoc", "ethernet", &RunFaults::default(), None).unwrap_err();
         assert!(err.to_string().contains("not realized"));
         std::fs::remove_file(&path).ok();
     }
@@ -1844,7 +1726,7 @@ mod tests {
         cmd_instrument("octarine", &img).unwrap();
         let msg = cmd_script(&img, &script).unwrap();
         assert!(msg.contains("scripted profile (3 op(s))"));
-        cmd_analyze(&img, "ethernet").unwrap();
+        cmd_analyze(&img, "ethernet", None).unwrap();
 
         let dot_path = {
             let mut p = std::env::temp_dir();
@@ -1879,8 +1761,8 @@ mod tests {
     fn fault_injected_run_reports_counters_and_reproduces() {
         let path = temp_image("faultrun");
         cmd_instrument("octarine", &path).unwrap();
-        cmd_profile(&path, &["o_oldtb3"], 1).unwrap();
-        cmd_analyze(&path, "ethernet").unwrap();
+        cmd_profile(&path, &["o_oldtb3"], 1, None).unwrap();
+        cmd_analyze(&path, "ethernet", None).unwrap();
 
         let plan_path = {
             let mut p = std::env::temp_dir();
@@ -1893,7 +1775,8 @@ mod tests {
             fault_seed: 7,
             summary: false,
         };
-        let msg = cmd_run(&path, "o_oldtb3", "ethernet", &faults).unwrap();
+        let run = |faults: &RunFaults| cmd_run(&path, "o_oldtb3", "ethernet", faults, None);
+        let msg = run(&faults).unwrap();
         assert!(
             msg.contains("faults:"),
             "lossy run must report faults: {msg}"
@@ -1905,27 +1788,20 @@ mod tests {
             summary: true,
             ..faults.clone()
         };
-        let a = cmd_run(&path, "o_oldtb3", "ethernet", &summary_opts).unwrap();
-        let b = cmd_run(&path, "o_oldtb3", "ethernet", &summary_opts).unwrap();
-        assert_eq!(a, b);
+        let a = run(&summary_opts).unwrap();
+        assert_eq!(a, run(&summary_opts).unwrap());
         assert!(a.contains("fault_drops="));
 
         // A different fault seed perturbs the wire differently.
-        let other = cmd_run(
-            &path,
-            "o_oldtb3",
-            "ethernet",
-            &RunFaults {
-                fault_seed: 8,
-                ..summary_opts
-            },
-        )
-        .unwrap();
-        assert_ne!(a, other);
+        let other_seed = RunFaults {
+            fault_seed: 8,
+            ..summary_opts
+        };
+        assert_ne!(a, run(&other_seed).unwrap());
 
         // A malformed plan is rejected with its line number.
         std::fs::write(&plan_path, "explode 1\n").unwrap();
-        let err = cmd_run(&path, "o_oldtb3", "ethernet", &faults).unwrap_err();
+        let err = run(&faults).unwrap_err();
         assert!(err.to_string().contains("line 1"));
 
         std::fs::remove_file(&path).ok();
@@ -1936,40 +1812,29 @@ mod tests {
     fn chaos_summary_is_deterministic_across_runs_and_jobs() {
         let path = temp_image("chaos");
         cmd_instrument("octarine", &path).unwrap();
-        cmd_profile(&path, &["o_oldtb3"], 1).unwrap();
-        cmd_analyze(&path, "ethernet").unwrap();
+        cmd_profile(&path, &["o_oldtb3"], 1, None).unwrap();
+        cmd_analyze(&path, "ethernet", None).unwrap();
         let opts = ChaosOptions {
             seed: 7,
             trials: 6,
             jobs: 1,
             replicate: false,
         };
-        let a = cmd_chaos(&path, "o_oldtb3", "ethernet", &opts).unwrap();
-        let b = cmd_chaos(&path, "o_oldtb3", "ethernet", &opts).unwrap();
+        let chaos =
+            |opts: ChaosOptions| cmd_chaos(&path, "o_oldtb3", "ethernet", &opts, None).unwrap();
+        let a = chaos(opts.clone());
+        let b = chaos(opts.clone());
         assert_eq!(a, b, "same seed must reproduce the summary byte-for-byte");
         for jobs in [2, 4, 8] {
-            let par = cmd_chaos(
-                &path,
-                "o_oldtb3",
-                "ethernet",
-                &ChaosOptions {
-                    jobs,
-                    ..opts.clone()
-                },
-            )
-            .unwrap();
+            let par = chaos(ChaosOptions {
+                jobs,
+                ..opts.clone()
+            });
             assert_eq!(a, par, "summary differs at jobs={jobs}");
         }
         assert!(a.contains("invariants: ok"), "summary: {a}");
         // A different seed draws different fault plans.
-        let other = cmd_chaos(
-            &path,
-            "o_oldtb3",
-            "ethernet",
-            &ChaosOptions { seed: 8, ..opts },
-        )
-        .unwrap();
-        assert_ne!(a, other);
+        assert_ne!(a, chaos(ChaosOptions { seed: 8, ..opts }));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1977,8 +1842,8 @@ mod tests {
     fn chaos_machine_death_trials_recover_with_warm_resolves() {
         let path = temp_image("chaosdeath");
         cmd_instrument("octarine", &path).unwrap();
-        cmd_profile(&path, &["o_oldtb3"], 1).unwrap();
-        cmd_analyze(&path, "ethernet").unwrap();
+        cmd_profile(&path, &["o_oldtb3"], 1, None).unwrap();
+        cmd_analyze(&path, "ethernet", None).unwrap();
         // Enough trials that the seeded generator draws at least one
         // permanent server death; the invariant checker inside cmd_chaos
         // then enforces warm re-solves, valid placements, and zero double
@@ -1993,6 +1858,7 @@ mod tests {
                 jobs: 2,
                 replicate: false,
             },
+            None,
         )
         .unwrap();
         assert!(
@@ -2008,7 +1874,7 @@ mod tests {
     fn serve_fault_seed_is_deterministic_and_transparent_at_zero() {
         let path = temp_image("servefault");
         cmd_instrument("octarine", &path).unwrap();
-        cmd_profile(&path, &["o_oldtb3"], 1).unwrap();
+        cmd_profile(&path, &["o_oldtb3"], 1, None).unwrap();
         let base = ServeCliOptions {
             sessions: 500,
             shards: 2,
@@ -2017,7 +1883,9 @@ mod tests {
         };
         // fault_seed 0 is the explicit zero-fault seed: no inject line, no
         // fault counters — byte-identical to a build with no fault layer.
-        let clean = cmd_serve(&path, "o_oldtb3", "ethernet", &base).unwrap();
+        let serve =
+            |opts: &ServeCliOptions| cmd_serve(&path, "o_oldtb3", "ethernet", opts, None).unwrap();
+        let clean = serve(&base);
         assert!(!clean.contains("inject:"), "{clean}");
         assert!(!clean.contains("faults:"), "{clean}");
         let faulted = ServeCliOptions {
@@ -2025,20 +1893,14 @@ mod tests {
             replicate: true,
             ..base.clone()
         };
-        let a = cmd_serve(&path, "o_oldtb3", "ethernet", &faulted).unwrap();
+        let a = serve(&faulted);
         assert!(a.contains("inject: down "), "{a}");
         assert!(a.contains("faults: "), "{a}");
         for jobs in [2, 4] {
-            let b = cmd_serve(
-                &path,
-                "o_oldtb3",
-                "ethernet",
-                &ServeCliOptions {
-                    jobs,
-                    ..faulted.clone()
-                },
-            )
-            .unwrap();
+            let b = serve(&ServeCliOptions {
+                jobs,
+                ..faulted.clone()
+            });
             assert_eq!(a, b, "faulted summary differs at jobs={jobs}");
         }
         // A plan file drives the same machinery; the JSON record carries
@@ -2049,17 +1911,11 @@ mod tests {
             std::fs::write(&p, "loss 0.05\n").unwrap();
             p
         };
-        let json = cmd_serve(
-            &path,
-            "o_oldtb3",
-            "ethernet",
-            &ServeCliOptions {
-                fault_plan: Some(plan_path.clone()),
-                json: true,
-                ..base
-            },
-        )
-        .unwrap();
+        let json = serve(&ServeCliOptions {
+            fault_plan: Some(plan_path.clone()),
+            json: true,
+            ..base.clone()
+        });
         assert!(json.contains("\"inject\":\"loss 0.05 * ..\""), "{json}");
         assert!(json.contains("\"faults\":{"), "{json}");
         std::fs::remove_file(&path).ok();
@@ -2070,8 +1926,8 @@ mod tests {
     fn chaos_replicate_runs_clean_and_marks_the_summary() {
         let path = temp_image("chaosrep");
         cmd_instrument("octarine", &path).unwrap();
-        cmd_profile(&path, &["o_oldwp7"], 1).unwrap();
-        cmd_analyze(&path, "ethernet").unwrap();
+        cmd_profile(&path, &["o_oldwp7"], 1, None).unwrap();
+        cmd_analyze(&path, "ethernet", None).unwrap();
         let summary = cmd_chaos(
             &path,
             "o_oldwp7",
@@ -2082,6 +1938,7 @@ mod tests {
                 jobs: 2,
                 replicate: true,
             },
+            None,
         )
         .unwrap();
         assert!(summary.contains("replicate=on"), "{summary}");
@@ -2096,42 +1953,31 @@ mod tests {
         cmd_instrument("octarine", &path).unwrap();
         // Placing before profiling (or for an unprofiled scenario) is
         // rejected.
-        assert!(
-            cmd_place(&path, "o_oldtb3", "ethernet", &PlaceOptions::default())
-                .unwrap_err()
-                .to_string()
-                .contains("no profile")
-        );
-        cmd_profile(&path, &["o_oldtb3"], 1).unwrap();
-        assert!(
-            cmd_place(&path, "o_newdoc", "ethernet", &PlaceOptions::default())
-                .unwrap_err()
-                .to_string()
-                .contains("never profiled")
-        );
-
+        let place = |scenario: &str, opts: &PlaceOptions| {
+            cmd_place(&path, scenario, "ethernet", opts, None).map_err(|e| e.to_string())
+        };
         let opts = PlaceOptions::default();
-        let human = cmd_place(&path, "o_oldtb3", "ethernet", &opts).unwrap();
+        assert!(place("o_oldtb3", &opts).unwrap_err().contains("no profile"));
+        cmd_profile(&path, &["o_oldtb3"], 1, None).unwrap();
+        assert!(place("o_newdoc", &opts)
+            .unwrap_err()
+            .contains("never profiled"));
+
+        let human = place("o_oldtb3", &opts).unwrap();
         assert!(human.contains("across 3 machine(s)"));
         assert!(human.contains("machine 2:"));
         assert!(human.contains("cut: heuristic"));
         // Deterministic, twice in a row.
-        assert_eq!(
-            human,
-            cmd_place(&path, "o_oldtb3", "ethernet", &opts).unwrap()
-        );
+        assert_eq!(human, place("o_oldtb3", &opts).unwrap());
 
         let json_opts = PlaceOptions {
             json: true,
             ..opts.clone()
         };
-        let json = cmd_place(&path, "o_oldtb3", "ethernet", &json_opts).unwrap();
+        let json = place("o_oldtb3", &json_opts).unwrap();
         assert!(json.starts_with("{\"app\":\"octarine.exe\""));
         assert!(json.contains("\"placement\":["));
-        assert_eq!(
-            json,
-            cmd_place(&path, "o_oldtb3", "ethernet", &json_opts).unwrap()
-        );
+        assert_eq!(json, place("o_oldtb3", &json_opts).unwrap());
         std::fs::remove_file(&path).ok();
     }
 
@@ -2142,18 +1988,14 @@ mod tests {
         // The 208-page text document: reader and properties split away from
         // the layout cluster, so the effect-free flyweights (text blocks,
         // font caches) see traffic from more than one machine.
-        cmd_profile(&path, &["o_oldwp7"], 1).unwrap();
-        let plain = cmd_place(&path, "o_oldwp7", "ethernet", &PlaceOptions::default()).unwrap();
-        let replicated = cmd_place(
-            &path,
-            "o_oldwp7",
-            "ethernet",
-            &PlaceOptions {
-                replicate: true,
-                ..PlaceOptions::default()
-            },
-        )
-        .unwrap();
+        cmd_profile(&path, &["o_oldwp7"], 1, None).unwrap();
+        let place =
+            |opts: PlaceOptions| cmd_place(&path, "o_oldwp7", "ethernet", &opts, None).unwrap();
+        let plain = place(PlaceOptions::default());
+        let replicated = place(PlaceOptions {
+            replicate: true,
+            ..PlaceOptions::default()
+        });
         // The annotated example app has at least one provably replicable
         // class whose copy strictly reduces modeled cut traffic.
         assert!(replicated.contains("replicas: "), "{replicated}");

@@ -1,11 +1,11 @@
 //! `coign` — the tool-chain CLI. See the crate docs for the workflow.
 
 use coign_cli::{
-    cmd_analyze_observed, cmd_chaos_observed, cmd_check, cmd_dot, cmd_explore, cmd_gen,
-    cmd_hotspots, cmd_instrument, cmd_place_observed, cmd_profile_observed, cmd_run_observed,
-    cmd_script, cmd_serve_observed, cmd_show, cmd_strip, cmd_sweep_observed, resolve_image_spec,
-    ChaosOptions, ExploreCliOptions, PlaceOptions, RunFaults, ServeCliOptions,
+    cmd_analyze, cmd_chaos, cmd_check, cmd_dot, cmd_explore, cmd_gen, cmd_hotspots, cmd_instrument,
+    cmd_place, cmd_profile, cmd_run, cmd_script, cmd_serve, cmd_show, cmd_strip, cmd_sweep,
+    resolve_image_spec, ChaosOptions, PlaceOptions, RunFaults, ServeCliOptions,
 };
+use coign_gen::explore::ExploreOptions;
 use coign_gen::GenSize;
 use coign_obs::Obs;
 use std::path::{Path, PathBuf};
@@ -358,9 +358,9 @@ fn parse_number_list<T: std::str::FromStr>(flag: &str, value: &str) -> Result<Ve
 
 /// Parses `coign explore`'s trailing arguments: an optional positional
 /// network name plus the schedule flags in any order.
-fn parse_explore_args(rest: &[String]) -> Result<(String, ExploreCliOptions), String> {
+fn parse_explore_args(rest: &[String]) -> Result<(String, ExploreOptions), String> {
     let mut network = None;
-    let mut opts = ExploreCliOptions::default();
+    let mut opts = ExploreOptions::default();
     let mut it = rest.iter();
     while let Some(token) = it.next() {
         match token.as_str() {
@@ -471,29 +471,29 @@ fn dispatch(args: &[String], obs: Option<&Obs>) -> Result<String, String> {
         "profile" => {
             let (scenarios, jobs) = parse_profile_args(&args[2.min(args.len())..])?;
             let refs: Vec<&str> = scenarios.iter().map(String::as_str).collect();
-            cmd_profile_observed(&image(1)?, &refs, jobs, obs)
+            cmd_profile(&image(1)?, &refs, jobs, obs)
         }
-        "analyze" => cmd_analyze_observed(&image(1)?, arg(2).unwrap_or("ethernet"), obs),
-        "sweep" => cmd_sweep_observed(
+        "analyze" => cmd_analyze(&image(1)?, arg(2).unwrap_or("ethernet"), obs),
+        "sweep" => cmd_sweep(
             &image(1)?,
             args.get(2).map(String::as_str) == Some("--json"),
             obs,
         ),
         "run" => {
             let (network, faults) = parse_run_args(&args[3.min(args.len())..])?;
-            cmd_run_observed(&image(1)?, arg(2)?, &network, &faults, obs)
+            cmd_run(&image(1)?, arg(2)?, &network, &faults, obs)
         }
         "place" => {
             let (network, opts) = parse_place_args(&args[3.min(args.len())..])?;
-            cmd_place_observed(&image(1)?, arg(2)?, &network, &opts, obs)
+            cmd_place(&image(1)?, arg(2)?, &network, &opts, obs)
         }
         "chaos" => {
             let (network, opts) = parse_chaos_args(&args[3.min(args.len())..])?;
-            cmd_chaos_observed(&image(1)?, arg(2)?, &network, &opts, obs)
+            cmd_chaos(&image(1)?, arg(2)?, &network, &opts, obs)
         }
         "serve" => {
             let (network, opts) = parse_serve_args(&args[3.min(args.len())..])?;
-            cmd_serve_observed(&image(1)?, arg(2)?, &network, &opts, obs)
+            cmd_serve(&image(1)?, arg(2)?, &network, &opts, obs)
         }
         "gen" => {
             let (seed, size, emit, json) = parse_gen_args(&args[1.min(args.len())..])?;

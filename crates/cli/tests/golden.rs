@@ -44,8 +44,9 @@
 
 use coign_cli::{
     cmd_analyze, cmd_check, cmd_dot, cmd_explore, cmd_gen, cmd_instrument, cmd_profile, cmd_serve,
-    cmd_sweep, resolve_image_spec, ExploreCliOptions, ServeCliOptions,
+    cmd_sweep, resolve_image_spec, ServeCliOptions,
 };
+use coign_gen::explore::ExploreOptions;
 use coign_gen::GenSize;
 use std::path::{Path, PathBuf};
 
@@ -58,6 +59,22 @@ fn example_image() -> PathBuf {
 
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("coign_golden_{tag}_{}.cimg", std::process::id()))
+}
+
+/// A freshly generated `gen:42` image in a per-test scratch directory,
+/// profiled on `g_main` — the image the serve goldens were rendered from.
+/// Nothing is read from the shared `gen:` cache under the temp dir, so the
+/// serve tests do not depend on what an earlier command left there.
+fn profiled_gen42(tag: &str) -> PathBuf {
+    let dir = scratch(tag).with_extension("d");
+    cmd_gen(42, GenSize::Small, Some(&dir), false).expect("gen --emit succeeds");
+    let img = dir.join("gen-42-small.cimg");
+    cmd_profile(&img, &["g_main"], 1, None).expect("profile g_main succeeds");
+    img
+}
+
+fn remove_scratch_dir(img: &Path) {
+    std::fs::remove_dir_all(img.parent().expect("scratch image sits in its directory")).ok();
 }
 
 #[test]
@@ -143,8 +160,8 @@ fn dot_output_matches_golden_file() {
     let img = scratch("dot");
     let out = std::env::temp_dir().join(format!("coign_golden_dot_{}.gv", std::process::id()));
     std::fs::copy(example_image(), &img).expect("copy example image to scratch path");
-    let rendered = cmd_profile(&img, &["o_oldtb3", "o_newdoc"], 2)
-        .and_then(|_| cmd_analyze(&img, "ethernet"))
+    let rendered = cmd_profile(&img, &["o_oldtb3", "o_newdoc"], 2, None)
+        .and_then(|_| cmd_analyze(&img, "ethernet", None))
         .and_then(|_| cmd_dot(&img, &out))
         .and_then(|_| {
             std::fs::read_to_string(&out)
@@ -169,8 +186,8 @@ fn sweep_json_output_matches_golden_file() {
     let scratch =
         std::env::temp_dir().join(format!("coign_golden_sweep_{}.cimg", std::process::id()));
     std::fs::copy(example_image(), &scratch).expect("copy example image to scratch path");
-    let swept =
-        cmd_profile(&scratch, &["o_oldtb3", "o_newdoc"], 2).and_then(|_| cmd_sweep(&scratch, true));
+    let swept = cmd_profile(&scratch, &["o_oldtb3", "o_newdoc"], 2, None)
+        .and_then(|_| cmd_sweep(&scratch, true, None));
     std::fs::remove_file(&scratch).ok();
     let report = swept.expect("profile + sweep succeed on the example image");
     let golden = include_str!("golden/octarine_sweep.json");
@@ -230,10 +247,10 @@ fn explore_report_matches_golden_file() {
     // A violation-free schedule-space sweep over the golden seed: the
     // explicit fault schedule keeps the run to 8 interleavings, and the
     // summary is byte-stable (it never includes host time or job count).
-    let opts = ExploreCliOptions {
+    let opts = ExploreOptions {
         faults_at: Some(vec![4000, 9000, 14000, 21000]),
         thresholds: vec![1, 3],
-        ..ExploreCliOptions::default()
+        ..ExploreOptions::default()
     };
     let report = cmd_explore("gen:42", "g_main", "ethernet", &opts).expect("explore succeeds");
     let golden = include_str!("golden/explore_small.txt");
@@ -260,15 +277,19 @@ fn serve_json_output_matches_golden_file() {
     // The serving-harness summary is fully simulated (no wall-clock
     // numbers), so its exact JSON shape is pinned. Regenerate with
     //
-    //   cargo run -p coign-cli --bin coign -- serve gen:42 g_main \
+    //   cargo run -p coign-cli --bin coign -- gen --seed 42 --emit /tmp/g42
+    //   cargo run -p coign-cli --bin coign -- profile /tmp/g42/gen-42-small.cimg g_main
+    //   cargo run -p coign-cli --bin coign -- serve /tmp/g42/gen-42-small.cimg g_main \
     //       --sessions 2000 --json > crates/cli/tests/golden/serve_gen42.json
-    let img = resolve_image_spec("gen:42").expect("gen:42 materializes");
+    let img = profiled_gen42("serve_json");
     let opts = ServeCliOptions {
         sessions: 2_000,
         json: true,
         ..ServeCliOptions::default()
     };
-    let report = cmd_serve(&img, "g_main", "ethernet", &opts).expect("serve succeeds");
+    let report = cmd_serve(&img, "g_main", "ethernet", &opts, None);
+    remove_scratch_dir(&img);
+    let report = report.expect("serve succeeds");
     let golden = include_str!("golden/serve_gen42.json");
     assert_eq!(
         report.trim_end(),
@@ -283,11 +304,12 @@ fn serve_json_output_matches_golden_file() {
 #[test]
 fn serve_timeline_json_matches_golden_file() {
     // The timeline is pure simulated time (windows, busy-µs, per-window
-    // quantiles), so its bytes are pinned too. Regenerate with
+    // quantiles), so its bytes are pinned too. Regenerate from the same
+    // generated + `g_main`-profiled image as the summary golden above, with
     //
-    //   cargo run -p coign-cli --bin coign -- serve gen:42 g_main --sessions 2000 \
-    //       --timeline crates/cli/tests/golden/serve_gen42_timeline.json
-    let img = resolve_image_spec("gen:42").expect("gen:42 materializes");
+    //   cargo run -p coign-cli --bin coign -- serve /tmp/g42/gen-42-small.cimg g_main \
+    //       --sessions 2000 --timeline crates/cli/tests/golden/serve_gen42_timeline.json
+    let img = profiled_gen42("serve_timeline");
     let sink =
         std::env::temp_dir().join(format!("coign_golden_timeline_{}.json", std::process::id()));
     let opts = ServeCliOptions {
@@ -295,9 +317,10 @@ fn serve_timeline_json_matches_golden_file() {
         timeline: Some(sink.display().to_string()),
         ..ServeCliOptions::default()
     };
-    let run = cmd_serve(&img, "g_main", "ethernet", &opts);
+    let run = cmd_serve(&img, "g_main", "ethernet", &opts, None);
     let written = std::fs::read_to_string(&sink);
     std::fs::remove_file(&sink).ok();
+    remove_scratch_dir(&img);
     run.expect("serve succeeds");
     let written = written.expect("serve wrote the timeline file");
     let golden = include_str!("golden/serve_gen42_timeline.json");
@@ -315,7 +338,7 @@ fn serve_timeline_json_matches_golden_file() {
 fn serve_timeline_is_byte_identical_across_jobs() {
     // Per-shard series merge in shard order, so the exported timeline —
     // like the summary — must not depend on the worker-thread count.
-    let img = resolve_image_spec("gen:42").expect("gen:42 materializes");
+    let img = profiled_gen42("timeline_jobs");
     let render = |jobs: usize| {
         let sink = std::env::temp_dir().join(format!(
             "coign_golden_timeline_j{jobs}_{}.csv",
@@ -328,7 +351,7 @@ fn serve_timeline_is_byte_identical_across_jobs() {
             slo_p99_us: Some(4_000),
             ..ServeCliOptions::default()
         };
-        let out = cmd_serve(&img, "g_main", "ethernet", &opts).expect("serve succeeds");
+        let out = cmd_serve(&img, "g_main", "ethernet", &opts, None).expect("serve succeeds");
         let written = std::fs::read_to_string(&sink).expect("timeline file written");
         std::fs::remove_file(&sink).ok();
         out + &written
@@ -342,28 +365,31 @@ fn serve_timeline_is_byte_identical_across_jobs() {
             "serve timeline changed between --jobs 1 and --jobs {jobs}"
         );
     }
+    remove_scratch_dir(&img);
 }
 
 #[test]
 fn serve_summary_is_byte_identical_across_jobs() {
     // `--jobs` picks the worker-thread count, never the schedule: the
     // rendered summary must not change with it (mirrors chaos/explore).
-    let img = resolve_image_spec("gen:42").expect("gen:42 materializes");
+    let img = profiled_gen42("summary_jobs");
     let opts = |jobs| ServeCliOptions {
         sessions: 2_000,
         jobs,
         json: true,
         ..ServeCliOptions::default()
     };
-    let base = cmd_serve(&img, "g_main", "ethernet", &opts(1)).expect("serve with one worker");
+    let base =
+        cmd_serve(&img, "g_main", "ethernet", &opts(1), None).expect("serve with one worker");
     for jobs in [2, 4, 8] {
-        let out = cmd_serve(&img, "g_main", "ethernet", &opts(jobs))
+        let out = cmd_serve(&img, "g_main", "ethernet", &opts(jobs), None)
             .expect("serve with parallel workers");
         assert_eq!(
             base, out,
             "serve summary changed between --jobs 1 and --jobs {jobs}"
         );
     }
+    remove_scratch_dir(&img);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 
 use crate::classifier::ClassificationId;
 use crate::constraints::Constraint;
-use crate::icc::IccGraph;
+use crate::icc::{IccGraph, TIME_SCALE};
 use crate::profile::IccProfile;
 use coign_com::codec::{Decoder, Encoder};
 use coign_com::{ComError, ComResult, MachineId};
@@ -164,13 +164,12 @@ pub fn analyze(
     let (mut flow, source, sink) = build_flow_network(&graph, constraints);
 
     let cut = min_cut(&mut flow, source, sink, algorithm);
-    if cut.cut_value >= INFINITE {
-        return Err(ComError::App(
-            "location constraints are contradictory: the minimum cut severs an \
-             infinite-capacity (constraint or non-remotable) edge"
-                .to_string(),
-        ));
-    }
+    check_cut_in_range(
+        &flow,
+        graph.weights_us.len(),
+        cut.cut_value,
+        format_args!("network {}", network.network_name),
+    )?;
 
     let mut placement = HashMap::with_capacity(n);
     for (node, class) in graph.nodes.iter().enumerate() {
@@ -188,6 +187,46 @@ pub fn analyze(
         predicted_comm_us,
         network_name: graph.network_name,
     })
+}
+
+/// Rejects a minimum cut at or past the [`INFINITE`] sentinel, naming the
+/// cause. `flow` is the network that was cut — its first `traffic_pairs`
+/// undirected pairs are the communication edges, as every builder in this
+/// crate lays them out — and `point` the network point it was
+/// parameterized for.
+///
+/// A cut that large means one of two things, told apart (on this failure
+/// path only) by what the communication edges carry in total. If that is
+/// below the sentinel, the cut severs a constraint or non-remotable edge:
+/// the constraints contradict each other, and the caller skipped the
+/// satisfiability pre-check that reports that with `COIGN0xx` diagnostics.
+/// Otherwise the traffic itself reaches the sentinel, where a constraint
+/// edge can no longer be told from a communication edge.
+pub(crate) fn check_cut_in_range(
+    flow: &FlowNetwork,
+    traffic_pairs: usize,
+    cut_value: u64,
+    point: std::fmt::Arguments<'_>,
+) -> ComResult<()> {
+    if cut_value < INFINITE {
+        return Ok(());
+    }
+    let traffic: u128 = (0..traffic_pairs)
+        .map(|pair| u128::from(flow.original(pair * 2)))
+        .sum();
+    Err(ComError::App(if traffic < u128::from(INFINITE) {
+        format!(
+            "location constraints are contradictory ({point}): the minimum cut severs an \
+             infinite-capacity (constraint or non-remotable) edge"
+        )
+    } else {
+        format!(
+            "communication volume exceeds the solver's capacity range ({point}): the \
+             communication edges carry {traffic} capacity units (1/{TIME_SCALE} us each), at \
+             or past the uncuttable-edge sentinel {INFINITE}; the location constraints are \
+             not at fault"
+        )
+    }))
 }
 
 /// Builds the flow network of a concrete ICC graph: one node per
@@ -379,6 +418,48 @@ mod tests {
             panic!("expected App error");
         };
         assert!(detail.contains("COIGN020"), "{detail}");
+    }
+
+    #[test]
+    fn capacity_overflow_is_not_reported_as_a_contradiction() {
+        // Two classifications, satisfiably pinned apart, whose single edge
+        // alone outweighs the uncuttable-edge sentinel: the cut must sever
+        // it, and every solver entry point must name the real cause.
+        let mut profile = IccProfile::new();
+        profile.record_instance(c(1), Clsid::from_name("Viewer"));
+        profile.record_instance(c(2), Clsid::from_name("Storage"));
+        profile.record_message(c(1), c(2), Iid::from_name("IX"), 0, 1 << 50);
+        let constraints = vec![Constraint::PinClient(c(1)), Constraint::PinServer(c(2))];
+        let graph = IccGraph::build(&profile, &network());
+        assert!(IccGraph::capacity_of(graph.total_time_us()) >= INFINITE);
+
+        let errors = [
+            analyze(
+                &profile,
+                &network(),
+                &constraints,
+                MaxFlowAlgorithm::LiftToFront,
+            )
+            .unwrap_err(),
+            crate::sweep::sweep_profile(
+                &profile,
+                &constraints,
+                &crate::sweep::SweepGrid::paper_networks(),
+                crate::sweep::SweepMode::Warm,
+            )
+            .unwrap_err(),
+            crate::recovery::RecoverySolver::new(&graph, &constraints)
+                .solve(None)
+                .unwrap_err(),
+        ];
+        for err in errors {
+            let detail = err.to_string();
+            assert!(
+                detail.contains("exceeds the solver's capacity range"),
+                "{detail}"
+            );
+            assert!(!detail.contains("contradictory"), "{detail}");
+        }
     }
 
     #[test]

@@ -179,20 +179,7 @@ impl ProfilingInvoker {
         overhead: Arc<OverheadMeter>,
         cache: Arc<SizeCache>,
     ) -> InterfacePtr {
-        Self::wrap_observed(ptr, classifier, logger, overhead, cache, None)
-    }
-
-    /// Wraps a pointer with profiling instrumentation that additionally
-    /// reports to an observability bundle.
-    pub fn wrap_observed(
-        ptr: InterfacePtr,
-        classifier: Arc<InstanceClassifier>,
-        logger: Arc<dyn InfoLogger>,
-        overhead: Arc<OverheadMeter>,
-        cache: Arc<SizeCache>,
-        obs: Option<Obs>,
-    ) -> InterfacePtr {
-        Self::wrap_crosschecked(ptr, classifier, logger, overhead, cache, obs, None)
+        Self::wrap_crosschecked(ptr, classifier, logger, overhead, cache, None, None)
     }
 
     /// Wraps a pointer with the full profiling informer: observability plus
@@ -372,35 +359,14 @@ impl DistributionInvoker {
         transport: Arc<Transport>,
         overhead: Arc<OverheadMeter>,
     ) -> InterfacePtr {
-        Self::wrap_with_drift(ptr, transport, overhead, None)
+        Self::wrap_recovering(ptr, transport, overhead, None, None, None)
     }
 
-    /// Wraps a pointer, additionally counting messages for drift detection.
-    pub fn wrap_with_drift(
-        ptr: InterfacePtr,
-        transport: Arc<Transport>,
-        overhead: Arc<OverheadMeter>,
-        drift: Option<(Arc<InstanceClassifier>, Arc<DriftMonitor>)>,
-    ) -> InterfacePtr {
-        Self::wrap_observed(ptr, transport, overhead, drift, None)
-    }
-
-    /// Wraps a pointer with drift counting and an observability bundle:
-    /// every cut-crossing call becomes an `icc_call` tracer instant and a
-    /// flight-recorder entry, and a dying call dumps the recorder.
-    pub fn wrap_observed(
-        ptr: InterfacePtr,
-        transport: Arc<Transport>,
-        overhead: Arc<OverheadMeter>,
-        drift: Option<(Arc<InstanceClassifier>, Arc<DriftMonitor>)>,
-        obs: Option<Obs>,
-    ) -> InterfacePtr {
-        Self::wrap_recovering(ptr, transport, overhead, drift, None, obs)
-    }
-
-    /// Wraps a pointer with the full self-healing proxy: drift counting,
-    /// observability, and a recovery coordinator consulted on transport
-    /// failures. With `recovery: None` this is exactly [`DistributionInvoker::wrap_observed`].
+    /// Wraps a pointer with the full proxy, each part optional: `drift`
+    /// counts messages for drift detection; `recovery` is the coordinator
+    /// consulted on transport failures; under `obs` every cut-crossing call
+    /// becomes an `icc_call` tracer instant and a flight-recorder entry, and
+    /// a dying call dumps the recorder.
     pub fn wrap_recovering(
         ptr: InterfacePtr,
         transport: Arc<Transport>,
@@ -869,11 +835,13 @@ mod tests {
             .create_direct(clsid, iid, Some(MachineId::SERVER))
             .unwrap();
         classifier.classify_instance(&rt, raw.owner(), clsid);
-        let ptr = DistributionInvoker::wrap_with_drift(
+        let ptr = DistributionInvoker::wrap_recovering(
             raw,
             transport.clone(),
             Arc::new(OverheadMeter::new()),
             Some((classifier, monitor.clone())),
+            None,
+            None,
         );
 
         let mut msg = Message::new(vec![Value::Blob(1_000), Value::Null]);

@@ -44,6 +44,7 @@ pub mod drift;
 pub mod factory;
 pub mod icc;
 pub mod informer;
+pub mod jobs;
 pub mod lint;
 pub mod logger;
 pub mod metrics;
@@ -66,7 +67,7 @@ pub use profile::IccProfile;
 pub use recovery::{RecoveryConfig, RecoveryCoordinator, RecoveryEvent, RecoveryTrigger};
 pub use rte::{CoignRte, FallbackEvent};
 pub use runtime::{
-    run_default, run_distributed, run_distributed_faulty, run_distributed_recovering,
-    run_distributed_recovering_observed, run_raw, FaultReport, RecoveryRun, RunReport,
+    run_default, run_distributed, run_distributed_faulty, run_distributed_recovering, run_raw,
+    FaultReport, RecoveryRun, RunReport,
 };
 pub use serve::{serve, ServeOptions, ServeReport};

@@ -12,8 +12,7 @@
 
 use crate::classifier::ClassificationId;
 use crate::profile::IccProfile;
-use coign_com::{Clsid, Guid, Iid, InstanceId};
-use coign_obs::json::Json;
+use coign_com::{Clsid, Iid, InstanceId};
 use coign_obs::TraceArg;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -45,9 +44,8 @@ pub struct CallRecord {
 }
 
 impl CallRecord {
-    /// This record as typed tracer arguments. The tracer's `icc_call`
-    /// instant events and [`LogEvent::to_json`] both render from this one
-    /// list, so the two serializations cannot drift apart.
+    /// This record as typed tracer arguments: the list the tracer's
+    /// `icc_call` instant events render from.
     pub fn trace_args(&self) -> Vec<(&'static str, TraceArg)> {
         vec![
             (
@@ -127,113 +125,6 @@ pub enum LogEvent {
     Call(CallRecord),
 }
 
-/// Renders a GUID as a quoted registry-format JSON string.
-fn guid_json(guid: Guid) -> String {
-    let mut out = String::new();
-    TraceArg::Guid(guid.0).render_json(&mut out);
-    out
-}
-
-/// Parses a registry-format GUID (`{XXXXXXXX-XXXX-...}`) back to a value.
-fn parse_guid(text: &str) -> Result<Guid, String> {
-    let hex: String = text.chars().filter(char::is_ascii_hexdigit).collect();
-    if hex.len() != 32 {
-        return Err(format!("'{text}' is not a 128-bit GUID"));
-    }
-    u128::from_str_radix(&hex, 16)
-        .map(Guid)
-        .map_err(|e| format!("bad GUID '{text}': {e}"))
-}
-
-fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
-}
-
-fn field_guid(doc: &Json, key: &str) -> Result<Guid, String> {
-    parse_guid(
-        doc.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("missing GUID field '{key}'"))?,
-    )
-}
-
-impl LogEvent {
-    /// Renders this event as one line of JSON. [`LogEvent::Call`] lines
-    /// reuse [`CallRecord::trace_args`], the same list the tracer attaches
-    /// to its `icc_call` instant events.
-    pub fn to_json(&self) -> String {
-        match self {
-            LogEvent::InstanceCreated { id, clsid, class } => format!(
-                "{{\"event\":\"instance_created\",\"id\":{},\"clsid\":{},\"class\":{}}}",
-                id.0,
-                guid_json(clsid.0),
-                class.0
-            ),
-            LogEvent::InstanceReleased { id } => {
-                format!("{{\"event\":\"instance_released\",\"id\":{}}}", id.0)
-            }
-            LogEvent::InterfaceCreated { owner, iid } => format!(
-                "{{\"event\":\"interface_created\",\"owner\":{},\"iid\":{}}}",
-                owner.0,
-                guid_json(iid.0)
-            ),
-            LogEvent::Call(record) => {
-                let mut out = String::from("{\"event\":\"call\"");
-                for (key, arg) in record.trace_args() {
-                    out.push_str(",\"");
-                    out.push_str(key);
-                    out.push_str("\":");
-                    arg.render_json(&mut out);
-                }
-                out.push('}');
-                out
-            }
-        }
-    }
-
-    /// Parses one line produced by [`LogEvent::to_json`].
-    pub fn parse_json(line: &str) -> Result<LogEvent, String> {
-        let doc = Json::parse(line)?;
-        match doc.get("event").and_then(Json::as_str) {
-            Some("instance_created") => Ok(LogEvent::InstanceCreated {
-                id: InstanceId(field_u64(&doc, "id")?),
-                clsid: Clsid(field_guid(&doc, "clsid")?),
-                class: ClassificationId(field_u64(&doc, "class")? as u32),
-            }),
-            Some("instance_released") => Ok(LogEvent::InstanceReleased {
-                id: InstanceId(field_u64(&doc, "id")?),
-            }),
-            Some("interface_created") => Ok(LogEvent::InterfaceCreated {
-                owner: InstanceId(field_u64(&doc, "owner")?),
-                iid: Iid(field_guid(&doc, "iid")?),
-            }),
-            Some("call") => Ok(LogEvent::Call(CallRecord {
-                caller: match doc.get("caller") {
-                    Some(Json::Null) => None,
-                    Some(value) => Some(InstanceId(
-                        value.as_u64().ok_or("caller is neither null nor u64")?,
-                    )),
-                    None => return Err("missing field 'caller'".to_string()),
-                },
-                caller_class: ClassificationId(field_u64(&doc, "caller_class")? as u32),
-                callee: InstanceId(field_u64(&doc, "callee")?),
-                callee_class: ClassificationId(field_u64(&doc, "callee_class")? as u32),
-                iid: Iid(field_guid(&doc, "iid")?),
-                method: field_u64(&doc, "method")? as u32,
-                req_bytes: field_u64(&doc, "req_bytes")?,
-                reply_bytes: field_u64(&doc, "reply_bytes")?,
-                remotable: doc
-                    .get("remotable")
-                    .and_then(Json::as_bool)
-                    .ok_or("missing boolean field 'remotable'")?,
-            })),
-            other => Err(format!("unknown event kind {other:?}")),
-        }
-    }
-}
-
 /// Records every event in order (detailed traces for offline simulation).
 #[derive(Debug, Default)]
 pub struct EventLogger {
@@ -259,30 +150,6 @@ impl EventLogger {
     /// True if no events have been recorded.
     pub fn is_empty(&self) -> bool {
         self.events.lock().is_empty()
-    }
-
-    /// Exports the recorded events as line-delimited JSON (one
-    /// [`LogEvent::to_json`] line per event) without clearing the log.
-    pub fn export_jsonl(&self) -> String {
-        let events = self.events.lock();
-        let mut out = String::new();
-        for event in events.iter() {
-            out.push_str(&event.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a line-delimited JSON export back into events. Blank lines
-    /// are ignored; any malformed line fails the whole import.
-    pub fn import_jsonl(text: &str) -> Result<Vec<LogEvent>, String> {
-        text.lines()
-            .enumerate()
-            .filter(|(_, line)| !line.trim().is_empty())
-            .map(|(number, line)| {
-                LogEvent::parse_json(line).map_err(|e| format!("line {}: {e}", number + 1))
-            })
-            .collect()
     }
 }
 
@@ -522,47 +389,6 @@ mod tests {
         logger.begin_execution();
         assert_eq!(logger.snapshot_profile().total_messages(), 2);
         assert!(logger.instance_pairs().is_empty());
-    }
-
-    #[test]
-    fn jsonl_export_round_trips() {
-        let logger = EventLogger::new();
-        logger.log_instance_created(InstanceId(1), Clsid::from_name("A"), ClassificationId(3));
-        logger.log_interface_created(InstanceId(1), Iid::from_name("IX"));
-        logger.log_call(&record(0, 1, 5, 7, true)); // root caller → JSON null
-        logger.log_call(&record(1, 2, 10, 20, false));
-        logger.log_instance_released(InstanceId(1));
-
-        let text = logger.export_jsonl();
-        assert_eq!(text.lines().count(), 5);
-        assert!(text.contains("\"caller\":null"));
-
-        let parsed = EventLogger::import_jsonl(&text).expect("import succeeds");
-        assert_eq!(parsed, logger.take_events());
-    }
-
-    #[test]
-    fn jsonl_import_rejects_malformed_lines() {
-        let err = EventLogger::import_jsonl("{\"event\":\"call\"}\n").unwrap_err();
-        assert!(err.starts_with("line 1:"), "unexpected error: {err}");
-        assert!(EventLogger::import_jsonl("{\"event\":\"martian\"}").is_err());
-        assert!(EventLogger::import_jsonl("not json at all").is_err());
-        // Blank lines are fine.
-        assert_eq!(EventLogger::import_jsonl("\n\n").unwrap(), vec![]);
-    }
-
-    #[test]
-    fn call_json_reuses_tracer_argument_vocabulary() {
-        // The Call line must contain exactly the trace_args keys, so the
-        // tracer's icc_call instants and the JSONL export stay one format.
-        let record = record(1, 2, 10, 20, true);
-        let line = LogEvent::Call(record).to_json();
-        for (key, _) in record.trace_args() {
-            assert!(
-                line.contains(&format!("\"{key}\":")),
-                "missing {key} in {line}"
-            );
-        }
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //!    failed *after* executing completes with the reply it already holds —
 //!    the side effect never runs twice.
 
+use crate::analysis::check_cut_in_range;
 use crate::classifier::{ClassificationId, InstanceClassifier};
 use crate::constraints::Constraint;
 use crate::drift::DriftMonitor;
@@ -135,6 +136,8 @@ pub struct RecoveryEvent {
 /// [`FlowNetwork::clamp_flows`], and [`min_cut_warm`] finishes the run.
 pub struct RecoverySolver {
     flow: FlowNetwork,
+    /// The communication edges are pairs `0..traffic_pairs` of `flow`.
+    traffic_pairs: usize,
     source: usize,
     sink: usize,
     nodes: Vec<ClassificationId>,
@@ -203,6 +206,7 @@ impl RecoverySolver {
         }
         RecoverySolver {
             flow,
+            traffic_pairs: graph.weights_us.len(),
             source,
             sink,
             nodes: graph.nodes.clone(),
@@ -249,13 +253,12 @@ impl RecoverySolver {
                 min_cut_warm(&mut self.flow, self.source, self.sink, None)
             }
         };
-        if cut.cut_value >= INFINITE {
-            return Err(ComError::App(
-                "re-partitioning constraints are contradictory: the recovery cut severs \
-                 an infinite-capacity edge"
-                    .to_string(),
-            ));
-        }
+        check_cut_in_range(
+            &self.flow,
+            self.traffic_pairs,
+            cut.cut_value,
+            format_args!("recovery re-solve"),
+        )?;
         self.prev_flows = Some(self.flow.snapshot_flows());
         let mut placement = HashMap::with_capacity(self.nodes.len());
         for (node, class) in self.nodes.iter().enumerate() {

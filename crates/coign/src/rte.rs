@@ -102,19 +102,10 @@ impl CoignRte {
         }
     }
 
-    /// Creates a distributed-mode RTE realizing the given placement.
+    /// Creates a distributed-mode RTE realizing the given placement; with a
+    /// `drift` monitor it additionally counts messages for usage-drift
+    /// detection.
     pub fn distributed(
-        classifier: Arc<InstanceClassifier>,
-        logger: Arc<dyn InfoLogger>,
-        factory: ComponentFactory,
-        transport: Arc<Transport>,
-    ) -> Self {
-        Self::distributed_with_monitor(classifier, logger, factory, transport, None)
-    }
-
-    /// Creates a distributed-mode RTE that additionally counts messages for
-    /// usage-drift detection.
-    pub fn distributed_with_monitor(
         classifier: Arc<InstanceClassifier>,
         logger: Arc<dyn InfoLogger>,
         factory: ComponentFactory,
@@ -453,6 +444,7 @@ mod tests {
             Arc::new(crate::logger::NullLogger),
             factory,
             transport,
+            None,
         ));
         rt2.add_hook(rte2.clone());
 
@@ -519,6 +511,7 @@ mod tests {
             Arc::new(crate::logger::NullLogger),
             factory,
             transport,
+            None,
         ));
         rt2.add_hook(rte2.clone());
 

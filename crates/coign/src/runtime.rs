@@ -5,12 +5,16 @@
 //!
 //! * [`profile_scenario`] — run one scenario under the profiling runtime,
 //!   returning the summarized profile and per-instance data.
-//! * [`profile_scenarios`] — run a scenario suite and merge the logs.
+//! * [`profile_scenarios_crosschecked`] — the suite core: run a scenario
+//!   suite on `jobs` workers and merge the logs in scenario order.
 //! * [`choose_distribution`] — the analysis step: constraints + profile +
 //!   network profile → minimum-cut distribution.
-//! * [`run_distributed`] — execute a scenario with the lightweight runtime
-//!   realizing a chosen distribution, measuring real (simulated)
-//!   communication time.
+//! * [`execute`] — the one distributed executor: a [`Run`] description
+//!   names the application, scenario, distribution and wire, plus whichever
+//!   replaceable parts (topology, fault plan, drift baseline, recovery,
+//!   observer) the run loads; [`run_distributed`],
+//!   [`run_distributed_faulty`] and [`run_distributed_recovering`] are the
+//!   three fixed-shape spellings of it.
 //! * [`run_default`] — execute a scenario in the application's as-shipped
 //!   distribution (for the paper's Table 4 baseline).
 //! * [`run_raw`] — execute without any instrumentation (overhead baseline).
@@ -23,7 +27,8 @@ use crate::drift::DriftMonitor;
 use crate::factory::ComponentFactory;
 use crate::icc::IccGraph;
 use crate::informer::{DistributionInvoker, EffectViolation, OverheadMeter};
-use crate::logger::{PairTraffic, ProfilingLogger};
+use crate::jobs::run_indexed;
+use crate::logger::{NullLogger, PairTraffic, ProfilingLogger};
 use crate::profile::IccProfile;
 use crate::recovery::{RecoveryConfig, RecoveryCoordinator};
 use crate::rte::CoignRte;
@@ -31,12 +36,13 @@ use coign_com::{
     ClassRegistry, Clsid, ComError, ComResult, ComRuntime, CreateRequest, InstanceId, InterfacePtr,
     MachineId, RtStats, RuntimeHook,
 };
+use coign_dcom::marshal::SizeCache;
 use coign_dcom::{
     CallPolicy, FaultPlan, FaultStats, HealthMonitor, NetworkModel, NetworkProfile, Transport,
 };
 use coign_flow::MaxFlowAlgorithm;
 use coign_obs::{Obs, Registry, TraceArg};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// What the fault layer did during one execution: the transport's counters
@@ -77,31 +83,6 @@ impl FaultReport {
     pub fn is_clean(&self) -> bool {
         *self == FaultReport::default()
     }
-
-    /// Adds this report's counters to a metrics registry, under the same
-    /// names the transport's own [`FaultStats::record_metrics`] uses, plus
-    /// the runtime-level `coign_fault_fallbacks_total`.
-    pub fn record_metrics(&self, registry: &Registry) {
-        registry.counter("coign_fault_drops_total").add(self.drops);
-        registry
-            .counter("coign_fault_timeouts_total")
-            .add(self.timeouts);
-        registry
-            .counter("coign_fault_retries_total")
-            .add(self.retries);
-        registry
-            .counter("coign_fault_failed_calls_total")
-            .add(self.failed_calls);
-        registry
-            .counter("coign_fault_machine_down_errors_total")
-            .add(self.machine_down_errors);
-        registry
-            .counter("coign_fault_wasted_us")
-            .add(self.wasted_us);
-        registry
-            .counter("coign_fault_fallbacks_total")
-            .add(self.fallbacks);
-    }
 }
 
 /// Measurements from one scenario execution.
@@ -127,6 +108,34 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Reads the measurements of a finished scenario off its runtime — the
+    /// one place a report is assembled. `marshal_cache` is the profiling
+    /// informers' memo cache, absent for runs that install none.
+    fn capture(
+        rt: &ComRuntime,
+        overhead_us: u64,
+        faults: FaultReport,
+        marshal_cache: Option<&SizeCache>,
+    ) -> Self {
+        let instances = rt.instances_snapshot();
+        let mut instances_per_machine = vec![0usize; rt.machines().len()];
+        for instance in &instances {
+            if let Some(count) = instances_per_machine.get_mut(instance.machine().0 as usize) {
+                *count += 1;
+            }
+        }
+        RunReport {
+            stats: rt.stats(),
+            clock_us: rt.clock().now_us(),
+            overhead_us,
+            instances_per_machine,
+            instance_placements: instances.iter().map(|i| (i.clsid, i.machine())).collect(),
+            faults,
+            marshal_cache_hits: marshal_cache.map_or(0, |cache| cache.hits()),
+            marshal_cache_misses: marshal_cache.map_or(0, |cache| cache.misses()),
+        }
+    }
+
     /// Total live instances at scenario end.
     pub fn total_instances(&self) -> usize {
         self.instances_per_machine.iter().sum()
@@ -150,102 +159,80 @@ impl RunReport {
         self.clock_us as f64 / 1e6
     }
 
-    /// Adds every scalar measurement of this report to a metrics registry.
-    /// The names are the superset a `--metrics` snapshot exposes; they are
-    /// also the single source [`RunReport::summary`] renders from.
+    /// Every scalar measurement of this report under its metric name: the
+    /// one table [`RunReport::record_metrics`] and [`RunReport::summary`]
+    /// both render from, so the report and a `--metrics` snapshot can never
+    /// disagree about a counter. The fault counters carry the same names
+    /// the transport's own [`FaultStats::record_metrics`] uses.
+    fn counters(&self) -> [(&'static str, u64); 17] {
+        [
+            ("coign_compute_us", self.stats.compute_us),
+            ("coign_comm_us", self.stats.comm_us),
+            ("coign_messages_total", self.stats.messages),
+            ("coign_bytes_total", self.stats.bytes),
+            ("coign_calls_total", self.stats.calls),
+            (
+                "coign_cross_machine_calls_total",
+                self.stats.cross_machine_calls,
+            ),
+            ("coign_clock_us", self.clock_us),
+            ("coign_overhead_us", self.overhead_us),
+            ("coign_fault_drops_total", self.faults.drops),
+            ("coign_fault_timeouts_total", self.faults.timeouts),
+            ("coign_fault_retries_total", self.faults.retries),
+            ("coign_fault_failed_calls_total", self.faults.failed_calls),
+            (
+                "coign_fault_machine_down_errors_total",
+                self.faults.machine_down_errors,
+            ),
+            ("coign_fault_wasted_us", self.faults.wasted_us),
+            ("coign_fault_fallbacks_total", self.faults.fallbacks),
+            ("coign_marshal_cache_hits_total", self.marshal_cache_hits),
+            (
+                "coign_marshal_cache_misses_total",
+                self.marshal_cache_misses,
+            ),
+        ]
+    }
+
+    /// Adds every scalar measurement of this report to a metrics registry —
+    /// the superset a `--metrics` snapshot exposes.
     pub fn record_metrics(&self, registry: &Registry) {
-        registry
-            .counter("coign_compute_us")
-            .add(self.stats.compute_us);
-        registry.counter("coign_comm_us").add(self.stats.comm_us);
-        registry
-            .counter("coign_messages_total")
-            .add(self.stats.messages);
-        registry.counter("coign_bytes_total").add(self.stats.bytes);
-        registry.counter("coign_calls_total").add(self.stats.calls);
-        registry
-            .counter("coign_cross_machine_calls_total")
-            .add(self.stats.cross_machine_calls);
-        registry.counter("coign_clock_us").add(self.clock_us);
-        registry.counter("coign_overhead_us").add(self.overhead_us);
-        self.faults.record_metrics(registry);
-        registry
-            .counter("coign_marshal_cache_hits_total")
-            .add(self.marshal_cache_hits);
-        registry
-            .counter("coign_marshal_cache_misses_total")
-            .add(self.marshal_cache_misses);
+        for (metric, value) in self.counters() {
+            registry.counter(metric).add(value);
+        }
     }
 
     /// Renders the report as a deterministic key=value block, one field
     /// per line — the format CI diffs against committed expectations, so
-    /// two runs with the same seeds must produce byte-identical text.
-    ///
-    /// Every numeric line is read back from a throwaway metrics registry
-    /// populated by [`RunReport::record_metrics`], so this report and a
-    /// `--metrics` snapshot can never disagree about a counter.
+    /// two runs with the same seeds must produce byte-identical text. A
+    /// counter's key is its metric name less the `coign_` prefix and
+    /// `_total` suffix.
     pub fn summary(&self) -> String {
-        let registry = Registry::new();
-        self.record_metrics(&registry);
-        let c = |name: &str| registry.counter_value(name).unwrap_or(0);
         let mut placements: Vec<String> = self
             .instance_placements
             .iter()
             .map(|(clsid, machine)| format!("{clsid}@{machine}"))
             .collect();
         placements.sort();
-        format!(
-            "compute_us={}\n\
-             comm_us={}\n\
-             messages={}\n\
-             bytes={}\n\
-             calls={}\n\
-             cross_machine_calls={}\n\
-             clock_us={}\n\
-             overhead_us={}\n\
-             instances_per_machine={:?}\n\
-             placements=[{}]\n\
-             fault_drops={}\n\
-             fault_timeouts={}\n\
-             fault_retries={}\n\
-             fault_failed_calls={}\n\
-             fault_machine_down_errors={}\n\
-             fault_wasted_us={}\n\
-             fault_fallbacks={}\n\
-             marshal_cache_hits={}\n\
-             marshal_cache_misses={}\n",
-            c("coign_compute_us"),
-            c("coign_comm_us"),
-            c("coign_messages_total"),
-            c("coign_bytes_total"),
-            c("coign_calls_total"),
-            c("coign_cross_machine_calls_total"),
-            c("coign_clock_us"),
-            c("coign_overhead_us"),
-            self.instances_per_machine,
-            placements.join(", "),
-            c("coign_fault_drops_total"),
-            c("coign_fault_timeouts_total"),
-            c("coign_fault_retries_total"),
-            c("coign_fault_failed_calls_total"),
-            c("coign_fault_machine_down_errors_total"),
-            c("coign_fault_wasted_us"),
-            c("coign_fault_fallbacks_total"),
-            c("coign_marshal_cache_hits_total"),
-            c("coign_marshal_cache_misses_total"),
-        )
-    }
-}
-
-fn count_per_machine(rt: &ComRuntime) -> Vec<usize> {
-    let mut counts = vec![0usize; rt.machines().len()];
-    for instance in rt.instances_snapshot() {
-        let m = instance.machine().0 as usize;
-        if m < counts.len() {
-            counts[m] += 1;
+        let mut out = String::new();
+        for (metric, value) in self.counters() {
+            let key = metric
+                .trim_start_matches("coign_")
+                .trim_end_matches("_total");
+            out.push_str(&format!("{key}={value}\n"));
+            // The two non-scalar fields sit between the run's own counters
+            // and the fault layer's.
+            if metric == "coign_overhead_us" {
+                out.push_str(&format!(
+                    "instances_per_machine={:?}\nplacements=[{}]\n",
+                    self.instances_per_machine,
+                    placements.join(", "),
+                ));
+            }
         }
+        out
     }
-    counts
 }
 
 /// Static fallback pins: storage/database classes live on the data machine
@@ -259,13 +246,6 @@ fn storage_class_pins(rt: &ComRuntime) -> HashMap<Clsid, MachineId> {
         .into_iter()
         .filter(|desc| desc.imports.uses_storage())
         .map(|desc| (desc.clsid, data_machine))
-        .collect()
-}
-
-fn placements(rt: &ComRuntime) -> Vec<(Clsid, MachineId)> {
-    rt.instances_snapshot()
-        .iter()
-        .map(|i| (i.clsid, i.machine()))
         .collect()
 }
 
@@ -294,14 +274,14 @@ pub fn profile_scenario(
     scenario: &str,
     classifier: &Arc<InstanceClassifier>,
 ) -> ComResult<ProfileRun> {
-    profile_scenario_observed(app, scenario, classifier, None)
+    profile_one(app, scenario, classifier, None)
 }
 
-/// [`profile_scenario`] with an optional observability bundle: the run is
-/// wrapped in a `scenario:<name>` span, every intercepted call emits an
+/// The single-scenario profiling body. With an observability bundle the run
+/// is wrapped in a `scenario:<name>` span, every intercepted call emits an
 /// `icc_call` instant, and the marshal-size cache's counters are added to
 /// the bundle's registry when the scenario finishes.
-pub fn profile_scenario_observed(
+fn profile_one(
     app: &dyn Application,
     scenario: &str,
     classifier: &Arc<InstanceClassifier>,
@@ -332,107 +312,66 @@ pub fn profile_scenario_observed(
     }
     let instance_pairs = logger.instance_pairs();
     let instance_classes = logger.instance_classes();
-    let profile = logger.take_profile();
     Ok(ProfileRun {
-        profile,
+        profile: logger.take_profile(),
         instance_pairs,
         instance_classes,
-        report: RunReport {
-            stats: rt.stats(),
-            clock_us: rt.clock().now_us(),
-            overhead_us: rte.overhead_us(),
-            instances_per_machine: count_per_machine(&rt),
-            instance_placements: placements(&rt),
-            faults: FaultReport::default(),
-            marshal_cache_hits: rte.marshal_cache().hits(),
-            marshal_cache_misses: rte.marshal_cache().misses(),
-        },
+        report: RunReport::capture(
+            &rt,
+            rte.overhead_us(),
+            FaultReport::default(),
+            Some(rte.marshal_cache()),
+        ),
         effect_violations: rte.effect_violations(),
     })
 }
 
-/// Profiles a suite of scenarios and merges their logs.
-pub fn profile_scenarios(
-    app: &dyn Application,
-    scenarios: &[&str],
-    classifier: &Arc<InstanceClassifier>,
-) -> ComResult<IccProfile> {
-    profile_scenarios_observed(app, scenarios, classifier, None)
-}
-
-/// [`profile_scenarios`] with an optional observability bundle threaded
-/// through each scenario run.
+/// Profiles a suite of scenarios sequentially against the shared
+/// classifier and merges their logs, with an optional observability bundle
+/// threaded through each scenario run.
 pub fn profile_scenarios_observed(
     app: &dyn Application,
     scenarios: &[&str],
     classifier: &Arc<InstanceClassifier>,
     obs: Option<&Obs>,
 ) -> ComResult<IccProfile> {
-    profile_scenarios_sequential(app, scenarios, classifier, obs).map(|(profile, _)| profile)
-}
-
-/// Sequential suite run returning the merged profile plus the deduplicated
-/// COIGN045 violations observed across every scenario.
-fn profile_scenarios_sequential(
-    app: &dyn Application,
-    scenarios: &[&str],
-    classifier: &Arc<InstanceClassifier>,
-    obs: Option<&Obs>,
-) -> ComResult<(IccProfile, Vec<EffectViolation>)> {
-    let mut merged = IccProfile::new();
-    let mut violations = std::collections::BTreeSet::new();
-    for scenario in scenarios {
-        let run = profile_scenario_observed(app, scenario, classifier, obs)?;
-        merged.merge(&run.profile);
-        violations.extend(run.effect_violations);
-    }
-    Ok((merged, violations.into_iter().collect()))
+    profile_scenarios_crosschecked(app, scenarios, classifier, 1, obs).map(|(profile, _)| profile)
 }
 
 /// Profiles a suite of scenarios on up to `jobs` worker threads and merges
-/// their logs in scenario order.
-///
-/// Each scenario runs against a private classifier forked from the shared
-/// one ([`InstanceClassifier::fork`]); afterwards the forks are absorbed
-/// back — in scenario order — and each run's profile is rewritten through
-/// the resulting id translation before merging. Scenarios are therefore
-/// profiled in isolation and combined deterministically: the merged
-/// profile and the shared classifier's table come out byte-identical to a
-/// sequential [`profile_scenarios`] pass, regardless of `jobs` or thread
-/// scheduling.
+/// their logs in scenario order (see [`profile_scenarios_crosschecked`]).
 pub fn profile_scenarios_parallel(
     app: &dyn Application,
     scenarios: &[&str],
     classifier: &Arc<InstanceClassifier>,
     jobs: usize,
 ) -> ComResult<IccProfile> {
-    profile_scenarios_parallel_observed(app, scenarios, classifier, jobs, None)
-}
-
-/// [`profile_scenarios_parallel`] with an optional observability bundle.
-///
-/// Each worker records into a private child tracer; the children are
-/// merged back — in scenario order — together with a `classifier_fork`
-/// instant per fork (emitted up front) and a `classifier_absorb` instant
-/// per merge, so the exported trace is byte-identical across runs
-/// regardless of worker interleaving. Registry counters are shared
-/// directly: counters commute, so worker order cannot perturb them.
-pub fn profile_scenarios_parallel_observed(
-    app: &dyn Application,
-    scenarios: &[&str],
-    classifier: &Arc<InstanceClassifier>,
-    jobs: usize,
-    obs: Option<&Obs>,
-) -> ComResult<IccProfile> {
-    profile_scenarios_crosschecked(app, scenarios, classifier, jobs, obs)
+    profile_scenarios_crosschecked(app, scenarios, classifier, jobs, None)
         .map(|(profile, _)| profile)
 }
 
-/// [`profile_scenarios_parallel_observed`] that also returns the COIGN045
-/// state-effect violations the profiling informer's dynamic cross-check
-/// observed: declared `Pure`/`ReadsState` methods whose instance
-/// fingerprint changed across a call. Violations are deduplicated and
-/// deterministically ordered regardless of worker interleaving.
+/// The suite core: profiles `scenarios` on up to `jobs` worker threads and
+/// returns the merged profile plus the COIGN045 state-effect violations the
+/// profiling informer's dynamic cross-check observed (declared
+/// `Pure`/`ReadsState` methods whose instance fingerprint changed across a
+/// call), deduplicated and deterministically ordered.
+///
+/// With `jobs <= 1` (or a single scenario) the scenarios run in turn against
+/// the shared classifier. Otherwise each scenario runs against a private
+/// classifier forked from the shared one ([`InstanceClassifier::fork`]);
+/// afterwards the forks are absorbed back — in scenario order — and each
+/// run's profile is rewritten through the resulting id translation before
+/// merging, so the merged profile and the shared classifier's table come
+/// out byte-identical to the sequential pass regardless of `jobs` or thread
+/// scheduling.
+///
+/// Under an observability bundle each worker records into a private child
+/// tracer; the children are merged back — in scenario order — together with
+/// a `classifier_fork` instant per fork (emitted up front) and a
+/// `classifier_absorb` instant per merge, so the exported trace is
+/// byte-identical across runs regardless of worker interleaving. Registry
+/// counters are shared directly: counters commute, so worker order cannot
+/// perturb them.
 pub fn profile_scenarios_crosschecked(
     app: &dyn Application,
     scenarios: &[&str],
@@ -440,8 +379,15 @@ pub fn profile_scenarios_crosschecked(
     jobs: usize,
     obs: Option<&Obs>,
 ) -> ComResult<(IccProfile, Vec<EffectViolation>)> {
+    let mut merged = IccProfile::new();
+    let mut violations = BTreeSet::new();
     if jobs <= 1 || scenarios.len() <= 1 {
-        return profile_scenarios_sequential(app, scenarios, classifier, obs);
+        for scenario in scenarios {
+            let run = profile_one(app, scenario, classifier, obs)?;
+            merged.merge(&run.profile);
+            violations.extend(run.effect_violations);
+        }
+        return Ok((merged, violations.into_iter().collect()));
     }
     let forks: Vec<Arc<InstanceClassifier>> = scenarios
         .iter()
@@ -465,35 +411,14 @@ pub fn profile_scenarios_crosschecked(
             })
         })
         .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<parking_lot::Mutex<Option<ComResult<ProfileRun>>>> = scenarios
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(scenarios.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= scenarios.len() {
-                    break;
-                }
-                let run =
-                    profile_scenario_observed(app, scenarios[i], &forks[i], children[i].as_ref());
-                *results[i].lock() = Some(run);
-            });
-        }
+    let runs = run_indexed(scenarios.len(), jobs, |i| {
+        profile_one(app, scenarios[i], &forks[i], children[i].as_ref())
     });
-    let mut merged = IccProfile::new();
-    let mut violations = std::collections::BTreeSet::new();
-    for (i, slot) in results.into_iter().enumerate() {
-        let run = slot
-            .into_inner()
-            .expect("profiling worker exited without reporting a result")?;
+    for (i, run) in runs.into_iter().enumerate() {
+        let run = run?;
         let map = classifier.absorb(&forks[i]);
-        if let Some(o) = obs {
-            if let Some(child) = &children[i] {
-                o.tracer.merge_from(&child.tracer);
-            }
+        if let (Some(o), Some(child)) = (obs, &children[i]) {
+            o.tracer.merge_from(&child.tracer);
             o.tracer.instant(
                 "classifier_absorb",
                 vec![
@@ -598,10 +523,194 @@ pub fn choose_distribution(
     )
 }
 
+/// One distributed execution, described once: what to run, over which
+/// wire, and which of the runtime's replaceable parts to load. [`Run::new`]
+/// fills every optional part with its neutral value, so a caller names only
+/// the parts it wants: `Run { obs, ..Run::new(…) }`.
+pub struct Run<'a> {
+    /// The application to execute.
+    pub app: &'a dyn Application,
+    /// The scenario to drive it through.
+    pub scenario: &'a str,
+    /// The classifier used during profiling (its descriptor table maps new
+    /// instantiations onto profiled classifications).
+    pub classifier: &'a Arc<InstanceClassifier>,
+    /// The placement the component factory realizes.
+    pub distribution: &'a Distribution,
+    /// The wire between machines.
+    pub network: NetworkModel,
+    /// Seed of the wire's latency jitter.
+    pub seed: u64,
+    /// The machines to run on; client–server unless replaced (the
+    /// ≥3-machine distributions of [`crate::multiway`] bring their own).
+    pub topology: ComRuntime,
+    /// How the wire misbehaves; [`FaultPlan::none`] is a perfect wire and
+    /// leaves the run bit-identical to one with no fault layer at all.
+    pub plan: FaultPlan,
+    /// Timeout/retry policy at the proxy boundary (idle on a perfect wire).
+    pub policy: CallPolicy,
+    /// Seed of the fault decisions, independent of the jitter `seed`.
+    pub fault_seed: u64,
+    /// The profile `distribution` was cut from. Given alone, the
+    /// distribution informer counts messages against it (cheaply) and
+    /// [`Execution::drift`] reports how far usage drifted — the trigger for
+    /// the paper's "silently enable profiling to re-optimize" loop (§6).
+    /// A recovering run re-cuts it online, and arms the drift monitor only
+    /// when its config carries a drift threshold.
+    pub baseline: Option<&'a IccProfile>,
+    /// Loads the self-healing runtime: circuit breakers on the transport,
+    /// online re-partitioning when a machine dies (warm-started from the
+    /// base solve's flow snapshot), instance migration, and the
+    /// exactly-once retry protocol at the proxy. Needs `baseline`. Inert
+    /// on a perfect wire: the health monitor is only fed on faulty paths
+    /// and drift polling is clock-free until a latched fire.
+    pub recovery: Option<RecoveryConfig>,
+    /// Observer: cut-crossing calls, fault-layer events, breaker
+    /// transitions, recoveries and migrations become tracer instants and
+    /// flight-recorder entries at their simulated-clock time, and the
+    /// report's (and coordinator's) counters are added to the registry.
+    /// Tracing observes the simulation; it never charges simulated time.
+    pub obs: Option<&'a Obs>,
+}
+
+impl<'a> Run<'a> {
+    /// A plain client–server run over a perfect wire: no drift monitor, no
+    /// recovery, no observer.
+    pub fn new(
+        app: &'a dyn Application,
+        scenario: &'a str,
+        classifier: &'a Arc<InstanceClassifier>,
+        distribution: &'a Distribution,
+        network: NetworkModel,
+        seed: u64,
+    ) -> Self {
+        Run {
+            app,
+            scenario,
+            classifier,
+            distribution,
+            network,
+            seed,
+            topology: ComRuntime::client_server(),
+            plan: FaultPlan::none(),
+            policy: CallPolicy::default(),
+            fault_seed: 0,
+            baseline: None,
+            recovery: None,
+            obs: None,
+        }
+    }
+}
+
+/// What [`execute`] hands back.
+pub struct Execution {
+    /// Execution measurements.
+    pub report: RunReport,
+    /// The scenario's own result. Only a recovering run can carry an `Err`
+    /// here — under fault injection a typed transport failure is trial data
+    /// (the chaos harness classifies it); every other run aborts on it.
+    pub outcome: ComResult<()>,
+    /// The drift monitor, when the run armed one.
+    pub drift: Option<Arc<DriftMonitor>>,
+    /// The recovery coordinator, when the run loaded one.
+    pub coordinator: Option<Arc<RecoveryCoordinator>>,
+}
+
+/// Executes a scenario with the lightweight runtime realizing the run's
+/// distribution: builds the transport, the component factory and the RTE,
+/// loads whichever optional parts the description names, runs the scenario
+/// and assembles the report.
+pub fn execute(run: Run<'_>) -> ComResult<Execution> {
+    let rt = run.topology;
+    run.app.register(&rt);
+    run.classifier.begin_execution();
+    let transport = Arc::new(Transport::with_faults(
+        run.network,
+        run.seed,
+        run.plan,
+        run.policy,
+        run.fault_seed,
+    ));
+    let arms_drift = run
+        .recovery
+        .as_ref()
+        .is_none_or(|config| config.drift_threshold.is_some());
+    let drift = run
+        .baseline
+        .filter(|_| arms_drift)
+        .map(|baseline| Arc::new(DriftMonitor::from_profile(baseline)));
+    let factory = ComponentFactory::with_class_pins(
+        run.distribution.placement.clone(),
+        storage_class_pins(&rt),
+        MachineId::CLIENT,
+        rt.machines().len(),
+    );
+    let mut rte = CoignRte::distributed(
+        run.classifier.clone(),
+        Arc::new(NullLogger),
+        factory,
+        transport.clone(),
+        drift.clone(),
+    );
+    if let Some(o) = run.obs {
+        rte = rte.with_obs(o.clone());
+    }
+    let rte = Arc::new(rte);
+    let coordinator = match run.recovery {
+        None => None,
+        Some(config) => {
+            let baseline = run.baseline.ok_or_else(|| {
+                ComError::App("a recovering run needs the baseline profile to re-cut".to_string())
+            })?;
+            let health = Arc::new(HealthMonitor::new(config.breaker));
+            transport.set_health(health.clone());
+            let coordinator = RecoveryCoordinator::new(
+                &IccGraph::build(baseline, &NetworkProfile::exact(transport.network())),
+                &derive_constraints(run.app, baseline),
+                rte.factory().expect("distributed-mode RTE has a factory"),
+                run.classifier.clone(),
+                health,
+                drift.clone().zip(config.drift_threshold),
+                run.obs.cloned(),
+            )?;
+            if let Some(router) = config.replicas {
+                coordinator.install_replicas(router);
+            }
+            rte.set_recovery(coordinator.clone());
+            Some(coordinator)
+        }
+    };
+    rt.add_hook(rte.clone());
+
+    let outcome = match (run.app.run_scenario(&rt, run.scenario), &coordinator) {
+        (Err(error), None) => return Err(error),
+        (outcome, _) => outcome,
+    };
+
+    let report = RunReport::capture(
+        &rt,
+        rte.overhead_us(),
+        FaultReport::from_parts(transport.fault_stats(), rte.fallback_count()),
+        Some(rte.marshal_cache()),
+    );
+    if let Some(o) = run.obs {
+        report.record_metrics(&o.registry);
+        if let Some(coordinator) = &coordinator {
+            coordinator.record_metrics(&o.registry);
+            coordinator.health().record_metrics(&o.registry);
+        }
+    }
+    Ok(Execution {
+        report,
+        outcome,
+        drift,
+        coordinator,
+    })
+}
+
 /// Executes a scenario with the lightweight runtime realizing
-/// `distribution`. The classifier must be the one used during profiling
-/// (its descriptor table maps new instantiations onto profiled
-/// classifications).
+/// `distribution` on a client–server topology over a perfect wire. The
+/// classifier must be the one used during profiling.
 pub fn run_distributed(
     app: &dyn Application,
     scenario: &str,
@@ -610,85 +719,15 @@ pub fn run_distributed(
     network: NetworkModel,
     seed: u64,
 ) -> ComResult<RunReport> {
-    run_distributed_on(
+    execute(Run::new(
         app,
         scenario,
         classifier,
         distribution,
-        ComRuntime::client_server(),
         network,
         seed,
-    )
-}
-
-/// Executes a scenario under `distribution` with usage-drift monitoring:
-/// the distribution informer counts messages (cheaply) and the returned
-/// monitor reports how far observed usage drifted from `baseline` — the
-/// trigger for the paper's "silently enable profiling to re-optimize"
-/// loop (§6).
-pub fn run_distributed_monitored(
-    app: &dyn Application,
-    scenario: &str,
-    classifier: &Arc<InstanceClassifier>,
-    distribution: &Distribution,
-    baseline: &IccProfile,
-    network: NetworkModel,
-    seed: u64,
-) -> ComResult<(RunReport, Arc<crate::drift::DriftMonitor>)> {
-    let rt = ComRuntime::client_server();
-    app.register(&rt);
-    classifier.begin_execution();
-    let factory = ComponentFactory::with_class_pins(
-        distribution.placement.clone(),
-        storage_class_pins(&rt),
-        MachineId::CLIENT,
-        rt.machines().len(),
-    );
-    let transport = Arc::new(Transport::new(network, seed));
-    let monitor = Arc::new(crate::drift::DriftMonitor::from_profile(baseline));
-    let rte = Arc::new(CoignRte::distributed_with_monitor(
-        classifier.clone(),
-        Arc::new(crate::logger::NullLogger),
-        factory,
-        transport.clone(),
-        Some(monitor.clone()),
-    ));
-    rt.add_hook(rte.clone());
-
-    app.run_scenario(&rt, scenario)?;
-
-    let report = RunReport {
-        stats: rt.stats(),
-        clock_us: rt.clock().now_us(),
-        overhead_us: rte.overhead_us(),
-        instances_per_machine: count_per_machine(&rt),
-        instance_placements: placements(&rt),
-        faults: FaultReport::from_parts(transport.fault_stats(), rte.fallback_count()),
-        marshal_cache_hits: rte.marshal_cache().hits(),
-        marshal_cache_misses: rte.marshal_cache().misses(),
-    };
-    Ok((report, monitor))
-}
-
-/// Executes a scenario under `distribution` on an arbitrary topology —
-/// used for the ≥3-machine distributions of [`crate::multiway`].
-pub fn run_distributed_on(
-    app: &dyn Application,
-    scenario: &str,
-    classifier: &Arc<InstanceClassifier>,
-    distribution: &Distribution,
-    rt: ComRuntime,
-    network: NetworkModel,
-    seed: u64,
-) -> ComResult<RunReport> {
-    run_distributed_with_transport(
-        app,
-        scenario,
-        classifier,
-        distribution,
-        rt,
-        Arc::new(Transport::new(network, seed)),
-    )
+    ))
+    .map(|done| done.report)
 }
 
 /// Executes a scenario under `distribution` on a client–server topology
@@ -710,49 +749,13 @@ pub fn run_distributed_faulty(
     policy: CallPolicy,
     fault_seed: u64,
 ) -> ComResult<RunReport> {
-    run_distributed_faulty_observed(
-        app,
-        scenario,
-        classifier,
-        distribution,
-        network,
-        seed,
+    execute(Run {
         plan,
         policy,
         fault_seed,
-        None,
-    )
-}
-
-/// [`run_distributed_faulty`] with an optional observability bundle: every
-/// cut-crossing call emits an `icc_call` instant and lands in the flight
-/// recorder, fault-layer events (`fault_drop`, `fault_timeout`,
-/// `fault_retry`, …) are traced at their simulated-clock time, and the
-/// report's counters are added to the bundle's registry.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_faulty_observed(
-    app: &dyn Application,
-    scenario: &str,
-    classifier: &Arc<InstanceClassifier>,
-    distribution: &Distribution,
-    network: NetworkModel,
-    seed: u64,
-    plan: FaultPlan,
-    policy: CallPolicy,
-    fault_seed: u64,
-    obs: Option<&Obs>,
-) -> ComResult<RunReport> {
-    run_distributed_with_transport_observed(
-        app,
-        scenario,
-        classifier,
-        distribution,
-        ComRuntime::client_server(),
-        Arc::new(Transport::with_faults(
-            network, seed, plan, policy, fault_seed,
-        )),
-        obs,
-    )
+        ..Run::new(app, scenario, classifier, distribution, network, seed)
+    })
+    .map(|done| done.report)
 }
 
 /// Outcome of a self-healing distributed execution.
@@ -771,13 +774,10 @@ pub struct RecoveryRun {
 }
 
 /// Executes a scenario under `distribution` with the full self-healing
-/// runtime: circuit breakers on the transport, online re-partitioning when
-/// a machine dies (warm-started from the base solve's flow snapshot),
-/// instance migration, and the exactly-once retry protocol at the proxy.
+/// runtime ([`Run::recovery`]) re-cutting `profile` online.
 ///
-/// With an empty plan this is bit-identical to [`run_distributed`]: the
-/// health monitor is only fed on faulty paths, drift polling is clock-free
-/// until a latched fire, and no recovery ever triggers.
+/// With an empty plan this is bit-identical to [`run_distributed`], and no
+/// recovery ever triggers.
 #[allow(clippy::too_many_arguments)]
 pub fn run_distributed_recovering(
     app: &dyn Application,
@@ -792,177 +792,19 @@ pub fn run_distributed_recovering(
     fault_seed: u64,
     config: RecoveryConfig,
 ) -> ComResult<RecoveryRun> {
-    run_distributed_recovering_observed(
-        app,
-        scenario,
-        classifier,
-        distribution,
-        profile,
-        network,
-        seed,
+    execute(Run {
         plan,
         policy,
         fault_seed,
-        config,
-        None,
-    )
-}
-
-/// [`run_distributed_recovering`] with an optional observability bundle:
-/// breaker transitions, recovery events, and migrations become tracer
-/// instants and flight-recorder entries (a recovery also dumps the
-/// recorder), and the coordinator's and health monitor's counters are
-/// added to the registry after the run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_recovering_observed(
-    app: &dyn Application,
-    scenario: &str,
-    classifier: &Arc<InstanceClassifier>,
-    distribution: &Distribution,
-    profile: &IccProfile,
-    network: NetworkModel,
-    seed: u64,
-    plan: FaultPlan,
-    policy: CallPolicy,
-    fault_seed: u64,
-    config: RecoveryConfig,
-    obs: Option<&Obs>,
-) -> ComResult<RecoveryRun> {
-    let rt = ComRuntime::client_server();
-    app.register(&rt);
-    classifier.begin_execution();
-    let net_profile = NetworkProfile::exact(&network);
-    let transport = Arc::new(Transport::with_faults(
-        network, seed, plan, policy, fault_seed,
-    ));
-    let health = Arc::new(HealthMonitor::new(config.breaker));
-    transport.set_health(health.clone());
-    let drift = config
-        .drift_threshold
-        .map(|threshold| (Arc::new(DriftMonitor::from_profile(profile)), threshold));
-    let factory = ComponentFactory::with_class_pins(
-        distribution.placement.clone(),
-        storage_class_pins(&rt),
-        MachineId::CLIENT,
-        rt.machines().len(),
-    );
-    let mut rte = CoignRte::distributed_with_monitor(
-        classifier.clone(),
-        Arc::new(crate::logger::NullLogger),
-        factory,
-        transport.clone(),
-        drift.as_ref().map(|(monitor, _)| monitor.clone()),
-    );
-    if let Some(o) = obs {
-        rte = rte.with_obs(o.clone());
-    }
-    let rte = Arc::new(rte);
-    let factory = rte.factory().expect("distributed-mode RTE has a factory");
-    let constraints = derive_constraints(app, profile);
-    let graph = IccGraph::build(profile, &net_profile);
-    let coordinator = RecoveryCoordinator::new(
-        &graph,
-        &constraints,
-        factory,
-        classifier.clone(),
-        health,
-        drift,
-        obs.cloned(),
-    )?;
-    if let Some(router) = config.replicas {
-        coordinator.install_replicas(router);
-    }
-    rte.set_recovery(coordinator.clone());
-    rt.add_hook(rte.clone());
-
-    let outcome = app.run_scenario(&rt, scenario);
-
-    let report = RunReport {
-        stats: rt.stats(),
-        clock_us: rt.clock().now_us(),
-        overhead_us: rte.overhead_us(),
-        instances_per_machine: count_per_machine(&rt),
-        instance_placements: placements(&rt),
-        faults: FaultReport::from_parts(transport.fault_stats(), rte.fallback_count()),
-        marshal_cache_hits: rte.marshal_cache().hits(),
-        marshal_cache_misses: rte.marshal_cache().misses(),
-    };
-    if let Some(o) = obs {
-        report.record_metrics(&o.registry);
-        coordinator.record_metrics(&o.registry);
-        coordinator.health().record_metrics(&o.registry);
-    }
-    Ok(RecoveryRun {
-        report,
-        coordinator,
-        outcome,
+        baseline: Some(profile),
+        recovery: Some(config),
+        ..Run::new(app, scenario, classifier, distribution, network, seed)
     })
-}
-
-fn run_distributed_with_transport(
-    app: &dyn Application,
-    scenario: &str,
-    classifier: &Arc<InstanceClassifier>,
-    distribution: &Distribution,
-    rt: ComRuntime,
-    transport: Arc<Transport>,
-) -> ComResult<RunReport> {
-    run_distributed_with_transport_observed(
-        app,
-        scenario,
-        classifier,
-        distribution,
-        rt,
-        transport,
-        None,
-    )
-}
-
-fn run_distributed_with_transport_observed(
-    app: &dyn Application,
-    scenario: &str,
-    classifier: &Arc<InstanceClassifier>,
-    distribution: &Distribution,
-    rt: ComRuntime,
-    transport: Arc<Transport>,
-    obs: Option<&Obs>,
-) -> ComResult<RunReport> {
-    app.register(&rt);
-    classifier.begin_execution();
-    let factory = ComponentFactory::with_class_pins(
-        distribution.placement.clone(),
-        storage_class_pins(&rt),
-        MachineId::CLIENT,
-        rt.machines().len(),
-    );
-    let mut rte = CoignRte::distributed(
-        classifier.clone(),
-        Arc::new(crate::logger::NullLogger),
-        factory,
-        transport.clone(),
-    );
-    if let Some(o) = obs {
-        rte = rte.with_obs(o.clone());
-    }
-    let rte = Arc::new(rte);
-    rt.add_hook(rte.clone());
-
-    app.run_scenario(&rt, scenario)?;
-
-    let report = RunReport {
-        stats: rt.stats(),
-        clock_us: rt.clock().now_us(),
-        overhead_us: rte.overhead_us(),
-        instances_per_machine: count_per_machine(&rt),
-        instance_placements: placements(&rt),
-        faults: FaultReport::from_parts(transport.fault_stats(), rte.fallback_count()),
-        marshal_cache_hits: rte.marshal_cache().hits(),
-        marshal_cache_misses: rte.marshal_cache().misses(),
-    };
-    if let Some(o) = obs {
-        report.record_metrics(&o.registry);
-    }
-    Ok(report)
+    .map(|done| RecoveryRun {
+        report: done.report,
+        coordinator: done.coordinator.expect("the run loaded recovery"),
+        outcome: done.outcome,
+    })
 }
 
 /// Places instances by *class* according to a fixed table — how an
@@ -1030,16 +872,12 @@ pub fn run_default(
 
     app.run_scenario(&rt, scenario)?;
 
-    Ok(RunReport {
-        stats: rt.stats(),
-        clock_us: rt.clock().now_us(),
-        overhead_us: overhead.total_us(),
-        instances_per_machine: count_per_machine(&rt),
-        instance_placements: placements(&rt),
-        faults: FaultReport::default(),
-        marshal_cache_hits: 0,
-        marshal_cache_misses: 0,
-    })
+    Ok(RunReport::capture(
+        &rt,
+        overhead.total_us(),
+        FaultReport::default(),
+        None,
+    ))
 }
 
 /// Executes a scenario with no instrumentation at all (overhead baseline:
@@ -1048,16 +886,7 @@ pub fn run_raw(app: &dyn Application, scenario: &str) -> ComResult<RunReport> {
     let rt = ComRuntime::single_machine();
     app.register(&rt);
     app.run_scenario(&rt, scenario)?;
-    Ok(RunReport {
-        stats: rt.stats(),
-        clock_us: rt.clock().now_us(),
-        overhead_us: 0,
-        instances_per_machine: count_per_machine(&rt),
-        instance_placements: placements(&rt),
-        faults: FaultReport::default(),
-        marshal_cache_hits: 0,
-        marshal_cache_misses: 0,
-    })
+    Ok(RunReport::capture(&rt, 0, FaultReport::default(), None))
 }
 
 #[cfg(test)]
@@ -1171,27 +1000,46 @@ mod tests {
         }
     }
 
+    /// Profiles one scenario and cuts the result for 10BaseT.
+    fn profile_and_cut(
+        app: &dyn Application,
+        scenario: &str,
+    ) -> (Arc<InstanceClassifier>, IccProfile, Distribution) {
+        let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
+        let profile = profile_scenarios_observed(app, &[scenario], &classifier, None).unwrap();
+        let network = NetworkProfile::exact(&NetworkModel::ethernet_10baset());
+        let dist = choose_distribution(app, &profile, &network).unwrap();
+        (classifier, profile, dist)
+    }
+
+    /// The plain client–server run over 10BaseT.
+    fn plain_run(
+        app: &dyn Application,
+        scenario: &str,
+        classifier: &Arc<InstanceClassifier>,
+        dist: &Distribution,
+        seed: u64,
+    ) -> RunReport {
+        run_distributed(
+            app,
+            scenario,
+            classifier,
+            dist,
+            NetworkModel::ethernet_10baset(),
+            seed,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn end_to_end_pipeline_reduces_communication() {
         let app = MiniApp;
-        let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-        let profile = profile_scenarios(&app, &["m_run"], &classifier).unwrap();
+        let (classifier, profile, dist) = profile_and_cut(&app, "m_run");
         assert!(profile.total_messages() > 0);
-
-        let network = NetworkProfile::exact(&NetworkModel::ethernet_10baset());
-        let dist = choose_distribution(&app, &profile, &network).unwrap();
         // The storage-pinned reader lands on the server; the GUI shell
         // stays on the client; the heavy link is *inside* the call pattern,
         // so the cut severs the shell↔reader edge — the cheapest place.
-        let report = run_distributed(
-            &app,
-            "m_run",
-            &classifier,
-            &dist,
-            NetworkModel::ethernet_10baset(),
-            42,
-        )
-        .unwrap();
+        let report = plain_run(&app, "m_run", &classifier, &dist, 42);
         assert_eq!(report.total_instances(), 2);
         assert_eq!(report.server_instances(), 1);
         assert!(report.stats.comm_us > 0);
@@ -1203,7 +1051,7 @@ mod tests {
         let app = MiniApp;
         let scenarios = app.scenarios();
         let seq_classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-        let seq = profile_scenarios(&app, &scenarios, &seq_classifier).unwrap();
+        let seq = profile_scenarios_observed(&app, &scenarios, &seq_classifier, None).unwrap();
         assert!(seq.total_messages() > 0);
         for jobs in [1, 2, 4, 8] {
             let par_classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
@@ -1281,49 +1129,34 @@ mod tests {
     #[test]
     fn distributed_runs_are_deterministic_per_seed() {
         let app = MiniApp;
-        let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-        let profile = profile_scenarios(&app, &["m_run"], &classifier).unwrap();
-        let network = NetworkProfile::exact(&NetworkModel::ethernet_10baset());
-        let dist = choose_distribution(&app, &profile, &network).unwrap();
-        let a = run_distributed(
-            &app,
-            "m_run",
-            &classifier,
-            &dist,
-            NetworkModel::ethernet_10baset(),
-            9,
-        )
-        .unwrap();
-        let b = run_distributed(
-            &app,
-            "m_run",
-            &classifier,
-            &dist,
-            NetworkModel::ethernet_10baset(),
-            9,
-        )
-        .unwrap();
+        let (classifier, profile, dist) = profile_and_cut(&app, "m_run");
+        let a = plain_run(&app, "m_run", &classifier, &dist, 9);
+        let b = plain_run(&app, "m_run", &classifier, &dist, 9);
         assert_eq!(a.clock_us, b.clock_us);
         assert_eq!(a.stats, b.stats);
+        // Arming the drift monitor only counts messages: same report.
+        let monitored = execute(Run {
+            baseline: Some(&profile),
+            ..Run::new(
+                &app,
+                "m_run",
+                &classifier,
+                &dist,
+                NetworkModel::ethernet_10baset(),
+                9,
+            )
+        })
+        .unwrap();
+        assert_eq!(monitored.report, a);
+        assert!(monitored.drift.is_some());
     }
 
     #[test]
     fn zero_fault_recovery_run_is_bit_identical_to_plain_distributed() {
         use coign_dcom::CallPolicy;
         let app = MiniApp;
-        let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-        let profile = profile_scenarios(&app, &["m_run"], &classifier).unwrap();
-        let network = NetworkProfile::exact(&NetworkModel::ethernet_10baset());
-        let dist = choose_distribution(&app, &profile, &network).unwrap();
-        let plain = run_distributed(
-            &app,
-            "m_run",
-            &classifier,
-            &dist,
-            NetworkModel::ethernet_10baset(),
-            9,
-        )
-        .unwrap();
+        let (classifier, profile, dist) = profile_and_cut(&app, "m_run");
+        let plain = plain_run(&app, "m_run", &classifier, &dist, 9);
         let recovering = run_distributed_recovering(
             &app,
             "m_run",
@@ -1359,19 +1192,8 @@ mod tests {
     fn machine_death_mid_run_recovers_with_a_warm_resolve() {
         use coign_dcom::{CallPolicy, TimeWindow};
         let app = MiniApp;
-        let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-        let profile = profile_scenarios(&app, &["m_run"], &classifier).unwrap();
-        let network = NetworkProfile::exact(&NetworkModel::ethernet_10baset());
-        let dist = choose_distribution(&app, &profile, &network).unwrap();
-        let plain = run_distributed(
-            &app,
-            "m_run",
-            &classifier,
-            &dist,
-            NetworkModel::ethernet_10baset(),
-            9,
-        )
-        .unwrap();
+        let (classifier, profile, dist) = profile_and_cut(&app, "m_run");
+        let plain = plain_run(&app, "m_run", &classifier, &dist, 9);
         // Kill the server a third of the way through the run and never
         // bring it back.
         let plan = FaultPlan::none().with_machine_down(
@@ -1526,19 +1348,8 @@ mod tests {
         let app = CountingApp {
             executions: executions.clone(),
         };
-        let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-        let profile = profile_scenarios(&app, &["count"], &classifier).unwrap();
-        let network = NetworkProfile::exact(&NetworkModel::ethernet_10baset());
-        let dist = choose_distribution(&app, &profile, &network).unwrap();
-        let plain = run_distributed(
-            &app,
-            "count",
-            &classifier,
-            &dist,
-            NetworkModel::ethernet_10baset(),
-            9,
-        )
-        .unwrap();
+        let (classifier, profile, dist) = profile_and_cut(&app, "count");
+        let plain = plain_run(&app, "count", &classifier, &dist, 9);
         let profiling_and_plain = executions.load(std::sync::atomic::Ordering::SeqCst);
         assert!(
             profiling_and_plain >= 24,

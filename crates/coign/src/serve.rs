@@ -35,6 +35,7 @@
 
 use crate::analysis::Distribution;
 use crate::classifier::ClassificationId;
+use crate::jobs::run_indexed;
 use crate::multiway::ReplicaRouter;
 use crate::profile::IccProfile;
 use coign_com::{ComError, ComResult, EventQueue, MachineId};
@@ -48,8 +49,6 @@ use coign_obs::trace::{TraceArg, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Base of the latency-histogram buckets (µs).
 const LATENCY_BUCKET_BASE: u64 = 16;
@@ -1360,20 +1359,8 @@ pub fn serve_traced(
             Some(base)
         })
         .collect();
-    let slots: Vec<Mutex<Option<ShardReport>>> = (0..shards).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let jobs = opts.jobs.max(1).min(shards);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= shards {
-                    break;
-                }
-                let report = run_shard(&script, network, opts, i, per_shard[i], bases[i], tracer);
-                *slots[i].lock().expect("serve shard slot") = Some(report);
-            });
-        }
+    let shard_reports = run_indexed(shards, opts.jobs, |i| {
+        run_shard(&script, network, opts, i, per_shard[i], bases[i], tracer)
     });
 
     let latency = Histogram::with_bounds(exponential_bounds(
@@ -1399,11 +1386,7 @@ pub fn serve_traced(
         faults: None,
     };
     let mut timeline: Option<TimeSeries> = None;
-    for slot in slots {
-        let shard = slot
-            .into_inner()
-            .expect("serve shard lock")
-            .expect("serve worker exited without reporting");
+    for shard in shard_reports {
         merged.sessions += shard.sessions;
         merged.calls += shard.calls;
         merged.local_calls += shard.local_calls;

@@ -26,7 +26,7 @@
 //! against a cold Dinic solve on an independently rebuilt network at
 //! every point.
 
-use crate::analysis::build_flow_network;
+use crate::analysis::{build_flow_network, check_cut_in_range};
 use crate::application::Application;
 use crate::classifier::ClassificationId;
 use crate::constraints::Constraint;
@@ -35,7 +35,7 @@ use crate::profile::IccProfile;
 use crate::runtime::{check_constraints, derive_constraints};
 use coign_com::{ComError, ComResult, MachineId};
 use coign_dcom::{NetworkModel, NetworkProfile};
-use coign_flow::{min_cut, min_cut_warm, MaxFlowAlgorithm, INFINITE};
+use coign_flow::{min_cut, min_cut_warm, MaxFlowAlgorithm};
 
 /// The latency/bandwidth grid a sweep evaluates.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,7 +198,12 @@ fn sweep_cold(
             let graph = IccGraph::build(profile, &network);
             let (mut flow, source, sink) = build_flow_network(&graph, constraints);
             let cut = min_cut(&mut flow, source, sink, MaxFlowAlgorithm::LiftToFront);
-            check_cuttable(cut.cut_value)?;
+            check_cut_in_range(
+                &flow,
+                graph.weights_us.len(),
+                cut.cut_value,
+                format_args!("latency {latency_us} us, bandwidth {bandwidth_bps} B/s"),
+            )?;
             points.push(make_point(
                 latency_us,
                 bandwidth_bps,
@@ -276,7 +281,12 @@ fn sweep_warm(
 
             let warm_from = if col == 0 { &row_start } else { &previous };
             let cut = min_cut_warm(&mut flow, source, sink, warm_from.as_deref());
-            check_cuttable(cut.cut_value)?;
+            check_cut_in_range(
+                &flow,
+                traffic.len(),
+                cut.cut_value,
+                format_args!("latency {latency_us} us, bandwidth {bandwidth_bps} B/s"),
+            )?;
             if validate {
                 let graph = IccGraph::build(profile, &network);
                 let (mut cold_flow, s, t) = build_flow_network(&graph, constraints);
@@ -317,18 +327,6 @@ fn sweep_warm(
         }
     }
     Ok(SweepResult { points })
-}
-
-/// Rejects a cut that severs an infinite (constraint / non-remotable) edge.
-fn check_cuttable(cut_value: u64) -> ComResult<()> {
-    if cut_value >= INFINITE {
-        return Err(ComError::App(
-            "location constraints are contradictory: the minimum cut severs an \
-             infinite-capacity (constraint or non-remotable) edge"
-                .to_string(),
-        ));
-    }
-    Ok(())
 }
 
 /// Assembles one grid point from a solved cut.

@@ -35,19 +35,19 @@
 //!
 //! Everything is deterministic per `(spec, scenario, options)`: the
 //! schedule grid is derived from the fault-free horizon, per-run seeds are
-//! index-derived, and worker threads write into index-ordered slots, so the
+//! index-derived, and worker results come back in index order, so the
 //! summary is byte-identical across runs and `--jobs`.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use coign::analysis::Distribution;
 use coign::classifier::{ClassifierKind, InstanceClassifier};
+use coign::jobs::run_indexed;
 use coign::lint::{analyze_replication, DiagnosticSink};
 use coign::multiway::{replicate_for_distribution, ReplicaRouter, ReplicationPlan};
 use coign::recovery::RecoveryConfig;
-use coign::runtime::{choose_distribution, profile_scenarios, run_distributed_recovering};
+use coign::runtime::{choose_distribution, profile_scenarios_observed, run_distributed_recovering};
 use coign::{Application, IccProfile};
 use coign_com::{ComError, ComResult, ComRuntime, MachineId};
 use coign_dcom::{
@@ -370,7 +370,7 @@ pub fn explore(spec: GenSpec, scenario: &str, opts: &ExploreOptions) -> ComResul
     // placement and measures calibration fit.
     let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
     let scenario_names = app.scenarios();
-    let profile = profile_scenarios(&app, &scenario_names, &classifier)?;
+    let profile = profile_scenarios_observed(&app, &scenario_names, &classifier, None)?;
     let fit = calibration::ks_distance(&calibration::bucket_histogram(&profile));
     let net_profile = NetworkProfile::exact(&opts.network);
     let distribution = choose_distribution(&app, &profile, &net_profile)?;
@@ -471,35 +471,16 @@ pub fn explore(spec: GenSpec, scenario: &str, opts: &ExploreOptions) -> ComResul
         }
     }
 
-    // Index-ordered slots keep the summary byte-identical across --jobs.
-    let jobs = opts.jobs.max(1).min(schedule.len().max(1));
-    let slots: Vec<std::sync::Mutex<Option<ComResult<RunStats>>>> = (0..schedule.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= schedule.len() {
-                    break;
-                }
-                let stats = harness.run(schedule[i], i);
-                *slots[i].lock().expect("explore slot") = Some(stats);
-            });
-        }
-    });
+    // Index-ordered results keep the summary byte-identical across --jobs.
+    let runs = run_indexed(schedule.len(), opts.jobs, |i| harness.run(schedule[i], i));
 
     let (mut ok, mut recovered, mut failed) = (0usize, 0usize, 0usize);
     let (mut recoveries, mut migrations) = (0u64, 0u64);
     let (mut redelivered, mut replayed, mut doubles) = (0u64, 0u64, 0u64);
     let (mut failovers, mut via_replicas) = (0u64, 0u64);
     let mut violating: Vec<(SchedulePoint, Vec<String>)> = Vec::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        let stats = slot
-            .into_inner()
-            .expect("explore slot lock")
-            .expect("explore worker exited without reporting")?;
+    for (i, stats) in runs.into_iter().enumerate() {
+        let stats = stats?;
         match stats.outcome {
             "ok" => ok += 1,
             "recovered" => recovered += 1,

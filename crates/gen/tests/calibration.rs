@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use coign::classifier::{ClassifierKind, InstanceClassifier};
-use coign::runtime::profile_scenarios;
+use coign::runtime::profile_scenarios_observed;
 use coign::Application;
 use coign_gen::calibration::{bucket_histogram, ks_distance, KS_TOLERANCE, TARGET_BUCKET_PROBS};
 use coign_gen::{GenSize, GenSpec, GeneratedApp};
@@ -20,7 +20,7 @@ fn fit_for(seed: u64, size: GenSize) -> f64 {
     let app = GeneratedApp::new(GenSpec::new(seed, size));
     let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
     let scenarios = app.scenarios();
-    let profile = profile_scenarios(&app, &scenarios, &classifier).expect("profile");
+    let profile = profile_scenarios_observed(&app, &scenarios, &classifier, None).expect("profile");
     let hist = bucket_histogram(&profile);
     assert!(hist.iter().sum::<u64>() > 0, "empty profile");
     ks_distance(&hist)
@@ -53,7 +53,7 @@ fn tail_buckets_are_populated() {
     let app = GeneratedApp::new(GenSpec::new(7, GenSize::Medium));
     let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
     let scenarios = app.scenarios();
-    let profile = profile_scenarios(&app, &scenarios, &classifier).expect("profile");
+    let profile = profile_scenarios_observed(&app, &scenarios, &classifier, None).expect("profile");
     let hist = bucket_histogram(&profile);
     let tail: u64 = hist[7..].iter().sum();
     assert!(tail > 0, "no messages beyond 8 KiB: {hist:?}");

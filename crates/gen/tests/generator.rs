@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use coign::classifier::{ClassifierKind, InstanceClassifier};
 use coign::lint::check_app_image;
-use coign::runtime::{profile_scenarios, profile_scenarios_parallel};
+use coign::runtime::{profile_scenarios_observed, profile_scenarios_parallel};
 use coign::{rewriter, Application};
 use coign_gen::{app_for_name, GenSize, GenSpec, GeneratedApp};
 
@@ -69,7 +69,8 @@ fn profiles_are_byte_identical_across_jobs() {
         let scenarios = app.scenarios();
 
         let sequential = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-        let base = profile_scenarios(&app, &scenarios, &sequential).expect("sequential profile");
+        let base = profile_scenarios_observed(&app, &scenarios, &sequential, None)
+            .expect("sequential profile");
 
         for jobs in [1usize, 4] {
             let fresh = GeneratedApp::new(spec);

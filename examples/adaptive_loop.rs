@@ -13,12 +13,30 @@
 //! Run with: `cargo run --release --example adaptive_loop`
 
 use coign::classifier::{ClassifierKind, InstanceClassifier};
-use coign::runtime::{choose_distribution, profile_scenario, run_distributed_monitored};
+use coign::runtime::{choose_distribution, execute, profile_scenario, Execution, Run};
+use coign::{Distribution, IccProfile};
 use coign_apps::Octarine;
 use coign_dcom::{NetworkModel, NetworkProfile};
 use std::sync::Arc;
 
 const DRIFT_THRESHOLD: f64 = 0.15;
+
+/// One execution under `distribution` with cheap message counting against
+/// the `baseline` profile it was cut from.
+fn monitored(
+    scenario: &str,
+    classifier: &Arc<InstanceClassifier>,
+    distribution: &Distribution,
+    baseline: &IccProfile,
+    seed: u64,
+) -> Execution {
+    let network = NetworkModel::ethernet_10baset();
+    execute(Run {
+        baseline: Some(baseline),
+        ..Run::new(&Octarine, scenario, classifier, distribution, network, seed)
+    })
+    .expect("distributed run")
+}
 
 fn main() {
     let app = Octarine;
@@ -37,16 +55,8 @@ fn main() {
     // Days 2..: the user's workload shifts. Each execution runs under the
     // current distribution with cheap message counting.
     for (day, scenario) in [(2, "o_oldwp0"), (3, "o_oldtb3"), (4, "o_oldtb3")] {
-        let (report, monitor) = run_distributed_monitored(
-            &app,
-            scenario,
-            &classifier,
-            &distribution,
-            &baseline,
-            NetworkModel::ethernet_10baset(),
-            day,
-        )
-        .expect("distributed run");
+        let run = monitored(scenario, &classifier, &distribution, &baseline, day);
+        let (report, monitor) = (run.report, run.drift.expect("a baseline arms the monitor"));
         let drift = monitor.drift();
         println!(
             "day {day}: ran {scenario:>9}, communication {:.3} s, usage drift {:.2}",
@@ -60,16 +70,8 @@ fn main() {
                 .expect("re-profiling")
                 .profile;
             distribution = choose_distribution(&app, &baseline, &network).expect("re-analysis");
-            let (fresh, _) = run_distributed_monitored(
-                &app,
-                scenario,
-                &classifier,
-                &distribution,
-                &baseline,
-                NetworkModel::ethernet_10baset(),
-                day + 100,
-            )
-            .expect("re-run");
+            let fresh =
+                monitored(scenario, &classifier, &distribution, &baseline, day + 100).report;
             println!(
                 "        re-optimized: communication now {:.3} s",
                 fresh.comm_secs()

@@ -17,8 +17,20 @@ echo "==> cargo build --release --workspace"
 # run stale `target/release/coign` / `perfsuite` binaries.
 cargo build --release --workspace
 
-echo "==> cargo test --workspace"
-cargo test -q --workspace
+echo "==> cargo test --workspace (fresh TMPDIR, --no-fail-fast)"
+# A fresh temp dir, so state an earlier command left under the shared one
+# (e.g. a profiled `gen:` image) can neither mask nor cause a failure; and
+# no fail-fast, so one failing crate does not hide the crates after it.
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+mkdir "$TMP/test-tmp"
+TMPDIR="$TMP/test-tmp" cargo test -q --workspace --no-fail-fast
+
+echo "==> benchmark/ci.sh (measured surface: offline build, smoke test, --check-expected)"
+# The benchmark is a workspace of its own that compiles against pinned
+# signatures of these crates; build and smoke it here so a break of that
+# surface is caught before the pipeline runs it.
+benchmark/ci.sh
 
 echo "==> fault-injection determinism (two seeds vs committed expectations)"
 # The fault layer's whole value is reproducibility: the same image, plan,
@@ -28,8 +40,6 @@ echo "==> fault-injection determinism (two seeds vs committed expectations)"
 # expectation. Regenerate after an intentional change with:
 #   scripts/ci.sh --regen-fault-expectations
 BIN=target/release/coign
-TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
 IMG="$TMP/octarine.cimg"
 "$BIN" instrument octarine "$IMG" >/dev/null
 "$BIN" profile "$IMG" o_oldtb3 >/dev/null

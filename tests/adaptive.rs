@@ -3,9 +3,8 @@
 
 use coign::classifier::{ClassifierKind, InstanceClassifier};
 use coign::multiway::{analyze_multiway, derive_tier_constraints, MultiwayConstraint};
-use coign::runtime::{
-    choose_distribution, profile_scenario, run_distributed_monitored, run_distributed_on,
-};
+use coign::runtime::{choose_distribution, execute, profile_scenario, Execution, Run};
+use coign::{Distribution, IccProfile};
 use coign_apps::{Benefits, Octarine};
 use coign_com::{ComRuntime, MachineId, MachineSpec};
 use coign_dcom::{NetworkModel, NetworkProfile};
@@ -15,6 +14,22 @@ use coign::application::Application;
 
 fn network() -> NetworkProfile {
     NetworkProfile::exact(&NetworkModel::ethernet_10baset())
+}
+
+/// Octarine under `dist` with the drift monitor armed against `baseline`.
+fn monitored(
+    scenario: &str,
+    classifier: &Arc<InstanceClassifier>,
+    dist: &Distribution,
+    baseline: &IccProfile,
+    seed: u64,
+) -> Execution {
+    let network = NetworkModel::ethernet_10baset();
+    execute(Run {
+        baseline: Some(baseline),
+        ..Run::new(&Octarine, scenario, classifier, dist, network, seed)
+    })
+    .unwrap()
 }
 
 /// Running the profiled scenario again shows little drift; running a
@@ -27,28 +42,13 @@ fn drift_detects_changed_usage() {
     let run = profile_scenario(&app, "o_oldwp0", &classifier).unwrap();
     let dist = choose_distribution(&app, &run.profile, &network()).unwrap();
 
-    let (_, same_monitor) = run_distributed_monitored(
-        &app,
-        "o_oldwp0",
-        &classifier,
-        &dist,
-        &run.profile,
-        NetworkModel::ethernet_10baset(),
-        3,
-    )
-    .unwrap();
-    let same_drift = same_monitor.drift();
-
-    let (_, changed_monitor) = run_distributed_monitored(
-        &app,
-        "o_oldtb3",
-        &classifier,
-        &dist,
-        &run.profile,
-        NetworkModel::ethernet_10baset(),
-        3,
-    )
-    .unwrap();
+    let drift_of = |scenario| {
+        monitored(scenario, &classifier, &dist, &run.profile, 3)
+            .drift
+            .expect("a baseline arms the drift monitor")
+    };
+    let same_drift = drift_of("o_oldwp0").drift();
+    let changed_monitor = drift_of("o_oldtb3");
     let changed_drift = changed_monitor.drift();
 
     assert!(
@@ -74,31 +74,15 @@ fn drift_triggers_profitable_reoptimization() {
     let old_dist = choose_distribution(&app, &old_run.profile, &network()).unwrap();
 
     // ...but the user now works with the 150-page table.
-    let (stale_report, monitor) = run_distributed_monitored(
-        &app,
-        "o_oldtb3",
-        &classifier,
-        &old_dist,
-        &old_run.profile,
-        NetworkModel::ethernet_10baset(),
-        4,
-    )
-    .unwrap();
+    let stale = monitored("o_oldtb3", &classifier, &old_dist, &old_run.profile, 4);
+    let monitor = stale.drift.expect("a baseline arms the drift monitor");
     assert!(monitor.should_reprofile(0.2), "drift {}", monitor.drift());
+    let stale_report = stale.report;
 
     // Re-profile and re-optimize for the observed usage.
     let new_run = profile_scenario(&app, "o_oldtb3", &classifier).unwrap();
     let new_dist = choose_distribution(&app, &new_run.profile, &network()).unwrap();
-    let (fresh_report, _) = run_distributed_monitored(
-        &app,
-        "o_oldtb3",
-        &classifier,
-        &new_dist,
-        &new_run.profile,
-        NetworkModel::ethernet_10baset(),
-        4,
-    )
-    .unwrap();
+    let fresh_report = monitored("o_oldtb3", &classifier, &new_dist, &new_run.profile, 4).report;
 
     assert!(
         fresh_report.stats.comm_us * 5 < stale_report.stats.comm_us,
@@ -147,16 +131,19 @@ fn benefits_runs_distributed_across_three_machines() {
         MachineSpec::new("middle", 1.0),
         MachineSpec::new("dbserver", 1.0),
     ]);
-    let report = run_distributed_on(
-        &app,
-        "b_vueone",
-        &classifier,
-        &dist,
+    let report = execute(Run {
         topology,
-        NetworkModel::ethernet_10baset(),
-        8,
-    )
-    .unwrap();
+        ..Run::new(
+            &app,
+            "b_vueone",
+            &classifier,
+            &dist,
+            NetworkModel::ethernet_10baset(),
+            8,
+        )
+    })
+    .unwrap()
+    .report;
 
     // All three machines host something, and communication was charged.
     assert_eq!(report.instances_per_machine.len(), 3);

@@ -16,7 +16,7 @@
 
 use coign::classifier::{ClassifierKind, InstanceClassifier};
 use coign::recovery::RecoveryConfig;
-use coign::runtime::{choose_distribution, profile_scenarios, run_distributed_recovering};
+use coign::runtime::{choose_distribution, profile_scenarios_observed, run_distributed_recovering};
 use coign::Application;
 use coign_com::{ComError, MachineId};
 use coign_dcom::{CallPolicy, Fault, FaultPlan, NetworkModel, NetworkProfile, TimeWindow};
@@ -32,7 +32,7 @@ fn death_at_mid_horizon(seed: u64, size: GenSize) {
     let app = GeneratedApp::new(spec);
     let scenarios = app.scenarios();
     let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-    let profile = profile_scenarios(&app, &scenarios, &classifier).expect("profile");
+    let profile = profile_scenarios_observed(&app, &scenarios, &classifier, None).expect("profile");
     let network = NetworkProfile::exact(&NetworkModel::ethernet_10baset());
     let dist = choose_distribution(&app, &profile, &network).expect("distribution");
 
