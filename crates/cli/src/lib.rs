@@ -25,12 +25,15 @@
 //! coign strip app.cimg                   # restore the original binary
 //! ```
 
+pub mod args;
+
 use coign::analysis::Distribution;
 use coign::application::Application;
 use coign::classifier::{ClassifierKind, InstanceClassifier};
 use coign::config::{ConfigRecord, RuntimeMode};
 use coign::jobs::run_indexed;
-use coign::multiway::{replicate_for_distribution, ReplicaRouter, ReplicationPlan};
+use coign::lint::{analyze_replication, DiagnosticSink};
+use coign::multiway::{derive_replica_router, ReplicaRouter};
 use coign::recovery::RecoveryConfig;
 use coign::report;
 use coign::rewriter;
@@ -851,59 +854,24 @@ fn chaos_trial(
         )
     })?;
     let coord = run.coordinator.as_ref().expect("the trial loaded recovery");
-    let mut violations = Vec::new();
-    // Invariant: every trial either completes, is recovered, or fails with
-    // a *typed* transport error — never an untyped crash.
+    // Every trial either completes, is recovered, or fails with a *typed*
+    // transport error — the shared battery flags anything else, along with
+    // the double-execution, placement, solve-count and failover invariants.
+    let violations = coord.audit(&run.outcome);
     let outcome = match &run.outcome {
         Ok(()) if coord.recovery_count() > 0 => "recovered",
         Ok(()) => "ok",
         Err(ComError::Timeout { .. }) => "failed(timeout)",
         Err(ComError::Partitioned { .. }) => "failed(partitioned)",
         Err(ComError::MachineDown(_)) => "failed(machine_down)",
-        Err(other) => {
-            violations.push(format!("untyped failure: {other}"));
-            "failed(untyped)"
-        }
+        Err(_) => "failed(untyped)",
     };
-    // Invariant: no call ever executes twice, whatever the retry protocol did.
-    if coord.double_executions() != 0 {
-        violations.push(format!(
-            "{} double-executed call(s)",
-            coord.double_executions()
-        ));
-    }
-    // Invariant: the final placement satisfies every constraint with the
-    // dead machines excluded.
-    let placement = match coord.validate() {
-        Ok(()) => "ok",
-        Err(detail) => {
-            violations.push(format!("placement: {detail}"));
-            "VIOLATED"
-        }
+    let placement = if coord.validate().is_ok() {
+        "ok"
+    } else {
+        "VIOLATED"
     };
-    // Invariant: recovery re-solves are warm-started from the base flow —
-    // and a recovery whose every event resolved by replica failover must
-    // not have run any solve at all.
-    let events = coord.events();
-    let via_replicas = events.iter().filter(|e| e.via_replicas).count();
-    if coord.recovery_count() > 0 {
-        let solver_recoveries = events.len() - via_replicas;
-        if solver_recoveries > 0 && coord.warm_solves() == 0 {
-            violations.push("recovery re-solve was not warm-started".to_string());
-        }
-        if solver_recoveries == 0 && coord.warm_solves() != 0 {
-            violations.push(format!(
-                "{} warm solve(s) despite replica-covered failover",
-                coord.warm_solves()
-            ));
-        }
-        if coord.cold_solves() != 1 {
-            violations.push(format!(
-                "{} cold solve(s), expected exactly the base solve",
-                coord.cold_solves()
-            ));
-        }
-    }
+    let via_replicas = coord.events().iter().filter(|e| e.via_replicas).count();
     let mut line = format!(
         "trial {index:02} faults=[{faults_desc}] outcome={outcome} recoveries={} epoch={} \
          warm={} migrations={} redelivered={} replayed={} double={} placement={placement}",
@@ -974,7 +942,7 @@ pub fn cmd_chaos(
     // routing table a serve fleet would install.
     let replicas = if opts.replicate {
         let net_profile = NetworkProfile::measure(&network, PROFILE_SAMPLES, SEED);
-        derive_replica_router(
+        lint_derived_router(
             image.app.as_ref(),
             &image.profile,
             &net_profile,
@@ -1113,13 +1081,10 @@ impl Default for ServeCliOptions {
     }
 }
 
-/// Derives the replica routing table for a realized distribution: the
-/// stage-4/5 lints prove which classes are immutable
-/// ([`coign::lint::analyze_replication`]), the greedy pass copies them
-/// where a copy pays ([`replicate_for_distribution`]), and the router
-/// indexes the result home-first. `None` when no class is provably
-/// replicable or no copy strictly reduces modeled cut traffic.
-fn derive_replica_router(
+/// The replica routing table `--replicate` installs: a stage-4/5 lint pass
+/// over `app`'s classes in a scratch runtime, handed to the shared
+/// derivation ([`derive_replica_router`]).
+fn lint_derived_router(
     app: &dyn Application,
     profile: &coign::IccProfile,
     net_profile: &NetworkProfile,
@@ -1127,23 +1092,8 @@ fn derive_replica_router(
 ) -> Option<ReplicaRouter> {
     let rt = ComRuntime::single_machine();
     app.register(&rt);
-    let registry = rt.registry();
-    let mut sink = coign::lint::DiagnosticSink::new();
-    let report = coign::lint::analyze_replication(registry, &mut sink);
-    let plan = ReplicationPlan::from_report(&report, profile, registry);
-    let machines = distribution
-        .placement
-        .values()
-        .map(|m| m.0 as usize + 1)
-        .max()
-        .unwrap_or(2)
-        .max(2);
-    let replicas =
-        replicate_for_distribution(profile, net_profile, distribution, machines, &plan, &[]);
-    if replicas.is_empty() {
-        return None;
-    }
-    Some(ReplicaRouter::new(distribution, &replicas))
+    let lint = analyze_replication(rt.registry(), &mut DiagnosticSink::new());
+    derive_replica_router(&lint, rt.registry(), profile, net_profile, distribution)
 }
 
 /// `coign serve <image> <scenario> [network] [--sessions N] [--shards K]
@@ -1207,7 +1157,7 @@ pub fn cmd_serve(
     // Replicas only matter once something can die; deriving them under a
     // clean wire would change nothing but still cost a lint pass.
     let replicas = if opts.replicate && !plan.is_empty() {
-        derive_replica_router(app.as_ref(), &record.profile, &net_profile, &distribution)
+        lint_derived_router(app.as_ref(), &record.profile, &net_profile, &distribution)
     } else {
         None
     };

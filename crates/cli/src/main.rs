@@ -1,12 +1,14 @@
 //! `coign` — the tool-chain CLI. See the crate docs for the workflow.
 
+use coign_cli::args::{
+    parse_chaos_args, parse_explore_args, parse_gen_args, parse_place_args, parse_profile_args,
+    parse_run_args, parse_serve_args,
+};
 use coign_cli::{
     cmd_analyze, cmd_chaos, cmd_check, cmd_dot, cmd_explore, cmd_gen, cmd_hotspots, cmd_instrument,
     cmd_place, cmd_profile, cmd_run, cmd_script, cmd_serve, cmd_show, cmd_strip, cmd_sweep,
-    resolve_image_spec, ChaosOptions, PlaceOptions, RunFaults, ServeCliOptions,
+    resolve_image_spec,
 };
-use coign_gen::explore::ExploreOptions;
-use coign_gen::GenSize;
 use coign_obs::Obs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -83,343 +85,6 @@ GLOBAL FLAGS (any subcommand):
   --metrics <out.json|out.prom>         write a metrics snapshot (JSON, or Prometheus
                                         text exposition when the path ends in .prom)
 ";
-
-/// Parses `coign profile`'s trailing arguments: one or more scenario
-/// names plus an optional `--jobs N` anywhere among them.
-fn parse_profile_args(rest: &[String]) -> Result<(Vec<String>, usize), String> {
-    let mut scenarios = Vec::new();
-    let mut jobs = 1usize;
-    let mut it = rest.iter();
-    while let Some(token) = it.next() {
-        match token.as_str() {
-            "--jobs" => {
-                let value = it.next().ok_or("--jobs needs a number argument")?;
-                jobs = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("bad job count `{value}`"))?;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}` for `coign profile`"));
-            }
-            scenario => scenarios.push(scenario.to_string()),
-        }
-    }
-    if scenarios.is_empty() {
-        return Err("`coign profile` needs at least one scenario".to_string());
-    }
-    Ok((scenarios, jobs))
-}
-
-/// Parses `coign run`'s trailing arguments: an optional positional network
-/// name followed by the fault flags in any order.
-fn parse_run_args(rest: &[String]) -> Result<(String, RunFaults), String> {
-    let mut network = None;
-    let mut faults = RunFaults::default();
-    let mut it = rest.iter();
-    while let Some(token) = it.next() {
-        match token.as_str() {
-            "--fault-plan" => {
-                let value = it.next().ok_or("--fault-plan needs a file argument")?;
-                faults.plan_path = Some(PathBuf::from(value));
-            }
-            "--fault-seed" => {
-                let value = it.next().ok_or("--fault-seed needs a number argument")?;
-                faults.fault_seed = value
-                    .parse()
-                    .map_err(|_| format!("bad fault seed `{value}`"))?;
-            }
-            "--summary" => faults.summary = true,
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}` for `coign run`"));
-            }
-            positional => {
-                if network.replace(positional.to_string()).is_some() {
-                    return Err(format!("unexpected argument `{positional}`"));
-                }
-            }
-        }
-    }
-    Ok((network.unwrap_or_else(|| "ethernet".to_string()), faults))
-}
-
-/// Parses `coign place`'s trailing arguments: an optional positional
-/// network name plus `--machines/--replicate/--json` in any order.
-fn parse_place_args(rest: &[String]) -> Result<(String, PlaceOptions), String> {
-    let mut network = None;
-    let mut opts = PlaceOptions::default();
-    let mut it = rest.iter();
-    while let Some(token) = it.next() {
-        match token.as_str() {
-            "--machines" => {
-                let value = it.next().ok_or("--machines needs a number argument")?;
-                opts.machines = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 2)
-                    .ok_or_else(|| format!("bad machine count `{value}` (need ≥ 2)"))?;
-            }
-            "--replicate" => opts.replicate = true,
-            "--json" => opts.json = true,
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}` for `coign place`"));
-            }
-            positional => {
-                if network.replace(positional.to_string()).is_some() {
-                    return Err(format!("unexpected argument `{positional}`"));
-                }
-            }
-        }
-    }
-    Ok((network.unwrap_or_else(|| "ethernet".to_string()), opts))
-}
-
-/// Parses `coign chaos`'s trailing arguments: an optional positional
-/// network name plus `--seed/--trials/--jobs` in any order.
-fn parse_chaos_args(rest: &[String]) -> Result<(String, ChaosOptions), String> {
-    let mut network = None;
-    let mut opts = ChaosOptions::default();
-    let mut it = rest.iter();
-    while let Some(token) = it.next() {
-        match token.as_str() {
-            "--seed" => {
-                let value = it.next().ok_or("--seed needs a number argument")?;
-                opts.seed = value.parse().map_err(|_| format!("bad seed `{value}`"))?;
-            }
-            "--trials" => {
-                let value = it.next().ok_or("--trials needs a number argument")?;
-                opts.trials = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("bad trial count `{value}`"))?;
-            }
-            "--jobs" => {
-                let value = it.next().ok_or("--jobs needs a number argument")?;
-                opts.jobs = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("bad job count `{value}`"))?;
-            }
-            "--replicate" => opts.replicate = true,
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}` for `coign chaos`"));
-            }
-            positional => {
-                if network.replace(positional.to_string()).is_some() {
-                    return Err(format!("unexpected argument `{positional}`"));
-                }
-            }
-        }
-    }
-    Ok((network.unwrap_or_else(|| "ethernet".to_string()), opts))
-}
-
-/// Parses `coign serve`'s trailing arguments: an optional positional
-/// network name plus the serving flags in any order.
-fn parse_serve_args(rest: &[String]) -> Result<(String, ServeCliOptions), String> {
-    let mut network = None;
-    let mut opts = ServeCliOptions::default();
-    let mut it = rest.iter();
-    while let Some(token) = it.next() {
-        match token.as_str() {
-            "--sessions" => {
-                let value = it.next().ok_or("--sessions needs a number argument")?;
-                opts.sessions = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("bad session count `{value}`"))?;
-            }
-            "--shards" => {
-                let value = it.next().ok_or("--shards needs a number argument")?;
-                opts.shards = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("bad shard count `{value}`"))?;
-            }
-            "--jobs" => {
-                let value = it.next().ok_or("--jobs needs a number argument")?;
-                opts.jobs = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("bad job count `{value}`"))?;
-            }
-            "--seed" => {
-                let value = it.next().ok_or("--seed needs a number argument")?;
-                opts.seed = value.parse().map_err(|_| format!("bad seed `{value}`"))?;
-            }
-            "--window" => {
-                let value = it.next().ok_or("--window needs a number argument (us)")?;
-                opts.window_us = value.parse().map_err(|_| format!("bad window `{value}`"))?;
-            }
-            "--no-batch" => opts.batching = false,
-            "--json" => opts.json = true,
-            "--timeline" => {
-                let value = it.next().ok_or("--timeline needs a path argument (or -)")?;
-                opts.timeline = Some(value.to_string());
-            }
-            "--timeline-window" => {
-                let value = it
-                    .next()
-                    .ok_or("--timeline-window needs a number argument (us)")?;
-                opts.timeline_window_us = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("bad timeline window `{value}`"))?;
-            }
-            "--slo-p99-us" => {
-                let value = it.next().ok_or("--slo-p99-us needs a number argument")?;
-                opts.slo_p99_us = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad slo target `{value}`"))?,
-                );
-            }
-            "--trace-sample" => {
-                let value = it.next().ok_or("--trace-sample needs a number argument")?;
-                opts.trace_sample = value
-                    .parse()
-                    .map_err(|_| format!("bad trace sample rate `{value}`"))?;
-            }
-            "--fault-plan" => {
-                let value = it.next().ok_or("--fault-plan needs a file argument")?;
-                opts.fault_plan = Some(PathBuf::from(value));
-            }
-            "--fault-seed" => {
-                let value = it.next().ok_or("--fault-seed needs a number argument")?;
-                opts.fault_seed = value
-                    .parse()
-                    .map_err(|_| format!("bad fault seed `{value}`"))?;
-            }
-            "--replicate" => opts.replicate = true,
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}` for `coign serve`"));
-            }
-            positional => {
-                if network.replace(positional.to_string()).is_some() {
-                    return Err(format!("unexpected argument `{positional}`"));
-                }
-            }
-        }
-    }
-    Ok((network.unwrap_or_else(|| "ethernet".to_string()), opts))
-}
-
-/// Parses `coign gen`'s arguments: `--seed N` (required) plus
-/// `--size/--emit/--json` in any order.
-fn parse_gen_args(rest: &[String]) -> Result<(u64, GenSize, Option<PathBuf>, bool), String> {
-    let mut seed = None;
-    let mut size = GenSize::Small;
-    let mut emit = None;
-    let mut json = false;
-    let mut it = rest.iter();
-    while let Some(token) = it.next() {
-        match token.as_str() {
-            "--seed" => {
-                let value = it.next().ok_or("--seed needs a number argument")?;
-                seed = Some(value.parse().map_err(|_| format!("bad seed `{value}`"))?);
-            }
-            "--size" => {
-                let value = it.next().ok_or("--size needs small|medium|large")?;
-                size = GenSize::parse(value).ok_or_else(|| {
-                    format!("bad size `{value}` (expected small, medium, or large)")
-                })?;
-            }
-            "--emit" => {
-                let value = it.next().ok_or("--emit needs a directory argument")?;
-                emit = Some(PathBuf::from(value));
-            }
-            "--json" => json = true,
-            other => return Err(format!("unknown argument `{other}` for `coign gen`")),
-        }
-    }
-    let seed = seed.ok_or("`coign gen` needs --seed N")?;
-    Ok((seed, size, emit, json))
-}
-
-/// Parses a comma-separated list of numbers for `--faults-at`/`--thresholds`.
-fn parse_number_list<T: std::str::FromStr>(flag: &str, value: &str) -> Result<Vec<T>, String> {
-    value
-        .split(',')
-        .filter(|part| !part.is_empty())
-        .map(|part| {
-            part.trim()
-                .parse()
-                .map_err(|_| format!("bad {flag} entry `{part}`"))
-        })
-        .collect()
-}
-
-/// Parses `coign explore`'s trailing arguments: an optional positional
-/// network name plus the schedule flags in any order.
-fn parse_explore_args(rest: &[String]) -> Result<(String, ExploreOptions), String> {
-    let mut network = None;
-    let mut opts = ExploreOptions::default();
-    let mut it = rest.iter();
-    while let Some(token) = it.next() {
-        match token.as_str() {
-            "--faults-at" => {
-                let value = it
-                    .next()
-                    .ok_or("--faults-at needs a comma-separated list")?;
-                let instants: Vec<u64> = parse_number_list("--faults-at", value)?;
-                if instants.is_empty() {
-                    return Err("--faults-at needs at least one instant".to_string());
-                }
-                opts.faults_at = Some(instants);
-            }
-            "--enumerate-depth" => {
-                let value = it
-                    .next()
-                    .ok_or("--enumerate-depth needs a number argument")?;
-                opts.depth = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("bad depth `{value}`"))?;
-            }
-            "--thresholds" => {
-                let value = it
-                    .next()
-                    .ok_or("--thresholds needs a comma-separated list")?;
-                let thresholds: Vec<u32> = parse_number_list("--thresholds", value)?;
-                if thresholds.is_empty() || thresholds.contains(&0) {
-                    return Err("--thresholds needs one or more values ≥ 1".to_string());
-                }
-                opts.thresholds = thresholds;
-            }
-            "--drift" => opts.with_drift = true,
-            "--replicate" => opts.with_replicas = true,
-            "--seed" => {
-                let value = it.next().ok_or("--seed needs a number argument")?;
-                opts.seed = value.parse().map_err(|_| format!("bad seed `{value}`"))?;
-            }
-            "--jobs" => {
-                let value = it.next().ok_or("--jobs needs a number argument")?;
-                opts.jobs = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("bad job count `{value}`"))?;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}` for `coign explore`"));
-            }
-            positional => {
-                if network.replace(positional.to_string()).is_some() {
-                    return Err(format!("unexpected argument `{positional}`"));
-                }
-            }
-        }
-    }
-    Ok((network.unwrap_or_else(|| "ethernet".to_string()), opts))
-}
 
 /// The global `--trace` / `--metrics` flags plus the remaining arguments.
 struct GlobalFlags {

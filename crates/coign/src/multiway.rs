@@ -428,6 +428,32 @@ pub fn replicate_for_distribution(
         .collect()
 }
 
+/// Derives the replica routing table for a realized distribution from
+/// the stage-4/5 lint verdicts (`report`, from
+/// [`crate::lint::analyze_replication`]): the classes the lints prove
+/// immutable are copied wherever a copy pays
+/// ([`replicate_for_distribution`]) and the router indexes the result
+/// home-first. `None` when no class is provably replicable or no copy
+/// strictly reduces modeled cut traffic.
+pub fn derive_replica_router(
+    report: &ReplicationReport,
+    registry: &ClassRegistry,
+    profile: &IccProfile,
+    network: &NetworkProfile,
+    distribution: &Distribution,
+) -> Option<ReplicaRouter> {
+    let plan = ReplicationPlan::from_report(report, profile, registry);
+    let machines = distribution
+        .placement
+        .values()
+        .map(|m| m.0 as usize + 1)
+        .max()
+        .unwrap_or(2)
+        .max(2);
+    let replicas = replicate_for_distribution(profile, network, distribution, machines, &plan, &[]);
+    (!replicas.is_empty()).then(|| ReplicaRouter::new(distribution, &replicas))
+}
+
 /// What [`ReplicaRouter::drop_machine`] did to the copy sets when a
 /// machine died.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

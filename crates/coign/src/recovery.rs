@@ -552,6 +552,69 @@ impl RecoveryCoordinator {
         )
     }
 
+    /// The recovery invariants every fault harness (`coign chaos`, `coign
+    /// explore`) holds a finished run to, as violation strings — empty on
+    /// a healthy run. `outcome` is the scenario's: it may fail, but only
+    /// with a *typed* transport error.
+    pub fn audit(&self, outcome: &ComResult<()>) -> Vec<String> {
+        let mut violations = Vec::new();
+        match outcome {
+            Ok(())
+            | Err(ComError::Timeout { .. })
+            | Err(ComError::Partitioned { .. })
+            | Err(ComError::MachineDown(_)) => {}
+            Err(other) => violations.push(format!("untyped failure: {other}")),
+        }
+        // No call ever executes twice, whatever the retry protocol did.
+        if self.double_executions() != 0 {
+            violations.push(format!(
+                "{} double-executed call(s)",
+                self.double_executions()
+            ));
+        }
+        // The final placement satisfies every constraint with the dead
+        // machines excluded.
+        if let Err(detail) = self.validate() {
+            violations.push(format!("placement: {detail}"));
+        }
+        // Recovery re-solves are warm-started from the base flow — and a
+        // recovery whose every event resolved by replica failover must not
+        // have run any solve at all.
+        let events = self.events();
+        let via_replicas = events.iter().filter(|e| e.via_replicas).count();
+        if !events.is_empty() {
+            let solver_recoveries = events.len() - via_replicas;
+            if solver_recoveries > 0 && self.warm_solves() == 0 {
+                violations.push("recovery re-solve was not warm-started".to_string());
+            }
+            if solver_recoveries == 0 && self.warm_solves() != 0 {
+                violations.push(format!(
+                    "{} warm solve(s) despite replica-covered failover",
+                    self.warm_solves()
+                ));
+            }
+            if self.cold_solves() != 1 {
+                violations.push(format!(
+                    "{} cold solve(s), expected exactly the base solve",
+                    self.cold_solves()
+                ));
+            }
+        }
+        // A no-solve failover re-points calls; it never moves state.
+        for event in events.iter().filter(|e| e.via_replicas) {
+            if event.migrations != 0 {
+                violations.push(format!(
+                    "replica failover migrated {} instance(s)",
+                    event.migrations
+                ));
+            }
+            if event.failovers == 0 {
+                violations.push("via_replicas recovery re-pointed nothing".to_string());
+            }
+        }
+        violations
+    }
+
     /// Drains machine-death declarations queued on the health monitor and
     /// runs one recovery per newly-dead machine. Both entry points —
     /// [`RecoveryCoordinator::on_call_failure`] and
@@ -1004,6 +1067,22 @@ mod tests {
         let router = coordinator.replica_router().unwrap();
         assert_eq!(router.home_of(c(2)), Some(MachineId::CLIENT));
         assert_eq!(router.home_of(c(3)), Some(MachineId::CLIENT));
+        // The harness battery, in its fixed order. This fixture holds no
+        // live instance, so the failover had nothing to re-point — the one
+        // finding on an otherwise healthy coordinator, typed failure or not.
+        let idle = "via_replicas recovery re-pointed nothing".to_string();
+        assert_eq!(coordinator.audit(&Ok(())), vec![idle.clone()]);
+        assert_eq!(coordinator.audit(&Err(down)), vec![idle.clone()]);
+        coordinator.note_double_execution();
+        let untyped = ComError::App("boom".to_string());
+        assert_eq!(
+            coordinator.audit(&Err(untyped.clone())),
+            vec![
+                format!("untyped failure: {untyped}"),
+                "1 double-executed call(s)".to_string(),
+                idle,
+            ]
+        );
     }
 
     #[test]

@@ -48,6 +48,7 @@ use coign_obs::timeseries::{TimeSeries, WindowCounts};
 use coign_obs::trace::{TraceArg, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Base of the latency-histogram buckets (µs).
@@ -183,6 +184,15 @@ struct SessionState {
     attempts: u32,
 }
 
+impl SessionState {
+    /// Moves the script cursor past the current call, however it ended
+    /// (reply, replica, refusal, or retries exhausted).
+    fn advance(&mut self) {
+        self.next_call += 1;
+        self.attempts = 0;
+    }
+}
+
 /// Shard event payloads. `u32` session ids are shard-local.
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -194,6 +204,8 @@ enum Event {
     /// true when the flush was held past its window for the link to free.
     Flush { link: LinkKey, gated: bool },
     /// An unbatched request datagram reaches the server (unbatched mode).
+    /// Fields inline, not a struct of their own: the variant then packs
+    /// beside the tag and the event stays 24 bytes instead of 32.
     Deliver {
         session: u32,
         compute_us: u64,
@@ -201,6 +213,9 @@ enum Event {
         to_class: u32,
     },
 }
+
+// The agenda sifts events by value; 32 bytes cost ~4% of a serving round.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 
 /// Per-shard fault-layer runtime, constructed only when the run carries a
 /// non-empty [`FaultPlan`]. Each shard owns its own copy (share-nothing):
@@ -218,33 +233,11 @@ struct FaultRt {
     router: Option<ReplicaRouter>,
     /// Machines this shard's breakers have declared dead.
     dead: BTreeSet<MachineId>,
-    stats: FaultStats,
-    /// Classifications re-pointed at surviving replicas at death instants.
-    failovers: u64,
-    /// Calls served by a replica instead of their (dead) home.
-    replica_served: u64,
-    /// Instants at which a machine was declared dead and routing was
-    /// re-pointed — one recovery epoch each.
-    recovery_epochs: Vec<u64>,
+    /// The shard's slice of the public fault report, counted in place.
+    out: ServeFaultReport,
 }
 
 impl FaultRt {
-    /// The typed error severing `link` at `now_us`, if any: machine death
-    /// (plan-scheduled or breaker-declared) wins over a partition.
-    fn severed_error(&self, link: LinkKey, now_us: u64) -> Option<ComError> {
-        let (from, to) = link;
-        if self.dead.contains(&to) || self.plan.machine_down(to, now_us) {
-            return Some(ComError::MachineDown(to));
-        }
-        if self.dead.contains(&from) || self.plan.machine_down(from, now_us) {
-            return Some(ComError::MachineDown(from));
-        }
-        if self.plan.link_severed(from, to, now_us) {
-            return Some(ComError::Partitioned { from, to });
-        }
-        None
-    }
-
     /// Routes a call whose home machine is dead: `Some(machine)` names the
     /// surviving copy (possibly the caller's own machine), `None` means no
     /// copy survives and the call is refused.
@@ -253,97 +246,39 @@ impl FaultRt {
             .as_ref()?
             .route(ClassificationId(to_class), caller, &self.dead)
     }
-}
 
-/// Declares `machine` dead at `now_us`: one new recovery epoch, replica
-/// failover re-pointing every classification homed there to a surviving
-/// copy, and a `failover` trace instant. Returns false when the machine
-/// was already dead.
-fn declare_dead(f: &mut FaultRt, machine: MachineId, now_us: u64, trace: Option<&Tracer>) -> bool {
-    if !f.dead.insert(machine) {
-        return false;
-    }
-    f.recovery_epochs.push(now_us);
-    let mut rehomed = 0u64;
-    if let Some(router) = f.router.as_mut() {
-        let failover = router.drop_machine(machine);
-        rehomed = failover.rehomed.len() as u64;
-    }
-    f.failovers += rehomed;
-    if let Some(tr) = trace {
-        tr.instant_at(
-            "failover",
-            now_us,
-            vec![
-                ("machine", TraceArg::U64(u64::from(machine.0))),
-                ("rehomed", TraceArg::U64(rehomed)),
-                ("epoch", TraceArg::U64(f.recovery_epochs.len() as u64)),
-            ],
-        );
-    }
-    true
-}
-
-/// One failed attempt under the call policy: charges `wait_us` (the
-/// timeout that exposed the failure; 0 for a breaker fast-fail), then
-/// either schedules a retry after a jittered backoff or — attempts
-/// exhausted — skips the call so the session still drains. Returns true
-/// on give-up (the call is now counted failed).
-fn retry_or_skip(
-    f: &mut FaultRt,
-    state: &mut SessionState,
-    queue: &mut EventQueue<Event>,
-    session: u32,
-    now_us: u64,
-    wait_us: u64,
-) -> bool {
-    state.attempts += 1;
-    if state.attempts > f.policy.max_retries {
-        f.stats.failed_calls += 1;
-        f.stats.wasted_us += wait_us;
-        state.attempts = 0;
-        state.next_call += 1;
-        queue.schedule(now_us + wait_us, Event::Issue(session));
+    /// Declares `machine` dead at `now_us`: one new recovery epoch, replica
+    /// failover re-pointing every classification homed there to a surviving
+    /// copy, and a `failover` trace instant. Returns false when the machine
+    /// was already dead.
+    fn declare_dead(&mut self, machine: MachineId, now_us: u64, trace: Option<&Tracer>) -> bool {
+        if !self.dead.insert(machine) {
+            return false;
+        }
+        self.out.dead_machines.push(machine.0);
+        self.out.recovery_epochs.push(now_us);
+        let mut rehomed = 0u64;
+        if let Some(router) = self.router.as_mut() {
+            let failover = router.drop_machine(machine);
+            rehomed = failover.rehomed.len() as u64;
+        }
+        self.out.failovers += rehomed;
+        if let Some(tr) = trace {
+            tr.instant_at(
+                "failover",
+                now_us,
+                vec![
+                    ("machine", TraceArg::U64(u64::from(machine.0))),
+                    ("rehomed", TraceArg::U64(rehomed)),
+                    (
+                        "epoch",
+                        TraceArg::U64(self.out.recovery_epochs.len() as u64),
+                    ),
+                ],
+            );
+        }
         true
-    } else {
-        f.stats.retries += 1;
-        let jitter = 1.0 + f.policy.backoff_jitter * f.rng.gen_range(-1.0f64..=1.0);
-        let backoff = (f.policy.backoff_us(state.attempts) as f64 * jitter) as u64;
-        f.stats.wasted_us += wait_us + backoff;
-        queue.schedule(now_us + wait_us + backoff, Event::Issue(session));
-        false
     }
-}
-
-/// One shard's fault-layer outcome, merged into [`ServeFaultReport`].
-struct ShardFault {
-    stats: FaultStats,
-    failovers: u64,
-    replica_served: u64,
-    recovery_epochs: Vec<u64>,
-    dead: Vec<u16>,
-}
-
-/// Deterministic aggregate of one shard's simulation.
-struct ShardReport {
-    sessions: u64,
-    calls: u64,
-    local_calls: u64,
-    remote_messages: u64,
-    batches: u64,
-    batched_bytes: u64,
-    window_flushes: u64,
-    link_free_flushes: u64,
-    pool_hits: u64,
-    pool_misses: u64,
-    horizon_us: u64,
-    latency: Histogram,
-    /// The shard's timeline slice, when telemetry is on.
-    series: Option<TimeSeries>,
-    /// The shard's buffered trace events, when session tracing is on.
-    trace: Option<Tracer>,
-    /// The shard's fault-layer outcome, when the plan was non-empty.
-    fault: Option<ShardFault>,
 }
 
 /// The merged fault-layer outcome of a faulted serving run. `None` on
@@ -418,6 +353,52 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// The report of a run that has not served anything yet.
+    fn empty(shards: usize, opts: &ServeOptions) -> Self {
+        ServeReport {
+            sessions: 0,
+            shards,
+            calls: 0,
+            local_calls: 0,
+            remote_messages: 0,
+            batches: 0,
+            batched_bytes: 0,
+            window_flushes: 0,
+            link_free_flushes: 0,
+            pool_hits: 0,
+            pool_misses: 0,
+            horizon_us: 0,
+            latency: Histogram::with_bounds(latency_bounds()),
+            batching: opts.batching,
+            requested_sessions: opts.sessions,
+            faults: None,
+        }
+    }
+
+    /// Folds one shard's slice into the fleet report.
+    fn absorb(&mut self, slice: ServeReport) {
+        self.sessions += slice.sessions;
+        self.calls += slice.calls;
+        self.local_calls += slice.local_calls;
+        self.remote_messages += slice.remote_messages;
+        self.batches += slice.batches;
+        self.batched_bytes += slice.batched_bytes;
+        self.window_flushes += slice.window_flushes;
+        self.link_free_flushes += slice.link_free_flushes;
+        self.pool_hits += slice.pool_hits;
+        self.pool_misses += slice.pool_misses;
+        self.horizon_us = self.horizon_us.max(slice.horizon_us);
+        self.latency.merge_from(&slice.latency);
+        if let Some(sf) = slice.faults {
+            let agg = self.faults.get_or_insert_with(ServeFaultReport::default);
+            agg.stats.absorb(&sf.stats);
+            agg.failovers += sf.failovers;
+            agg.replica_served += sf.replica_served;
+            agg.recovery_epochs.extend(sf.recovery_epochs);
+            agg.dead_machines.extend(sf.dead_machines);
+        }
+    }
+
     /// Mean messages per flushed batch.
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
@@ -560,6 +541,11 @@ impl ServeReport {
     }
 }
 
+/// Bucket bounds shared by every latency histogram (report and timeline).
+fn latency_bounds() -> Vec<u64> {
+    exponential_bounds(LATENCY_BUCKET_BASE, LATENCY_BUCKET_COUNT)
+}
+
 /// Serialization-only component of a one-way send (keeps MTU overhead).
 fn ser_us(net: &NetworkModel, bytes: u64) -> f64 {
     (net.mean_time_us(bytes) - net.latency_us).max(0.0)
@@ -582,708 +568,727 @@ fn link_slot(link_free: &mut Vec<(LinkKey, u64)>, link: LinkKey) -> usize {
     }
 }
 
-/// Runs one shard to completion. Everything here is single-threaded and
-/// seeded, so a shard's report depends only on (profile, distribution,
-/// network, options, shard index).
-#[allow(clippy::too_many_lines)]
-fn run_shard(
-    script: &[CallSpec],
-    net: &NetworkModel,
-    opts: &ServeOptions,
-    shard: usize,
-    shard_sessions: u64,
-    base_session: u64,
-    tracer: Option<&Tracer>,
-) -> ShardReport {
-    let shard_seed = opts.seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut rng = StdRng::seed_from_u64(shard_seed);
-    // Telemetry is observation-only: the hooks below never touch the RNG
-    // streams or the schedule, so a telemetry-on run replays the exact
-    // event sequence of a telemetry-off run.
-    let mut series = (opts.timeline_window_us > 0).then(|| {
-        TimeSeries::new(
-            opts.timeline_window_us,
-            exponential_bounds(LATENCY_BUCKET_BASE, LATENCY_BUCKET_COUNT),
-        )
-    });
-    // Sampled sessions are chosen by fleet-global id so the sampled set is
-    // independent of the shard split; each shard buffers its spans in a
-    // child tracer, merged back in shard order for byte identity.
-    let trace = match tracer {
-        Some(t) if t.is_enabled() && opts.trace_sample > 0 => Some(t.child()),
-        _ => None,
-    };
-    let sample = opts.trace_sample.max(1);
-    // Sampling is keyed on the *global* session id so the sampled set is
-    // independent of how sessions land on shards. Precomputed per shard:
-    // the check runs once per batch member, and a table lookup beats a
-    // 64-bit modulo on that path.
-    let sampled_table: Vec<bool> = if trace.is_some() {
-        (0..shard_sessions)
-            .map(|s| (base_session + s).is_multiple_of(sample))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let sampled = |s: u32| sampled_table[s as usize];
-    // Shard-local batch sequence; flow ids stay globally unique because the
-    // shard index occupies the high bits.
-    let mut batch_seq: u64 = 0;
-    // Think times are drawn tens of millions of times per run — they get a
-    // dedicated splitmix64 stream instead of the (much slower) shard
-    // StdRng, which stays reserved for network-jitter draws.
-    let mut think_state = shard_seed ^ 0xA076_1D64_78BD_642F;
-    let mut queue: EventQueue<Event> = EventQueue::with_capacity(shard_sessions as usize + 64);
-    let mut batcher: LinkBatcher<u32> = LinkBatcher::new(opts.window_us);
-    let latency = Histogram::with_bounds(exponential_bounds(
-        LATENCY_BUCKET_BASE,
-        LATENCY_BUCKET_COUNT,
-    ));
-    // The fault layer exists only when the plan schedules something: a
-    // zero-fault run constructs none of this state, touches no extra RNG
-    // stream, and replays the exact pre-fault event sequence.
-    let mut fault: Option<FaultRt> = (!opts.faults.is_empty()).then(|| FaultRt {
-        plan: opts.faults.clone(),
-        policy: opts.policy,
-        rng: StdRng::seed_from_u64(shard_seed ^ 0x5DEE_CE66_D154_21A5),
-        health: HealthMonitor::new(BreakerPolicy::default()),
-        router: opts.replicas.clone(),
-        dead: BTreeSet::new(),
-        stats: FaultStats::default(),
-        failovers: 0,
-        replica_served: 0,
-        recovery_epochs: Vec::new(),
-    });
-    if fault.is_some() {
-        if let Some(ts) = series.as_mut() {
-            ts.mark_faulted();
+/// Calls an inline run executed before it left the event handler: staged
+/// into the timeline as one block for the run's start window.
+#[derive(Debug, Clone, Copy, Default)]
+struct InlineRun {
+    calls: u64,
+    locals: u64,
+}
+
+/// The shard's timeline stage. Counters for the current event-time window
+/// are staged here and folded into the recorder once per window crossing;
+/// event pop time is monotone, so the stage flushes exactly once per
+/// window. Observation-only: nothing here touches an RNG stream or the
+/// schedule, so a telemetry-on run replays the exact event sequence of a
+/// telemetry-off run.
+struct Telemetry {
+    series: TimeSeries,
+    window_us: u64,
+    acc: WindowCounts,
+    acc_at: u64,
+    acc_end: u64,
+    pops: u64,
+    /// Scratch reused across flushes: per-batch compute charged to the
+    /// recorder in one hook call per distinct class instead of one per
+    /// member. Class ids are dense (classification indices), so a
+    /// direct-indexed accumulator plus a touched list keeps the per-member
+    /// cost at two adds.
+    class_us: Vec<u64>,
+    class_touched: Vec<u32>,
+}
+
+impl Telemetry {
+    /// Accounts one event pop at `now` with `depth` events still queued.
+    fn on_pop(&mut self, now: u64, depth: usize) {
+        if now >= self.acc_end {
+            if self.acc_end > 0 {
+                self.series.add_counts(self.acc_at, &self.acc);
+                self.acc = WindowCounts::default();
+            }
+            self.acc_at = now;
+            self.acc_end = (now / self.window_us + 1) * self.window_us;
+        }
+        // Sampled every 64 pops: the depth series is a per-window peak
+        // estimate, and a fixed stride keeps it deterministic while staying
+        // off the hot path.
+        self.pops = self.pops.wrapping_add(1);
+        if self.pops & 63 == 0 {
+            self.acc.queue_depth_peak = self.acc.queue_depth_peak.max(depth as u64);
         }
     }
 
-    let mut sessions: Vec<SessionState> = vec![SessionState::default(); shard_sessions as usize];
-    // The session pool: a LIFO free list of instantiated slots. `slots`
-    // only ever grows on a miss, so its final length is the peak number of
-    // concurrently-live sessions — exactly the state a serving process
-    // would keep resident.
-    let mut free_slots: Vec<u32> = Vec::new();
-    let mut slots_created: u32 = 0;
-    // Per-machine server clocks: requests queue FIFO at their target
-    // machine, so a loaded replica pushes its backlog's completion out —
-    // the source of the tail in p95/p99.
-    let mut machine_now: Vec<u64> = Vec::new();
-    // Per-link transmit clocks: a link is a serial resource, and both the
-    // batched and the unbatched path queue their serialization time on it.
-    // A handful of links at most, so a scanned vec beats a hash map.
-    let mut link_free: Vec<(LinkKey, u64)> = Vec::new();
-    // Latest simulated instant seen, including inline local-call runs that
-    // never re-enter the event heap.
-    let mut horizon: u64 = 0;
-
-    let mut calls = 0u64;
-    let mut local_calls = 0u64;
-    let mut remote_messages = 0u64;
-    let mut unbatched_batches = 0u64;
-    let mut unbatched_bytes = 0u64;
-    let mut pool_hits = 0u64;
-    let mut completed = 0u64;
-
-    let spacing = opts.arrival_spacing_us.max(1);
-    let mut arrival = 0u64;
-    for s in 0..shard_sessions {
-        queue.schedule(arrival, Event::Arrive(s as u32));
-        arrival += rng.gen_range(1..=spacing * 2);
+    /// Stages a whole inline run for the run's start window.
+    fn stage_run(&mut self, run: InlineRun) {
+        self.acc.calls += run.calls;
+        self.acc.local_calls += run.locals;
+        self.acc.remote_messages += run.calls - run.locals;
     }
 
-    // Scratch reused across Flush events: per-batch compute charged to the
-    // recorder in one hook call per distinct class instead of one per member.
-    // Class ids are dense (classification indices), so a direct-indexed
-    // accumulator plus a touched list keeps the per-member cost at two adds.
-    let max_class = script.iter().map(|c| c.to_class).max().unwrap_or(0) as usize;
-    let mut class_us: Vec<u64> = vec![0; max_class + 1];
-    let mut class_touched: Vec<u32> = Vec::new();
-    // Counters for the current event-time window, staged in shard-local
-    // state and folded into the recorder once per window crossing. Event
-    // pop time is monotone, so the stage flushes exactly once per window.
-    let telem = series.is_some();
-    let mut acc = WindowCounts::default();
-    let mut acc_at: u64 = 0;
-    let mut acc_end: u64 = 0;
-    let mut pops = 0u64;
-
-    // One closure-free event loop: each arm mutates only shard state.
-    while let Some((now, event)) = queue.pop() {
-        if telem {
-            if now >= acc_end {
-                if acc_end > 0 {
-                    if let Some(ts) = series.as_mut() {
-                        ts.add_counts(acc_at, &acc);
-                    }
-                    acc = WindowCounts::default();
-                }
-                acc_at = now;
-                acc_end = (now / opts.timeline_window_us + 1) * opts.timeline_window_us;
-            }
-            // Sampled every 64 pops: the depth series is a per-window peak
-            // estimate, and a fixed stride keeps it deterministic while
-            // staying off the hot path.
-            pops = pops.wrapping_add(1);
-            if pops & 63 == 0 {
-                acc.queue_depth_peak = acc.queue_depth_peak.max(queue.len() as u64);
-            }
+    /// Folds the last staged window (`on_pop` only flushes on a crossing).
+    fn finish(mut self) -> TimeSeries {
+        if self.acc_end > 0 {
+            self.series.add_counts(self.acc_at, &self.acc);
         }
-        match event {
-            Event::Arrive(s) => {
-                let (slot, cost, miss) = match free_slots.pop() {
-                    Some(slot) => {
-                        pool_hits += 1;
-                        (slot, ATTACH_US, false)
-                    }
-                    None => {
-                        let slot = slots_created;
-                        slots_created += 1;
-                        (slot, INSTANTIATE_US, true)
-                    }
-                };
-                sessions[s as usize] = SessionState {
-                    arrival_us: now,
-                    issued_us: 0,
-                    next_call: 0,
-                    slot,
-                    attempts: 0,
-                };
-                if telem {
-                    // Live sessions = every slot ever created minus the ones
-                    // sitting on the free list (the slot just popped/created
-                    // is live by now).
-                    acc.arrivals += 1;
-                    acc.pool_misses += u64::from(miss);
-                    acc.pool_live_peak = acc
-                        .pool_live_peak
-                        .max(u64::from(slots_created) - free_slots.len() as u64);
-                }
-                queue.schedule(now + cost, Event::Issue(s));
-            }
-            Event::Issue(s) => {
-                // Lookahead: a run of co-located calls never touches the
-                // network or another session's state, so it is executed
-                // inline on a local time cursor instead of round-tripping
-                // every call through the event heap. The heap only sees the
-                // next cut-crossing call (or the session's completion).
-                let mut t = now;
-                let mut run_calls = 0u64;
-                let mut run_locals = 0u64;
-                loop {
-                    let idx = sessions[s as usize].next_call as usize;
-                    if idx >= script.len() {
-                        // Session done: observe end-to-end latency, recycle
-                        // the slot.
-                        let arrival_us = sessions[s as usize].arrival_us;
-                        let lat_us = t - arrival_us;
-                        latency.observe(lat_us);
-                        if telem {
-                            acc.calls += run_calls;
-                            acc.local_calls += run_locals;
-                            acc.remote_messages += run_calls - run_locals;
-                            if let Some(ts) = series.as_mut() {
-                                ts.on_completion(t, lat_us);
-                            }
-                        }
-                        if let Some(tr) = trace.as_ref() {
-                            if sampled(s) {
-                                let gid = base_session + u64::from(s);
-                                tr.complete_at(
-                                    format!("session:{gid}"),
-                                    arrival_us,
-                                    lat_us,
-                                    vec![
-                                        ("session", TraceArg::U64(gid)),
-                                        ("calls", TraceArg::U64(script.len() as u64)),
-                                    ],
-                                );
-                            }
-                        }
-                        free_slots.push(sessions[s as usize].slot);
-                        completed += 1;
-                        horizon = horizon.max(t);
-                        break;
-                    }
-                    let call = script[idx];
-                    // Retries re-enter this arm for the same script slot;
-                    // only the first attempt counts as a scripted call.
-                    let first_attempt = sessions[s as usize].attempts == 0;
-                    if first_attempt {
-                        calls += 1;
-                    }
-                    match call.link {
-                        None => {
-                            local_calls += 1;
-                            run_calls += 1;
-                            run_locals += 1;
-                            sessions[s as usize].next_call += 1;
-                            t += LOCAL_CALL_US + think_us(&mut think_state);
-                        }
-                        Some(spec_link) => {
-                            // Fault-aware resolution: a call homed on a dead
-                            // machine re-resolves to a surviving replica in
-                            // O(1) (possibly the caller's own machine), or
-                            // is refused when no copy survives.
-                            let mut link = spec_link;
-                            if let Some(f) = fault.as_mut() {
-                                if f.dead.contains(&link.1) {
-                                    match f.route(call.to_class, link.0) {
-                                        Some(target) if target == link.0 => {
-                                            // A surviving copy lives on the
-                                            // caller's machine: the crossing
-                                            // call degrades to a local one,
-                                            // compute running in-process.
-                                            f.replica_served += 1;
-                                            if telem {
-                                                acc.replica_served += 1;
-                                            }
-                                            local_calls += 1;
-                                            run_calls += 1;
-                                            run_locals += 1;
-                                            let st = &mut sessions[s as usize];
-                                            st.attempts = 0;
-                                            st.next_call += 1;
-                                            t += LOCAL_CALL_US
-                                                + call.compute_us
-                                                + think_us(&mut think_state);
-                                            continue;
-                                        }
-                                        Some(target) => {
-                                            f.replica_served += 1;
-                                            if telem {
-                                                acc.replica_served += 1;
-                                            }
-                                            link = (link.0, target);
-                                        }
-                                        None => {
-                                            // No surviving copy anywhere: the
-                                            // call is refused and the session
-                                            // moves on degraded.
-                                            f.stats.machine_down_errors += 1;
-                                            f.stats.failed_calls += 1;
-                                            if telem {
-                                                acc.degraded += 1;
-                                            }
-                                            let st = &mut sessions[s as usize];
-                                            st.attempts = 0;
-                                            st.next_call += 1;
-                                            t += think_us(&mut think_state);
-                                            continue;
-                                        }
-                                    }
-                                }
-                            }
-                            remote_messages += 1;
-                            if first_attempt {
-                                run_calls += 1;
-                            }
-                            sessions[s as usize].issued_us = t;
-                            if telem {
-                                // The whole inline run — its local calls plus
-                                // this crossing call — staged for the run's
-                                // start window.
-                                acc.calls += run_calls;
-                                acc.local_calls += run_locals;
-                                acc.remote_messages += run_calls - run_locals;
-                                // A retry is a physical re-send of a call
-                                // already counted.
-                                if !first_attempt {
-                                    acc.remote_messages += 1;
-                                }
-                            }
-                            // Breaker fast path: an open link refuses the
-                            // attempt immediately, replaying the error that
-                            // tripped it (no timeout charged).
-                            if let Some(f) = fault.as_mut() {
-                                if let BreakerDecision::FastFail(err) =
-                                    f.health.check(link.0, link.1, t)
-                                {
-                                    if matches!(err, ComError::MachineDown(_)) {
-                                        f.stats.machine_down_errors += 1;
-                                    } else {
-                                        f.stats.timeouts += 1;
-                                    }
-                                    let gave_up = retry_or_skip(
-                                        f,
-                                        &mut sessions[s as usize],
-                                        &mut queue,
-                                        s,
-                                        t,
-                                        0,
-                                    );
-                                    if telem && gave_up {
-                                        acc.degraded += 1;
-                                    }
-                                    break;
-                                }
-                            }
-                            if opts.batching {
-                                if let Some(flush_at) =
-                                    batcher.enqueue(link, call.request_bytes, s, t)
-                                {
-                                    // Nagle-style coalescing: while the link
-                                    // is still transmitting, keep the batch
-                                    // open — it flushes when the window
-                                    // closes or the link frees up, whichever
-                                    // is later. Under load batches grow to
-                                    // match the link's drain rate.
-                                    let li = link_slot(&mut link_free, link);
-                                    let gated = link_free[li].1 > flush_at;
-                                    queue.schedule(
-                                        flush_at.max(link_free[li].1),
-                                        Event::Flush { link, gated },
-                                    );
-                                }
-                            } else {
-                                // Unbatched datagrams meet the wire at send
-                                // time: a severed link or a loss draw fails
-                                // the attempt into the retry policy.
-                                if let Some(f) = fault.as_mut() {
-                                    let mut failure = f.severed_error(link, t);
-                                    if failure.is_none() {
-                                        let p = f.plan.loss_probability(link.0, link.1, t);
-                                        if p > 0.0 && f.rng.gen_bool(p) {
-                                            f.stats.drops += 1;
-                                            failure = Some(ComError::Timeout {
-                                                detail: format!(
-                                                    "{}→{} datagram lost",
-                                                    link.0 .0, link.1 .0
-                                                ),
-                                            });
-                                        }
-                                    }
-                                    if let Some(err) = failure {
-                                        f.stats.timeouts += 1;
-                                        let _ = f.health.on_failure(link.0, link.1, &err, t);
-                                        for machine in f.health.drain_opened_machines() {
-                                            if declare_dead(f, machine, t, trace.as_ref()) && telem
-                                            {
-                                                acc.recoveries += 1;
-                                            }
-                                        }
-                                        let wait = f.policy.timeout_us;
-                                        let gave_up = retry_or_skip(
-                                            f,
-                                            &mut sessions[s as usize],
-                                            &mut queue,
-                                            s,
-                                            t,
-                                            wait,
-                                        );
-                                        if telem && gave_up {
-                                            acc.degraded += 1;
-                                        }
-                                        break;
-                                    }
-                                }
-                                // Independent datagram: it occupies the link
-                                // for its payload plus a full per-datagram
-                                // overhead, and pays its own latency draw.
-                                unbatched_batches += 1;
-                                unbatched_bytes += call.request_bytes;
-                                let li = link_slot(&mut link_free, link);
-                                let depart = t.max(link_free[li].1);
-                                let xfer = ser_us(net, call.request_bytes);
-                                link_free[li].1 = depart + xfer as u64;
-                                let mut lat = net.sample_time_us(0, &mut rng) - ser_us(net, 0);
-                                if let Some(f) = fault.as_mut() {
-                                    lat *= f.plan.latency_factor(link.0, link.1, depart);
-                                    let _ = f.health.on_success(link.0, link.1);
-                                }
-                                if let Some(ts) = series.as_mut() {
-                                    ts.on_batch_flush(depart, 1);
-                                    ts.on_link_busy(depart, (link.0 .0, link.1 .0), xfer as u64);
-                                }
-                                if let Some(tr) = trace.as_ref() {
-                                    if sampled(s) {
-                                        tr.complete_at(
-                                            "link_transit",
-                                            depart,
-                                            (xfer + lat) as u64,
-                                            vec![(
-                                                "session",
-                                                TraceArg::U64(base_session + u64::from(s)),
-                                            )],
-                                        );
-                                    }
-                                }
-                                queue.schedule(
-                                    depart + (xfer + lat) as u64,
-                                    Event::Deliver {
-                                        session: s,
-                                        compute_us: call.compute_us,
-                                        server: link.1,
-                                        to_class: call.to_class,
-                                    },
-                                );
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-            Event::Flush { link, gated } => {
-                // Faulted wire first: a severed link fails the open batch as
-                // a unit — every member gets the typed error and re-resolves
-                // through the retry policy — and a loss draw loses the whole
-                // batch, since a batch is one datagram.
-                if let Some(f) = fault.as_mut() {
-                    let mut failure = f.severed_error(link, now);
-                    if failure.is_none() {
-                        let p = f.plan.loss_probability(link.0, link.1, now);
-                        if p > 0.0 && f.rng.gen_bool(p) {
-                            f.stats.drops += 1;
-                            failure = Some(ComError::Timeout {
-                                detail: format!("{}→{} batch lost", link.0 .0, link.1 .0),
-                            });
-                        }
-                    }
-                    if let Some(err) = failure {
-                        let wait = f.policy.timeout_us;
-                        // One wire event, one breaker observation: the batch
-                        // is a single datagram, however many members it
-                        // carries.
-                        let _ = f.health.on_failure(link.0, link.1, &err, now);
-                        let members = batcher.fail_open(link, &err);
-                        for (msg, _err) in &members {
-                            f.stats.timeouts += 1;
-                            let gave_up = retry_or_skip(
-                                f,
-                                &mut sessions[msg.payload as usize],
-                                &mut queue,
-                                msg.payload,
-                                now,
-                                wait,
-                            );
-                            if telem && gave_up {
-                                acc.degraded += 1;
-                            }
-                        }
-                        for machine in f.health.drain_opened_machines() {
-                            if declare_dead(f, machine, now, trace.as_ref()) && telem {
-                                acc.recoveries += 1;
-                            }
-                        }
-                        continue;
-                    }
-                }
-                let batch = batcher.drain(link);
-                debug_assert!(!batch.is_empty(), "flush fired on an idle link");
-                batcher.note_flush(if gated {
-                    FlushReason::LinkFreed
-                } else {
-                    FlushReason::WindowExpired
-                });
-                // A batch is one datagram: the link is occupied for a single
-                // per-datagram overhead plus every member's payload, and the
-                // batch pays one latency draw each way. Amortizing the
-                // overhead and the draws across members is exactly what
-                // batching buys over `--no-batch`.
-                let mut lat = net.sample_time_us(0, &mut rng) - ser_us(net, 0);
-                let mut reply_lat = net.sample_time_us(0, &mut rng) - ser_us(net, 0);
-                if let Some(f) = fault.as_mut() {
-                    let factor = f.plan.latency_factor(link.0, link.1, now);
-                    lat *= factor;
-                    reply_lat *= factor;
-                    let _ = f.health.on_success(link.0, link.1);
-                }
-                let server = machine_slot(&mut machine_now, link.1);
-                let li = link_slot(&mut link_free, link);
-                let depart = now.max(link_free[li].1);
-                let mut cursor = depart as f64 + ser_us(net, 0);
-                // Flow id tying a batch's members to the batch span: shard
-                // in the high bits, shard-local sequence below.
-                let flow = ((shard as u64) << 40) | batch_seq;
-                batch_seq += 1;
-                let mut traced_members = 0u64;
-                // Server compute begins at the first member's service start;
-                // the batch's whole compute bill is charged there per class.
-                let mut compute_at = u64::MAX;
-                for msg in &batch {
-                    // Members arrive pipelined: each becomes visible to the
-                    // server as soon as its own payload bytes land.
-                    cursor += payload_us(net, msg.bytes);
-                    let arrival = (cursor + lat) as u64;
-                    let start = machine_now[server].max(arrival);
-                    let spec = script[sessions[msg.payload as usize].next_call as usize];
-                    machine_now[server] = start + spec.compute_us;
-                    // Each reply departs as soon as its own call completes;
-                    // replies share the batch's return-path latency draw.
-                    let reply_at =
-                        machine_now[server] as f64 + reply_lat + ser_us(net, REPLY_BYTES);
-                    let s = msg.payload;
-                    if telem {
-                        compute_at = compute_at.min(start);
-                        if spec.compute_us > 0 {
-                            let slot = &mut class_us[spec.to_class as usize];
-                            if *slot == 0 {
-                                class_touched.push(spec.to_class);
-                            }
-                            *slot += spec.compute_us;
-                        }
-                    }
-                    if let Some(tr) = trace.as_ref() {
-                        if sampled(s) {
-                            traced_members += 1;
-                            let gid = base_session + u64::from(s);
-                            let issued = sessions[s as usize].issued_us;
-                            tr.complete_at(
-                                "call",
-                                issued,
-                                (reply_at as u64).saturating_sub(issued),
-                                vec![
-                                    ("session", TraceArg::U64(gid)),
-                                    ("flow", TraceArg::U64(flow)),
-                                ],
-                            );
-                            tr.complete_at(
-                                "batch_wait",
-                                issued,
-                                depart.saturating_sub(issued),
-                                vec![
-                                    ("session", TraceArg::U64(gid)),
-                                    ("flow", TraceArg::U64(flow)),
-                                ],
-                            );
-                            tr.complete_at(
-                                "link_transit",
-                                depart,
-                                arrival.saturating_sub(depart),
-                                vec![
-                                    ("session", TraceArg::U64(gid)),
-                                    ("flow", TraceArg::U64(flow)),
-                                ],
-                            );
-                        }
-                    }
-                    finish_call(
-                        &mut sessions[s as usize],
-                        &mut queue,
-                        s,
-                        reply_at as u64,
-                        &mut think_state,
-                    );
-                }
-                if let Some(ts) = series.as_mut() {
-                    for &class in &class_touched {
-                        ts.on_class_busy(compute_at, class, class_us[class as usize]);
-                        class_us[class as usize] = 0;
-                    }
-                    class_touched.clear();
-                    acc.batches += 1;
-                    acc.batch_members += batch.len() as u64;
-                    ts.on_link_busy(
-                        depart,
-                        (link.0 .0, link.1 .0),
-                        (cursor as u64).saturating_sub(depart),
-                    );
-                }
-                if traced_members > 0 {
-                    if let Some(tr) = trace.as_ref() {
-                        tr.complete_at(
-                            "batch",
-                            depart,
-                            (cursor as u64).saturating_sub(depart),
-                            vec![
-                                (
-                                    "link",
-                                    TraceArg::Str(format!("{}->{}", link.0 .0, link.1 .0)),
-                                ),
-                                ("members", TraceArg::U64(batch.len() as u64)),
-                                ("flow", TraceArg::U64(flow)),
-                            ],
-                        );
-                    }
-                }
-                link_free[li].1 = cursor as u64;
-            }
-            Event::Deliver {
-                session,
-                compute_us,
-                server,
-                to_class,
-            } => {
-                // The datagram queues FIFO at its target replica, then the
-                // reply travels back as its own send (own latency draw).
-                let slot = machine_slot(&mut machine_now, server);
-                let start = machine_now[slot].max(now);
-                machine_now[slot] = start + compute_us;
-                let back = net.sample_time_us(REPLY_BYTES, &mut rng);
-                let done = machine_now[slot] + back as u64;
-                if let Some(ts) = series.as_mut() {
-                    ts.on_class_busy(start, to_class, compute_us);
-                }
-                if let Some(tr) = trace.as_ref() {
-                    if sampled(session) {
-                        let issued = sessions[session as usize].issued_us;
-                        tr.complete_at(
-                            "call",
-                            issued,
-                            done.saturating_sub(issued),
-                            vec![("session", TraceArg::U64(base_session + u64::from(session)))],
-                        );
-                    }
-                }
-                finish_call(
-                    &mut sessions[session as usize],
-                    &mut queue,
-                    session,
-                    done,
-                    &mut think_state,
-                );
-            }
-        }
-    }
-
-    // Fold the last staged window (the loop only flushes on a crossing).
-    if acc_end > 0 {
-        if let Some(ts) = series.as_mut() {
-            ts.add_counts(acc_at, &acc);
-        }
-    }
-
-    debug_assert_eq!(completed, shard_sessions);
-    let stats = batcher.stats();
-    ShardReport {
-        sessions: shard_sessions,
-        calls,
-        local_calls,
-        remote_messages,
-        batches: stats.batches + unbatched_batches,
-        batched_bytes: stats.bytes + unbatched_bytes,
-        window_flushes: stats.window_flushes,
-        link_free_flushes: stats.link_free_flushes,
-        pool_hits,
-        pool_misses: u64::from(slots_created),
-        horizon_us: horizon.max(queue.now_us()),
-        latency,
-        series,
-        trace,
-        fault: fault.map(|f| ShardFault {
-            stats: f.stats,
-            failovers: f.failovers,
-            replica_served: f.replica_served,
-            recovery_epochs: f.recovery_epochs,
-            dead: f.dead.iter().map(|m| m.0).collect(),
-        }),
+        self.series
     }
 }
 
-/// Advances a finished call: bump the script cursor and schedule the next
-/// issue after a seeded think pause.
-fn finish_call(
-    state: &mut SessionState,
-    queue: &mut EventQueue<Event>,
-    session: u32,
-    done_us: u64,
-    think_state: &mut u64,
-) {
-    state.next_call += 1;
-    state.attempts = 0;
-    queue.schedule(done_us + think_us(think_state), Event::Issue(session));
+/// The shard's sampled causal tracer. Sessions are sampled by fleet-global
+/// id, so the sampled set is independent of the shard split; spans buffer
+/// in a child tracer, merged back in shard order for byte identity.
+struct SessionTrace {
+    tracer: Tracer,
+    /// Precomputed per shard-local session: the check runs once per batch
+    /// member, and a table lookup beats a 64-bit modulo on that path.
+    sampled: Vec<bool>,
+    base_session: u64,
+    /// Flow id tying a batch's members to the batch span: shard index in
+    /// the high bits (globally unique), shard-local sequence below.
+    next_flow: u64,
+}
+
+impl SessionTrace {
+    /// The fleet-global id of shard-local session `s`, if it is sampled.
+    fn sampled_gid(&self, s: u32) -> Option<u64> {
+        self.sampled[s as usize].then(|| self.base_session + u64::from(s))
+    }
+
+    /// One complete span of session `gid`, tagged with at most one more
+    /// argument (`flow` for batch members, `calls` for the session span).
+    fn span(
+        &self,
+        gid: u64,
+        name: impl Into<Cow<'static, str>>,
+        at_us: u64,
+        dur_us: u64,
+        extra: Option<(&'static str, u64)>,
+    ) {
+        let mut args = vec![("session", TraceArg::U64(gid))];
+        args.extend(extra.map(|(key, value)| (key, TraceArg::U64(value))));
+        self.tracer.complete_at(name, at_us, dur_us, args);
+    }
+}
+
+/// Where a scripted call executes once the fault layer has had its say.
+enum Route {
+    /// In the caller's process; `compute_us` is nonzero when a replica on
+    /// the caller's machine serves a call whose home is dead.
+    Local { compute_us: u64 },
+    /// Across the cut on this link (the home, or a surviving replica).
+    Remote(LinkKey),
+    /// The home is dead and no copy survives anywhere.
+    Refused,
+}
+
+/// One shard: a logical process in the PDES sense — all of its state, one
+/// handler per [`Event`] kind, and a loop that pops and dispatches.
+/// Everything here is single-threaded and seeded, so a shard's report
+/// depends only on (profile, distribution, network, options, shard index).
+struct Shard<'a> {
+    script: &'a [CallSpec],
+    net: &'a NetworkModel,
+    /// Network-jitter draws (and the arrival schedule) only.
+    rng: StdRng,
+    /// Think times are drawn tens of millions of times per run — they get a
+    /// dedicated splitmix64 stream instead of the (much slower) `rng`.
+    think_state: u64,
+    queue: EventQueue<Event>,
+    batcher: LinkBatcher<u32>,
+    sessions: Vec<SessionState>,
+    /// The session pool: a LIFO free list of instantiated slots. Slots are
+    /// only ever created on a miss, so `report.pool_misses` ends as the peak
+    /// number of concurrently-live sessions — exactly the state a serving
+    /// process would keep resident.
+    free_slots: Vec<u32>,
+    /// Per-machine server clocks: requests queue FIFO at their target
+    /// machine, so a loaded replica pushes its backlog's completion out —
+    /// the source of the tail in p95/p99.
+    machine_now: Vec<u64>,
+    /// Per-link transmit clocks: a link is a serial resource, and both the
+    /// batched and the unbatched path queue their serialization time on it.
+    /// A handful of links at most, so a scanned vec beats a hash map.
+    link_free: Vec<(LinkKey, u64)>,
+    /// The shard's slice of the run's report, counted in place.
+    report: ServeReport,
+    /// The fault layer exists only when the plan schedules something: a
+    /// zero-fault run constructs none of this state, touches no extra RNG
+    /// stream, and replays the exact pre-fault event sequence.
+    fault: Option<FaultRt>,
+    telem: Option<Telemetry>,
+    trace: Option<SessionTrace>,
+}
+
+impl<'a> Shard<'a> {
+    /// Builds shard `index` with its arrivals scheduled.
+    fn new(
+        script: &'a [CallSpec],
+        net: &'a NetworkModel,
+        opts: &ServeOptions,
+        index: usize,
+        shard_sessions: u64,
+        base_session: u64,
+        tracer: Option<&Tracer>,
+    ) -> Self {
+        let shard_seed = opts.seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let fault = (!opts.faults.is_empty()).then(|| FaultRt {
+            plan: opts.faults.clone(),
+            policy: opts.policy,
+            rng: StdRng::seed_from_u64(shard_seed ^ 0x5DEE_CE66_D154_21A5),
+            health: HealthMonitor::new(BreakerPolicy::default()),
+            router: opts.replicas.clone(),
+            dead: BTreeSet::new(),
+            out: ServeFaultReport::default(),
+        });
+        let telem = (opts.timeline_window_us > 0).then(|| {
+            let mut series = TimeSeries::new(opts.timeline_window_us, latency_bounds());
+            if fault.is_some() {
+                series.mark_faulted();
+            }
+            let max_class = script.iter().map(|c| c.to_class).max().unwrap_or(0) as usize;
+            Telemetry {
+                series,
+                window_us: opts.timeline_window_us,
+                acc: WindowCounts::default(),
+                acc_at: 0,
+                acc_end: 0,
+                pops: 0,
+                class_us: vec![0; max_class + 1],
+                class_touched: Vec::new(),
+            }
+        });
+        let trace = match tracer {
+            Some(t) if t.is_enabled() && opts.trace_sample > 0 => Some(SessionTrace {
+                tracer: t.child(),
+                sampled: (0..shard_sessions)
+                    .map(|s| (base_session + s).is_multiple_of(opts.trace_sample))
+                    .collect(),
+                base_session,
+                next_flow: (index as u64) << 40,
+            }),
+            _ => None,
+        };
+        let mut shard = Shard {
+            script,
+            net,
+            rng: StdRng::seed_from_u64(shard_seed),
+            think_state: shard_seed ^ 0xA076_1D64_78BD_642F,
+            queue: EventQueue::with_capacity(shard_sessions as usize + 64),
+            batcher: LinkBatcher::new(opts.window_us),
+            sessions: vec![SessionState::default(); shard_sessions as usize],
+            free_slots: Vec::new(),
+            machine_now: Vec::new(),
+            link_free: Vec::new(),
+            report: ServeReport::empty(1, opts),
+            fault,
+            telem,
+            trace,
+        };
+        shard.report.sessions = shard_sessions;
+        let spacing = opts.arrival_spacing_us.max(1);
+        let mut arrival = 0u64;
+        for s in 0..shard_sessions {
+            shard.queue.schedule(arrival, Event::Arrive(s as u32));
+            arrival += shard.rng.gen_range(1..=spacing * 2);
+        }
+        shard
+    }
+
+    /// Runs the shard to drain: its report slice, its timeline slice when
+    /// telemetry is on, and its buffered spans when session tracing is on.
+    fn run(mut self) -> (ServeReport, Option<TimeSeries>, Option<Tracer>) {
+        while let Some((now, event)) = self.queue.pop() {
+            if let Some(tm) = self.telem.as_mut() {
+                tm.on_pop(now, self.queue.len());
+            }
+            match event {
+                Event::Arrive(s) => self.on_arrive(now, s),
+                Event::Issue(s) => self.on_issue(now, s),
+                Event::Flush { link, gated } => self.on_flush(now, link, gated),
+                Event::Deliver {
+                    session,
+                    compute_us,
+                    server,
+                    to_class,
+                } => self.on_deliver(now, session, compute_us, server, to_class),
+            }
+        }
+        self.finish()
+    }
+
+    /// Closes the drained shard's books.
+    fn finish(self) -> (ServeReport, Option<TimeSeries>, Option<Tracer>) {
+        debug_assert_eq!(self.report.latency.count(), self.report.sessions);
+        let stats = self.batcher.stats();
+        let mut report = self.report;
+        report.batches += stats.batches;
+        report.batched_bytes += stats.bytes;
+        report.window_flushes = stats.window_flushes;
+        report.link_free_flushes = stats.link_free_flushes;
+        // The horizon also covers inline local-call runs that never
+        // re-entered the event heap.
+        report.horizon_us = report.horizon_us.max(self.queue.now_us());
+        report.faults = self.fault.map(|f| f.out);
+        (
+            report,
+            self.telem.map(Telemetry::finish),
+            self.trace.map(|t| t.tracer),
+        )
+    }
+
+    /// `Arrive`: the session takes a pooled slot (or instantiates one) and
+    /// schedules its first `Issue`.
+    fn on_arrive(&mut self, now: u64, s: u32) {
+        let (slot, cost, miss) = match self.free_slots.pop() {
+            Some(slot) => {
+                self.report.pool_hits += 1;
+                (slot, ATTACH_US, false)
+            }
+            None => {
+                let slot = self.report.pool_misses as u32;
+                self.report.pool_misses += 1;
+                (slot, INSTANTIATE_US, true)
+            }
+        };
+        self.sessions[s as usize] = SessionState {
+            arrival_us: now,
+            issued_us: 0,
+            next_call: 0,
+            slot,
+            attempts: 0,
+        };
+        if let Some(tm) = self.telem.as_mut() {
+            // Live sessions = every slot ever created minus the ones sitting
+            // on the free list (the slot just popped/created is live by now).
+            tm.acc.arrivals += 1;
+            tm.acc.pool_misses += u64::from(miss);
+            tm.acc.pool_live_peak = tm
+                .acc
+                .pool_live_peak
+                .max(self.report.pool_misses - self.free_slots.len() as u64);
+        }
+        self.queue.schedule(now + cost, Event::Issue(s));
+    }
+
+    /// `Issue`: the session runs its script from the cursor. Lookahead: a
+    /// run of co-located calls never touches the network or another
+    /// session's state, so it is executed inline on a local time cursor
+    /// instead of round-tripping every call through the event heap. The
+    /// heap only sees the next cut-crossing call (handed to `send`, which
+    /// schedules a `Flush`, a `Deliver`, or a retry `Issue`) or the
+    /// session's completion.
+    fn on_issue(&mut self, now: u64, s: u32) {
+        let mut t = now;
+        let mut run = InlineRun::default();
+        loop {
+            let idx = self.sessions[s as usize].next_call as usize;
+            let Some(&call) = self.script.get(idx) else {
+                self.complete(s, t, run);
+                return;
+            };
+            // Retries re-enter this handler for the same script slot; only
+            // the first attempt counts as a scripted call.
+            let first_attempt = self.sessions[s as usize].attempts == 0;
+            if first_attempt {
+                self.report.calls += 1;
+            }
+            match self.route(&call) {
+                Route::Local { compute_us } => {
+                    self.report.local_calls += 1;
+                    run.calls += 1;
+                    run.locals += 1;
+                    self.sessions[s as usize].advance();
+                    t += LOCAL_CALL_US + compute_us + think_us(&mut self.think_state);
+                }
+                Route::Refused => {
+                    // The call is refused and the session moves on degraded.
+                    if let Some(f) = self.fault.as_mut() {
+                        f.out.stats.machine_down_errors += 1;
+                        f.out.stats.failed_calls += 1;
+                    }
+                    if let Some(tm) = self.telem.as_mut() {
+                        tm.acc.degraded += 1;
+                    }
+                    self.sessions[s as usize].advance();
+                    t += think_us(&mut self.think_state);
+                }
+                Route::Remote(link) => {
+                    run.calls += u64::from(first_attempt);
+                    self.send(s, call, link, t, run, first_attempt);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Fault-aware resolution of a scripted call: a call homed on a dead
+    /// machine re-resolves to a surviving replica in O(1) — possibly on the
+    /// caller's own machine, where the crossing call degrades to a local
+    /// one with its compute running in-process — or is refused when no copy
+    /// survives.
+    fn route(&mut self, call: &CallSpec) -> Route {
+        let Some(link) = call.link else {
+            return Route::Local { compute_us: 0 };
+        };
+        let Some(f) = self.fault.as_mut() else {
+            return Route::Remote(link);
+        };
+        if !f.dead.contains(&link.1) {
+            return Route::Remote(link);
+        }
+        let Some(target) = f.route(call.to_class, link.0) else {
+            return Route::Refused;
+        };
+        f.out.replica_served += 1;
+        if let Some(tm) = self.telem.as_mut() {
+            tm.acc.replica_served += 1;
+        }
+        if target == link.0 {
+            Route::Local {
+                compute_us: call.compute_us,
+            }
+        } else {
+            Route::Remote((link.0, target))
+        }
+    }
+
+    /// The session's script is exhausted at `t`: observe end-to-end
+    /// latency and recycle the slot.
+    fn complete(&mut self, s: u32, t: u64, run: InlineRun) {
+        let state = self.sessions[s as usize];
+        let lat_us = t - state.arrival_us;
+        self.report.latency.observe(lat_us);
+        if let Some(tm) = self.telem.as_mut() {
+            tm.stage_run(run);
+            tm.series.on_completion(t, lat_us);
+        }
+        if let Some(tr) = &self.trace {
+            if let Some(gid) = tr.sampled_gid(s) {
+                let calls = ("calls", self.script.len() as u64);
+                tr.span(
+                    gid,
+                    format!("session:{gid}"),
+                    state.arrival_us,
+                    lat_us,
+                    Some(calls),
+                );
+            }
+        }
+        self.free_slots.push(state.slot);
+        self.report.horizon_us = self.report.horizon_us.max(t);
+    }
+
+    /// Puts session `s`'s crossing call on `link` at `t`, ending the inline
+    /// run: into the link's open batch (scheduling its `Flush` when it
+    /// opens one), or — unbatched — straight onto the wire as a datagram
+    /// of its own (scheduling its `Deliver`). A breaker fast-fail or a
+    /// failed datagram goes to the retry policy instead.
+    fn send(
+        &mut self,
+        s: u32,
+        call: CallSpec,
+        link: LinkKey,
+        t: u64,
+        run: InlineRun,
+        first_attempt: bool,
+    ) {
+        self.report.remote_messages += 1;
+        self.sessions[s as usize].issued_us = t;
+        if let Some(tm) = self.telem.as_mut() {
+            // The whole inline run — its local calls plus this crossing
+            // call; a retry is a physical re-send of a call already counted.
+            tm.stage_run(run);
+            tm.acc.remote_messages += u64::from(!first_attempt);
+        }
+        // Breaker fast path: an open link refuses the attempt immediately,
+        // replaying the error that tripped it (no timeout charged).
+        if let Some(f) = self.fault.as_mut() {
+            if let BreakerDecision::FastFail(err) = f.health.check(link.0, link.1, t) {
+                if matches!(err, ComError::MachineDown(_)) {
+                    f.out.stats.machine_down_errors += 1;
+                } else {
+                    f.out.stats.timeouts += 1;
+                }
+                self.retry(s, t, 0);
+                return;
+            }
+        }
+        if self.report.batching {
+            if let Some(flush_at) = self.batcher.enqueue(link, call.request_bytes, s, t) {
+                // Nagle-style coalescing: while the link is still
+                // transmitting, keep the batch open — it flushes when the
+                // window closes or the link frees up, whichever is later.
+                // Under load batches grow to match the link's drain rate.
+                let li = link_slot(&mut self.link_free, link);
+                let free_at = self.link_free[li].1;
+                let gated = free_at > flush_at;
+                self.queue
+                    .schedule(flush_at.max(free_at), Event::Flush { link, gated });
+            }
+            return;
+        }
+        // Unbatched datagrams meet the wire at send time.
+        if let Some(err) = self.wire_failure(link, t, "datagram") {
+            self.fail_on_wire(link, t, &err, &[s]);
+            return;
+        }
+        // Independent datagram: it occupies the link for its payload plus a
+        // full per-datagram overhead, and pays its own latency draw.
+        self.report.batches += 1;
+        self.report.batched_bytes += call.request_bytes;
+        let li = link_slot(&mut self.link_free, link);
+        let depart = t.max(self.link_free[li].1);
+        let xfer = ser_us(self.net, call.request_bytes);
+        self.link_free[li].1 = depart + xfer as u64;
+        let mut lat = self.net.sample_time_us(0, &mut self.rng) - ser_us(self.net, 0);
+        if let Some(f) = self.fault.as_mut() {
+            lat *= f.plan.latency_factor(link.0, link.1, depart);
+            let _ = f.health.on_success(link.0, link.1);
+        }
+        if let Some(tm) = self.telem.as_mut() {
+            tm.series.on_batch_flush(depart, 1);
+            tm.series
+                .on_link_busy(depart, (link.0 .0, link.1 .0), xfer as u64);
+        }
+        if let Some(tr) = &self.trace {
+            if let Some(gid) = tr.sampled_gid(s) {
+                tr.span(gid, "link_transit", depart, (xfer + lat) as u64, None);
+            }
+        }
+        self.queue.schedule(
+            depart + (xfer + lat) as u64,
+            Event::Deliver {
+                session: s,
+                compute_us: call.compute_us,
+                server: link.1,
+                to_class: call.to_class,
+            },
+        );
+    }
+
+    /// The faulted wire's say on one datagram (`unit` names it: a lone
+    /// message, or a whole batch — a batch is one datagram) crossing `link`
+    /// at `now`: the shared wire verdict with this shard's dead set, then
+    /// the plan's loss draw. `None` on a clean wire or a zero-fault run.
+    fn wire_failure(&mut self, link: LinkKey, now: u64, unit: &str) -> Option<ComError> {
+        let f = self.fault.as_mut()?;
+        if let Some(err) = f.plan.wire_verdict(link.0, link.1, now, &f.dead) {
+            return Some(err);
+        }
+        let p = f.plan.loss_probability(link.0, link.1, now);
+        (p > 0.0 && f.rng.gen_bool(p)).then(|| {
+            f.out.stats.drops += 1;
+            ComError::Timeout {
+                detail: format!("{}→{} {unit} lost", link.0 .0, link.1 .0),
+            }
+        })
+    }
+
+    /// One datagram failed on `link` with `err`: one wire event is one
+    /// breaker observation however many members it carried, machines the
+    /// breaker opens are declared dead, and every member's attempt times
+    /// out into the retry policy.
+    fn fail_on_wire(&mut self, link: LinkKey, now: u64, err: &ComError, members: &[u32]) {
+        let Some(f) = self.fault.as_mut() else {
+            return;
+        };
+        let _ = f.health.on_failure(link.0, link.1, err, now);
+        for machine in f.health.drain_opened_machines() {
+            if f.declare_dead(machine, now, self.trace.as_ref().map(|t| &t.tracer)) {
+                if let Some(tm) = self.telem.as_mut() {
+                    tm.acc.recoveries += 1;
+                }
+            }
+        }
+        f.out.stats.timeouts += members.len() as u64;
+        let wait_us = f.policy.timeout_us;
+        for &s in members {
+            self.retry(s, now, wait_us);
+        }
+    }
+
+    /// One failed attempt of session `s`'s current call under the call
+    /// policy: charges `wait_us` (the timeout that exposed the failure; 0
+    /// for a breaker fast-fail), then re-issues after a jittered backoff
+    /// or — the policy exhausted — skips the call, counted failed, so the
+    /// session still drains degraded.
+    fn retry(&mut self, s: u32, now: u64, wait_us: u64) {
+        let Some(f) = self.fault.as_mut() else {
+            return;
+        };
+        let state = &mut self.sessions[s as usize];
+        state.attempts += 1;
+        let mut delay_us = wait_us;
+        match f.policy.retry_after(state.attempts) {
+            Some(base_us) => {
+                f.out.stats.retries += 1;
+                // The DES's own jitter arithmetic (always one draw,
+                // truncated) — pinned bytes; see DESIGN.md.
+                let jitter = 1.0 + f.policy.backoff_jitter * f.rng.gen_range(-1.0f64..=1.0);
+                delay_us += (base_us as f64 * jitter) as u64;
+            }
+            None => {
+                f.out.stats.failed_calls += 1;
+                state.advance();
+                if let Some(tm) = self.telem.as_mut() {
+                    tm.acc.degraded += 1;
+                }
+            }
+        }
+        f.out.stats.wasted_us += delay_us;
+        self.queue.schedule(now + delay_us, Event::Issue(s));
+    }
+
+    /// `Flush`: the link's open batch goes out as one datagram — or fails
+    /// as a unit on a faulted wire, every member re-resolving through the
+    /// retry policy. Each delivered member's reply schedules its session's
+    /// next `Issue`.
+    fn on_flush(&mut self, now: u64, link: LinkKey, gated: bool) {
+        if let Some(err) = self.wire_failure(link, now, "batch") {
+            let failed = self.batcher.fail_open(link, &err);
+            let members: Vec<u32> = failed.iter().map(|(msg, _)| msg.payload).collect();
+            self.fail_on_wire(link, now, &err, &members);
+            return;
+        }
+        let batch = self.batcher.drain(link);
+        debug_assert!(!batch.is_empty(), "flush fired on an idle link");
+        self.batcher.note_flush(if gated {
+            FlushReason::LinkFreed
+        } else {
+            FlushReason::WindowExpired
+        });
+        // A batch is one datagram: the link is occupied for a single
+        // per-datagram overhead plus every member's payload, and the batch
+        // pays one latency draw each way. Amortizing the overhead and the
+        // draws across members is exactly what batching buys over
+        // `--no-batch`.
+        let net = self.net;
+        let mut lat = net.sample_time_us(0, &mut self.rng) - ser_us(net, 0);
+        let mut reply_lat = net.sample_time_us(0, &mut self.rng) - ser_us(net, 0);
+        if let Some(f) = self.fault.as_mut() {
+            let factor = f.plan.latency_factor(link.0, link.1, now);
+            lat *= factor;
+            reply_lat *= factor;
+            let _ = f.health.on_success(link.0, link.1);
+        }
+        let server = machine_slot(&mut self.machine_now, link.1);
+        let li = link_slot(&mut self.link_free, link);
+        let depart = now.max(self.link_free[li].1);
+        let mut cursor = depart as f64 + ser_us(net, 0);
+        let flow = self.trace.as_mut().map_or(0, |tr| {
+            tr.next_flow += 1;
+            tr.next_flow - 1
+        });
+        let mut traced_members = 0u64;
+        // Server compute begins at the first member's service start; the
+        // batch's whole compute bill is charged there per class.
+        let mut compute_at = u64::MAX;
+        for msg in &batch {
+            // Members arrive pipelined: each becomes visible to the server
+            // as soon as its own payload bytes land.
+            cursor += payload_us(net, msg.bytes);
+            let arrival = (cursor + lat) as u64;
+            let start = self.machine_now[server].max(arrival);
+            let s = msg.payload;
+            let spec = self.script[self.sessions[s as usize].next_call as usize];
+            self.machine_now[server] = start + spec.compute_us;
+            // Each reply departs as soon as its own call completes; replies
+            // share the batch's return-path latency draw.
+            let reply_at =
+                (self.machine_now[server] as f64 + reply_lat + ser_us(net, REPLY_BYTES)) as u64;
+            if let Some(tm) = self.telem.as_mut() {
+                compute_at = compute_at.min(start);
+                if spec.compute_us > 0 {
+                    let slot = &mut tm.class_us[spec.to_class as usize];
+                    if *slot == 0 {
+                        tm.class_touched.push(spec.to_class);
+                    }
+                    *slot += spec.compute_us;
+                }
+            }
+            if let Some(tr) = &self.trace {
+                if let Some(gid) = tr.sampled_gid(s) {
+                    traced_members += 1;
+                    let issued = self.sessions[s as usize].issued_us;
+                    let flow = Some(("flow", flow));
+                    tr.span(gid, "call", issued, reply_at.saturating_sub(issued), flow);
+                    tr.span(
+                        gid,
+                        "batch_wait",
+                        issued,
+                        depart.saturating_sub(issued),
+                        flow,
+                    );
+                    tr.span(
+                        gid,
+                        "link_transit",
+                        depart,
+                        arrival.saturating_sub(depart),
+                        flow,
+                    );
+                }
+            }
+            self.finish_call(s, reply_at);
+        }
+        let busy_us = (cursor as u64).saturating_sub(depart);
+        if let Some(tm) = self.telem.as_mut() {
+            for &class in &tm.class_touched {
+                tm.series
+                    .on_class_busy(compute_at, class, tm.class_us[class as usize]);
+                tm.class_us[class as usize] = 0;
+            }
+            tm.class_touched.clear();
+            tm.acc.batches += 1;
+            tm.acc.batch_members += batch.len() as u64;
+            tm.series
+                .on_link_busy(depart, (link.0 .0, link.1 .0), busy_us);
+        }
+        if let Some(tr) = self.trace.as_ref().filter(|_| traced_members > 0) {
+            tr.tracer.complete_at(
+                "batch",
+                depart,
+                busy_us,
+                vec![
+                    (
+                        "link",
+                        TraceArg::Str(format!("{}->{}", link.0 .0, link.1 .0)),
+                    ),
+                    ("members", TraceArg::U64(batch.len() as u64)),
+                    ("flow", TraceArg::U64(flow)),
+                ],
+            );
+        }
+        self.link_free[li].1 = cursor as u64;
+    }
+
+    /// `Deliver`: an unbatched datagram queues FIFO at its target replica,
+    /// then the reply travels back as its own send (own latency draw) and
+    /// schedules the session's next `Issue`.
+    fn on_deliver(&mut self, now: u64, s: u32, compute_us: u64, server: MachineId, to_class: u32) {
+        let slot = machine_slot(&mut self.machine_now, server);
+        let start = self.machine_now[slot].max(now);
+        self.machine_now[slot] = start + compute_us;
+        let back = self.net.sample_time_us(REPLY_BYTES, &mut self.rng);
+        let done = self.machine_now[slot] + back as u64;
+        if let Some(tm) = self.telem.as_mut() {
+            tm.series.on_class_busy(start, to_class, compute_us);
+        }
+        if let Some(tr) = &self.trace {
+            if let Some(gid) = tr.sampled_gid(s) {
+                let issued = self.sessions[s as usize].issued_us;
+                tr.span(gid, "call", issued, done.saturating_sub(issued), None);
+            }
+        }
+        self.finish_call(s, done);
+    }
+
+    /// A call's reply lands at `done_us`: advance the script cursor and
+    /// schedule the next issue after a seeded think pause.
+    fn finish_call(&mut self, s: u32, done_us: u64) {
+        self.sessions[s as usize].advance();
+        self.queue
+            .schedule(done_us + think_us(&mut self.think_state), Event::Issue(s));
+    }
 }
 
 /// A think pause in 50..=400 µs from the shard's splitmix64 stream.
@@ -1359,64 +1364,24 @@ pub fn serve_traced(
             Some(base)
         })
         .collect();
-    let shard_reports = run_indexed(shards, opts.jobs, |i| {
-        run_shard(&script, network, opts, i, per_shard[i], bases[i], tracer)
+    let slices = run_indexed(shards, opts.jobs, |i| {
+        Shard::new(&script, network, opts, i, per_shard[i], bases[i], tracer).run()
     });
 
-    let latency = Histogram::with_bounds(exponential_bounds(
-        LATENCY_BUCKET_BASE,
-        LATENCY_BUCKET_COUNT,
-    ));
-    let mut merged = ServeReport {
-        sessions: 0,
-        shards,
-        calls: 0,
-        local_calls: 0,
-        remote_messages: 0,
-        batches: 0,
-        batched_bytes: 0,
-        window_flushes: 0,
-        link_free_flushes: 0,
-        pool_hits: 0,
-        pool_misses: 0,
-        horizon_us: 0,
-        latency,
-        batching: opts.batching,
-        requested_sessions: opts.sessions,
-        faults: None,
-    };
+    let mut merged = ServeReport::empty(shards, opts);
     let mut timeline: Option<TimeSeries> = None;
-    for shard in shard_reports {
-        merged.sessions += shard.sessions;
-        merged.calls += shard.calls;
-        merged.local_calls += shard.local_calls;
-        merged.remote_messages += shard.remote_messages;
-        merged.batches += shard.batches;
-        merged.batched_bytes += shard.batched_bytes;
-        merged.window_flushes += shard.window_flushes;
-        merged.link_free_flushes += shard.link_free_flushes;
-        merged.pool_hits += shard.pool_hits;
-        merged.pool_misses += shard.pool_misses;
-        merged.horizon_us = merged.horizon_us.max(shard.horizon_us);
-        merged.latency.merge_from(&shard.latency);
-        // Shard order, not completion order: both merges below are what
-        // keep timeline and trace bytes independent of --jobs.
-        if let Some(shard_series) = shard.series {
+    // Shard order, not completion order: that is what keeps report,
+    // timeline and trace bytes independent of --jobs.
+    for (report, series, spans) in slices {
+        merged.absorb(report);
+        if let Some(series) = series {
             match timeline.as_mut() {
-                Some(t) => t.merge_from(&shard_series),
-                None => timeline = Some(shard_series),
+                Some(t) => t.merge_from(&series),
+                None => timeline = Some(series),
             }
         }
-        if let (Some(parent), Some(child)) = (tracer, shard.trace.as_ref()) {
+        if let (Some(parent), Some(child)) = (tracer, spans.as_ref()) {
             parent.merge_from(child);
-        }
-        if let Some(sf) = shard.fault {
-            let agg = merged.faults.get_or_insert_with(ServeFaultReport::default);
-            agg.stats.absorb(&sf.stats);
-            agg.failovers += sf.failovers;
-            agg.replica_served += sf.replica_served;
-            agg.recovery_epochs.extend(sf.recovery_epochs);
-            agg.dead_machines.extend(sf.dead);
         }
     }
     if let Some(f) = merged.faults.as_mut() {

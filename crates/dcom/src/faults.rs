@@ -21,6 +21,7 @@
 //! bit-for-bit identical to a transport without the fault layer.
 
 use coign_com::{ComError, ComResult, MachineId};
+use std::collections::BTreeSet;
 
 /// A half-open window `[from_us, until_us)` of simulated time.
 ///
@@ -190,15 +191,38 @@ impl FaultPlan {
         })
     }
 
+    /// The typed error a message crossing `from`→`to` meets on the wire at
+    /// `now_us`, if any — the one verdict both execution models (the RTE's
+    /// [`crate::Transport`] and the serve DES) consult, so they cannot
+    /// disagree on what a fault means. Precedence: death of the target,
+    /// then death of the caller, then a partition of the link. `also_dead`
+    /// names machines dead beyond the plan's own schedule — a serve shard's
+    /// breaker-declared set; the transport passes the empty set.
+    pub fn wire_verdict(
+        &self,
+        from: MachineId,
+        to: MachineId,
+        now_us: u64,
+        also_dead: &BTreeSet<MachineId>,
+    ) -> Option<ComError> {
+        let down = |m: MachineId| also_dead.contains(&m) || self.machine_down(m, now_us);
+        if down(to) {
+            return Some(ComError::MachineDown(to));
+        }
+        if down(from) {
+            return Some(ComError::MachineDown(from));
+        }
+        let partitioned = |f: &Fault| {
+            matches!(f, Fault::Partition { link, window }
+                if link.matches(from, to) && window.contains(now_us))
+        };
+        (self.faults.iter().any(partitioned)).then_some(ComError::Partitioned { from, to })
+    }
+
     /// True when nothing can cross the `a`↔`b` link at `now_us` — the link
     /// itself is partitioned or either endpoint is down.
     pub fn link_severed(&self, a: MachineId, b: MachineId, now_us: u64) -> bool {
-        self.machine_down(a, now_us)
-            || self.machine_down(b, now_us)
-            || self.faults.iter().any(|f| match f {
-                Fault::Partition { link, window } => link.matches(a, b) && window.contains(now_us),
-                _ => false,
-            })
+        self.wire_verdict(a, b, now_us, &BTreeSet::new()).is_some()
     }
 
     /// Combined per-message loss probability on the `a`↔`b` link at
@@ -507,6 +531,15 @@ impl CallPolicy {
         self.max_retries + 1
     }
 
+    /// The retry decision after the `failed`-th consecutive failed attempt
+    /// of one call (1-based), shared by the RTE transport and the serve
+    /// DES: `Some(base)` — re-send after the jitter-free backoff
+    /// [`CallPolicy::backoff_us`]`(failed)`, which each caller jitters its
+    /// own way — while retries remain, `None` once the call is given up.
+    pub fn retry_after(&self, failed: u32) -> Option<u64> {
+        (failed <= self.max_retries).then(|| self.backoff_us(failed))
+    }
+
     /// The deterministic (jitter-free) backoff before retry number
     /// `retry` (1-based).
     pub fn backoff_us(&self, retry: u32) -> u64 {
@@ -654,6 +687,86 @@ mod tests {
         assert_eq!(policy.backoff_us(1), 10_000);
         assert_eq!(policy.backoff_us(2), 20_000);
         assert_eq!(policy.backoff_us(3), 40_000);
+    }
+
+    #[test]
+    fn wire_verdict_precedence_is_target_then_caller_then_partition() {
+        let w = TimeWindow::new(100, 200);
+        let down = |m| FaultPlan::none().with_machine_down(m, w);
+        let cut = FaultPlan::none().with_partition(C, S, w);
+        let target = Some(ComError::MachineDown(S));
+        let caller = Some(ComError::MachineDown(C));
+        let parted = Some(ComError::Partitioned { from: C, to: S });
+        // (case, plan, verdict for C→S inside the window)
+        let table = [
+            ("target down", down(S), target.clone()),
+            ("caller down", down(C), caller.clone()),
+            ("both down", down(C).with_machine_down(S, w), target.clone()),
+            ("partition only", cut.clone(), parted.clone()),
+            (
+                "partition + caller death",
+                cut.clone().with_machine_down(C, w),
+                caller,
+            ),
+            (
+                "partition + target death",
+                cut.with_machine_down(S, w),
+                target.clone(),
+            ),
+            ("clean", FaultPlan::none().with_loss(0.5), None),
+        ];
+        let nobody = BTreeSet::new();
+        for (case, plan, inside) in &table {
+            assert_eq!(&plan.wire_verdict(C, S, 150, &nobody), inside, "{case}");
+            for outside in [99, 200] {
+                assert_eq!(plan.wire_verdict(C, S, outside, &nobody), None, "{case}");
+            }
+            assert_eq!(plan.link_severed(C, S, 150), inside.is_some(), "{case}");
+        }
+        // Machines the caller declared dead count as deaths at every
+        // instant, with the same precedence — over the plan's own partition
+        // and over a scheduled death of the other endpoint.
+        let declared = BTreeSet::from([S]);
+        for (case, plan, _) in &table {
+            for at in [99, 150, 200] {
+                assert_eq!(plan.wire_verdict(C, S, at, &declared), target, "{case}");
+            }
+        }
+        assert_eq!(
+            down(S).wire_verdict(C, S, 150, &BTreeSet::from([C])),
+            target,
+            "a scheduled target death outranks a declared caller death"
+        );
+        assert_eq!(
+            FaultPlan::none().wire_verdict(C, S, 0, &BTreeSet::from([MachineId(2)])),
+            None,
+            "a dead bystander severs nothing"
+        );
+    }
+
+    #[test]
+    fn retry_decision_grants_exactly_max_retries_backoffs() {
+        for max_retries in [0u32, 1, 3] {
+            let policy = CallPolicy {
+                max_retries,
+                ..CallPolicy::default()
+            };
+            for failed in 1..=max_retries {
+                assert_eq!(
+                    policy.retry_after(failed),
+                    Some(policy.backoff_us(failed)),
+                    "max_retries={max_retries}: failure {failed} is retried"
+                );
+            }
+            for failed in [max_retries + 1, max_retries + 2] {
+                assert_eq!(
+                    policy.retry_after(failed),
+                    None,
+                    "max_retries={max_retries}: failure {failed} gives up"
+                );
+            }
+            assert_eq!(policy.retry_after(policy.max_attempts()), None);
+        }
     }
 
     #[test]

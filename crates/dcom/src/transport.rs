@@ -25,7 +25,7 @@ use coign_obs::{FlightRecorder, TraceArg, Tracer};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Simulated DCOM wire transport between the machines of a topology.
@@ -317,10 +317,11 @@ impl Transport {
         self.fault_stats.lock().wasted_us += us;
     }
 
-    /// Sleeps the backoff before retry number `retry` (1-based), jittered
-    /// from the fault RNG, and counts the retry.
-    fn backoff(&self, rt: &ComRuntime, retry: u32) {
-        let base = self.policy.backoff_us(retry) as f64;
+    /// Sleeps the backoff before retry number `retry` (1-based) — the
+    /// policy's base `base_us`, jittered from the fault RNG — and counts
+    /// the retry.
+    fn backoff(&self, rt: &ComRuntime, retry: u32, base_us: u64) {
+        let base = base_us as f64;
         let us = if self.policy.backoff_jitter > 0.0 {
             let j = self.policy.backoff_jitter;
             let factor = 1.0 + self.fault_rng.lock().gen_range(-j..=j);
@@ -348,9 +349,45 @@ impl Transport {
         });
     }
 
+    /// The plan's wire verdict for `from`→`to` at the current instant.
+    fn verdict(&self, rt: &ComRuntime, from: MachineId, to: MachineId) -> Option<ComError> {
+        self.faults
+            .wire_verdict(from, to, rt.clock().now_us(), &BTreeSet::new())
+    }
+
+    /// Surfaces a call's final `error` to the obs hook (as event `name`)
+    /// and the breaker layer.
+    fn surface(
+        &self,
+        rt: &ComRuntime,
+        from: MachineId,
+        to: MachineId,
+        name: &'static str,
+        attempt: u32,
+        error: ComError,
+    ) -> ComError {
+        self.fault_event(rt, name, from, to, attempt);
+        self.health_failure(rt, from, to, &error);
+        error
+    }
+
+    /// Attempt number `attempt` heard nothing back: waits out the timeout,
+    /// then sleeps the backoff if the policy grants another attempt.
+    /// Returns false once the call is given up.
+    fn timed_out(&self, rt: &ComRuntime, from: MachineId, to: MachineId, attempt: u32) -> bool {
+        self.wait(rt, self.policy.timeout_us);
+        self.fault_stats.lock().timeouts += 1;
+        self.fault_event(rt, "fault_timeout", from, to, attempt);
+        let retry = self.policy.retry_after(attempt);
+        if let Some(base_us) = retry {
+            self.backoff(rt, attempt, base_us);
+        }
+        retry.is_some()
+    }
+
     /// Pre-flight check before dispatching a remote call from `from` to
-    /// `to`: fails fast if the target machine is down, and rides out a
-    /// link partition with timeout + backoff retries.
+    /// `to`: fails fast if an endpoint is down, and rides out a link
+    /// partition with timeout + backoff retries.
     ///
     /// With an empty fault plan this returns `Ok(())` immediately, charges
     /// nothing, and draws no randomness.
@@ -359,50 +396,27 @@ impl Transport {
             return Ok(());
         }
         self.health_gate(rt, from, to)?;
-        // A dead endpoint — target or caller — fails fast with the
-        // machine's identity: the severance is the death, not a partition,
-        // and the recovery layer needs to know *which* machine to re-solve
-        // around.
-        if let Some(machine) = self.dead_endpoint(from, to, rt.clock().now_us()) {
+        if let Some(error @ ComError::MachineDown(_)) = self.verdict(rt, from, to) {
+            // A dead endpoint fails fast with the machine's identity: the
+            // severance is the death, not a partition, and the recovery
+            // layer needs to know *which* machine to re-solve around.
             self.fault_stats.lock().machine_down_errors += 1;
-            self.fault_event(rt, "fault_machine_down", from, to, 0);
-            let error = ComError::MachineDown(machine);
-            self.health_failure(rt, from, to, &error);
-            return Err(error);
+            return Err(self.surface(rt, from, to, "fault_machine_down", 0, error));
         }
-        for attempt in 1..=self.policy.max_attempts() {
-            if !self.faults.link_severed(from, to, rt.clock().now_us()) {
-                return Ok(());
-            }
+        let mut attempt = 0;
+        while self.verdict(rt, from, to).is_some() {
             // The request vanishes into the partition; we wait out the
             // timeout before concluding the attempt failed.
-            self.wait(rt, self.policy.timeout_us);
-            self.fault_stats.lock().timeouts += 1;
-            self.fault_event(rt, "fault_timeout", from, to, attempt);
-            if attempt < self.policy.max_attempts() {
-                self.backoff(rt, attempt);
+            attempt += 1;
+            if !self.timed_out(rt, from, to, attempt) {
+                let error = self
+                    .verdict(rt, from, to)
+                    .unwrap_or(ComError::Partitioned { from, to });
+                self.fault_stats.lock().failed_calls += 1;
+                return Err(self.surface(rt, from, to, "fault_failed", attempt, error));
             }
         }
-        self.fault_stats.lock().failed_calls += 1;
-        self.fault_event(rt, "fault_failed", from, to, self.policy.max_attempts());
-        let error = match self.dead_endpoint(from, to, rt.clock().now_us()) {
-            Some(machine) => ComError::MachineDown(machine),
-            None => ComError::Partitioned { from, to },
-        };
-        self.health_failure(rt, from, to, &error);
-        Err(error)
-    }
-
-    /// The dead endpoint of the `from`→`to` link at `now_us`, if any (the
-    /// target takes precedence when both are down).
-    fn dead_endpoint(&self, from: MachineId, to: MachineId, now_us: u64) -> Option<MachineId> {
-        if self.faults.machine_down(to, now_us) {
-            Some(to)
-        } else if self.faults.machine_down(from, now_us) {
-            Some(from)
-        } else {
-            None
-        }
+        Ok(())
     }
 
     /// Fault-aware variant of [`Transport::charge_sized_call_on`]: charges
@@ -427,32 +441,28 @@ impl Transport {
         }
         self.health_gate(rt, from, to)?;
         let model = self.link(from, to);
-        for attempt in 1..=self.policy.max_attempts() {
+        let mut attempt = 0;
+        loop {
+            attempt += 1;
             let now = rt.clock().now_us();
-            if let Some(machine) = self.dead_endpoint(from, to, now) {
-                self.fault_stats.lock().machine_down_errors += 1;
-                self.fault_event(rt, "fault_machine_down", from, to, attempt);
-                let error = ComError::MachineDown(machine);
-                self.health_failure(rt, from, to, &error);
-                return Err(error);
-            }
-            let delivered = if self.faults.link_severed(from, to, now) {
-                false
-            } else {
-                let loss = self.faults.loss_probability(from, to, now);
-                if loss > 0.0 {
+            let delivered = match self.verdict(rt, from, to) {
+                Some(error @ ComError::MachineDown(_)) => {
+                    self.fault_stats.lock().machine_down_errors += 1;
+                    return Err(self.surface(rt, from, to, "fault_machine_down", attempt, error));
+                }
+                Some(_) => false,
+                None => {
+                    let loss = self.faults.loss_probability(from, to, now);
                     // Request and reply legs are lost independently.
-                    let mut rng = self.fault_rng.lock();
-                    let req_lost = rng.gen_bool(loss);
-                    let reply_lost = !req_lost && rng.gen_bool(loss);
-                    drop(rng);
-                    if req_lost || reply_lost {
+                    let lost = loss > 0.0 && {
+                        let mut rng = self.fault_rng.lock();
+                        rng.gen_bool(loss) || rng.gen_bool(loss)
+                    };
+                    if lost {
                         self.fault_stats.lock().drops += 1;
                         self.fault_event(rt, "fault_drop", from, to, attempt);
                     }
-                    !(req_lost || reply_lost)
-                } else {
-                    true
+                    !lost
                 }
             };
             if delivered {
@@ -491,27 +501,19 @@ impl Transport {
                 return Ok(attempt);
             }
             // The caller hears nothing back and waits out the timeout.
-            self.wait(rt, self.policy.timeout_us);
-            self.fault_stats.lock().timeouts += 1;
-            self.fault_event(rt, "fault_timeout", from, to, attempt);
-            if attempt < self.policy.max_attempts() {
-                self.backoff(rt, attempt);
+            if !self.timed_out(rt, from, to, attempt) {
+                break;
             }
         }
-        self.fault_stats.lock().failed_calls += 1;
-        self.fault_event(rt, "fault_failed", from, to, self.policy.max_attempts());
-        let error = if self.faults.link_severed(from, to, rt.clock().now_us()) {
+        let error = if self.verdict(rt, from, to).is_some() {
             ComError::Partitioned { from, to }
         } else {
             ComError::Timeout {
-                detail: format!(
-                    "{from}→{to} after {} attempt(s)",
-                    self.policy.max_attempts()
-                ),
+                detail: format!("{from}→{to} after {attempt} attempt(s)"),
             }
         };
-        self.health_failure(rt, from, to, &error);
-        Err(error)
+        self.fault_stats.lock().failed_calls += 1;
+        Err(self.surface(rt, from, to, "fault_failed", attempt, error))
     }
 }
 

@@ -45,7 +45,7 @@ use coign::analysis::Distribution;
 use coign::classifier::{ClassifierKind, InstanceClassifier};
 use coign::jobs::run_indexed;
 use coign::lint::{analyze_replication, DiagnosticSink};
-use coign::multiway::{replicate_for_distribution, ReplicaRouter, ReplicationPlan};
+use coign::multiway::{derive_replica_router, ReplicaRouter};
 use coign::recovery::RecoveryConfig;
 use coign::runtime::{choose_distribution, profile_scenarios_observed, run_distributed_recovering};
 use coign::{Application, IccProfile};
@@ -185,59 +185,13 @@ impl Harness {
             config,
         )?;
         let coord = &run.coordinator;
-        let mut violations = Vec::new();
+        let mut violations = coord.audit(&run.outcome);
         let outcome = match &run.outcome {
             Ok(()) if coord.recovery_count() > 0 => "recovered",
             Ok(()) => "ok",
-            Err(ComError::Timeout { .. })
-            | Err(ComError::Partitioned { .. })
-            | Err(ComError::MachineDown(_)) => "failed",
-            Err(other) => {
-                violations.push(format!("untyped failure: {other}"));
-                "failed"
-            }
+            Err(_) => "failed",
         };
-        if coord.double_executions() != 0 {
-            violations.push(format!(
-                "{} double-executed call(s)",
-                coord.double_executions()
-            ));
-        }
-        if let Err(detail) = coord.validate() {
-            violations.push(format!("placement: {detail}"));
-        }
-        let events = coord.events();
-        let via_replicas = events.iter().filter(|e| e.via_replicas).count() as u64;
-        if coord.recovery_count() > 0 {
-            let solver_recoveries = events.len() as u64 - via_replicas;
-            if solver_recoveries > 0 && coord.warm_solves() == 0 {
-                violations.push("recovery re-solve was not warm-started".to_string());
-            }
-            if solver_recoveries == 0 && coord.warm_solves() != 0 {
-                violations.push(format!(
-                    "{} warm solve(s) despite replica-covered failover",
-                    coord.warm_solves()
-                ));
-            }
-            if coord.cold_solves() != 1 {
-                violations.push(format!(
-                    "{} cold solve(s), expected exactly the base solve",
-                    coord.cold_solves()
-                ));
-            }
-        }
-        // A no-solve failover re-points calls; it never moves state.
-        for event in events.iter().filter(|e| e.via_replicas) {
-            if event.migrations != 0 {
-                violations.push(format!(
-                    "replica failover migrated {} instance(s)",
-                    event.migrations
-                ));
-            }
-            if event.failovers == 0 {
-                violations.push("via_replicas recovery re-pointed nothing".to_string());
-            }
-        }
+        let via_replicas = coord.events().iter().filter(|e| e.via_replicas).count() as u64;
         // Exactly-once at the application level: the ledger can never see
         // more commits than the scenario scripts, and a completed run sees
         // exactly that many.
@@ -390,17 +344,13 @@ pub fn explore(spec: GenSpec, scenario: &str, opts: &ExploreOptions) -> ComResul
     // The replica routing table every interleaving runs under (empty
     // unless asked for, or when no legal copy pays for itself).
     let replicas = if opts.with_replicas {
-        let machines = distribution
-            .placement
-            .values()
-            .map(|m| m.0 as usize + 1)
-            .max()
-            .unwrap_or(2)
-            .max(2);
-        let plan = ReplicationPlan::from_report(&replication, &profile, rt.registry());
-        let chosen =
-            replicate_for_distribution(&profile, &net_profile, &distribution, machines, &plan, &[]);
-        (!chosen.is_empty()).then(|| ReplicaRouter::new(&distribution, &chosen))
+        derive_replica_router(
+            &replication,
+            rt.registry(),
+            &profile,
+            &net_profile,
+            &distribution,
+        )
     } else {
         None
     };
