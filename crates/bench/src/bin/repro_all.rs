@@ -1,25 +1,36 @@
-//! Runs the complete reproduction: every table and figure, in paper order.
+//! The complete reproduction, in-process.
 //!
-//! `cargo run -p coign-bench --release --bin repro_all` regenerates the
-//! data behind `EXPERIMENTS.md` in one shot.
+//! `repro_all` prints every table and figure in paper order, then the §3.2
+//! overhead summary — the text `scripts/expected/repro_all.txt` pins.
+//! `repro_all <name>…` prints only the named sections, in the order given.
 
-use std::process::Command;
+use coign_bench::{registry, DEFAULT_SECTIONS};
+use std::io::{self, StdoutLock, Write};
+use std::process::ExitCode;
 
-fn main() {
-    let bins = [
-        "table1", "table2", "table3", "table4", "table5", "fig3", "fig4", "fig5", "fig6", "fig7",
-        "fig8",
-    ];
-    let exe = std::env::current_exe().expect("own path");
-    let dir = exe.parent().expect("bin dir");
-    for bin in bins {
-        println!("{}", "=".repeat(78));
-        let path = dir.join(bin);
-        let status = Command::new(&path)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to run {bin}: {e}"));
-        assert!(status.success(), "{bin} failed");
+fn main() -> ExitCode {
+    let sections = registry::<StdoutLock>();
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let lookup = |name: &String| sections.iter().find(|(known, _)| known == name);
+    if let Some(unknown) = names.iter().find(|name| lookup(name).is_none()) {
+        let valid = sections.map(|(name, _)| name).join(" ");
+        eprintln!("repro_all: unknown section `{unknown}`; valid sections: {valid}");
+        return ExitCode::from(2);
     }
-    println!("{}", "=".repeat(78));
-    println!("All tables and figures reproduced.");
+    let mut out = io::stdout().lock();
+    let result = if names.is_empty() {
+        let rule = "=".repeat(78);
+        sections[..DEFAULT_SECTIONS]
+            .iter()
+            .try_for_each(|(_, section)| writeln!(out, "{rule}").and_then(|()| section(&mut out)))
+            .and_then(|()| writeln!(out, "{rule}\nAll tables and figures reproduced."))
+    } else {
+        let mut chosen = names.iter().filter_map(lookup);
+        chosen.try_for_each(|(_, section)| section(&mut out))
+    };
+    if let Err(e) = result {
+        eprintln!("repro_all: {e}");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

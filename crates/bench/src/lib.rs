@@ -1,10 +1,11 @@
-//! The benchmark harness: reproduces every table and figure of the paper.
+//! The reproduction harness: every table and figure of the paper.
 //!
-//! Each `src/bin/tableN.rs` / `src/bin/figN.rs` binary regenerates one
-//! table or figure (`repro_all` runs them all); `ablation` measures how the
-//! classifier choice affects distribution quality, `netfit` sweeps the
-//! network profiler's convergence, and `probe` prints quick one-line
-//! summaries. This library holds the shared machinery: per-scenario
+//! The one binary, `repro_all [name…]`, prints [`sections`] in-process: no
+//! arguments prints the paper's tables and figures in paper order followed
+//! by the §3.2 `overhead` summary; names select sections, and `ablation`
+//! (classifier choice vs. distribution quality), `netfit` (the network
+//! profiler's convergence) and `probe` (quick one-line summaries) print by
+//! name only. This library holds the shared machinery: per-scenario
 //! optimization runs ([`optimize_and_run`]), figure-style distribution
 //! summaries ([`figure_for`]), and plain-text table rendering.
 //!
@@ -14,6 +15,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod fig3;
+pub mod sections;
 
 use coign::analysis::Distribution;
 use coign::application::Application;
@@ -26,7 +30,29 @@ use coign::runtime::{
 use coign_com::{ApiImports, ComResult, ComRuntime, MachineId};
 use coign_dcom::{NetworkModel, NetworkProfile};
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::sync::Arc;
+
+/// One section of the reproduction: writes its text to `out`.
+pub type Section<W> = fn(&mut W) -> io::Result<()>;
+
+/// How many leading entries of [`registry`] the no-argument run prints; the
+/// rest print by name only.
+pub const DEFAULT_SECTIONS: usize = 12;
+
+/// Every section by name: the paper's eleven items in paper order, then
+/// `overhead`, then the three supporting experiments.
+pub fn registry<W: Write>() -> [(&'static str, Section<W>); 15] {
+    use sections::*;
+    // A section's name is its function's name.
+    macro_rules! named {
+        ($($section:ident),*) => { [$((stringify!($section), $section as Section<W>)),*] };
+    }
+    named![
+        table1, table2, table3, table4, table5, fig3, fig4, fig5, fig6, fig7, fig8, overhead,
+        ablation, netfit, probe
+    ]
+}
 
 /// Samples per message size used when measuring the network profile.
 pub const PROFILE_SAMPLES: usize = 40;
@@ -57,10 +83,8 @@ pub struct ScenarioOutcome {
     pub profile: IccProfile,
     /// The chosen distribution.
     pub distribution: Distribution,
-    /// Application compute observed while profiling, microseconds.
-    pub profiled_compute_us: u64,
-    /// Interface dispatches observed while profiling.
-    pub profiled_calls: u64,
+    /// The profiling run the profile came from.
+    pub profile_report: RunReport,
 }
 
 impl ScenarioOutcome {
@@ -77,8 +101,8 @@ impl ScenarioOutcome {
     /// Table 5's prediction row for this scenario.
     pub fn prediction(&self, net: &NetworkProfile) -> PredictionRow {
         let predicted = predict_execution_us(
-            self.profiled_compute_us,
-            self.profiled_calls,
+            self.profile_report.stats.compute_us,
+            self.profile_report.stats.calls,
             &self.profile,
             &self.distribution,
             net,
@@ -111,8 +135,7 @@ pub fn optimize_and_run(app: &dyn Application, scenario: &str) -> ComResult<Scen
         coign_report,
         profile: run.profile,
         distribution,
-        profiled_compute_us: run.report.stats.compute_us,
-        profiled_calls: run.report.stats.calls,
+        profile_report: run.report,
     })
 }
 
@@ -125,14 +148,14 @@ fn seed_of(name: &str) -> u64 {
 /// A figure-style summary of a chosen distribution.
 #[derive(Debug, Clone)]
 pub struct FigureSummary {
-    /// Scenario the distribution was optimized for.
-    pub scenario: String,
     /// Total live application instances at scenario end (excluding pinned
     /// storage — the paper's data files live on the server by assumption).
     pub total: usize,
     /// Application instances placed on the server, excluding pinned
     /// storage/database components.
     pub server: usize,
+    /// The same count under the default (as-shipped) distribution.
+    pub default_server: usize,
     /// Pinned storage/database instances on the server.
     pub pinned_storage: usize,
     /// Server-side class breakdown: class name → instance count.
@@ -149,29 +172,34 @@ pub fn figure_for(app: &dyn Application, scenario: &str) -> ComResult<FigureSumm
     // Resolve class names and import kinds.
     let rt = ComRuntime::single_machine();
     app.register(&rt);
-    let mut server = 0usize;
-    let mut pinned = 0usize;
-    let mut server_classes: BTreeMap<String, usize> = BTreeMap::new();
-    for (clsid, machine) in &outcome.coign_report.instance_placements {
-        if *machine != MachineId::SERVER {
-            continue;
+    // A run's server side: application instances per class name, and the
+    // count of pinned storage/database instances.
+    let server_side = |report: &RunReport| {
+        let mut classes: BTreeMap<String, usize> = BTreeMap::new();
+        let mut pinned = 0usize;
+        for (clsid, machine) in &report.instance_placements {
+            if *machine != MachineId::SERVER {
+                continue;
+            }
+            let (name, imports) = rt
+                .registry()
+                .get(*clsid)
+                .map(|d| (d.name.clone(), d.imports))
+                .unwrap_or((format!("{clsid}"), ApiImports::NONE));
+            if imports.uses_storage() {
+                pinned += 1;
+            } else {
+                *classes.entry(name).or_insert(0) += 1;
+            }
         }
-        let (name, imports) = rt
-            .registry()
-            .get(*clsid)
-            .map(|d| (d.name.clone(), d.imports))
-            .unwrap_or((format!("{clsid}"), ApiImports::NONE));
-        if imports.uses_storage() {
-            pinned += 1;
-        } else {
-            server += 1;
-            *server_classes.entry(name).or_insert(0) += 1;
-        }
-    }
+        (classes, pinned)
+    };
+    let (server_classes, pinned) = server_side(&outcome.coign_report);
+    let (default_classes, _) = server_side(&outcome.default_report);
     Ok(FigureSummary {
-        scenario: scenario.to_string(),
         total: outcome.coign_report.total_instances() - pinned,
-        server,
+        server: server_classes.values().sum(),
+        default_server: default_classes.values().sum(),
         pinned_storage: pinned,
         server_classes,
         non_remotable_pairs: outcome.profile.non_remotable.len(),
@@ -180,6 +208,11 @@ pub fn figure_for(app: &dyn Application, scenario: &str) -> ComResult<FigureSumm
             outcome.coign_report.comm_secs(),
         ),
     })
+}
+
+/// Writes each of `lines` followed by a newline.
+pub(crate) fn write_lines(out: &mut impl Write, lines: &[&str]) -> io::Result<()> {
+    lines.iter().try_for_each(|line| writeln!(out, "{line}"))
 }
 
 /// Renders a simple aligned text table.

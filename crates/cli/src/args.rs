@@ -345,6 +345,13 @@ mod tests {
             ("run", &["--fault-seed", "-1"], "bad fault seed `-1`"),
             ("chaos", &["--seed", "0x10"], "bad seed `0x10`"),
             ("serve", &["--sessions", "1e3"], "bad session count `1e3`"),
+            // One past `u64::MAX`; `u64::MAX` itself parses and is refused
+            // by `serve`'s per-shard bound.
+            (
+                "serve",
+                &["--sessions", "18446744073709551616"],
+                "bad session count `18446744073709551616`",
+            ),
             ("serve", &["--slo-p99-us", ""], "bad slo target ``"),
             (
                 "serve",

@@ -75,8 +75,8 @@ pub fn app_for_image(image: &AppImage) -> ComResult<Arc<dyn Application>> {
 }
 
 /// In-process memo of materialized generated images, keyed by (seed, size).
-/// A process that resolves the same `gen:` address repeatedly (tests, the
-/// perfsuite, multi-command drivers) pays generation + instrumentation at
+/// A process that resolves the same `gen:` address repeatedly (tests,
+/// multi-command drivers) pays generation + instrumentation at
 /// most once and skips even the `stat` afterwards.
 static GEN_IMAGE_CACHE: std::sync::OnceLock<
     std::sync::Mutex<std::collections::HashMap<GenSpec, PathBuf>>,

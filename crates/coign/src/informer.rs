@@ -296,7 +296,7 @@ impl Invoker for ProfilingInvoker {
         self.logger.log_call(&record);
         if let Some(obs) = &self.obs {
             // Tracing must stay cheap enough to leave on while tens of
-            // thousands of calls replay (perfsuite asserts < 10% overhead),
+            // thousands of calls replay (recorded: `obs.trace_overhead_frac`),
             // so the per-call record is the `EventLogger`'s job and only
             // marshal-cache misses — the rare first deep-copy walk of a new
             // argument shape — become instants. Hits aggregate into

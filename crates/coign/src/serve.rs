@@ -426,7 +426,7 @@ impl ServeReport {
 
     /// Renders the deterministic summary (the bytes golden tests and the
     /// ci smoke diff pin). Wall-clock numbers never appear here — they
-    /// belong to perfsuite.
+    /// belong to the benchmark.
     pub fn summary(&self, json: bool) -> String {
         let (p50, p95, p99) = (
             self.latency_quantile_us(0.50),
@@ -1345,6 +1345,15 @@ pub fn serve_traced(
         return Err(ComError::App("nothing to serve: --sessions 0".to_string()));
     }
     let shards = opts.shards.max(1);
+    // A shard addresses its sessions by `u32` slot and allocates them all
+    // up front.
+    if opts.sessions.div_ceil(shards as u64) > u64::from(u32::MAX) {
+        return Err(ComError::App(format!(
+            "--sessions {} over {shards} shard(s) exceeds {} sessions per shard",
+            opts.sessions,
+            u32::MAX
+        )));
+    }
     let script = build_script(profile, distribution, opts.script_cap);
 
     // Sessions split round-robin across shards; shard i simulates its slice
@@ -1686,6 +1695,15 @@ mod tests {
         let net = NetworkModel::ethernet_10baset();
         assert!(serve(&IccProfile::new(), &dist, &net, &opts(10, 1, true)).is_err());
         assert!(serve(&profile, &dist, &net, &opts(0, 1, true)).is_err());
+        // More sessions per shard than a `u32` slot id can address: a typed
+        // error, not an allocation panic or a truncated id.
+        for sessions in [u64::MAX, 4 * (u64::from(u32::MAX) + 1)] {
+            let err = serve(&profile, &dist, &net, &opts(sessions, 1, true)).unwrap_err();
+            assert!(
+                matches!(&err, ComError::App(m) if m.contains("per shard")),
+                "{err}"
+            );
+        }
     }
 
     /// A router giving the server-side store (class 2) a replica on the

@@ -41,6 +41,11 @@ fn acceptance_thousand_interleavings_zero_violations() {
     );
     assert_eq!(report.violations, 0);
     assert!(
+        report.calibration_fit <= coign_gen::calibration::KS_TOLERANCE,
+        "explored app's traffic is outside the calibration envelope: K-S {}",
+        report.calibration_fit
+    );
+    assert!(
         report.summary.contains("invariants: ok"),
         "{}",
         report.summary

@@ -49,6 +49,6 @@ fn main() {
     println!();
     println!("Deeper walks recognize more unique instantiation contexts; accuracy");
     println!("saturates once the distinguishing frames are within reach (Table 3).");
-    println!("Run `cargo run -p coign-bench --bin fig3` for the paper's worked");
-    println!("descriptor example, and `--bin table2` for the accuracy evaluation.");
+    println!("Run `cargo run -p coign-bench --bin repro_all -- fig3` for the paper's");
+    println!("worked descriptor example, and `repro_all table2` for the accuracy evaluation.");
 }

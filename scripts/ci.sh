@@ -21,7 +21,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release --workspace"
 # --workspace matters: the root manifest is a package, so a bare build
 # would skip coign-cli and coign-bench and the smoke blocks below would
-# run stale `target/release/coign` / `perfsuite` binaries.
+# run stale `target/release/coign` / `repro_all` binaries.
 cargo build --release --workspace
 
 echo "==> cargo test --workspace (fresh TMPDIR, --no-fail-fast)"
@@ -268,12 +268,18 @@ grep -q '"name":"failover"' "$TMP/serve_gen_3_trace.json" \
 cmp "$TMP/serve_gen_3.txt" "$TMP/serve_gen_3_fs0.txt" \
   || { echo "--fault-seed 0 perturbed the zero-fault serve summary"; exit 1; }
 
-echo "==> perf smoke (BENCH_coign.json)"
-# Records the perf trajectory: profile replay (sequential vs parallel
-# workers), marshal-size cache hit rate, and the network sweep cold vs
-# warm. The binary itself asserts the correctness half (byte-identical
-# profiles, identical cut values, warm strictly faster).
-target/release/perfsuite BENCH_coign.json
-cat BENCH_coign.json
+echo "==> paper reproduction (repro_all vs committed expectation)"
+# Every table and figure of the paper plus the §3.2 overhead summary, all
+# simulated and seeded: a change that moves a paper number shows up here as
+# a diff, and EXPERIMENTS.md quotes this file. Regenerate after an
+# intentional change with:
+#   scripts/ci.sh --regen-fault-expectations
+target/release/repro_all > "$TMP/repro_all.txt"
+check_expected repro_all.txt "paper reproduction"
+target/release/repro_all ablation netfit probe > /dev/null
+if target/release/repro_all nosuch > /dev/null 2>&1; then
+  echo "repro_all accepted an unknown section name"
+  exit 1
+fi
 
 echo "CI OK"
