@@ -124,3 +124,49 @@ fn errors_surface_on_stderr_with_failure_exit() {
     assert!(out.is_empty());
     assert!(err.contains("error:"));
 }
+
+/// An instrumented Octarine image whose classifier table names a
+/// classification interned after the descriptor holding it: IFCB
+/// descriptor 1's only chain entry is classification 7.
+fn forward_reference_image(tag: &str) -> PathBuf {
+    let image = temp(tag);
+    let (ok, _, _) = coign(&["instrument", "octarine", image.to_str().unwrap()]);
+    assert!(ok, "instrument failed");
+    let mut table = coign_com::codec::Encoder::new();
+    table.put_u8(4); // IFCB classifier,
+    table.put_bool(false); // full stack walk,
+    table.put_seq(1); // one descriptor: IFCB,
+    table.put_u8(4);
+    table.put_guid(coign_com::Guid::NULL);
+    table.put_seq(1); // one chain entry: who = 7, clsid, iid, method.
+    table.put_u32(7);
+    table.put_guid(coign_com::Guid::NULL);
+    table.put_guid(coign_com::Guid::NULL);
+    table.put_u32(0);
+    let record = coign::config::ConfigRecord::profiling(table.finish());
+    let mut img = coign_com::AppImage::decode(&std::fs::read(&image).unwrap()).unwrap();
+    img.set_config_record(record.encode());
+    std::fs::write(&image, img.encode()).unwrap();
+    image
+}
+
+#[test]
+fn parallel_profiling_refuses_a_forward_reference_table() {
+    // Forked workers used to panic absorbing this table back.
+    let image = forward_reference_image("fwdref_profile");
+    let args = ["profile", image.to_str().unwrap(), "o_newdoc", "o_oldwp0"];
+    let (ok, _, err) = coign(&[&args[..], &["--jobs", "2"]].concat());
+    assert!(!ok);
+    assert!(err.contains("interned after it"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_file(&image).ok();
+}
+
+#[test]
+fn check_reports_a_forward_reference_table() {
+    let image = forward_reference_image("fwdref_check");
+    let (ok, out, _) = coign(&["check", image.to_str().unwrap()]);
+    assert!(!ok, "a table parallel profiling cannot load is an error");
+    assert!(out.contains("COIGN035"), "{out}");
+    std::fs::remove_file(&image).ok();
+}

@@ -481,7 +481,8 @@ impl InstanceClassifier {
     /// Descriptors are replayed in the fork's interning order. A
     /// descriptor only ever embeds classifications interned strictly
     /// before it (the `who` entries of IFCB/EPCB chains and IB parents
-    /// come from instances bound earlier), so each one can be rewritten
+    /// come from instances bound earlier, and [`InstanceClassifier::decode`]
+    /// rejects a table that breaks this), so each one can be rewritten
     /// through the translation built so far and re-interned here.
     /// Absorbing the forks of one base in scenario order therefore
     /// reproduces exactly the table a sequential pass over the same
@@ -517,8 +518,23 @@ impl InstanceClassifier {
         let mut descriptors = Vec::with_capacity(n);
         let mut interned = HashMap::with_capacity(n);
         for i in 0..n {
+            let id = ClassificationId(i as u32 + 1);
             let desc = decode_descriptor(&mut d)?;
-            interned.insert(desc.clone(), ClassificationId(i as u32 + 1));
+            // `absorb` relies on every embedded reference predating its
+            // descriptor; a table breaking that is not one Coign wrote.
+            let latest = match &desc {
+                Descriptor::Ifcb(_, chain) | Descriptor::Epcb(_, chain) => {
+                    chain.iter().map(|entry| entry.who).max()
+                }
+                Descriptor::Ib(_, parent) => *parent,
+                _ => None,
+            };
+            if let Some(later) = latest.filter(|&r| r >= id) {
+                return Err(ComError::Codec(format!(
+                    "classification {id} references {later}, interned after it"
+                )));
+            }
+            interned.insert(desc.clone(), id);
             descriptors.push(desc);
         }
         Ok(InstanceClassifier {
@@ -1026,6 +1042,49 @@ mod tests {
         assert!(decode_descriptor(&mut Decoder::new(&e.finish())).is_err());
     }
 
+    /// Decodes a table of `kind` holding `descs` as ids 1, 2, ….
+    ///
+    /// `absorb` replays a table in id order, so a descriptor may only name
+    /// classifications interned before it: parallel profiling over a
+    /// record breaking that used to panic in `absorb`.
+    fn decode_table(kind: ClassifierKind, descs: &[Descriptor]) -> ComResult<InstanceClassifier> {
+        let mut e = Encoder::new();
+        e.put_u8(kind.tag());
+        e.put_bool(false);
+        e.put_seq(descs.len());
+        for desc in descs {
+            encode_descriptor(&mut e, desc);
+        }
+        InstanceClassifier::decode(&e.finish())
+    }
+
+    #[test]
+    fn decode_rejects_a_chain_entry_naming_a_later_classification() {
+        let ifcb = |who| {
+            let entry = ChainEntry {
+                who: ClassificationId(who),
+                clsid: Clsid::from_name("Y"),
+                iid: Iid::from_name("IY"),
+                method: 0,
+            };
+            Descriptor::Ifcb(Clsid::from_name("X"), vec![entry])
+        };
+        // The reported table: descriptor 1's only chain entry names 7.
+        assert!(matches!(
+            decode_table(ClassifierKind::Ifcb, &[ifcb(7)]),
+            Err(ComError::Codec(_))
+        ));
+        assert!(decode_table(ClassifierKind::Ifcb, &[ifcb(0)]).is_ok());
+    }
+
+    #[test]
+    fn decode_rejects_an_ib_parent_naming_itself_or_later() {
+        let ib = |parent| Descriptor::Ib(Clsid::from_name("X"), Some(ClassificationId(parent)));
+        assert!(decode_table(ClassifierKind::Ib, &[ib(1)]).is_err());
+        let st = Descriptor::St(Clsid::from_name("P"));
+        assert!(decode_table(ClassifierKind::Ib, &[st, ib(1)]).is_ok());
+    }
+
     #[test]
     fn root_classification_displays() {
         assert_eq!(ClassificationId::ROOT.to_string(), "c:root");
@@ -1050,11 +1109,14 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn frame((inst, class, method): (u64, u8, u32)) -> Frame {
+    const CASES: u64 = 128;
+
+    fn frame(inst: u64, class: u8, method: u32) -> Frame {
         Frame {
             instance: InstanceId(inst),
             clsid: Clsid::from_name(&format!("K{class}")),
@@ -1063,10 +1125,25 @@ mod proptests {
         }
     }
 
-    /// Arbitrary call stacks over a small class/instance alphabet.
-    fn arb_stack() -> impl Strategy<Value = Vec<Frame>> {
-        proptest::collection::vec((1u64..6, 0u8..4, 0u32..3), 0..8)
-            .prop_map(|frames| frames.into_iter().map(frame).collect())
+    /// A random call stack of up to seven frames over a small
+    /// class/instance alphabet.
+    fn random_stack(rng: &mut StdRng) -> Vec<Frame> {
+        (0..rng.gen_range(0..8))
+            .map(|_| {
+                frame(
+                    rng.gen_range(1..6),
+                    rng.gen_range(0..4),
+                    rng.gen_range(0..3),
+                )
+            })
+            .collect()
+    }
+
+    /// A number of random stacks drawn from `count`.
+    fn random_stacks(rng: &mut StdRng, count: std::ops::Range<usize>) -> Vec<Vec<Frame>> {
+        (0..rng.gen_range(count))
+            .map(|_| random_stack(rng))
+            .collect()
     }
 
     fn classify_stack(
@@ -1089,14 +1166,14 @@ mod proptests {
         InstanceClassifier::intern(&mut st, descriptor)
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Identical contexts always classify identically (determinism),
-        /// for every classifier except the order-sensitive incremental.
-        #[test]
-        fn same_context_same_classification(stack in arb_stack(), class in 0u8..4) {
-            let clsid = Clsid::from_name(&format!("K{class}"));
+    /// Identical contexts always classify identically (determinism), for
+    /// every classifier except the order-sensitive incremental.
+    #[test]
+    fn same_context_same_classification() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let stack = random_stack(&mut rng);
+            let clsid = Clsid::from_name(&format!("K{}", rng.gen_range(0..4)));
             for kind in [
                 ClassifierKind::Pcb,
                 ClassifierKind::St,
@@ -1108,35 +1185,42 @@ mod proptests {
                 let classifier = InstanceClassifier::new(kind);
                 let a = classify_stack(&classifier, clsid, &stack);
                 let b = classify_stack(&classifier, clsid, &stack);
-                prop_assert_eq!(a, b, "{:?} not deterministic", kind);
+                assert_eq!(a, b, "case {case}: {kind:?} not deterministic");
             }
-        }
-
-        /// A deeper stack walk never merges classifications a shallower one
-        /// distinguishes: granularity is monotone in depth.
-        #[test]
-        fn depth_refines_classifications(
-            stacks in proptest::collection::vec(arb_stack(), 1..12),
-            shallow in 1usize..4,
-        ) {
-            check_depth_refines(&stacks, shallow);
-        }
-
-        /// Classifier tables round-trip through the configuration-record
-        /// codec for arbitrary interned descriptor sets.
-        #[test]
-        fn interned_tables_roundtrip(stacks in proptest::collection::vec(arb_stack(), 0..10)) {
-            check_tables_roundtrip(&stacks);
-        }
-
-        /// EPCB never distinguishes more than IFCB (it is a projection).
-        #[test]
-        fn epcb_is_coarser_than_ifcb(stacks in proptest::collection::vec(arb_stack(), 1..12)) {
-            check_epcb_is_coarser(&stacks);
         }
     }
 
-    fn check_depth_refines(stacks: &[Vec<Frame>], shallow: usize) {
+    /// A deeper stack walk never merges classifications a shallower one
+    /// distinguishes: granularity is monotone in depth.
+    #[test]
+    fn depth_refines_classifications() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let stacks = random_stacks(&mut rng, 1..12);
+            check_depth_refines(&stacks, rng.gen_range(1..4), &format!("case {case}"));
+        }
+    }
+
+    /// Classifier tables round-trip through the configuration-record codec
+    /// for arbitrary interned descriptor sets.
+    #[test]
+    fn interned_tables_roundtrip() {
+        for case in 0..CASES {
+            let stacks = random_stacks(&mut StdRng::seed_from_u64(case), 0..10);
+            check_tables_roundtrip(&stacks, &format!("case {case}"));
+        }
+    }
+
+    /// EPCB never distinguishes more than IFCB (it is a projection).
+    #[test]
+    fn epcb_is_coarser_than_ifcb() {
+        for case in 0..CASES {
+            let stacks = random_stacks(&mut StdRng::seed_from_u64(case), 1..12);
+            check_epcb_is_coarser(&stacks, &format!("case {case}"));
+        }
+    }
+
+    fn check_depth_refines(stacks: &[Vec<Frame>], shallow: usize, label: &str) {
         let deep = shallow + 2;
         let clsid = Clsid::from_name("Target");
         let shallow_cl = InstanceClassifier::with_depth(ClassifierKind::Ifcb, Some(shallow));
@@ -1152,14 +1236,17 @@ mod proptests {
         for i in 0..pairs.len() {
             for j in 0..pairs.len() {
                 if pairs[i].1 == pairs[j].1 {
-                    assert_eq!(pairs[i].0, pairs[j].0);
+                    assert_eq!(pairs[i].0, pairs[j].0, "{label}: stacks {i} and {j}");
                 }
             }
         }
-        assert!(shallow_cl.classification_count() <= deep_cl.classification_count());
+        assert!(
+            shallow_cl.classification_count() <= deep_cl.classification_count(),
+            "{label}"
+        );
     }
 
-    fn check_tables_roundtrip(stacks: &[Vec<Frame>]) {
+    fn check_tables_roundtrip(stacks: &[Vec<Frame>], label: &str) {
         for kind in ClassifierKind::ALL {
             let classifier = InstanceClassifier::new(kind);
             for (i, stack) in stacks.iter().enumerate() {
@@ -1169,19 +1256,20 @@ mod proptests {
             let restored = InstanceClassifier::decode(&classifier.encode()).unwrap();
             assert_eq!(
                 restored.classification_count(),
-                classifier.classification_count()
+                classifier.classification_count(),
+                "{label}: {kind:?}"
             );
             // Re-classifying the same contexts yields the same ids.
             for (i, stack) in stacks.iter().enumerate() {
                 let clsid = Clsid::from_name(&format!("T{}", i % 3));
                 let original = classify_stack(&classifier, clsid, stack);
                 let again = classify_stack(&restored, clsid, stack);
-                assert_eq!(original, again);
+                assert_eq!(original, again, "{label}: {kind:?}, stack {i}");
             }
         }
     }
 
-    fn check_epcb_is_coarser(stacks: &[Vec<Frame>]) {
+    fn check_epcb_is_coarser(stacks: &[Vec<Frame>], label: &str) {
         let ifcb = InstanceClassifier::new(ClassifierKind::Ifcb);
         let epcb = InstanceClassifier::new(ClassifierKind::Epcb);
         let clsid = Clsid::from_name("Target");
@@ -1189,23 +1277,26 @@ mod proptests {
             classify_stack(&ifcb, clsid, stack);
             classify_stack(&epcb, clsid, stack);
         }
-        assert!(epcb.classification_count() <= ifcb.classification_count());
+        assert!(
+            epcb.classification_count() <= ifcb.classification_count(),
+            "{label}"
+        );
     }
 
-    /// The counter-example real proptest once shrank one of the `stacks`
-    /// properties to (its record did not say which): two two-frame stacks
-    /// identical except for the second frame's instance. The vendored
-    /// stand-in persists no failures, so the input is replayed here by name.
+    /// A counter-example a shrinking runner once reduced one of the
+    /// `stacks` properties to (its record did not say which): two
+    /// two-frame stacks identical except for the second frame's instance.
+    /// Nothing here persists failures, so the input is replayed by name.
     #[test]
     fn stacks_differing_only_in_the_inner_instance_hold_every_property() {
         let stacks = [
-            vec![frame((1, 1, 1)), frame((2, 2, 2))],
-            vec![frame((1, 1, 1)), frame((1, 2, 2))],
+            vec![frame(1, 1, 1), frame(2, 2, 2)],
+            vec![frame(1, 1, 1), frame(1, 2, 2)],
         ];
         for shallow in 1..4 {
-            check_depth_refines(&stacks, shallow);
+            check_depth_refines(&stacks, shallow, "regression");
         }
-        check_tables_roundtrip(&stacks);
-        check_epcb_is_coarser(&stacks);
+        check_tables_roundtrip(&stacks, "regression");
+        check_epcb_is_coarser(&stacks, "regression");
     }
 }

@@ -569,10 +569,13 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
     use coign_com::Clsid;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const CASES: u64 = 64;
 
     /// One random recorded message.
     #[derive(Debug, Clone)]
@@ -583,13 +586,16 @@ mod proptests {
         bytes: u64,
     }
 
-    fn arb_msg() -> impl Strategy<Value = Msg> {
-        (0u32..8, 0u32..8, 0u32..4, 0u64..100_000).prop_map(|(from, to, method, bytes)| Msg {
-            from,
-            to,
-            method,
-            bytes,
-        })
+    /// Fewer than `max` random messages.
+    fn random_messages(rng: &mut StdRng, max: usize) -> Vec<Msg> {
+        (0..rng.gen_range(0..max))
+            .map(|_| Msg {
+                from: rng.gen_range(0..8),
+                to: rng.gen_range(0..8),
+                method: rng.gen_range(0..4),
+                bytes: rng.gen_range(0..100_000),
+            })
+            .collect()
     }
 
     fn build(messages: &[Msg]) -> IccProfile {
@@ -608,36 +614,38 @@ mod proptests {
         p
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Totals are preserved by merging regardless of how the message
-        /// stream is split into runs.
-        #[test]
-        fn merge_preserves_totals(
-            messages in proptest::collection::vec(arb_msg(), 0..60),
-            split in 0usize..60,
-        ) {
-            let split = split.min(messages.len());
+    /// Totals are preserved by merging regardless of how the message
+    /// stream is split into runs.
+    #[test]
+    fn merge_preserves_totals() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let messages = random_messages(&mut rng, 60);
+            let split = rng.gen_range(0usize..60).min(messages.len());
             let whole = build(&messages);
             let mut merged = build(&messages[..split]);
             merged.merge(&build(&messages[split..]));
-            prop_assert_eq!(whole.total_messages(), merged.total_messages());
-            prop_assert_eq!(whole.total_bytes(), merged.total_bytes());
-            prop_assert_eq!(whole.edges, merged.edges);
+            assert_eq!(
+                whole.total_messages(),
+                merged.total_messages(),
+                "case {case}"
+            );
+            assert_eq!(whole.total_bytes(), merged.total_bytes(), "case {case}");
+            assert_eq!(whole.edges, merged.edges, "case {case}");
         }
+    }
 
-        /// Merging is associative: folding scenario logs left-to-right or
-        /// merging a pre-combined tail gives the same profile — the
-        /// property that lets parallel profiling combine worker results
-        /// in any grouping.
-        #[test]
-        fn merge_is_associative(
-            a in proptest::collection::vec(arb_msg(), 0..40),
-            b in proptest::collection::vec(arb_msg(), 0..40),
-            c in proptest::collection::vec(arb_msg(), 0..40),
-        ) {
-            let (mut pa, pb, pc) = (build(&a), build(&b), build(&c));
+    /// Merging is associative: folding scenario logs left-to-right or
+    /// merging a pre-combined tail gives the same profile — the property
+    /// that lets parallel profiling combine worker results in any
+    /// grouping.
+    #[test]
+    fn merge_is_associative() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut pa = build(&random_messages(&mut rng, 40));
+            let pb = build(&random_messages(&mut rng, 40));
+            let pc = build(&random_messages(&mut rng, 40));
             pa.scenarios.push("sa".into());
             let mut ab_then_c = pa.clone();
             ab_then_c.merge(&pb);
@@ -646,56 +654,67 @@ mod proptests {
             bc.merge(&pc);
             let mut a_then_bc = pa.clone();
             a_then_bc.merge(&bc);
-            prop_assert_eq!(&ab_then_c, &a_then_bc);
-            prop_assert_eq!(ab_then_c.encode(), a_then_bc.encode());
+            assert_eq!(ab_then_c, a_then_bc, "case {case}");
+            assert_eq!(ab_then_c.encode(), a_then_bc.encode(), "case {case}");
         }
+    }
 
-        /// Merging is commutative on the summarized traffic.
-        #[test]
-        fn merge_is_commutative(
-            a in proptest::collection::vec(arb_msg(), 0..40),
-            b in proptest::collection::vec(arb_msg(), 0..40),
-        ) {
-            let (pa, pb) = (build(&a), build(&b));
+    /// Merging is commutative on the summarized traffic.
+    #[test]
+    fn merge_is_commutative() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let pa = build(&random_messages(&mut rng, 40));
+            let pb = build(&random_messages(&mut rng, 40));
             let mut ab = pa.clone();
             ab.merge(&pb);
             let mut ba = pb.clone();
             ba.merge(&pa);
-            prop_assert_eq!(ab.edges, ba.edges);
-            prop_assert_eq!(ab.non_remotable, ba.non_remotable);
+            assert_eq!(ab.edges, ba.edges, "case {case}");
+            assert_eq!(ab.non_remotable, ba.non_remotable, "case {case}");
         }
+    }
 
-        /// Encode/decode round-trips arbitrary profiles.
-        #[test]
-        fn codec_roundtrip(messages in proptest::collection::vec(arb_msg(), 0..60)) {
-            let p = build(&messages);
+    /// Encode/decode round-trips arbitrary profiles.
+    #[test]
+    fn codec_roundtrip() {
+        for case in 0..CASES {
+            let p = build(&random_messages(&mut StdRng::seed_from_u64(case), 60));
             let back = IccProfile::decode(&p.encode()).unwrap();
-            prop_assert_eq!(back, p);
+            assert_eq!(back, p, "case {case}");
         }
+    }
 
-        /// Pair traffic is direction-insensitive: reversing every message
-        /// leaves the undirected summary unchanged.
-        #[test]
-        fn pair_traffic_is_undirected(messages in proptest::collection::vec(arb_msg(), 0..60)) {
+    /// Pair traffic is direction-insensitive: reversing every message
+    /// leaves the undirected summary unchanged.
+    #[test]
+    fn pair_traffic_is_undirected() {
+        for case in 0..CASES {
+            let messages = random_messages(&mut StdRng::seed_from_u64(case), 60);
             let forward = build(&messages);
-            let reversed: Vec<Msg> = messages
-                .iter()
-                .map(|m| Msg { from: m.to, to: m.from, ..m.clone() })
-                .collect();
+            let mut reversed = messages.clone();
+            for m in &mut reversed {
+                std::mem::swap(&mut m.from, &mut m.to);
+            }
             let backward = build(&reversed);
-            prop_assert_eq!(forward.pair_traffic(), backward.pair_traffic());
+            assert_eq!(
+                forward.pair_traffic(),
+                backward.pair_traffic(),
+                "case {case}"
+            );
         }
+    }
 
-        /// Buckets never lose messages: the summarized message count always
-        /// equals the raw stream length.
-        #[test]
-        fn summarization_is_lossless_in_counts(
-            messages in proptest::collection::vec(arb_msg(), 0..80),
-        ) {
+    /// Buckets never lose messages: the summarized message count always
+    /// equals the raw stream length.
+    #[test]
+    fn summarization_is_lossless_in_counts() {
+        for case in 0..CASES {
+            let messages = random_messages(&mut StdRng::seed_from_u64(case), 80);
             let p = build(&messages);
-            prop_assert_eq!(p.total_messages(), messages.len() as u64);
+            assert_eq!(p.total_messages(), messages.len() as u64, "case {case}");
             let byte_sum: u64 = messages.iter().map(|m| m.bytes).sum();
-            prop_assert_eq!(p.total_bytes(), byte_sum);
+            assert_eq!(p.total_bytes(), byte_sum, "case {case}");
         }
     }
 }

@@ -233,7 +233,7 @@ impl RecoverySolver {
             let (client, server) = match dead {
                 None => (self.base_client[node], self.base_server[node]),
                 Some(machine) => {
-                    let survivor_is_client = machine != MachineId::CLIENT;
+                    let survivor_is_client = survivor_of(machine) == MachineId::CLIENT;
                     (survivor_is_client, !survivor_is_client)
                 }
             };
@@ -284,6 +284,16 @@ impl RecoverySolver {
     }
 }
 
+/// The other machine of a two-machine death: where the dead machine's pins
+/// are redirected and its classifications must land.
+fn survivor_of(dead: MachineId) -> MachineId {
+    if dead == MachineId::CLIENT {
+        MachineId::SERVER
+    } else {
+        MachineId::CLIENT
+    }
+}
+
 /// Checks a placement against the constraint set, the non-remotable pairs,
 /// and (optionally) a dead machine. With a dead machine, absolute pins to
 /// it are treated as redirected to the survivor, and nothing may remain
@@ -294,13 +304,6 @@ pub fn validate_placement(
     non_remotable: &[(ClassificationId, ClassificationId)],
     dead: Option<MachineId>,
 ) -> Result<(), String> {
-    let survivor = dead.map(|m| {
-        if m == MachineId::CLIENT {
-            MachineId::SERVER
-        } else {
-            MachineId::CLIENT
-        }
-    });
     if let Some(machine) = dead {
         let mut entries: Vec<_> = placement.iter().collect();
         entries.sort();
@@ -312,7 +315,7 @@ pub fn validate_placement(
     }
     let pin_target = |want: MachineId| {
         if dead == Some(want) {
-            survivor.expect("survivor exists when a machine is dead")
+            survivor_of(want)
         } else {
             want
         }
@@ -696,28 +699,7 @@ impl RecoveryCoordinator {
         if validate_placement(&placement, &self.constraints, &self.non_remotable, dead).is_err() {
             return false;
         }
-        if let Some(machine) = dead {
-            let survivor = if machine == MachineId::CLIENT {
-                MachineId::SERVER
-            } else {
-                MachineId::CLIENT
-            };
-            self.factory.retarget_pins(machine, survivor);
-        }
-        self.factory.swap_placement(placement.clone());
-        let mut migrations = 0u64;
-        for instance in rt.instances_snapshot() {
-            let class = self
-                .classifier
-                .classification_of(instance.id)
-                .unwrap_or(ClassificationId::ROOT);
-            let target = placement
-                .get(&class)
-                .copied()
-                .unwrap_or_else(|| self.factory.placement_for(class, instance.clsid));
-            if instance.machine() == target {
-                continue;
-            }
+        let migrations = self.install_placement(rt, dead, &placement, || {
             // Relocation is modeled as the paper would do it over DCOM:
             // marshal the instance's state, ship it, unmarshal on the
             // target — so the move costs simulated time proportional to
@@ -726,11 +708,9 @@ impl RecoveryCoordinator {
                 value_size(&migration_state_tree()).expect("migration state tree is remotable");
             rt.clock()
                 .advance_us(MIGRATION_CALL_US + (bytes / 1024) * MIGRATION_PER_KB_US);
-            instance.set_machine(target);
             self.migrated_state_bytes
                 .fetch_add(bytes, Ordering::Relaxed);
-            migrations += 1;
-        }
+        });
         self.migrations.fetch_add(migrations, Ordering::Relaxed);
         if let Some(router) = self.replicas.lock().as_mut() {
             let dead_set = self.dead.lock().clone();
@@ -796,32 +776,10 @@ impl RecoveryCoordinator {
         {
             return false;
         }
-        let survivor = if machine == MachineId::CLIENT {
-            MachineId::SERVER
-        } else {
-            MachineId::CLIENT
-        };
-        self.factory.retarget_pins(machine, survivor);
-        self.factory.swap_placement(placement.clone());
-        let mut failovers = 0u64;
-        for instance in rt.instances_snapshot() {
-            let class = self
-                .classifier
-                .classification_of(instance.id)
-                .unwrap_or(ClassificationId::ROOT);
-            let target = placement
-                .get(&class)
-                .copied()
-                .unwrap_or_else(|| self.factory.placement_for(class, instance.clsid));
-            if instance.machine() == target {
-                continue;
-            }
-            // The surviving replica already holds the state on the target
-            // machine: the instance record re-points without marshaling,
-            // wire time, or clock charge.
-            instance.set_machine(target);
-            failovers += 1;
-        }
+        // The surviving replica already holds the state on the target
+        // machine: the instance record re-points without marshaling, wire
+        // time, or clock charge.
+        let failovers = self.install_placement(rt, Some(machine), &placement, || {});
         self.replica_failovers
             .fetch_add(failovers, Ordering::Relaxed);
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
@@ -853,6 +811,40 @@ impl RecoveryCoordinator {
             obs.recorder.dump("Recovery");
         }
         true
+    }
+
+    /// Installs a recovery's placement: pins that demanded the dead machine
+    /// move to its survivor, the factory places new instances by
+    /// `placement`, and every live instance off its target re-points
+    /// there, `on_move` running just before each. Returns how many moved.
+    fn install_placement(
+        &self,
+        rt: &ComRuntime,
+        dead: Option<MachineId>,
+        placement: &HashMap<ClassificationId, MachineId>,
+        mut on_move: impl FnMut(),
+    ) -> u64 {
+        if let Some(machine) = dead {
+            self.factory.retarget_pins(machine, survivor_of(machine));
+        }
+        self.factory.swap_placement(placement.clone());
+        let mut moved = 0;
+        for instance in rt.instances_snapshot() {
+            let class = self
+                .classifier
+                .classification_of(instance.id)
+                .unwrap_or(ClassificationId::ROOT);
+            let target = placement
+                .get(&class)
+                .copied()
+                .unwrap_or_else(|| self.factory.placement_for(class, instance.clsid));
+            if instance.machine() != target {
+                on_move();
+                instance.set_machine(target);
+                moved += 1;
+            }
+        }
+        moved
     }
 
     /// Adds the coordinator's counters to a metrics registry.

@@ -303,21 +303,56 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
+    use std::ops::{Range, RangeInclusive};
 
-    proptest! {
-        #[test]
-        fn mixed_roundtrip(
-            a in any::<u64>(),
-            b in any::<i64>(),
-            c in any::<f64>().prop_filter("NaN breaks eq", |f| !f.is_nan()),
-            s in ".{0,64}",
-            bytes in proptest::collection::vec(any::<u8>(), 0..128),
-            flag in any::<bool>(),
-            g in any::<u128>(),
-        ) {
+    const CASES: u64 = 64;
+
+    /// A string whose length is drawn from `len` and whose every char
+    /// picks one range of `set`, then a code point in it (surrogates are
+    /// redrawn, so `'\0'..=char::MAX` yields any `char`).
+    pub(crate) fn random_string(
+        rng: &mut StdRng,
+        set: &[RangeInclusive<char>],
+        len: Range<usize>,
+    ) -> String {
+        (0..rng.gen_range(len))
+            .map(|_| loop {
+                let range = &set[rng.gen_range(0..set.len())];
+                let code = rng.gen_range(u32::from(*range.start())..=u32::from(*range.end()));
+                if let Some(c) = char::from_u32(code) {
+                    break c;
+                }
+            })
+            .collect()
+    }
+
+    /// Fewer than `max` random bytes.
+    pub(crate) fn random_bytes(rng: &mut StdRng, max: usize) -> Vec<u8> {
+        let mut bytes = vec![0; rng.gen_range(0..max)];
+        rng.fill_bytes(&mut bytes);
+        bytes
+    }
+
+    pub(crate) fn random_u128(rng: &mut StdRng) -> u128 {
+        u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())
+    }
+
+    #[test]
+    fn mixed_roundtrip() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let a = rng.next_u64();
+            let b = rng.next_u64() as i64;
+            // Any bit pattern, NaN payloads included: compared by bits.
+            let c = f64::from_bits(rng.next_u64());
+            let s = random_string(&mut rng, &['\0'..=char::MAX], 0..65);
+            let bytes = random_bytes(&mut rng, 128);
+            let flag = rng.gen_bool(0.5);
+            let g = random_u128(&mut rng);
             let mut e = Encoder::new();
             e.put_u64(a);
             e.put_i64(b);
@@ -328,18 +363,21 @@ mod proptests {
             e.put_guid(Guid(g));
             let buf = e.finish();
             let mut d = Decoder::new(&buf);
-            prop_assert_eq!(d.get_u64().unwrap(), a);
-            prop_assert_eq!(d.get_i64().unwrap(), b);
-            prop_assert_eq!(d.get_f64().unwrap(), c);
-            prop_assert_eq!(d.get_str().unwrap(), s);
-            prop_assert_eq!(d.get_bytes().unwrap(), bytes);
-            prop_assert_eq!(d.get_bool().unwrap(), flag);
-            prop_assert_eq!(d.get_guid().unwrap(), Guid(g));
-            prop_assert!(d.is_done());
+            assert_eq!(d.get_u64().unwrap(), a, "case {case}");
+            assert_eq!(d.get_i64().unwrap(), b, "case {case}");
+            assert_eq!(d.get_f64().unwrap().to_bits(), c.to_bits(), "case {case}");
+            assert_eq!(d.get_str().unwrap(), s, "case {case}");
+            assert_eq!(d.get_bytes().unwrap(), bytes, "case {case}");
+            assert_eq!(d.get_bool().unwrap(), flag, "case {case}");
+            assert_eq!(d.get_guid().unwrap(), Guid(g), "case {case}");
+            assert!(d.is_done(), "case {case}");
         }
+    }
 
-        #[test]
-        fn decoder_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..64)) {
+    #[test]
+    fn decoder_never_panics_on_garbage() {
+        for case in 0..CASES {
+            let data = random_bytes(&mut StdRng::seed_from_u64(case), 64);
             let mut d = Decoder::new(&data);
             // Whatever the bytes are, decoding returns Ok or Err, never panics.
             let _ = d.get_str();

@@ -358,27 +358,36 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use crate::codec::properties::{random_bytes, random_string, random_u128};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    proptest! {
-        #[test]
-        fn image_roundtrip(
-            name in "[a-z]{1,12}\\.exe",
-            imports in proptest::collection::vec("[a-z0-9_]{1,16}\\.dll", 0..8),
-            data in proptest::collection::vec(any::<u8>(), 0..256),
-            classes in proptest::collection::vec(any::<u128>(), 0..8),
-        ) {
+    #[test]
+    fn image_roundtrip() {
+        for case in 0..64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let name = random_string(&mut rng, &['a'..='z'], 1..13) + ".exe";
+            let imports = (0..rng.gen_range(0..8))
+                .map(|_| {
+                    let stem = random_string(&mut rng, &['a'..='z', '0'..='9', '_'..='_'], 1..17);
+                    DllImport::new(&format!("{stem}.dll"))
+                })
+                .collect();
+            let data = random_bytes(&mut rng, 256);
+            let classes = (0..rng.gen_range(0..8))
+                .map(|_| Clsid(crate::guid::Guid(random_u128(&mut rng))))
+                .collect();
             let mut img = AppImage {
                 name,
-                imports: imports.iter().map(|s| DllImport::new(s)).collect(),
+                imports,
                 sections: Vec::new(),
-                classes: classes.into_iter().map(|g| Clsid(crate::guid::Guid(g))).collect(),
+                classes,
             };
             img.set_config_record(data);
             let back = AppImage::decode(&img.encode()).unwrap();
-            prop_assert_eq!(back, img);
+            assert_eq!(back, img, "case {case}");
         }
     }
 }

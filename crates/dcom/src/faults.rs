@@ -877,91 +877,125 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::ops::{Range, RangeInclusive};
 
-    fn arb_machine() -> impl Strategy<Value = MachineId> {
-        (0u16..8).prop_map(MachineId)
-    }
+    const CASES: u64 = 64;
 
-    fn arb_link() -> impl Strategy<Value = LinkSelector> {
-        prop_oneof![
-            Just(LinkSelector::AllLinks),
-            (arb_machine(), arb_machine()).prop_map(|(a, b)| LinkSelector::Link(a, b)),
-        ]
-    }
-
-    fn arb_window() -> impl Strategy<Value = TimeWindow> {
-        prop_oneof![
-            Just(TimeWindow::ALWAYS),
-            (0u64..1_000_000).prop_map(TimeWindow::from),
-            (0u64..1_000_000, 0u64..1_000_000)
-                .prop_map(|(a, b)| TimeWindow::new(a.min(b), a.max(b))),
-        ]
-    }
-
-    fn arb_fault() -> impl Strategy<Value = Fault> {
-        prop_oneof![
-            // The vendored proptest has no float-range strategies; integer
-            // grids mapped through division exercise plenty of
-            // non-terminating binary fractions anyway.
-            (arb_link(), 0u32..=10_000, arb_window()).prop_map(|(link, millis, window)| {
-                Fault::Loss {
-                    link,
-                    probability: f64::from(millis) / 10_000.0,
-                    window,
+    /// A string whose length is drawn from `len` and whose every char
+    /// picks one range of `set`, then a code point in it (surrogates are
+    /// redrawn, so `'\0'..=char::MAX` yields any `char`).
+    pub(crate) fn random_string(
+        rng: &mut StdRng,
+        set: &[RangeInclusive<char>],
+        len: Range<usize>,
+    ) -> String {
+        (0..rng.gen_range(len))
+            .map(|_| loop {
+                let range = &set[rng.gen_range(0..set.len())];
+                let code = rng.gen_range(u32::from(*range.start())..=u32::from(*range.end()));
+                if let Some(c) = char::from_u32(code) {
+                    break c;
                 }
-            }),
-            (arb_link(), 0u32..=100_000, arb_window()).prop_map(|(link, thousandths, window)| {
-                Fault::LatencySpike {
-                    link,
-                    factor: f64::from(thousandths) / 1_000.0,
-                    window,
-                }
-            }),
-            (arb_link(), arb_window()).prop_map(|(link, window)| Fault::Partition { link, window }),
-            (arb_machine(), arb_window())
-                .prop_map(|(machine, window)| Fault::MachineDown { machine, window }),
-        ]
+            })
+            .collect()
     }
 
-    proptest! {
-        #[test]
-        fn plan_format_round_trips(faults in proptest::collection::vec(arb_fault(), 0..12)) {
-            // Floats print with Rust's shortest round-tripping
-            // representation, so re-parsing must reproduce the plan bit
-            // for bit.
+    fn machine(rng: &mut StdRng) -> MachineId {
+        MachineId(rng.gen_range(0..8))
+    }
+
+    fn link(rng: &mut StdRng) -> LinkSelector {
+        if rng.gen_bool(0.5) {
+            LinkSelector::AllLinks
+        } else {
+            LinkSelector::Link(machine(rng), machine(rng))
+        }
+    }
+
+    fn window(rng: &mut StdRng) -> TimeWindow {
+        match rng.gen_range(0..3) {
+            0 => TimeWindow::ALWAYS,
+            1 => TimeWindow::from(rng.gen_range(0..1_000_000)),
+            _ => {
+                let a: u64 = rng.gen_range(0..1_000_000);
+                let b = rng.gen_range(0..1_000_000);
+                TimeWindow::new(a.min(b), a.max(b))
+            }
+        }
+    }
+
+    /// Probabilities and factors are drawn on integer grids mapped through
+    /// division, which exercises plenty of non-terminating binary
+    /// fractions.
+    fn fault(rng: &mut StdRng) -> Fault {
+        match rng.gen_range(0..4) {
+            0 => Fault::Loss {
+                link: link(rng),
+                probability: f64::from(rng.gen_range(0u32..=10_000)) / 10_000.0,
+                window: window(rng),
+            },
+            1 => Fault::LatencySpike {
+                link: link(rng),
+                factor: f64::from(rng.gen_range(0u32..=100_000)) / 1_000.0,
+                window: window(rng),
+            },
+            2 => Fault::Partition {
+                link: link(rng),
+                window: window(rng),
+            },
+            _ => Fault::MachineDown {
+                machine: machine(rng),
+                window: window(rng),
+            },
+        }
+    }
+
+    #[test]
+    fn plan_format_round_trips() {
+        // Floats print with Rust's shortest round-tripping representation,
+        // so re-parsing must reproduce the plan bit for bit.
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
             let mut plan = FaultPlan::none();
-            for fault in faults {
-                plan.push(fault);
+            for _ in 0..rng.gen_range(0..12) {
+                plan.push(fault(&mut rng));
             }
             let reparsed = FaultPlan::parse(&plan.to_string()).unwrap();
-            prop_assert_eq!(reparsed, plan);
+            assert_eq!(reparsed, plan, "case {case}");
         }
+    }
 
-        #[test]
-        fn parser_errors_but_never_panics_on_arbitrary_text(text in ".{0,48}") {
-            // Any outcome is acceptable except a panic.
+    #[test]
+    fn parser_errors_but_never_panics_on_arbitrary_text() {
+        // Any outcome is acceptable except a panic.
+        for case in 0..CASES {
+            let text = random_string(&mut StdRng::seed_from_u64(case), &['\0'..=char::MAX], 0..49);
             let _ = FaultPlan::parse(&text);
         }
+    }
 
-        #[test]
-        fn parser_errors_but_never_panics_on_plan_like_garbage(
-            keyword in prop_oneof![
-                Just("loss".to_string()),
-                Just("spike".to_string()),
-                Just("partition".to_string()),
-                Just("down".to_string()),
-                "[a-z]{1,8}",
-            ],
-            tokens in proptest::collection::vec("[-0-9a-z.*#]{0,6}", 0..5),
-        ) {
-            // Near-miss lines: right keywords, mangled operands. Malformed
-            // input must surface as a typed codec error, never a panic.
+    #[test]
+    fn parser_errors_but_never_panics_on_plan_like_garbage() {
+        // Near-miss lines: right keywords, mangled operands. Malformed
+        // input must surface as a typed codec error, never a panic.
+        let operand = ['-'..='.', '0'..='9', 'a'..='z', '*'..='*', '#'..='#'];
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let keyword = match ["loss", "spike", "partition", "down"].get(rng.gen_range(0usize..5))
+            {
+                Some(keyword) => keyword.to_string(),
+                None => random_string(&mut rng, &['a'..='z'], 1..9),
+            };
+            let tokens: Vec<String> = (0..rng.gen_range(0..5))
+                .map(|_| random_string(&mut rng, &operand, 0..7))
+                .collect();
             let line = format!("{keyword} {}", tokens.join(" "));
             if let Err(error) = FaultPlan::parse(&line) {
-                prop_assert!(matches!(error, ComError::Codec(_)));
+                assert!(matches!(error, ComError::Codec(_)), "case {case}: {line:?}");
             }
         }
     }

@@ -426,149 +426,171 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
-
-    fn arb_remotable_value() -> impl Strategy<Value = Value> {
-        let leaf = prop_oneof![
-            any::<i32>().prop_map(Value::I4),
-            any::<i64>().prop_map(Value::I8),
-            any::<bool>().prop_map(Value::Bool),
-            "[a-z]{0,16}".prop_map(Value::Str),
-            (0u64..10_000).prop_map(Value::Blob),
-            Just(Value::Null),
-        ];
-        leaf.prop_recursive(3, 32, 8, |inner| {
-            prop_oneof![
-                proptest::collection::vec(inner.clone(), 0..6).prop_map(Value::Array),
-                proptest::collection::vec(inner, 0..6).prop_map(Value::Struct),
-            ]
-        })
-    }
-
-    proptest! {
-        #[test]
-        fn size_is_deterministic_and_positive(v in arb_remotable_value()) {
-            let a = value_size(&v).unwrap();
-            let b = value_size(&v).unwrap();
-            prop_assert_eq!(a, b);
-            prop_assert!(a >= 4);
-        }
-
-        #[test]
-        fn bigger_blob_never_shrinks_message(n in 0u64..100_000, extra in 1u64..100_000) {
-            let small = value_size(&Value::Blob(n)).unwrap();
-            let large = value_size(&Value::Blob(n + extra)).unwrap();
-            prop_assert!(large > small);
-        }
-
-        #[test]
-        fn array_size_is_sum_of_elements_plus_header(
-            items in proptest::collection::vec((0u64..1000).prop_map(Value::Blob), 0..10)
-        ) {
-            let parts: u64 = items.iter().map(|v| value_size(v).unwrap()).sum();
-            let whole = value_size(&Value::Array(items)).unwrap();
-            prop_assert_eq!(whole, parts + 12);
-        }
-    }
-
+    use crate::faults::properties::random_string;
     use coign_com::idl::{MethodDesc, ParamDesc, ParamDir};
     use coign_com::PType;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
-    fn arb_dir() -> impl Strategy<Value = ParamDir> {
-        prop_oneof![
-            Just(ParamDir::In),
-            Just(ParamDir::Out),
-            Just(ParamDir::InOut),
-        ]
-    }
+    const CASES: u64 = 64;
 
-    /// A method signature together with a matching argument list, every
-    /// parameter populated with an arbitrary remotable value tree.
-    fn arb_call() -> impl Strategy<Value = (MethodDesc, Message)> {
-        proptest::collection::vec((arb_dir(), arb_remotable_value()), 1..6).prop_map(|params| {
-            let descs = params
-                .iter()
-                .enumerate()
-                .map(|(i, (dir, _))| ParamDesc::new(&format!("p{i}"), *dir, PType::Blob))
+    /// A remotable value tree: a leaf or, while `depth` lasts, half the
+    /// time an array or struct of up to five subtrees.
+    fn value(rng: &mut StdRng, depth: u32) -> Value {
+        if depth > 0 && rng.gen_bool(0.5) {
+            let children = (0..rng.gen_range(0..6))
+                .map(|_| value(rng, depth - 1))
                 .collect();
-            let args = params.into_iter().map(|(_, v)| v).collect();
-            (MethodDesc::new("Probe", descs), Message::new(args))
-        })
+            return if rng.gen_bool(0.5) {
+                Value::Array(children)
+            } else {
+                Value::Struct(children)
+            };
+        }
+        match rng.gen_range(0..6) {
+            0 => Value::I4(rng.next_u32() as i32),
+            1 => Value::I8(rng.next_u64() as i64),
+            2 => Value::Bool(rng.gen_bool(0.5)),
+            3 => Value::Str(random_string(rng, &['a'..='z'], 0..17)),
+            4 => Value::Blob(rng.gen_range(0..10_000)),
+            _ => Value::Null,
+        }
     }
 
-    proptest! {
-        #[test]
-        fn message_sizes_are_deterministic_for_a_value_tree((m, msg) in arb_call()) {
-            prop_assert_eq!(
-                message_request_size(&m, &msg).unwrap(),
-                message_request_size(&m, &msg).unwrap()
-            );
-            prop_assert_eq!(
-                message_reply_size(&m, &msg).unwrap(),
-                message_reply_size(&m, &msg).unwrap()
-            );
+    /// A method signature of one to five parameters together with a
+    /// matching argument list, every parameter a value tree of depth 3.
+    fn call(rng: &mut StdRng) -> (MethodDesc, Message) {
+        let dirs = [ParamDir::In, ParamDir::Out, ParamDir::InOut];
+        let (mut descs, mut args) = (Vec::new(), Vec::new());
+        for i in 0..rng.gen_range(1..6) {
+            let dir = dirs[rng.gen_range(0..dirs.len())];
+            descs.push(ParamDesc::new(&format!("p{i}"), dir, PType::Blob));
+            args.push(value(rng, 3));
         }
+        (MethodDesc::new("Probe", descs), Message::new(args))
+    }
 
-        #[test]
-        fn cached_sizes_equal_uncached_sizes((m, msg) in arb_call()) {
-            // The cache is an invisible optimization: for any call, sizes
-            // through the cache (cold, then warm) match the direct walk.
+    /// A call's (request, reply) sizes by the direct, uncached walk.
+    fn sizes(m: &MethodDesc, msg: &Message) -> (u64, u64) {
+        (
+            message_request_size(m, msg).unwrap(),
+            message_reply_size(m, msg).unwrap(),
+        )
+    }
+
+    #[test]
+    fn size_is_deterministic_and_positive() {
+        for case in 0..CASES {
+            let v = value(&mut StdRng::seed_from_u64(case), 3);
+            let a = value_size(&v).unwrap();
+            assert_eq!(a, value_size(&v).unwrap(), "case {case}");
+            assert!(a >= 4, "case {case}");
+        }
+    }
+
+    #[test]
+    fn bigger_blob_never_shrinks_message() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let (n, extra) = (rng.gen_range(0u64..100_000), rng.gen_range(1u64..100_000));
+            let small = value_size(&Value::Blob(n)).unwrap();
+            let large = value_size(&Value::Blob(n + extra)).unwrap();
+            assert!(large > small, "case {case}");
+        }
+    }
+
+    #[test]
+    fn array_size_is_sum_of_elements_plus_header() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let items: Vec<Value> = (0..rng.gen_range(0..10))
+                .map(|_| Value::Blob(rng.gen_range(0..1000)))
+                .collect();
+            let parts: u64 = items.iter().map(|v| value_size(v).unwrap()).sum();
+            let whole = value_size(&Value::Array(items)).unwrap();
+            assert_eq!(whole, parts + 12, "case {case}");
+        }
+    }
+
+    #[test]
+    fn message_sizes_are_deterministic_for_a_value_tree() {
+        for case in 0..CASES {
+            let (m, msg) = call(&mut StdRng::seed_from_u64(case));
+            assert_eq!(sizes(&m, &msg), sizes(&m, &msg), "case {case}");
+        }
+    }
+
+    #[test]
+    fn cached_sizes_equal_uncached_sizes() {
+        // The cache is an invisible optimization: for any call, sizes
+        // through the cache (cold, then warm) match the direct walk.
+        for case in 0..CASES {
+            let (m, msg) = call(&mut StdRng::seed_from_u64(case));
             let iid = Iid(coign_com::Guid::NULL);
             let cache = SizeCache::new();
             for _ in 0..2 {
                 let (req, _) = cache.request_size(iid, 0, &m, &msg);
                 let (reply, _) = cache.reply_size(iid, 0, &m, &msg);
-                prop_assert_eq!(req.unwrap(), message_request_size(&m, &msg).unwrap());
-                prop_assert_eq!(reply.unwrap(), message_reply_size(&m, &msg).unwrap());
+                assert_eq!(
+                    (req.unwrap(), reply.unwrap()),
+                    sizes(&m, &msg),
+                    "case {case}"
+                );
             }
-            prop_assert!(cache.hits() >= 2);
+            assert!(cache.hits() >= 2, "case {case}");
         }
+    }
 
-        #[test]
-        fn message_sizes_never_zero_for_nonempty_param_lists((m, msg) in arb_call()) {
-            // Even a direction no parameter travels in still carries the
-            // RPC header, so sizes are never zero.
-            prop_assert!(message_request_size(&m, &msg).unwrap() >= MESSAGE_HEADER);
-            prop_assert!(message_reply_size(&m, &msg).unwrap() >= MESSAGE_HEADER);
-        }
-
-        #[test]
-        fn message_sizes_are_monotone_in_payload(n in 0u64..50_000, extra in 1u64..50_000) {
-            let m = MethodDesc::new(
-                "Grow",
-                vec![ParamDesc::new("buf", ParamDir::InOut, PType::Blob)],
-            );
-            let small = Message::new(vec![Value::Blob(n)]);
-            let large = Message::new(vec![Value::Blob(n + extra)]);
-            prop_assert!(
-                message_request_size(&m, &large).unwrap()
-                    > message_request_size(&m, &small).unwrap()
-            );
-            prop_assert!(
-                message_reply_size(&m, &large).unwrap()
-                    > message_reply_size(&m, &small).unwrap()
+    #[test]
+    fn message_sizes_never_zero_for_nonempty_param_lists() {
+        // Even a direction no parameter travels in still carries the
+        // RPC header, so sizes are never zero.
+        for case in 0..CASES {
+            let (m, msg) = call(&mut StdRng::seed_from_u64(case));
+            let (request, reply) = sizes(&m, &msg);
+            assert!(
+                request >= MESSAGE_HEADER && reply >= MESSAGE_HEADER,
+                "case {case}"
             );
         }
+    }
 
-        #[test]
-        fn growing_one_argument_never_shrinks_the_message(
-            (m, msg) in arb_call(),
-            grow in 1u64..10_000,
-        ) {
-            // Replace the first request-traveling argument with a larger
-            // blob and check the request size does not decrease.
-            if let Some(idx) = m.params.iter().position(|p| p.dir.in_request()) {
-                let before = message_request_size(&m, &msg).unwrap();
-                let base = value_size(msg.arg(idx).unwrap_or(&Value::Null)).unwrap();
-                let mut args: Vec<Value> = (0..m.params.len())
-                    .map(|i| msg.arg(i).unwrap_or(&Value::Null).clone())
-                    .collect();
-                args[idx] = Value::Blob(base + grow);
-                let after = message_request_size(&m, &Message::new(args)).unwrap();
-                prop_assert!(after > before);
-            }
+    #[test]
+    fn message_sizes_are_monotone_in_payload() {
+        let m = MethodDesc::new(
+            "Grow",
+            vec![ParamDesc::new("buf", ParamDir::InOut, PType::Blob)],
+        );
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let (n, extra) = (rng.gen_range(0u64..50_000), rng.gen_range(1u64..50_000));
+            let small = sizes(&m, &Message::new(vec![Value::Blob(n)]));
+            let large = sizes(&m, &Message::new(vec![Value::Blob(n + extra)]));
+            assert!(large.0 > small.0 && large.1 > small.1, "case {case}");
+        }
+    }
+
+    #[test]
+    fn growing_one_argument_never_shrinks_the_message() {
+        // Replace the first request-traveling argument with a larger blob
+        // and check the request size does not decrease.
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let (m, msg) = call(&mut rng);
+            let grow = rng.gen_range(1u64..10_000);
+            let Some(idx) = m.params.iter().position(|p| p.dir.in_request()) else {
+                continue;
+            };
+            let before = sizes(&m, &msg).0;
+            let base = value_size(msg.arg(idx).unwrap_or(&Value::Null)).unwrap();
+            let mut args: Vec<Value> = (0..m.params.len())
+                .map(|i| msg.arg(i).unwrap_or(&Value::Null).clone())
+                .collect();
+            args[idx] = Value::Blob(base + grow);
+            let after = sizes(&m, &Message::new(args)).0;
+            assert!(after > before, "case {case}");
         }
     }
 }

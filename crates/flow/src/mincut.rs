@@ -210,11 +210,13 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
+    use std::ops::Range;
+
+    const CASES: u64 = 64;
 
     /// Builds a random connected undirected graph from a seed, with every
     /// capacity scaled by `mul`. The RNG sequence depends only on the seed,
@@ -242,30 +244,39 @@ mod proptests {
         random_graph_scaled(seed, n, extra_edges, 1)
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Case `case`'s graph: a seed, a node count from `n` and an extra-edge
+    /// count from `extra`.
+    fn graph_case(case: u64, n: Range<usize>, extra: Range<usize>) -> (u64, usize, usize) {
+        let mut rng = StdRng::seed_from_u64(case);
+        (rng.next_u64(), rng.gen_range(n), rng.gen_range(extra))
+    }
 
-        #[test]
-        fn algorithms_agree_on_random_graphs(seed in any::<u64>(), n in 3usize..24, extra in 0usize..30) {
+    #[test]
+    fn algorithms_agree_on_random_graphs() {
+        for case in 0..CASES {
+            let (seed, n, extra) = graph_case(case, 3..24, 0..30);
             let mut expected = None;
             for alg in MaxFlowAlgorithm::ALL {
                 let mut g = random_graph(seed, n, extra);
                 let cut = min_cut(&mut g, 0, n - 1, alg);
                 // Duality holds for every algorithm.
-                prop_assert_eq!(crossing_capacity(&g, &cut.source_side), cut.cut_value);
+                assert_eq!(
+                    crossing_capacity(&g, &cut.source_side),
+                    cut.cut_value,
+                    "case {case}"
+                );
                 match expected {
                     None => expected = Some(cut.cut_value),
-                    Some(v) => prop_assert_eq!(v, cut.cut_value),
+                    Some(v) => assert_eq!(v, cut.cut_value, "case {case}: {alg:?}"),
                 }
             }
         }
+    }
 
-        #[test]
-        fn warm_starts_agree_with_every_cold_algorithm(
-            seed in any::<u64>(),
-            n in 3usize..20,
-            extra in 0usize..24,
-        ) {
+    #[test]
+    fn warm_starts_agree_with_every_cold_algorithm() {
+        for case in 0..CASES {
+            let (seed, n, extra) = graph_case(case, 3..20, 0..24);
             // Solve a sequence of monotonically growing rescalings of one
             // graph, warm-starting each solve from the previous flow, and
             // check every point against all three algorithms run cold.
@@ -273,24 +284,30 @@ mod proptests {
             for mul in [1u64, 3, 3, 8] {
                 let mut g = random_graph_scaled(seed, n, extra, mul);
                 let warm = min_cut_warm(&mut g, 0, n - 1, previous.as_deref());
-                prop_assert_eq!(crossing_capacity(&g, &warm.source_side), warm.cut_value);
+                assert_eq!(
+                    crossing_capacity(&g, &warm.source_side),
+                    warm.cut_value,
+                    "case {case}"
+                );
                 for alg in MaxFlowAlgorithm::ALL {
                     let mut cold = random_graph_scaled(seed, n, extra, mul);
                     let cut = min_cut(&mut cold, 0, n - 1, alg);
-                    prop_assert_eq!(cut.cut_value, warm.cut_value);
-                    prop_assert_eq!(&cut.source_side, &warm.source_side);
+                    assert_eq!(cut.cut_value, warm.cut_value, "case {case}: {alg:?} x{mul}");
+                    assert_eq!(
+                        cut.source_side, warm.source_side,
+                        "case {case}: {alg:?} x{mul}"
+                    );
                 }
-                prop_assert!(g.conservation_violations(0, n - 1).is_empty());
+                assert_eq!(g.conservation_violations(0, n - 1), [], "case {case}");
                 previous = Some(g.snapshot_flows());
             }
         }
+    }
 
-        #[test]
-        fn clamped_warm_starts_survive_capacity_shrinks(
-            seed in any::<u64>(),
-            n in 3usize..16,
-            extra in 0usize..16,
-        ) {
+    #[test]
+    fn clamped_warm_starts_survive_capacity_shrinks() {
+        for case in 0..CASES {
+            let (seed, n, extra) = graph_case(case, 3..16, 0..16);
             // Solve once, then rewrite every edge capacity from a second
             // seeded stream — some shrink (including to zero), some grow.
             // `clamp_flows` must repair the stale snapshot into a legal
@@ -305,10 +322,10 @@ mod proptests {
             }
             g.clamp_flows(0, n - 1, &mut flows);
             for (e, &f) in flows.iter().enumerate() {
-                prop_assert!(f <= g.original(e), "clamped flow exceeds capacity");
+                assert!(f <= g.original(e), "case {case}: edge {e} over capacity");
             }
             let warm = min_cut_warm(&mut g, 0, n - 1, Some(&flows));
-            prop_assert!(g.conservation_violations(0, n - 1).is_empty());
+            assert_eq!(g.conservation_violations(0, n - 1), [], "case {case}");
             for alg in MaxFlowAlgorithm::ALL {
                 let mut cold = random_graph_scaled(seed, n, extra, 4);
                 let mut caps = StdRng::seed_from_u64(seed ^ 0x5eed);
@@ -316,24 +333,30 @@ mod proptests {
                     cold.set_undirected_capacity(pair, caps.gen_range(0u64..600));
                 }
                 let cut = min_cut(&mut cold, 0, n - 1, alg);
-                prop_assert_eq!(cut.cut_value, warm.cut_value);
+                assert_eq!(cut.cut_value, warm.cut_value, "case {case}: {alg:?}");
             }
         }
+    }
 
-        #[test]
-        fn flow_conserves_on_random_graphs(seed in any::<u64>(), n in 3usize..16) {
+    #[test]
+    fn flow_conserves_on_random_graphs() {
+        for case in 0..CASES {
+            let (seed, n, _) = graph_case(case, 3..16, 0..1);
             let mut g = random_graph(seed, n, 10);
             crate::push_relabel::max_flow(&mut g, 0, n - 1);
-            prop_assert!(g.conservation_violations(0, n - 1).is_empty());
+            assert_eq!(g.conservation_violations(0, n - 1), [], "case {case}");
         }
+    }
 
-        #[test]
-        fn cut_value_never_exceeds_any_single_side_degree(seed in any::<u64>(), n in 3usize..16) {
+    #[test]
+    fn cut_value_never_exceeds_any_single_side_degree() {
+        for case in 0..CASES {
+            let (seed, n, _) = graph_case(case, 3..16, 0..1);
             // The trivial cut that isolates the source bounds the min cut.
             let mut g = random_graph(seed, n, 10);
             let trivial: u64 = g.edges_of(0).iter().map(|&e| g.original(e)).sum();
             let cut = min_cut(&mut g, 0, n - 1, MaxFlowAlgorithm::Dinic);
-            prop_assert!(cut.cut_value <= trivial);
+            assert!(cut.cut_value <= trivial, "case {case}");
         }
     }
 }

@@ -15,14 +15,16 @@ if grep -rn 'allow(clippy::too_many_lines)' crates/; then
   exit 1
 fi
 
+# Every cargo step runs --locked: a manifest edit that leaves Cargo.lock
+# stale fails here instead of being silently rewritten.
 echo "==> cargo clippy -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release --workspace"
 # --workspace matters: the root manifest is a package, so a bare build
 # would skip coign-cli and coign-bench and the smoke blocks below would
 # run stale `target/release/coign` / `repro_all` binaries.
-cargo build --release --workspace
+cargo build --locked --release --workspace
 
 echo "==> cargo test --workspace (fresh TMPDIR, --no-fail-fast)"
 # A fresh temp dir, so state an earlier command left under the shared one
@@ -31,7 +33,7 @@ echo "==> cargo test --workspace (fresh TMPDIR, --no-fail-fast)"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 mkdir "$TMP/test-tmp"
-TMPDIR="$TMP/test-tmp" cargo test -q --workspace --no-fail-fast
+TMPDIR="$TMP/test-tmp" cargo test --locked -q --workspace --no-fail-fast
 
 echo "==> benchmark/ci.sh (measured surface: offline build, smoke test, --check-expected)"
 # The benchmark is a workspace of its own that compiles against pinned
