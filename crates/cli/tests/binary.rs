@@ -163,6 +163,35 @@ fn parallel_profiling_refuses_a_forward_reference_table() {
 }
 
 #[test]
+fn serve_refuses_a_window_past_its_bound() {
+    // `--window u64::MAX` used to overflow the simulated server clock.
+    let dir = temp("serve_window").with_extension("d");
+    let (ok, _, err) = coign(&["gen", "--seed", "3", "--emit", dir.to_str().unwrap()]);
+    assert!(ok, "gen failed: {err}");
+    let image = dir.join("gen-3-small.cimg");
+    let image = image.to_str().unwrap();
+    let (ok, _, err) = coign(&["profile", image, "g_main"]);
+    assert!(ok, "profile failed: {err}");
+    let (ok, _, err) = coign(&[
+        "serve",
+        image,
+        "g_main",
+        "ethernet",
+        "--sessions",
+        "200",
+        "--seed",
+        "7",
+        "--window",
+        "18446744073709551615",
+    ]);
+    assert!(!ok);
+    assert!(err.starts_with("error:"), "{err}");
+    assert!(err.contains("--window"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn check_reports_a_forward_reference_table() {
     let image = forward_reference_image("fwdref_check");
     let (ok, out, _) = coign(&["check", image.to_str().unwrap()]);

@@ -63,6 +63,11 @@ const ATTACH_US: u64 = 5;
 const LOCAL_CALL_US: u64 = 2;
 /// Modeled size of a reply/ack message, bytes.
 const REPLY_BYTES: u64 = 64;
+/// Largest `window_us` and `arrival_spacing_us` a run accepts: 2³⁰ µs,
+/// about 17.9 simulated minutes. With at most `u32::MAX` sessions per
+/// shard the arrival schedule then ends before 2⁶³ µs, which leaves the
+/// other half of the `u64` clock for the sessions' calls.
+const MAX_SPAN_US: u64 = 1 << 30;
 
 /// Options for [`serve`].
 #[derive(Debug, Clone)]
@@ -826,7 +831,7 @@ impl<'a> Shard<'a> {
         report.window_flushes = stats.window_flushes;
         report.link_free_flushes = stats.link_free_flushes;
         // The horizon also covers inline local-call runs that never
-        // re-entered the event heap.
+        // re-entered the agenda.
         report.horizon_us = report.horizon_us.max(self.queue.now_us());
         report.faults = self.fault.map(|f| f.out);
         (
@@ -873,8 +878,8 @@ impl<'a> Shard<'a> {
     /// `Issue`: the session runs its script from the cursor. Lookahead: a
     /// run of co-located calls never touches the network or another
     /// session's state, so it is executed inline on a local time cursor
-    /// instead of round-tripping every call through the event heap. The
-    /// heap only sees the next cut-crossing call (handed to `send`, which
+    /// instead of round-tripping every call through the agenda. The
+    /// agenda only sees the next cut-crossing call (handed to `send`, which
     /// schedules a `Flush`, a `Deliver`, or a retry `Issue`) or the
     /// session's completion.
     fn on_issue(&mut self, now: u64, s: u32) {
@@ -1354,6 +1359,16 @@ pub fn serve_traced(
             u32::MAX
         )));
     }
+    for (what, us) in [
+        ("--window", opts.window_us),
+        ("arrival spacing", opts.arrival_spacing_us),
+    ] {
+        if us > MAX_SPAN_US {
+            return Err(ComError::App(format!(
+                "{what} {us} us exceeds the {MAX_SPAN_US} us bound"
+            )));
+        }
+    }
     let script = build_script(profile, distribution, opts.script_cap);
 
     // Sessions split round-robin across shards; shard i simulates its slice
@@ -1701,6 +1716,39 @@ mod tests {
             let err = serve(&profile, &dist, &net, &opts(sessions, 1, true)).unwrap_err();
             assert!(
                 matches!(&err, ComError::App(m) if m.contains("per shard")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn window_and_arrival_spacing_are_bounded() {
+        // `--window u64::MAX` used to overflow the server clock in
+        // `on_flush`; an arrival spacing near `u64::MAX / 2` overflowed the
+        // arrival draw's range.
+        let (profile, dist) = fixture();
+        let net = NetworkModel::ethernet_10baset();
+        let window = |us| ServeOptions {
+            window_us: us,
+            ..opts(8, 1, true)
+        };
+        let spacing = |us| ServeOptions {
+            arrival_spacing_us: us,
+            ..opts(8, 1, true)
+        };
+        for at_bound in [window(MAX_SPAN_US), spacing(MAX_SPAN_US)] {
+            let report = serve(&profile, &dist, &net, &at_bound).expect("the bound is accepted");
+            assert_eq!(report.sessions, 8);
+        }
+        for (past_bound, what) in [
+            (window(MAX_SPAN_US + 1), "--window"),
+            (window(u64::MAX), "--window"),
+            (spacing(MAX_SPAN_US + 1), "arrival spacing"),
+            (spacing(u64::MAX / 2), "arrival spacing"),
+        ] {
+            let err = serve(&profile, &dist, &net, &past_bound).unwrap_err();
+            assert!(
+                matches!(&err, ComError::App(m) if m.starts_with(what) && m.contains("bound")),
                 "{err}"
             );
         }
