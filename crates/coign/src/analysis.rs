@@ -424,41 +424,44 @@ mod tests {
     fn capacity_overflow_is_not_reported_as_a_contradiction() {
         // Two classifications, satisfiably pinned apart, whose single edge
         // alone outweighs the uncuttable-edge sentinel: the cut must sever
-        // it, and every solver entry point must name the real cause.
-        let mut profile = IccProfile::new();
-        profile.record_instance(c(1), Clsid::from_name("Viewer"));
-        profile.record_instance(c(2), Clsid::from_name("Storage"));
-        profile.record_message(c(1), c(2), Iid::from_name("IX"), 0, 1 << 50);
-        let constraints = vec![Constraint::PinClient(c(1)), Constraint::PinServer(c(2))];
-        let graph = IccGraph::build(&profile, &network());
-        assert!(IccGraph::capacity_of(graph.total_time_us()) >= INFINITE);
+        // it, and every solver entry point must name the real cause — also
+        // when the edge's weight saturates `u64`, which used to overflow
+        // the solvers' residual arithmetic.
+        for bytes in [1 << 50, u64::MAX / 2] {
+            let mut profile = IccProfile::new();
+            profile.record_instance(c(1), Clsid::from_name("Viewer"));
+            profile.record_instance(c(2), Clsid::from_name("Storage"));
+            profile.record_message(c(1), c(2), Iid::from_name("IX"), 0, bytes);
+            let constraints = vec![Constraint::PinClient(c(1)), Constraint::PinServer(c(2))];
+            let graph = IccGraph::build(&profile, &network());
+            assert_eq!(IccGraph::capacity_of(graph.total_time_us()), INFINITE);
 
-        let errors = [
-            analyze(
-                &profile,
-                &network(),
-                &constraints,
-                MaxFlowAlgorithm::LiftToFront,
-            )
-            .unwrap_err(),
-            crate::sweep::sweep_profile(
-                &profile,
-                &constraints,
-                &crate::sweep::SweepGrid::paper_networks(),
-                crate::sweep::SweepMode::Warm,
-            )
-            .unwrap_err(),
-            crate::recovery::RecoverySolver::new(&graph, &constraints)
-                .solve(None)
+            let mut errors: Vec<ComError> = MaxFlowAlgorithm::ALL
+                .iter()
+                .map(|&alg| analyze(&profile, &network(), &constraints, alg).unwrap_err())
+                .collect();
+            errors.push(
+                crate::sweep::sweep_profile(
+                    &profile,
+                    &constraints,
+                    &crate::sweep::SweepGrid::paper_networks(),
+                    crate::sweep::SweepMode::Warm,
+                )
                 .unwrap_err(),
-        ];
-        for err in errors {
-            let detail = err.to_string();
-            assert!(
-                detail.contains("exceeds the solver's capacity range"),
-                "{detail}"
             );
-            assert!(!detail.contains("contradictory"), "{detail}");
+            errors.push(
+                crate::recovery::RecoverySolver::new(&graph, &constraints)
+                    .solve(None)
+                    .unwrap_err(),
+            );
+            for err in errors {
+                let detail = err.to_string();
+                assert!(
+                    detail.contains("exceeds the solver's capacity range"),
+                    "{bytes} bytes: {detail}"
+                );
+                assert!(!detail.contains("contradictory"), "{bytes} bytes: {detail}");
+            }
         }
     }
 

@@ -9,6 +9,7 @@
 use crate::classifier::ClassificationId;
 use crate::profile::IccProfile;
 use coign_dcom::NetworkProfile;
+use coign_flow::INFINITE;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Fixed-point scale converting fractional microseconds to integer edge
@@ -101,9 +102,16 @@ impl IccGraph {
             .sum()
     }
 
-    /// Converts a weight in microseconds to an integer edge capacity.
+    /// Converts a weight in microseconds to an integer edge capacity,
+    /// clamped to the solvers' range: a weight past [`INFINITE`] becomes
+    /// `INFINITE`, which the analysis reports as traffic beyond the
+    /// capacity range (a larger capacity would overflow the solvers'
+    /// residual arithmetic).
     pub fn capacity_of(weight_us: f64) -> u64 {
-        (weight_us * TIME_SCALE).round().max(1.0) as u64
+        (weight_us * TIME_SCALE)
+            .round()
+            .max(1.0)
+            .min(INFINITE as f64) as u64
     }
 }
 

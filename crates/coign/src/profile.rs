@@ -222,7 +222,8 @@ impl IccProfile {
     }
 
     /// Aggregated undirected traffic per classification pair
-    /// (order-normalized): `(messages, bytes)`.
+    /// (order-normalized): `(messages, bytes)`, saturating at `u64::MAX`
+    /// (capacities clamp far below that; see [`crate::icc::IccGraph::capacity_of`]).
     pub fn pair_traffic(&self) -> HashMap<(ClassificationId, ClassificationId), EdgeStats> {
         let mut out: HashMap<(ClassificationId, ClassificationId), EdgeStats> = HashMap::new();
         for (key, stats) in &self.edges {
@@ -232,8 +233,8 @@ impl IccProfile {
                 (key.to, key.from)
             };
             let entry = out.entry(pair).or_default();
-            entry.messages += stats.messages;
-            entry.bytes += stats.bytes;
+            entry.messages = entry.messages.saturating_add(stats.messages);
+            entry.bytes = entry.bytes.saturating_add(stats.bytes);
         }
         out
     }

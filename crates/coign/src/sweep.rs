@@ -88,7 +88,7 @@ impl SweepGrid {
 pub enum SweepMode {
     /// Build the flow network once, re-parameterize its capacities per
     /// point, and warm-start each solve from its predecessor along the
-    /// capacity-monotone chain (lift-to-front with gap relabeling).
+    /// capacity-monotone chain (lift-to-front).
     Warm,
     /// Solve every point from scratch — full graph rebuild plus a cold
     /// lift-to-front solve, exactly what running `coign analyze` once per

@@ -1,8 +1,10 @@
 //! Dinic's maximum-flow algorithm (level graph + blocking flow).
 //!
-//! The fastest of the three implementations on sparse communication graphs
-//! (`O(V²·E)`, far better in practice); used as the second cross-validation
-//! baseline and as the performance yardstick in the benchmark suite.
+//! `O(V²·E)`, far better in practice on sparse communication graphs. It
+//! shares no code with [`push_relabel`](crate::push_relabel) beyond the
+//! residual graph, which makes it the independent cross-check of every
+//! lift-to-front cut in tests and the benchmark, and the yardstick that
+//! solver's speed is measured against.
 
 use crate::graph::{FlowNetwork, NodeId};
 use std::collections::VecDeque;

@@ -2,12 +2,12 @@
 //!
 //! Coign chooses a two-machine distribution by cutting the concrete
 //! inter-component communication graph with the **lift-to-front
-//! (relabel-to-front) minimum-cut algorithm** of Cormen, Leiserson & Rivest.
-//! This crate implements that algorithm ([`push_relabel`]) plus two
-//! independent baselines ([`edmonds_karp`], [`dinic`]) used to cross-validate
-//! cut values in tests and benchmarks, and a heuristic multiway cut
-//! ([`multiway`]) for the paper's ≥3-machine future-work case (which is
-//! NP-hard to solve exactly).
+//! minimum-cut algorithm** of Cormen, Leiserson & Rivest. The paper's claim
+//! is that the cut is exact; this crate finds it with push-relabel
+//! ([`push_relabel`], highest-label order with gap and global relabeling),
+//! cross-checks it with an independent algorithm ([`dinic`]) in tests and
+//! benchmarks, and adds a heuristic multiway cut ([`multiway`]) for the
+//! paper's ≥3-machine future-work case (which is NP-hard to solve exactly).
 //!
 //! All algorithms operate on the shared residual-graph representation in
 //! [`graph`]. Location constraints are expressed with [`graph::INFINITE`]
@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod dinic;
-pub mod edmonds_karp;
 pub mod graph;
 pub mod mincut;
 pub mod multiway;

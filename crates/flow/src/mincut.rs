@@ -7,7 +7,7 @@
 //! the total communication time crossing the network.
 
 use crate::graph::{FlowNetwork, NodeId};
-use crate::{dinic, edmonds_karp, push_relabel};
+use crate::{dinic, push_relabel};
 use std::cell::Cell;
 
 thread_local! {
@@ -28,27 +28,21 @@ pub fn min_cut_invocations() -> u64 {
 /// Selects which maximum-flow algorithm drives the cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MaxFlowAlgorithm {
-    /// Lift-to-front (relabel-to-front) — the algorithm used in the paper.
+    /// Lift-to-front — the algorithm the paper names, run as
+    /// highest-label push-relabel ([`push_relabel`]).
     LiftToFront,
-    /// Edmonds–Karp baseline.
-    EdmondsKarp,
-    /// Dinic baseline.
+    /// Dinic's algorithm — the independent cross-check ([`dinic`]).
     Dinic,
 }
 
 impl MaxFlowAlgorithm {
     /// All implemented algorithms (for cross-validation loops).
-    pub const ALL: [MaxFlowAlgorithm; 3] = [
-        MaxFlowAlgorithm::LiftToFront,
-        MaxFlowAlgorithm::EdmondsKarp,
-        MaxFlowAlgorithm::Dinic,
-    ];
+    pub const ALL: [MaxFlowAlgorithm; 2] = [MaxFlowAlgorithm::LiftToFront, MaxFlowAlgorithm::Dinic];
 
     /// Runs the selected algorithm.
     pub fn run(self, g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
         match self {
             MaxFlowAlgorithm::LiftToFront => push_relabel::max_flow(g, s, t),
-            MaxFlowAlgorithm::EdmondsKarp => edmonds_karp::max_flow(g, s, t),
             MaxFlowAlgorithm::Dinic => dinic::max_flow(g, s, t),
         }
     }
@@ -212,6 +206,7 @@ mod tests {
 #[cfg(test)]
 mod properties {
     use super::*;
+    use crate::graph::INFINITE;
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
     use std::ops::Range;
@@ -279,7 +274,7 @@ mod properties {
             let (seed, n, extra) = graph_case(case, 3..20, 0..24);
             // Solve a sequence of monotonically growing rescalings of one
             // graph, warm-starting each solve from the previous flow, and
-            // check every point against all three algorithms run cold.
+            // check every point against both algorithms run cold.
             let mut previous: Option<Vec<u64>> = None;
             for mul in [1u64, 3, 3, 8] {
                 let mut g = random_graph_scaled(seed, n, extra, mul);
@@ -345,6 +340,86 @@ mod properties {
             let mut g = random_graph(seed, n, 10);
             crate::push_relabel::max_flow(&mut g, 0, n - 1);
             assert_eq!(g.conservation_violations(0, n - 1), [], "case {case}");
+        }
+    }
+
+    /// A graph shaped like the benchmark's `partition_scale` ones, at
+    /// capacity scale `mul`: a chain over 200–2 000 nodes plus three random
+    /// edges per node, with 5–15 % of the nodes pinned to each terminal by
+    /// [`INFINITE`] arcs. Returns the network, its source and its sink.
+    fn pinned_graph(seed: u64, mul: u64) -> (FlowNetwork, NodeId, NodeId) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(200..=2_000);
+        let (s, t) = (n, n + 1);
+        let mut g = FlowNetwork::new(n + 2);
+        for i in 1..n {
+            g.add_undirected(i - 1, i, rng.gen_range(64u64..14_000) * mul);
+        }
+        for _ in 0..3 * n {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v {
+                g.add_undirected(u, v, rng.gen_range(64u64..14_000) * mul);
+            }
+        }
+        // Distinct pinned nodes, by a partial shuffle.
+        let clients = rng.gen_range(n / 20..=n * 3 / 20);
+        let servers = rng.gen_range(n / 20..=n * 3 / 20);
+        let mut ids: Vec<NodeId> = (0..n).collect();
+        for i in 0..clients + servers {
+            ids.swap(i, rng.gen_range(i..n));
+        }
+        for &v in &ids[..clients] {
+            g.add_undirected(s, v, INFINITE);
+        }
+        for &v in &ids[clients..clients + servers] {
+            g.add_undirected(v, t, INFINITE);
+        }
+        (g, s, t)
+    }
+
+    /// Shrinks about a quarter of `g`'s edge pairs, pins included, to a
+    /// seeded fraction of their capacity (zero included).
+    fn shrink(g: &mut FlowNetwork, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        for pair in 0..g.edge_count() {
+            if rng.gen_range(0..4) == 0 {
+                let cap = rng.gen_range(0..=g.original(pair * 2));
+                g.set_undirected_capacity(pair, cap);
+            }
+        }
+    }
+
+    #[test]
+    fn lift_to_front_matches_dinic_at_partition_scale() {
+        // Graphs large enough for lift-to-front's periodic global relabel
+        // to fire, solved cold, warm along a ×1/×3/×8 capacity chain, and
+        // warm again from a snapshot `clamp_flows` repaired after shrinks.
+        for case in 0..16 {
+            let mut previous: Option<Vec<u64>> = None;
+            for mul in [1, 3, 8] {
+                let (mut g, s, t) = pinned_graph(case, mul);
+                let mut cold_net = g.clone();
+                let cold = min_cut(&mut cold_net, s, t, MaxFlowAlgorithm::LiftToFront);
+                let warm = min_cut_warm(&mut g, s, t, previous.as_deref());
+                let mut reference = pinned_graph(case, mul).0;
+                let dinic = min_cut(&mut reference, s, t, MaxFlowAlgorithm::Dinic);
+                assert_eq!(cold, dinic, "case {case}: cold x{mul}");
+                assert_eq!(warm, dinic, "case {case}: warm x{mul}");
+                for net in [&cold_net, &g] {
+                    assert_eq!(net.conservation_violations(s, t), [], "case {case} x{mul}");
+                }
+                previous = Some(g.snapshot_flows());
+            }
+            let (mut g, s, t) = pinned_graph(case, 8);
+            shrink(&mut g, case);
+            let mut flows = previous.expect("the chain ran");
+            g.clamp_flows(s, t, &mut flows);
+            let warm = min_cut_warm(&mut g, s, t, Some(&flows));
+            let mut reference = pinned_graph(case, 8).0;
+            shrink(&mut reference, case);
+            let dinic = min_cut(&mut reference, s, t, MaxFlowAlgorithm::Dinic);
+            assert_eq!(warm, dinic, "case {case}: clamped");
+            assert_eq!(g.conservation_violations(s, t), [], "case {case}: clamped");
         }
     }
 

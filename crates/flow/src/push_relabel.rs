@@ -1,37 +1,46 @@
-//! The lift-to-front (relabel-to-front) maximum-flow algorithm.
+//! The lift-to-front maximum-flow solver: highest-label push-relabel.
 //!
-//! This is the algorithm the Coign paper names for choosing distributions:
-//! "Coign employs the lift-to-front minimum-cut graph-cutting algorithm
-//! \[CLRS\] to choose a distribution with minimal communication time."
+//! The Coign paper names its algorithm: "Coign employs the lift-to-front
+//! minimum-cut graph-cutting algorithm \[CLRS\] to choose a distribution with
+//! minimal communication time." What the paper claims is that the cut is
+//! *exact*, not that one discharge order finds it, so
+//! [`MaxFlowAlgorithm::LiftToFront`](crate::MaxFlowAlgorithm::LiftToFront)
+//! keeps the paper's name and runs the push and relabel operations of CLRS
+//! §26.4 in the order that does the least work: highest label first, with
+//! the heuristics of Cherkassky and Goldberg's HIPR. [`crate::dinic`], an
+//! independent algorithm, cross-checks its cuts.
 //!
-//! The implementation follows CLRS §26.4–26.5: each overflowing vertex is
-//! *discharged* (pushed and relabeled until its excess reaches zero), and
-//! vertices are kept in a list ordered so that discharging front-to-back,
-//! moving any relabeled vertex to the front, terminates with a maximum
-//! preflow — which equals a maximum flow at the sink. Runs in `O(V³)`.
+//! A solve has two phases over the same discharge loop ([`drain`]):
 //!
-//! Two practical accelerations on top of the textbook algorithm:
+//! 1. **Maximum preflow.** The overflowing vertex with the highest label
+//!    below `|V|` is discharged next. Vertices sit in per-label buckets, so
+//!    *gap relabeling* — when a label empties, no residual path to the sink
+//!    can cross it, and every vertex above it is lifted to `|V|` — touches
+//!    only the vertices it lifts. *Global relabeling* resets every label to
+//!    its exact residual BFS distance to the sink at start-up and again
+//!    after each `6|V| + |E|` units of relabel work. A vertex at `|V|`
+//!    cannot reach the sink; whatever excess it holds is stranded.
+//! 2. **Excess return.** Every overflowing vertex of a preflow has a
+//!    residual path back to the source. The same loop, aimed at the source
+//!    with labels starting at the exact residual distances to it, pushes
+//!    the stranded excess home.
 //!
-//! * **Global relabeling at start-up** — initial heights are exact
-//!   residual-graph BFS distances to the sink rather than zero, so early
-//!   pushes head toward the sink immediately.
-//! * **Gap relabeling** — whenever a height level between `0` and `|V|`
-//!   empties, every vertex stranded above the gap (and below `|V|`) is
-//!   lifted straight past `|V|`: no residual path to the sink can cross an
-//!   empty level, so those vertices can only return excess to the source.
+//! The result is a real maximum flow, so
+//! [`FlowNetwork::residual_reachable`] yields the unique minimal source side
+//! of the minimum cut — the same side every exact solver yields — and a
+//! [`FlowNetwork::snapshot_flows`] of it is a feasible warm start.
 //!
-//! Both preserve the height-function invariants, so correctness follows
-//! from the standard push-relabel argument.
-//!
-//! [`max_flow_warm`] additionally supports *warm starts*: re-solving a
-//! network whose topology is unchanged but whose capacities grew (e.g. a
-//! sweep over network speeds) by re-installing the previous solve's flow
-//! as the starting preflow instead of starting from zero.
+//! [`max_flow_warm`] supports *warm starts*: re-solving a network whose
+//! topology is unchanged but whose capacities grew (e.g. a sweep over
+//! network speeds) by re-installing the previous solve's flow as the
+//! starting preflow instead of starting from zero.
 
 use crate::graph::{FlowNetwork, NodeId};
-use std::collections::VecDeque;
 
-/// Computes a maximum `s`–`t` flow with relabel-to-front.
+/// Relabel work charged per relabel on top of the arcs it scans (HIPR's β).
+const RELABEL_WORK: usize = 12;
+
+/// Computes a maximum `s`–`t` flow.
 ///
 /// The network retains the residual state on return, so
 /// [`FlowNetwork::residual_reachable`] immediately yields the minimum cut.
@@ -41,10 +50,8 @@ use std::collections::VecDeque;
 /// Panics if `s == t`.
 pub fn max_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
     assert_ne!(s, t, "source and sink must differ");
-    let mut excess = vec![0u128; g.node_count()];
-    saturate_source(g, s, &mut excess);
-    let height = global_heights(g, s, t);
-    discharge_all(g, s, t, height, excess)
+    let excess = vec![0u128; g.node_count()];
+    solve(g, s, t, excess)
 }
 
 /// Computes a maximum `s`–`t` flow, warm-started from a previous solve.
@@ -109,16 +116,15 @@ pub fn max_flow_warm(g: &mut FlowNetwork, s: NodeId, t: NodeId, previous_flows: 
         debug_assert!(b >= 0, "previous flow violates conservation at node {v}");
         excess[v] = u128::try_from(b.max(0)).expect("balance fits u128");
     }
-    saturate_source(g, s, &mut excess);
-    let height = global_heights(g, s, t);
-    discharge_all(g, s, t, height, excess)
+    solve(g, s, t, excess)
 }
 
-/// Saturates every remaining residual arc out of `s` (the preflow
-/// initialization step), accumulating the pushed units at the arc heads.
-fn saturate_source(g: &mut FlowNetwork, s: NodeId, excess: &mut [u128]) {
-    let s_edges: Vec<usize> = g.edges_of(s).to_vec();
-    for e in s_edges {
+/// Saturates every residual arc out of `s`, finds a maximum preflow, then
+/// returns its stranded excess to `s`; the flow arriving at `t` is the
+/// answer.
+fn solve(g: &mut FlowNetwork, s: NodeId, t: NodeId, mut excess: Vec<u128>) -> u64 {
+    for i in 0..g.edges_of(s).len() {
+        let e = g.edges_of(s)[i];
         let cap = g.residual(e);
         if cap > 0 {
             let v = g.head(e);
@@ -126,170 +132,228 @@ fn saturate_source(g: &mut FlowNetwork, s: NodeId, excess: &mut [u128]) {
             excess[v] += u128::from(cap);
         }
     }
-}
-
-/// Global relabeling: exact BFS distances to `t` in the current residual
-/// graph. Nodes that cannot reach the sink get height `n`, which is valid
-/// because every arc out of `s` is already saturated (so `h[s] = n` has no
-/// residual arc to justify) and an unreachable node's residual arcs lead
-/// only to other unreachable nodes.
-fn global_heights(g: &FlowNetwork, s: NodeId, t: NodeId) -> Vec<usize> {
-    let n = g.node_count();
-    let mut height = vec![n; n];
-    height[t] = 0;
-    let mut queue = VecDeque::new();
-    queue.push_back(t);
-    while let Some(v) = queue.pop_front() {
-        for &e in g.edges_of(v) {
-            let u = g.head(e);
-            // The residual arc u → v is e's pair, which leaves u.
-            if u != s && height[u] == n && g.residual(e ^ 1) > 0 {
-                height[u] = height[v] + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    height[s] = n;
-    height
-}
-
-/// Runs the relabel-to-front discharge loop to completion and returns the
-/// flow arriving at `t`.
-fn discharge_all(
-    g: &mut FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    mut height: Vec<usize>,
-    mut excess: Vec<u128>,
-) -> u64 {
-    let n = g.node_count();
-    let mut cursor = vec![0usize; n];
-    // Occupancy of each height level (source excluded), for gap relabeling.
-    let mut level_count = vec![0usize; 2 * n + 2];
-    for (v, &h) in height.iter().enumerate() {
-        if v != s {
-            level_count[h] += 1;
-        }
-    }
-
-    // The list L: every vertex except s and t. Classic relabel-to-front
-    // admits any initial order because all-zero heights admit no arcs; our
-    // BFS-initialized heights do, so seed the list in descending height
-    // order (admissible arcs always point one level down, making this a
-    // topological order of the admissible network).
-    let mut list: Vec<NodeId> = (0..n).filter(|&v| v != s && v != t).collect();
-    list.sort_by(|&a, &b| height[b].cmp(&height[a]));
-
-    // Gap relabeling lifts vertices other than the one being discharged,
-    // which can break the list's topological invariant mid-pass — a push
-    // may then target an already-scanned vertex without triggering the
-    // relabel restart. Generic push-relabel is correct under *any*
-    // discharge order, so simply rescan until a full pass leaves every
-    // listed vertex drained.
-    loop {
-        let mut i = 0;
-        while i < list.len() {
-            let u = list[i];
-            let old_height = height[u];
-            discharge(
-                g,
-                u,
-                s,
-                &mut height,
-                &mut excess,
-                &mut cursor,
-                &mut level_count,
-            );
-            if height[u] > old_height {
-                // u was relabeled: move it to the front and restart the
-                // scan just after it.
-                list.remove(i);
-                list.insert(0, u);
-                i = 0;
-            }
-            i += 1;
-        }
-        if list.iter().all(|&v| excess[v] == 0) {
-            break;
-        }
-    }
-
+    let mut levels = Levels::new(g.node_count());
+    levels.drain(g, t, s, &mut excess);
+    levels.drain(g, s, t, &mut excess);
     debug_assert!(g.conservation_violations(s, t).is_empty());
     u64::try_from(excess[t]).expect("flow exceeds u64")
 }
 
-/// Pushes and relabels `u` until it no longer overflows (CLRS `DISCHARGE`).
-#[allow(clippy::too_many_arguments)]
-fn discharge(
-    g: &mut FlowNetwork,
-    u: NodeId,
-    s: NodeId,
-    height: &mut [usize],
-    excess: &mut [u128],
-    cursor: &mut [usize],
-    level_count: &mut [usize],
-) {
-    while excess[u] > 0 {
-        let edges = g.edges_of(u);
-        if cursor[u] >= edges.len() {
-            relabel(g, u, s, height, cursor, level_count);
-            cursor[u] = 0;
-            continue;
-        }
-        let e = edges[cursor[u]];
-        let v = g.head(e);
-        let cap = g.residual(e);
-        if cap > 0 && height[u] == height[v] + 1 {
-            // PUSH(u, v).
-            let amount = u64::try_from(excess[u].min(u128::from(cap))).unwrap_or(cap);
-            g.push_along(e, amount);
-            excess[u] -= u128::from(amount);
-            excess[v] += u128::from(amount);
-        } else {
-            cursor[u] += 1;
-        }
-    }
+/// End of a bucket list.
+const NONE: usize = usize::MAX;
+
+/// Labels and per-label buckets, kept as intrusive lists over per-vertex
+/// arrays so that a solve allocates them once.
+struct Levels {
+    /// Label per vertex; `n` once it cannot reach the target.
+    label: Vec<usize>,
+    /// Current arc per vertex: no arc before it is admissible.
+    cursor: Vec<usize>,
+    /// Head, per label, of the doubly linked list (`next`/`prev`) of the
+    /// vertices at that label, which gap relabeling walks.
+    members: Vec<usize>,
+    next: Vec<usize>,
+    prev: Vec<usize>,
+    /// Head, per label, of the stack (`next_active`) of the overflowing
+    /// vertices at that label — all of them except the one discharging.
+    active: Vec<usize>,
+    next_active: Vec<usize>,
+    /// No label above `high` has members, none above `top` active ones.
+    high: usize,
+    top: usize,
 }
 
-/// Lifts `u` to one more than its lowest admissible neighbor (CLRS
-/// `RELABEL`), then applies the gap heuristic if `u` vacated its level.
-fn relabel(
-    g: &FlowNetwork,
-    u: NodeId,
-    s: NodeId,
-    height: &mut [usize],
-    cursor: &mut [usize],
-    level_count: &mut [usize],
-) {
-    let n = g.node_count();
-    let old = height[u];
-    let mut min_height = usize::MAX;
-    for &e in g.edges_of(u) {
-        if g.residual(e) > 0 {
-            min_height = min_height.min(height[g.head(e)]);
+impl Levels {
+    fn new(n: usize) -> Self {
+        Levels {
+            label: vec![n; n],
+            cursor: vec![0; n],
+            members: vec![NONE; n],
+            next: vec![NONE; n],
+            prev: vec![NONE; n],
+            active: vec![NONE; n],
+            next_active: vec![NONE; n],
+            high: 0,
+            top: 0,
         }
     }
-    debug_assert!(min_height != usize::MAX, "relabel of disconnected node");
-    let new = min_height.saturating_add(1);
-    height[u] = new;
-    level_count[old] -= 1;
-    if new < level_count.len() {
-        level_count[new] += 1;
-    }
-    // Gap heuristic: level `old` just emptied below n — no residual path to
-    // the sink can cross an empty level, so every vertex stranded between
-    // the gap and n is lifted past n and will only drain back to the
-    // source. Cursors reset because a raised height can make previously
-    // skipped arcs admissible again.
-    if old < n && level_count[old] == 0 {
-        for v in 0..n {
-            if v != s && height[v] > old && height[v] < n {
-                level_count[height[v]] -= 1;
-                height[v] = n + 1;
-                level_count[n + 1] += 1;
-                cursor[v] = 0;
+
+    /// Discharges, highest label first, every overflowing vertex that can
+    /// still reach `target`, never entering `avoid` (the other terminal).
+    /// Labels are residual distances to `target` — exact after each global
+    /// relabel, valid lower bounds in between; `avoid` and every vertex
+    /// that cannot reach `target` sit at `n` and are left alone.
+    fn drain(&mut self, g: &mut FlowNetwork, target: NodeId, avoid: NodeId, excess: &mut [u128]) {
+        let n = g.node_count();
+        if !(0..n).any(|v| v != target && v != avoid && excess[v] > 0) {
+            return;
+        }
+        let budget = 6 * n + g.edge_count();
+        self.global_relabel(g, target, avoid, excess);
+        let mut work = 0;
+        while let Some(u) = self.pop_highest() {
+            if work > budget {
+                // `u` is still overflowing, so the relabel re-stacks it.
+                work = 0;
+                self.global_relabel(g, target, avoid, excess);
+            } else {
+                work += self.discharge(g, u, target, excess);
             }
         }
+    }
+
+    /// Global relabeling: exact residual BFS distances to `target`, not
+    /// passing through `avoid`; every vertex that cannot reach `target`
+    /// goes to `n`. Rebuilds the buckets and rewinds every current arc.
+    fn global_relabel(&mut self, g: &FlowNetwork, target: NodeId, avoid: NodeId, excess: &[u128]) {
+        let n = self.label.len();
+        self.label.fill(n);
+        self.cursor.fill(0);
+        self.members.fill(NONE);
+        self.active.fill(NONE);
+        (self.high, self.top) = (0, 0);
+        self.label[target] = 0;
+        self.link(target);
+        // One label at a time: label d's members are the frontier that
+        // fills label d + 1 (at most n - 2, as `avoid` is never reached).
+        let mut d = 0;
+        while self.members[d] != NONE {
+            let mut v = self.members[d];
+            while v != NONE {
+                for &e in g.edges_of(v) {
+                    let u = g.head(e);
+                    // The residual arc u → v is e's pair, which leaves u.
+                    if self.label[u] == n && u != avoid && g.residual(e ^ 1) > 0 {
+                        self.label[u] = d + 1;
+                        self.link(u);
+                        if excess[u] > 0 {
+                            self.activate(u);
+                        }
+                    }
+                }
+                v = self.next[v];
+            }
+            d += 1;
+        }
+    }
+
+    fn link(&mut self, v: NodeId) {
+        let head = &mut self.members[self.label[v]];
+        (self.next[v], self.prev[v]) = (*head, NONE);
+        if *head != NONE {
+            self.prev[*head] = v;
+        }
+        *head = v;
+        self.high = self.high.max(self.label[v]);
+    }
+
+    fn unlink(&mut self, v: NodeId) {
+        let (prev, next) = (self.prev[v], self.next[v]);
+        if prev == NONE {
+            self.members[self.label[v]] = next;
+        } else {
+            self.next[prev] = next;
+        }
+        if next != NONE {
+            self.prev[next] = prev;
+        }
+    }
+
+    fn activate(&mut self, v: NodeId) {
+        let head = &mut self.active[self.label[v]];
+        self.next_active[v] = *head;
+        *head = v;
+        self.top = self.top.max(self.label[v]);
+    }
+
+    /// Pops an overflowing vertex of the highest label below `n`, if any.
+    fn pop_highest(&mut self) -> Option<NodeId> {
+        loop {
+            let u = self.active[self.top];
+            if u != NONE {
+                self.active[self.top] = self.next_active[u];
+                return Some(u);
+            }
+            if self.top == 0 {
+                return None;
+            }
+            self.top -= 1;
+        }
+    }
+
+    /// Pushes `u`'s excess along admissible arcs, relabeling as needed,
+    /// until it stops overflowing or can no longer reach the target.
+    /// Returns the relabel work done.
+    fn discharge(
+        &mut self,
+        g: &mut FlowNetwork,
+        u: NodeId,
+        target: NodeId,
+        excess: &mut [u128],
+    ) -> usize {
+        let mut work = 0;
+        loop {
+            let degree = g.edges_of(u).len();
+            while self.cursor[u] < degree {
+                let e = g.edges_of(u)[self.cursor[u]];
+                let v = g.head(e);
+                let cap = g.residual(e);
+                if cap > 0 && self.label[v] + 1 == self.label[u] {
+                    let amount = cap.min(u64::try_from(excess[u]).unwrap_or(u64::MAX));
+                    g.push_along(e, amount);
+                    if excess[v] == 0 && v != target {
+                        self.activate(v);
+                    }
+                    excess[v] += u128::from(amount);
+                    excess[u] -= u128::from(amount);
+                    if excess[u] == 0 {
+                        return work; // the arc may keep residual: stay on it
+                    }
+                }
+                self.cursor[u] += 1;
+            }
+            work += RELABEL_WORK + degree;
+            if !self.relabel(g, u) {
+                return work;
+            }
+        }
+    }
+
+    /// Lifts `u` to one more than its lowest residual neighbour and points
+    /// its current arc there — unless `u` was the last vertex at its label:
+    /// then no residual path to the target crosses that label, and the gap
+    /// heuristic lifts `u` and every vertex above it to `n`. Returns whether
+    /// `u` can still reach the target.
+    fn relabel(&mut self, g: &FlowNetwork, u: NodeId) -> bool {
+        let n = self.label.len();
+        let old = self.label[u];
+        self.unlink(u);
+        if self.members[old] == NONE {
+            self.label[u] = n;
+            for level in old + 1..=self.high {
+                let mut v = std::mem::replace(&mut self.members[level], NONE);
+                while v != NONE {
+                    self.label[v] = n;
+                    v = self.next[v];
+                }
+            }
+            self.high = old - 1;
+            return false;
+        }
+        let (mut lowest, mut arc) = (n, 0);
+        for (i, &e) in g.edges_of(u).iter().enumerate() {
+            if g.residual(e) > 0 && self.label[g.head(e)] < lowest {
+                (lowest, arc) = (self.label[g.head(e)], i);
+            }
+        }
+        if lowest + 1 >= n {
+            self.label[u] = n;
+            return false;
+        }
+        self.label[u] = lowest + 1;
+        self.cursor[u] = arc;
+        self.link(u);
+        true
     }
 }
 
