@@ -41,7 +41,7 @@ pub const BENEFIT_CACHES: i32 = 10;
 pub const DEPENDENT_CACHES: i32 = 5;
 
 /// `IOdbc`: the database driver (pinned to the server).
-pub fn iodbc() -> Arc<InterfaceDesc> {
+fn iodbc() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IOdbc")
         .method("Exec", |m| {
             m.input("sql", PType::Str).output("rows", PType::Blob)
@@ -50,7 +50,7 @@ pub fn iodbc() -> Arc<InterfaceDesc> {
 }
 
 /// `IManager`: the middle-tier business-logic entry points.
-pub fn imanager() -> Arc<InterfaceDesc> {
+fn imanager() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IManager")
         .method("Load", |m| {
             m.input("employee", PType::I4).output(
@@ -71,7 +71,7 @@ pub fn imanager() -> Arc<InterfaceDesc> {
 
 /// `ICache`: a client-facing result cache. `Fill` is the one mutation;
 /// the paging queries afterwards only read the cached rows.
-pub fn icache() -> Arc<InterfaceDesc> {
+fn icache() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ICache")
         .method("Fill", |m| m.input("rows", PType::Blob).mutates_state())
         .method("Get", |m| {
@@ -84,7 +84,7 @@ pub fn icache() -> Arc<InterfaceDesc> {
 
 /// `IRecord`: a row-backed business object (stays on the middle tier).
 /// Cross-checks read the database; the record itself never changes.
-pub fn irecord() -> Arc<InterfaceDesc> {
+fn irecord() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IRecord")
         .method("Init", |m| {
             m.input("driver", PType::Interface(Iid::from_name("IOdbc")))
@@ -96,7 +96,7 @@ pub fn irecord() -> Arc<InterfaceDesc> {
 }
 
 /// `IValidator`: field validation (rule tables from the database).
-pub fn ivalidator() -> Arc<InterfaceDesc> {
+fn ivalidator() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IValidator")
         .method("Init", |m| {
             m.input("driver", PType::Interface(Iid::from_name("IOdbc")))
@@ -111,7 +111,7 @@ pub fn ivalidator() -> Arc<InterfaceDesc> {
 }
 
 /// `IReport`: chart/report generation.
-pub fn ireport() -> Arc<InterfaceDesc> {
+fn ireport() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IReport")
         .method("Render", |m| {
             m.input("driver", PType::Interface(Iid::from_name("IOdbc")))

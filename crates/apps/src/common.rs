@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// `RefreshB` (alternating) — the deferred-callback idiom that gives the
 /// call-chain classifiers their hardest cases: the same procedures executed
 /// by *different instances*.
-pub fn iwidget() -> Arc<InterfaceDesc> {
+fn iwidget() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IWidget")
         .method("Build", |m| {
             m.input("site", PType::Interface(Iid::from_name("IWindowSite")))
@@ -53,7 +53,7 @@ pub fn iwidget() -> Arc<InterfaceDesc> {
 }
 
 /// `IIdleLoop`: background-callback dispatcher.
-pub fn iidle_loop() -> Arc<InterfaceDesc> {
+fn iidle_loop() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IIdleLoop")
         .method("Register", |m| {
             m.input("sink", PType::Interface(Iid::from_name("IWidget")))
@@ -67,7 +67,7 @@ pub fn iidle_loop() -> Arc<InterfaceDesc> {
 /// the instantiation chains of transients share their innermost frames —
 /// the pattern that makes classifier accuracy depend on stack-walk depth
 /// (Table 3).
-pub fn itheme() -> Arc<InterfaceDesc> {
+fn itheme() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ITheme")
         .method("SpawnTransient", |m| {
             m.input("class", PType::Str)
@@ -87,7 +87,7 @@ pub fn itheme() -> Arc<InterfaceDesc> {
 /// `IWindowSite`: parent←child GUI notification. **Non-remotable** — the
 /// window handle is a raw pointer, exactly the idiom that makes most of
 /// Octarine's and PhotoDraw's GUI interfaces non-distributable.
-pub fn iwindow_site() -> Arc<InterfaceDesc> {
+fn iwindow_site() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IWindowSite")
         .method("Notify", |m| {
             m.input("hwnd", PType::Opaque).input("code", PType::I4)
@@ -97,7 +97,7 @@ pub fn iwindow_site() -> Arc<InterfaceDesc> {
 
 /// `IStore`: the data-file interface (page reads and named streams). The
 /// file content is fixed at registration, so every method is a state read.
-pub fn istore() -> Arc<InterfaceDesc> {
+fn istore() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IStore")
         .method("ReadPage", |m| {
             m.input("page", PType::I4)
@@ -158,17 +158,17 @@ pub fn call(
 }
 
 /// Extracts a blob size from a message argument.
-pub fn blob_of(msg: &Message, idx: usize) -> u64 {
+pub(crate) fn blob_of(msg: &Message, idx: usize) -> u64 {
     msg.arg(idx).and_then(Value::as_blob).unwrap_or(0)
 }
 
 /// Extracts an i4 from a message argument.
-pub fn i4_of(msg: &Message, idx: usize) -> i32 {
+pub(crate) fn i4_of(msg: &Message, idx: usize) -> i32 {
     msg.arg(idx).and_then(Value::as_i4).unwrap_or(0)
 }
 
 /// Extracts an interface pointer from a message argument.
-pub fn iface_of(msg: &Message, idx: usize) -> ComResult<InterfacePtr> {
+pub(crate) fn iface_of(msg: &Message, idx: usize) -> ComResult<InterfacePtr> {
     msg.arg(idx)
         .and_then(Value::as_interface)
         .cloned()

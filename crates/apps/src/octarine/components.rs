@@ -74,7 +74,7 @@ pub const CELL_SETS_PER_TABLE: usize = 12;
 
 /// `IDocReader`. `Open` loads the document (the one mutation); everything
 /// after it only reads the loaded content.
-pub fn idoc_reader() -> Arc<InterfaceDesc> {
+fn idoc_reader() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IDocReader")
         .method("Open", |m| {
             m.input("kind", PType::Str)
@@ -130,7 +130,7 @@ pub mod reader_m {
 }
 
 /// `ITextProps`.
-pub fn itext_props() -> Arc<InterfaceDesc> {
+fn itext_props() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ITextProps")
         .method("Init", |m| {
             m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
@@ -159,7 +159,7 @@ pub fn itext_props() -> Arc<InterfaceDesc> {
 /// `ITextBlock`: one paragraph's backing text, handed out by the reader.
 /// A flyweight over immutable text — every method is effect-free, so the
 /// replication lints prove the class legal to duplicate.
-pub fn itext_block() -> Arc<InterfaceDesc> {
+fn itext_block() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ITextBlock")
         .method("Init", |m| m.input("text", PType::Blob).pure())
         .method("GetRange", |m| {
@@ -173,7 +173,7 @@ pub fn itext_block() -> Arc<InterfaceDesc> {
 
 /// `IFontCache`: cached font metrics for one paragraph layout. The metrics
 /// are fixed at creation — effect-free, hence replicable.
-pub fn ifont_cache() -> Arc<InterfaceDesc> {
+fn ifont_cache() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IFontCache")
         .method("Init", |m| m.input("face", PType::Blob).pure())
         .method("Measure", |m| {
@@ -183,7 +183,7 @@ pub fn ifont_cache() -> Arc<InterfaceDesc> {
 }
 
 /// `IStory`.
-pub fn istory() -> Arc<InterfaceDesc> {
+fn istory() -> Arc<InterfaceDesc> {
     let style_params = |m: coign_com::idl::MethodBuilder| {
         m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
             .input("props", PType::Interface(Iid::from_name("ITextProps")))
@@ -214,7 +214,7 @@ pub fn istory() -> Arc<InterfaceDesc> {
 }
 
 /// `IParagraph`.
-pub fn iparagraph() -> Arc<InterfaceDesc> {
+fn iparagraph() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IParagraph")
         .method("Init", |m| {
             m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
@@ -232,7 +232,7 @@ pub fn iparagraph() -> Arc<InterfaceDesc> {
 }
 
 /// `ILayoutNeg` — paragraph layout, including the negotiation entry point.
-pub fn ilayout_neg() -> Arc<InterfaceDesc> {
+fn ilayout_neg() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ILayoutNeg")
         .method("Init", |m| {
             m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
@@ -251,7 +251,7 @@ pub fn ilayout_neg() -> Arc<InterfaceDesc> {
 }
 
 /// `ITextRun`.
-pub fn itext_run() -> Arc<InterfaceDesc> {
+fn itext_run() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ITextRun")
         .method("Init", |m| {
             m.input("layout", PType::Interface(Iid::from_name("ILayoutNeg")))
@@ -261,14 +261,14 @@ pub fn itext_run() -> Arc<InterfaceDesc> {
 }
 
 /// `IPageStub` — placeholder for a not-yet-displayed page. Stateless.
-pub fn ipage_stub() -> Arc<InterfaceDesc> {
+fn ipage_stub() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IPageStub")
         .method("Init", |m| m.input("page", PType::I4).pure())
         .build()
 }
 
 /// `IPageView` — the document viewport (a GUI component).
-pub fn ipage_view() -> Arc<InterfaceDesc> {
+fn ipage_view() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IPageView")
         .method("Geometry", |m| {
             m.input("q", PType::I4).output("rect", PType::Blob)
@@ -279,7 +279,7 @@ pub fn ipage_view() -> Arc<InterfaceDesc> {
 }
 
 /// `ITableModel`.
-pub fn itable_model() -> Arc<InterfaceDesc> {
+fn itable_model() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ITableModel")
         .method("Init", |m| {
             m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
@@ -306,7 +306,7 @@ pub fn itable_model() -> Arc<InterfaceDesc> {
 
 /// `ITableCol`. Column statistics are fixed at creation; balancing is a
 /// computation over them — effect-free, hence replicable.
-pub fn itable_col() -> Arc<InterfaceDesc> {
+fn itable_col() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ITableCol")
         .method("Init", |m| m.input("stats", PType::Blob).pure())
         .method("Balance", |m| {
@@ -319,7 +319,7 @@ pub fn itable_col() -> Arc<InterfaceDesc> {
 
 /// `ICellSet` — a negotiated row-group of table cells. Placement derives
 /// from the fixed cell data — effect-free, hence replicable.
-pub fn icell_set() -> Arc<InterfaceDesc> {
+fn icell_set() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ICellSet")
         .method("Init", |m| m.input("cells", PType::Blob).pure())
         .method("Place", |m| {
@@ -331,7 +331,7 @@ pub fn icell_set() -> Arc<InterfaceDesc> {
 }
 
 /// `IRowBatch`.
-pub fn irow_batch() -> Arc<InterfaceDesc> {
+fn irow_batch() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IRowBatch")
         .method("Init", |m| m.input("data", PType::Blob))
         .method("GetRow", |m| {
@@ -341,7 +341,7 @@ pub fn irow_batch() -> Arc<InterfaceDesc> {
 }
 
 /// `ITableFrame` — the on-screen table grid (a GUI component).
-pub fn itable_frame() -> Arc<InterfaceDesc> {
+fn itable_frame() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ITableFrame")
         .method("Show", |m| {
             m.input("model", PType::Interface(Iid::from_name("ITableModel")))
@@ -352,7 +352,7 @@ pub fn itable_frame() -> Arc<InterfaceDesc> {
 }
 
 /// `IMusicSheet`.
-pub fn imusic_sheet() -> Arc<InterfaceDesc> {
+fn imusic_sheet() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IMusicSheet")
         .method("Init", |m| {
             m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
@@ -362,7 +362,7 @@ pub fn imusic_sheet() -> Arc<InterfaceDesc> {
 }
 
 /// `IStaff`.
-pub fn istaff() -> Arc<InterfaceDesc> {
+fn istaff() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IStaff")
         .method("Init", |m| {
             m.input("notes", PType::Blob)
@@ -372,7 +372,7 @@ pub fn istaff() -> Arc<InterfaceDesc> {
 }
 
 /// `INoteRun`.
-pub fn inote_run() -> Arc<InterfaceDesc> {
+fn inote_run() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("INoteRun")
         .method("Init", |m| m.input("notes", PType::Blob))
         .build()
@@ -382,7 +382,7 @@ pub fn inote_run() -> Arc<InterfaceDesc> {
 /// call chains of readers, stories, and their descendants differ by the
 /// user action that triggered them — the context the call-chain classifiers
 /// rely on.
-pub fn idoc_mgr() -> Arc<InterfaceDesc> {
+fn idoc_mgr() -> Arc<InterfaceDesc> {
     let doc_params = |m: coign_com::idl::MethodBuilder| {
         m.input("pages", PType::I4)
             .input("tables", PType::I4)
@@ -400,7 +400,7 @@ pub fn idoc_mgr() -> Arc<InterfaceDesc> {
 }
 
 /// Method ids of `IDocMgr`, matching document kinds.
-pub fn doc_mgr_method(kind: &str) -> u32 {
+pub(crate) fn doc_mgr_method(kind: &str) -> u32 {
     match kind {
         "text" => 0,
         "table" => 1,
@@ -1513,7 +1513,7 @@ impl ComObject for DocManager {
 }
 
 /// Registers every Octarine document component class. Returns the count.
-pub fn register(rt: &ComRuntime) -> usize {
+pub(crate) fn register(rt: &ComRuntime) -> usize {
     use crate::common::register_file_store;
     let reg = rt.registry();
     register_file_store(

@@ -13,7 +13,7 @@ use crate::common::{register_gui_class, register_idle_loop, register_theme_engin
 use coign_com::ComRuntime;
 
 /// Registers every Octarine GUI class. Returns the number registered.
-pub fn register(rt: &ComRuntime) -> usize {
+pub(crate) fn register(rt: &ComRuntime) -> usize {
     let mut count = 0;
     let mut gui = |name: &str, spec: GuiSpec| {
         register_gui_class(rt, name, spec);

@@ -33,7 +33,7 @@ pub const PROP_QUERIES: i32 = 4;
 
 /// `IPdReader`: the composition reader. `Open` loads the file; the chunk
 /// and stream accessors afterwards only read it.
-pub fn ipd_reader() -> Arc<InterfaceDesc> {
+fn ipd_reader() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IPdReader")
         .method("Open", |m| m.input("doc", PType::Str).mutates_state())
         .method("GetChunk", |m| {
@@ -53,7 +53,7 @@ pub fn ipd_reader() -> Arc<InterfaceDesc> {
 /// `IPdPropSet`: a high-level property set — a read-only projection of
 /// data in the file, so the replication lints prove the class legal to
 /// duplicate (these are the seven components Figure 4 moves).
-pub fn ipd_prop_set() -> Arc<InterfaceDesc> {
+fn ipd_prop_set() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IPdPropSet")
         .method("Init", |m| {
             m.input("reader", PType::Interface(Iid::from_name("IPdReader")))
@@ -69,7 +69,7 @@ pub fn ipd_prop_set() -> Arc<InterfaceDesc> {
 }
 
 /// `ISprite`: sprite-cache construction and painting (remotable part).
-pub fn isprite() -> Arc<InterfaceDesc> {
+fn isprite() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ISprite")
         .method("Build", |m| {
             m.input("reader", PType::Interface(Iid::from_name("IPdReader")))
@@ -83,7 +83,7 @@ pub fn isprite() -> Arc<InterfaceDesc> {
 }
 
 /// `ISharedRegion`: pixel hand-off through shared memory — **non-remotable**.
-pub fn ishared_region() -> Arc<InterfaceDesc> {
+fn ishared_region() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ISharedRegion")
         .method("Share", |m| {
             m.input("region", PType::Opaque).input("len", PType::I4)
@@ -92,14 +92,14 @@ pub fn ishared_region() -> Arc<InterfaceDesc> {
 }
 
 /// `IBlitSink`: the canvas the sprites blit into — **non-remotable**.
-pub fn iblit_sink() -> Arc<InterfaceDesc> {
+fn iblit_sink() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IBlitSink")
         .method("Blit", |m| m.input("region", PType::Opaque))
         .build()
 }
 
 /// `ISelection`: the marquee tool — tracks a selected image subset.
-pub fn iselection() -> Arc<InterfaceDesc> {
+fn iselection() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ISelection")
         .method("Select", |m| {
             m.input("canvas", PType::Interface(Iid::from_name("IBlitSink")))
@@ -111,7 +111,7 @@ pub fn iselection() -> Arc<InterfaceDesc> {
 
 /// `ITransform`: an image transform applied to a selection — the pixels
 /// travel through shared memory, so the interface is **non-remotable**.
-pub fn itransform() -> Arc<InterfaceDesc> {
+fn itransform() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("ITransform")
         .method("Apply", |m| {
             m.input("region", PType::Opaque)

@@ -88,6 +88,54 @@ impl<'a> Flags<'a> {
     }
 }
 
+/// Parses the trailing arguments of a subcommand that takes up to `max`
+/// positionals and no flags (`coign show`, `dot`, `strip`, ...). A missing
+/// required positional is the caller's to report; this refuses extras.
+pub fn parse_positionals<'a>(
+    command: &'static str,
+    rest: &'a [String],
+    max: usize,
+) -> Result<Vec<&'a str>, String> {
+    let mut positionals = Vec::new();
+    let mut flags = Flags::new(command, rest);
+    while let Some(token) = flags.next() {
+        flags.reject_flag(token)?;
+        if positionals.len() == max {
+            return Err(format!("unexpected argument `{token}`"));
+        }
+        positionals.push(token);
+    }
+    Ok(positionals)
+}
+
+/// Parses `coign check`'s and `coign sweep`'s trailing arguments: an
+/// optional `--json` and nothing else.
+pub fn parse_json_args(command: &'static str, rest: &[String]) -> Result<bool, String> {
+    let mut json = false;
+    let mut flags = Flags::new(command, rest);
+    while let Some(token) = flags.next() {
+        match token {
+            "--json" => json = true,
+            other => {
+                flags.reject_flag(other)?;
+                return Err(format!("unexpected argument `{other}`"));
+            }
+        }
+    }
+    Ok(json)
+}
+
+/// Parses `coign hotspots`' trailing arguments: an optional count of hot
+/// spots to list, 10 by default.
+pub fn parse_hotspots_args(rest: &[String]) -> Result<usize, String> {
+    match parse_positionals("coign hotspots", rest, 1)?.first() {
+        Some(top) => top
+            .parse()
+            .map_err(|_| format!("bad hotspot count `{top}`")),
+        None => Ok(10),
+    }
+}
+
 /// Parses `coign profile`'s trailing arguments: one or more scenario
 /// names plus an optional `--jobs N` anywhere among them.
 pub fn parse_profile_args(rest: &[String]) -> Result<(Vec<String>, usize), String> {
@@ -283,6 +331,15 @@ mod tests {
             "serve" => parse_serve_args(&rest).map(drop),
             "gen" => parse_gen_args(&rest).map(drop),
             "explore" => parse_explore_args(&rest).map(drop),
+            "check" => parse_json_args("coign check", &rest).map(drop),
+            "sweep" => parse_json_args("coign sweep", &rest).map(drop),
+            "hotspots" => parse_hotspots_args(&rest).map(drop),
+            "show" => parse_positionals("coign show", &rest, 0).map(drop),
+            "strip" => parse_positionals("coign strip", &rest, 0).map(drop),
+            "analyze" => parse_positionals("coign analyze", &rest, 1).map(drop),
+            "dot" => parse_positionals("coign dot", &rest, 1).map(drop),
+            "script" => parse_positionals("coign script", &rest, 1).map(drop),
+            "instrument" => parse_positionals("coign instrument", &rest, 2).map(drop),
             other => panic!("no parser for {other}"),
         }
     }
@@ -454,6 +511,36 @@ mod tests {
                 "unexpected argument `-1`",
             ),
             ("explore", &["isdn", "isdn"], "unexpected argument `isdn`"),
+            // Positional-only commands: a bad count, a misspelt flag, or
+            // trailing junk after the image's arguments.
+            ("hotspots", &["abc"], "bad hotspot count `abc`"),
+            ("hotspots", &["-1"], "bad hotspot count `-1`"),
+            ("hotspots", &["5", "6"], "unexpected argument `6`"),
+            (
+                "sweep",
+                &["--jsn"],
+                "unknown flag `--jsn` for `coign sweep`",
+            ),
+            (
+                "check",
+                &["--jsn"],
+                "unknown flag `--jsn` for `coign check`",
+            ),
+            ("check", &["--json", "x"], "unexpected argument `x`"),
+            ("show", &["extra"], "unexpected argument `extra`"),
+            (
+                "strip",
+                &["--force"],
+                "unknown flag `--force` for `coign strip`",
+            ),
+            ("analyze", &["isdn", "atm"], "unexpected argument `atm`"),
+            ("dot", &["g.dot", "junk"], "unexpected argument `junk`"),
+            ("script", &["s.txt", "junk"], "unexpected argument `junk`"),
+            (
+                "instrument",
+                &["octarine", "o.cimg", "junk"],
+                "unexpected argument `junk`",
+            ),
             // No scenario at all.
             (
                 "profile",

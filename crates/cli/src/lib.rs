@@ -1519,7 +1519,7 @@ pub fn cmd_dot(path: &Path, out: &Path) -> ComResult<String> {
         replication: Some(replication),
         effects: report::method_effects(&rt),
     };
-    let dot = report::to_dot_annotated(
+    let dot = report::to_dot(
         &record.profile,
         &network,
         record.distribution.as_ref(),

@@ -1,8 +1,8 @@
 //! `coign` — the tool-chain CLI. See the crate docs for the workflow.
 
 use coign_cli::args::{
-    parse_chaos_args, parse_explore_args, parse_gen_args, parse_place_args, parse_profile_args,
-    parse_run_args, parse_serve_args,
+    parse_chaos_args, parse_explore_args, parse_gen_args, parse_hotspots_args, parse_json_args,
+    parse_place_args, parse_positionals, parse_profile_args, parse_run_args, parse_serve_args,
 };
 use coign_cli::{
     cmd_analyze, cmd_chaos, cmd_check, cmd_dot, cmd_explore, cmd_gen, cmd_hotspots, cmd_instrument,
@@ -10,6 +10,7 @@ use coign_cli::{
     resolve_image_spec,
 };
 use coign_obs::Obs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -120,6 +121,11 @@ fn parse_global_flags(args: &[String]) -> Result<GlobalFlags, String> {
     })
 }
 
+/// The arguments from index `i` on (empty past the end).
+fn tail(args: &[String], i: usize) -> &[String] {
+    &args[i.min(args.len())..]
+}
+
 fn dispatch(args: &[String], obs: Option<&Obs>) -> Result<String, String> {
     let arg = |i: usize| -> Result<&str, String> {
         args.get(i)
@@ -132,53 +138,81 @@ fn dispatch(args: &[String], obs: Option<&Obs>) -> Result<String, String> {
         resolve_image_spec(arg(i)?).map_err(|e| format!("error: {e}"))
     };
     let result = match arg(0)? {
-        "instrument" => cmd_instrument(arg(1)?, Path::new(arg(2)?)),
+        "instrument" => {
+            parse_positionals("coign instrument", tail(args, 1), 2)?;
+            cmd_instrument(arg(1)?, Path::new(arg(2)?))
+        }
         "profile" => {
-            let (scenarios, jobs) = parse_profile_args(&args[2.min(args.len())..])?;
+            let (scenarios, jobs) = parse_profile_args(tail(args, 2))?;
             let refs: Vec<&str> = scenarios.iter().map(String::as_str).collect();
             cmd_profile(&image(1)?, &refs, jobs, obs)
         }
-        "analyze" => cmd_analyze(&image(1)?, arg(2).unwrap_or("ethernet"), obs),
-        "sweep" => cmd_sweep(
-            &image(1)?,
-            args.get(2).map(String::as_str) == Some("--json"),
-            obs,
-        ),
+        "analyze" => {
+            let network = parse_positionals("coign analyze", tail(args, 2), 1)?;
+            cmd_analyze(&image(1)?, network.first().unwrap_or(&"ethernet"), obs)
+        }
+        "sweep" => {
+            let json = parse_json_args("coign sweep", tail(args, 2))?;
+            cmd_sweep(&image(1)?, json, obs)
+        }
         "run" => {
-            let (network, faults) = parse_run_args(&args[3.min(args.len())..])?;
+            let (network, faults) = parse_run_args(tail(args, 3))?;
             cmd_run(&image(1)?, arg(2)?, &network, &faults, obs)
         }
         "place" => {
-            let (network, opts) = parse_place_args(&args[3.min(args.len())..])?;
+            let (network, opts) = parse_place_args(tail(args, 3))?;
             cmd_place(&image(1)?, arg(2)?, &network, &opts, obs)
         }
         "chaos" => {
-            let (network, opts) = parse_chaos_args(&args[3.min(args.len())..])?;
+            let (network, opts) = parse_chaos_args(tail(args, 3))?;
             cmd_chaos(&image(1)?, arg(2)?, &network, &opts, obs)
         }
         "serve" => {
-            let (network, opts) = parse_serve_args(&args[3.min(args.len())..])?;
+            let (network, opts) = parse_serve_args(tail(args, 3))?;
             cmd_serve(&image(1)?, arg(2)?, &network, &opts, obs)
         }
         "gen" => {
-            let (seed, size, emit, json) = parse_gen_args(&args[1.min(args.len())..])?;
+            let (seed, size, emit, json) = parse_gen_args(tail(args, 1))?;
             cmd_gen(seed, size, emit.as_deref(), json)
         }
         "explore" => {
-            let (network, opts) = parse_explore_args(&args[3.min(args.len())..])?;
+            let (network, opts) = parse_explore_args(tail(args, 3))?;
             cmd_explore(arg(1)?, arg(2)?, &network, &opts)
         }
-        "show" => cmd_show(&image(1)?),
+        "show" => {
+            parse_positionals("coign show", tail(args, 2), 0)?;
+            cmd_show(&image(1)?)
+        }
         "hotspots" => {
-            let top = arg(2).ok().and_then(|s| s.parse().ok()).unwrap_or(10);
+            let top = parse_hotspots_args(tail(args, 2))?;
             cmd_hotspots(&image(1)?, top)
         }
-        "script" => cmd_script(&image(1)?, Path::new(arg(2)?)),
-        "dot" => cmd_dot(&image(1)?, Path::new(arg(2)?)),
-        "strip" => cmd_strip(&image(1)?),
+        "script" => {
+            parse_positionals("coign script", tail(args, 2), 1)?;
+            cmd_script(&image(1)?, Path::new(arg(2)?))
+        }
+        "dot" => {
+            parse_positionals("coign dot", tail(args, 2), 1)?;
+            cmd_dot(&image(1)?, Path::new(arg(2)?))
+        }
+        "strip" => {
+            parse_positionals("coign strip", tail(args, 2), 0)?;
+            cmd_strip(&image(1)?)
+        }
         _ => return Err(USAGE.to_string()),
     };
     result.map_err(|e| format!("error: {e}"))
+}
+
+/// Writes `text` and a newline to stdout through one lock. A reader that
+/// has gone away (`coign show img | head -1`) makes this a failed write,
+/// which the exit status reports, rather than a panic.
+fn print(text: &str) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(_) => ExitCode::FAILURE,
+    }
 }
 
 fn run(args: &[String], obs: Option<&Obs>) -> ExitCode {
@@ -196,7 +230,13 @@ fn run(args: &[String], obs: Option<&Obs>) -> ExitCode {
             eprintln!("{USAGE}");
             return ExitCode::FAILURE;
         };
-        let json = args.get(2).map(String::as_str) == Some("--json");
+        let json = match parse_json_args("coign check", tail(args, 2)) {
+            Ok(json) => json,
+            Err(message) => {
+                eprintln!("{message}");
+                return ExitCode::FAILURE;
+            }
+        };
         let path = match resolve_image_spec(path) {
             Ok(resolved) => resolved,
             Err(e) => {
@@ -205,21 +245,15 @@ fn run(args: &[String], obs: Option<&Obs>) -> ExitCode {
             }
         };
         return match cmd_check(&path, json) {
-            Ok(report) => {
-                println!("{}", report.trim_end());
-                ExitCode::SUCCESS
-            }
+            Ok(report) => print(report.trim_end()),
             Err(report) => {
-                println!("{}", report.trim_end());
+                print(report.trim_end());
                 ExitCode::FAILURE
             }
         };
     }
     match dispatch(args, obs) {
-        Ok(message) => {
-            println!("{message}");
-            ExitCode::SUCCESS
-        }
+        Ok(message) => print(&message),
         Err(message) => {
             eprintln!("{message}");
             ExitCode::FAILURE
@@ -264,9 +298,7 @@ fn main() -> ExitCode {
         }
     };
     let obs = if trace_path.is_some() || metrics_path.is_some() {
-        let obs = Obs::enabled();
-        coign_obs::install_global(obs.clone());
-        Some(obs)
+        Some(Obs::enabled())
     } else {
         None
     };

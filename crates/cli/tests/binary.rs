@@ -2,7 +2,7 @@
 //! interface — argument parsing, exit codes, and the on-disk workflow.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn coign(args: &[&str]) -> (bool, String, String) {
     let exe = env!("CARGO_BIN_EXE_coign");
@@ -114,6 +114,28 @@ fn check_exits_nonzero_on_error_diagnostics() {
     assert!(!ok);
     assert!(out.contains("\"code\":\"COIGN035\""));
 
+    std::fs::remove_file(&image).ok();
+}
+
+#[test]
+fn closed_stdout_is_a_failed_write_not_a_panic() {
+    // `coign show img | head -1` with `head` gone before the one write:
+    // the child's stdout is a pipe whose read end is already closed.
+    let image = temp("closed_stdout");
+    let image_str = image.to_str().unwrap();
+    let (ok, _, _) = coign(&["instrument", "benefits", image_str]);
+    assert!(ok, "instrument failed");
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let output = Command::new(env!("CARGO_BIN_EXE_coign"))
+        .args(["show", image_str])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn coign");
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
     std::fs::remove_file(&image).ok();
 }
 

@@ -41,18 +41,6 @@ impl Distribution {
             .unwrap_or(MachineId::CLIENT)
     }
 
-    /// Number of *component instances* (weighted by the profile's instance
-    /// counts) placed on a machine — the quantity the paper's figures
-    /// report ("Coign places 8 of 295 components on the server").
-    pub fn instances_on(&self, profile: &IccProfile, machine: MachineId) -> u64 {
-        profile
-            .instances
-            .iter()
-            .filter(|(class, _)| self.machine_of(**class) == machine)
-            .map(|(_, n)| *n)
-            .sum()
-    }
-
     /// Serializes the distribution.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
@@ -517,27 +505,5 @@ mod tests {
         .unwrap();
         let back = Distribution::decode(&dist.encode()).unwrap();
         assert_eq!(back, dist);
-    }
-
-    #[test]
-    fn instances_on_weights_by_instance_count() {
-        let mut profile = document_profile();
-        // Classification 1 has 10 instances, 2 and 3 have 1 each.
-        for _ in 0..9 {
-            profile.record_instance(c(1), Clsid::from_name("Viewer"));
-        }
-        let constraints = vec![
-            Constraint::PinClient(ClassificationId::ROOT),
-            Constraint::PinServer(c(3)),
-        ];
-        let dist = analyze(
-            &profile,
-            &network(),
-            &constraints,
-            MaxFlowAlgorithm::LiftToFront,
-        )
-        .unwrap();
-        assert_eq!(dist.instances_on(&profile, MachineId::CLIENT), 10);
-        assert_eq!(dist.instances_on(&profile, MachineId::SERVER), 2);
     }
 }

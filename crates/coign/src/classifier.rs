@@ -248,12 +248,14 @@ impl InstanceClassifier {
     }
 
     /// The classification policy in use.
-    pub fn kind(&self) -> ClassifierKind {
+    #[cfg(test)]
+    pub(crate) fn kind(&self) -> ClassifierKind {
         self.kind
     }
 
     /// The configured stack-walk depth.
-    pub fn depth(&self) -> Option<usize> {
+    #[cfg(test)]
+    fn depth(&self) -> Option<usize> {
         self.depth
     }
 
@@ -274,7 +276,7 @@ impl InstanceClassifier {
     ///
     /// Safe to call both before the instance exists (factory placement) and
     /// at creation (binding): the same stack yields the same descriptor.
-    pub fn classify_pending(&self, rt: &ComRuntime, clsid: Clsid) -> ClassificationId {
+    pub(crate) fn classify_pending(&self, rt: &ComRuntime, clsid: Clsid) -> ClassificationId {
         let stack = rt.call_stack();
         let mut st = self.state.lock();
         let descriptor = self.build_descriptor(clsid, &stack, &mut st);
@@ -282,7 +284,7 @@ impl InstanceClassifier {
     }
 
     /// Classifies and binds a freshly created instance.
-    pub fn classify_instance(
+    pub(crate) fn classify_instance(
         &self,
         rt: &ComRuntime,
         id: InstanceId,
@@ -427,7 +429,8 @@ impl InstanceClassifier {
 
     /// Snapshot of the instance→classification binding of the current
     /// execution.
-    pub fn bindings(&self) -> HashMap<InstanceId, ClassificationId> {
+    #[cfg(test)]
+    pub(crate) fn bindings(&self) -> HashMap<InstanceId, ClassificationId> {
         self.state.lock().instance_class.clone()
     }
 

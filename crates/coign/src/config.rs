@@ -67,7 +67,7 @@ impl ConfigRecord {
     }
 
     /// Deserializes a record from section bytes.
-    pub fn decode(bytes: &[u8]) -> ComResult<Self> {
+    pub(crate) fn decode(bytes: &[u8]) -> ComResult<Self> {
         let mut d = Decoder::new(bytes);
         let magic = d.get_str()?;
         if magic != "COIGNCFG" {

@@ -43,7 +43,7 @@ pub enum NamedConstraint {
 /// Every classification whose component class imports GUI APIs is pinned to
 /// the client; storage/database importers are pinned to the server. The
 /// application root is always pinned to the client (the user sits there).
-pub fn derive_static_constraints(
+pub(crate) fn derive_static_constraints(
     profile: &IccProfile,
     registry: &ClassRegistry,
 ) -> Vec<Constraint> {
@@ -69,7 +69,7 @@ pub fn derive_static_constraints(
 /// A named class maps to *every* classification whose instances belong to
 /// that class (class names are deterministic CLSIDs, so resolution needs no
 /// registry).
-pub fn resolve_named_constraints(
+pub(crate) fn resolve_named_constraints(
     profile: &IccProfile,
     named: &[NamedConstraint],
 ) -> Vec<Constraint> {

@@ -36,26 +36,6 @@ fn normalize_pair(
 }
 
 /// Counts runtime messages and compares them with the profiled baseline.
-///
-/// # Examples
-///
-/// ```
-/// use coign::classifier::ClassificationId;
-/// use coign::drift::DriftMonitor;
-/// use coign::profile::IccProfile;
-/// use coign_com::{Clsid, Iid};
-///
-/// let mut baseline = IccProfile::new();
-/// let (a, b) = (ClassificationId(1), ClassificationId(2));
-/// baseline.record_message(a, b, Iid::from_name("IX"), 0, 100);
-///
-/// let monitor = DriftMonitor::from_profile(&baseline);
-/// monitor.record_call(a, b); // same usage as profiled
-/// assert!(monitor.drift() < 1e-9);
-/// monitor.reset();
-/// monitor.record_call(ClassificationId(7), ClassificationId(8)); // brand new pair
-/// assert!(monitor.should_reprofile(0.5));
-/// ```
 #[derive(Debug)]
 pub struct DriftMonitor {
     baseline: PairCounts,
@@ -71,7 +51,7 @@ pub struct DriftMonitor {
 
 impl DriftMonitor {
     /// Creates a monitor whose baseline is the profiled distribution.
-    pub fn from_profile(profile: &IccProfile) -> Self {
+    pub(crate) fn from_profile(profile: &IccProfile) -> Self {
         let mut baseline: PairCounts = HashMap::new();
         for (pair, stats) in profile.pair_traffic() {
             *baseline.entry(pair).or_insert(0) += stats.messages;
@@ -88,19 +68,20 @@ impl DriftMonitor {
 
     /// Records one interface call (two messages) between classifications —
     /// invoked by the distribution informer; counts only, no inspection.
-    pub fn record_call(&self, caller: ClassificationId, callee: ClassificationId) {
+    pub(crate) fn record_call(&self, caller: ClassificationId, callee: ClassificationId) {
         let mut observed = self.observed.lock();
         *observed.entry(normalize_pair(caller, callee)).or_insert(0) += 2;
     }
 
     /// Messages observed so far.
-    pub fn observed_messages(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn observed_messages(&self) -> u64 {
         self.observed.lock().values().sum()
     }
 
     /// Resets the observation window (e.g. per execution) and re-arms the
     /// [`DriftMonitor::poll_reprofile`] latch.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.observed.lock().clear();
         self.tripped.store(false, Ordering::SeqCst);
     }
@@ -143,7 +124,7 @@ impl DriftMonitor {
     /// first exceeds `threshold`, then `false` until [`DriftMonitor::reset`]
     /// re-arms the latch — so the "silently enable profiling" transition
     /// fires a single re-profiling pass, not one per subsequent call.
-    pub fn poll_reprofile(&self, threshold: f64) -> bool {
+    pub(crate) fn poll_reprofile(&self, threshold: f64) -> bool {
         if !self.should_reprofile(threshold) {
             return false;
         }
@@ -155,15 +136,9 @@ impl DriftMonitor {
     }
 
     /// Lifetime number of latched re-profiling fires.
-    pub fn fire_count(&self) -> u64 {
+    #[cfg(test)]
+    fn fire_count(&self) -> u64 {
         self.fires.load(Ordering::SeqCst)
-    }
-
-    /// Adds this monitor's fire count to a metrics registry.
-    pub fn record_metrics(&self, registry: &coign_obs::Registry) {
-        registry
-            .counter("coign_drift_fires_total")
-            .add(self.fire_count());
     }
 }
 

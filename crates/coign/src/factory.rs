@@ -8,24 +8,13 @@
 //! During distributed execution the paper replicates a factory onto each
 //! machine; the factories act as peers, each trapping local instantiation
 //! requests and forwarding remote ones. In the simulation all machines share
-//! one process, so the peer pair is modeled as a table of per-machine
-//! [`FactoryPeer`]s fronted by a single [`ComponentFactory`] — the routing
-//! decision (which peer fulfills the request) is identical.
+//! one process, so a single [`ComponentFactory`] makes the routing decision
+//! the peers would.
 
 use crate::classifier::ClassificationId;
 use coign_com::{Clsid, MachineId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-
-/// Per-machine factory half: counts the instantiations it fulfilled.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FactoryPeer {
-    /// Number of instantiation requests fulfilled on this machine.
-    pub fulfilled: u64,
-    /// Number of requests that arrived from a *different* machine (i.e.
-    /// relocated instantiations).
-    pub relocated_in: u64,
-}
 
 /// Routes component instantiation requests to machines according to the
 /// chosen distribution.
@@ -40,63 +29,29 @@ pub struct ComponentFactory {
     /// off a dead machine ([`ComponentFactory::retarget_pins`]).
     class_pins: Mutex<HashMap<Clsid, MachineId>>,
     default_machine: MachineId,
-    peers: Mutex<Vec<FactoryPeer>>,
 }
 
 impl ComponentFactory {
-    /// Creates a factory for a `machine_count`-machine topology.
+    /// Creates a factory over a placement.
     ///
     /// Classifications absent from `placement` (e.g. new classifications
-    /// never seen during profiling) fall back to the class pin if one
-    /// exists, then to `default_machine`.
-    pub fn new(
-        placement: HashMap<ClassificationId, MachineId>,
-        default_machine: MachineId,
-        machine_count: usize,
-    ) -> Self {
-        Self::with_class_pins(placement, HashMap::new(), default_machine, machine_count)
-    }
-
-    /// Creates a factory with static per-class fallback pins.
-    pub fn with_class_pins(
+    /// never seen during profiling) fall back to their class's pin in
+    /// `class_pins` if one exists, then to `default_machine`.
+    pub(crate) fn new(
         placement: HashMap<ClassificationId, MachineId>,
         class_pins: HashMap<Clsid, MachineId>,
         default_machine: MachineId,
-        machine_count: usize,
     ) -> Self {
         ComponentFactory {
             placement: Mutex::new(placement),
             class_pins: Mutex::new(class_pins),
             default_machine,
-            peers: Mutex::new(vec![FactoryPeer::default(); machine_count]),
         }
     }
 
     /// Decides where an instantiation of `class` (an instance of `clsid`)
-    /// should be fulfilled and records the routing in the per-machine peer
-    /// statistics.
-    ///
-    /// `requesting_machine` is where the instantiation request originated
-    /// (the creator's machine).
-    pub fn place(
-        &self,
-        class: ClassificationId,
-        clsid: Clsid,
-        requesting_machine: MachineId,
-    ) -> MachineId {
-        let target = self.placement_for(class, clsid);
-        let mut peers = self.peers.lock();
-        if let Some(peer) = peers.get_mut(target.0 as usize) {
-            peer.fulfilled += 1;
-            if target != requesting_machine {
-                peer.relocated_in += 1;
-            }
-        }
-        target
-    }
-
-    /// The placement decision without statistics side effects.
-    pub fn placement_for(&self, class: ClassificationId, clsid: Clsid) -> MachineId {
+    /// should be fulfilled.
+    pub(crate) fn place(&self, class: ClassificationId, clsid: Clsid) -> MachineId {
         if let Some(&machine) = self.placement.lock().get(&class) {
             return machine;
         }
@@ -107,24 +62,14 @@ impl ComponentFactory {
             .unwrap_or(self.default_machine)
     }
 
-    /// Snapshot of the per-machine peer statistics.
-    pub fn peers(&self) -> Vec<FactoryPeer> {
-        self.peers.lock().clone()
-    }
-
-    /// Number of classifications with an explicit placement.
-    pub fn placement_len(&self) -> usize {
-        self.placement.lock().len()
-    }
-
     /// Copy of the current routing table.
-    pub fn placement_snapshot(&self) -> HashMap<ClassificationId, MachineId> {
+    pub(crate) fn placement_snapshot(&self) -> HashMap<ClassificationId, MachineId> {
         self.placement.lock().clone()
     }
 
     /// Replaces the routing table with a re-solved placement (online
     /// re-partitioning). Returns how many classifications changed machine.
-    pub fn swap_placement(&self, new: HashMap<ClassificationId, MachineId>) -> usize {
+    pub(crate) fn swap_placement(&self, new: HashMap<ClassificationId, MachineId>) -> usize {
         let mut placement = self.placement.lock();
         let changed = new
             .iter()
@@ -140,7 +85,7 @@ impl ComponentFactory {
 
     /// Redirects every class pin targeting `from` (e.g. a machine just
     /// declared dead) to `to`. Returns how many pins moved.
-    pub fn retarget_pins(&self, from: MachineId, to: MachineId) -> usize {
+    pub(crate) fn retarget_pins(&self, from: MachineId, to: MachineId) -> usize {
         let mut pins = self.class_pins.lock();
         let mut moved = 0;
         for machine in pins.values_mut() {
@@ -165,31 +110,21 @@ mod tests {
         let mut placement = HashMap::new();
         placement.insert(ClassificationId(1), MachineId::CLIENT);
         placement.insert(ClassificationId(2), MachineId::SERVER);
-        ComponentFactory::new(placement, MachineId::CLIENT, 2)
+        ComponentFactory::new(placement, HashMap::new(), MachineId::CLIENT)
     }
 
     #[test]
     fn routes_by_classification() {
         let f = factory();
-        assert_eq!(
-            f.place(ClassificationId(1), any_class(), MachineId::CLIENT),
-            MachineId::CLIENT
-        );
-        assert_eq!(
-            f.place(ClassificationId(2), any_class(), MachineId::CLIENT),
-            MachineId::SERVER
-        );
+        assert_eq!(f.place(ClassificationId(1), any_class()), MachineId::CLIENT);
+        assert_eq!(f.place(ClassificationId(2), any_class()), MachineId::SERVER);
     }
 
     #[test]
     fn unknown_classifications_default() {
         let f = factory();
         assert_eq!(
-            f.place(ClassificationId(99), any_class(), MachineId::SERVER),
-            MachineId::CLIENT
-        );
-        assert_eq!(
-            f.placement_for(ClassificationId(99), any_class()),
+            f.place(ClassificationId(99), any_class()),
             MachineId::CLIENT
         );
     }
@@ -199,15 +134,12 @@ mod tests {
         let store = Clsid::from_name("DocStore");
         let mut pins = HashMap::new();
         pins.insert(store, MachineId::SERVER);
-        let f = ComponentFactory::with_class_pins(HashMap::new(), pins, MachineId::CLIENT, 2);
+        let f = ComponentFactory::new(HashMap::new(), pins, MachineId::CLIENT);
         // Unprofiled classification of a pinned class → the pin wins.
-        assert_eq!(
-            f.place(ClassificationId(42), store, MachineId::CLIENT),
-            MachineId::SERVER
-        );
+        assert_eq!(f.place(ClassificationId(42), store), MachineId::SERVER);
         // Unprofiled classification of an ordinary class → default.
         assert_eq!(
-            f.place(ClassificationId(42), any_class(), MachineId::CLIENT),
+            f.place(ClassificationId(42), any_class()),
             MachineId::CLIENT
         );
         // An explicit placement overrides the pin.
@@ -215,45 +147,18 @@ mod tests {
         placement.insert(ClassificationId(7), MachineId::CLIENT);
         let mut pins = HashMap::new();
         pins.insert(store, MachineId::SERVER);
-        let f = ComponentFactory::with_class_pins(placement, pins, MachineId::CLIENT, 2);
-        assert_eq!(
-            f.place(ClassificationId(7), store, MachineId::CLIENT),
-            MachineId::CLIENT
-        );
-    }
-
-    #[test]
-    fn peer_statistics_track_relocation() {
-        let f = factory();
-        f.place(ClassificationId(2), any_class(), MachineId::CLIENT); // client → server: relocated
-        f.place(ClassificationId(2), any_class(), MachineId::SERVER); // server-local
-        f.place(ClassificationId(1), any_class(), MachineId::CLIENT); // client-local
-        let peers = f.peers();
-        assert_eq!(peers[MachineId::SERVER.0 as usize].fulfilled, 2);
-        assert_eq!(peers[MachineId::SERVER.0 as usize].relocated_in, 1);
-        assert_eq!(peers[MachineId::CLIENT.0 as usize].fulfilled, 1);
-        assert_eq!(peers[MachineId::CLIENT.0 as usize].relocated_in, 0);
-    }
-
-    #[test]
-    fn placement_len_reports_table_size() {
-        assert_eq!(factory().placement_len(), 2);
+        let f = ComponentFactory::new(placement, pins, MachineId::CLIENT);
+        assert_eq!(f.place(ClassificationId(7), store), MachineId::CLIENT);
     }
 
     #[test]
     fn swap_placement_reroutes_future_instantiations() {
         let f = factory();
-        assert_eq!(
-            f.placement_for(ClassificationId(2), any_class()),
-            MachineId::SERVER
-        );
+        assert_eq!(f.place(ClassificationId(2), any_class()), MachineId::SERVER);
         let mut new = f.placement_snapshot();
         new.insert(ClassificationId(2), MachineId::CLIENT);
         assert_eq!(f.swap_placement(new), 1);
-        assert_eq!(
-            f.placement_for(ClassificationId(2), any_class()),
-            MachineId::CLIENT
-        );
+        assert_eq!(f.place(ClassificationId(2), any_class()), MachineId::CLIENT);
         // Swapping the identical table changes nothing.
         let same = f.placement_snapshot();
         assert_eq!(f.swap_placement(same), 0);
@@ -264,12 +169,9 @@ mod tests {
         let store = Clsid::from_name("DocStore");
         let mut pins = HashMap::new();
         pins.insert(store, MachineId::SERVER);
-        let f = ComponentFactory::with_class_pins(HashMap::new(), pins, MachineId::CLIENT, 2);
+        let f = ComponentFactory::new(HashMap::new(), pins, MachineId::CLIENT);
         assert_eq!(f.retarget_pins(MachineId::SERVER, MachineId::CLIENT), 1);
-        assert_eq!(
-            f.placement_for(ClassificationId(42), store),
-            MachineId::CLIENT
-        );
+        assert_eq!(f.place(ClassificationId(42), store), MachineId::CLIENT);
         assert_eq!(f.retarget_pins(MachineId::SERVER, MachineId::CLIENT), 0);
     }
 }

@@ -94,7 +94,7 @@ impl IccGraph {
     /// weights whose endpoints land on different machines.
     ///
     /// `side[i]` is true if node `i` is on the client.
-    pub fn crossing_time_us(&self, side: &[bool]) -> f64 {
+    pub(crate) fn crossing_time_us(&self, side: &[bool]) -> f64 {
         self.weights_us
             .iter()
             .filter(|((a, b), _)| side[*a] != side[*b])

@@ -65,18 +65,13 @@ pub struct OverheadMeter {
 
 impl OverheadMeter {
     /// Creates a zeroed meter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         OverheadMeter::default()
     }
 
     /// Total instrumentation overhead charged, microseconds.
-    pub fn total_us(&self) -> u64 {
+    pub(crate) fn total_us(&self) -> u64 {
         self.us.load(Ordering::Relaxed)
-    }
-
-    /// Resets the meter.
-    pub fn reset(&self) {
-        self.us.store(0, Ordering::Relaxed);
     }
 
     fn charge(&self, rt: &ComRuntime, us: u64) {
@@ -131,23 +126,18 @@ pub struct EffectCrossCheck {
 
 impl EffectCrossCheck {
     /// Creates an empty sink.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EffectCrossCheck::default()
     }
 
     /// Records one observed violation (idempotent per class/method pair).
-    pub fn record(&self, violation: EffectViolation) {
+    fn record(&self, violation: EffectViolation) {
         self.violations.lock().insert(violation);
     }
 
     /// All violations observed so far, in deterministic order.
-    pub fn violations(&self) -> Vec<EffectViolation> {
+    pub(crate) fn violations(&self) -> Vec<EffectViolation> {
         self.violations.lock().iter().cloned().collect()
-    }
-
-    /// Number of distinct violations observed.
-    pub fn count(&self) -> usize {
-        self.violations.lock().len()
     }
 }
 
@@ -172,7 +162,8 @@ pub struct ProfilingInvoker {
 
 impl ProfilingInvoker {
     /// Wraps a pointer with profiling instrumentation.
-    pub fn wrap(
+    #[cfg(test)]
+    fn wrap(
         ptr: InterfacePtr,
         classifier: Arc<InstanceClassifier>,
         logger: Arc<dyn InfoLogger>,
@@ -185,7 +176,7 @@ impl ProfilingInvoker {
     /// Wraps a pointer with the full profiling informer: observability plus
     /// the COIGN045 state-effect cross-check sink.
     #[allow(clippy::too_many_arguments)]
-    pub fn wrap_crosschecked(
+    pub(crate) fn wrap_crosschecked(
         ptr: InterfacePtr,
         classifier: Arc<InstanceClassifier>,
         logger: Arc<dyn InfoLogger>,
@@ -354,7 +345,7 @@ pub struct DistributionInvoker {
 
 impl DistributionInvoker {
     /// Wraps a pointer with the lightweight distributed-execution proxy.
-    pub fn wrap(
+    pub(crate) fn wrap(
         ptr: InterfacePtr,
         transport: Arc<Transport>,
         overhead: Arc<OverheadMeter>,
@@ -367,7 +358,7 @@ impl DistributionInvoker {
     /// consulted on transport failures; under `obs` every cut-crossing call
     /// becomes an `icc_call` tracer instant and a flight-recorder entry, and
     /// a dying call dumps the recorder.
-    pub fn wrap_recovering(
+    pub(crate) fn wrap_recovering(
         ptr: InterfacePtr,
         transport: Arc<Transport>,
         overhead: Arc<OverheadMeter>,
@@ -920,12 +911,12 @@ mod tests {
         // The honest mutator is declared MutatesState: never fingerprinted.
         let mut msg = Message::outputs(1);
         ptr.call(&rt, 1, &mut msg).unwrap();
-        assert_eq!(check.count(), 0);
+        assert_eq!(check.violations().len(), 0);
 
         // The liar: declared ReadsState, fingerprint changes.
         let mut msg = Message::outputs(1);
         ptr.call(&rt, 0, &mut msg).unwrap();
-        assert_eq!(check.count(), 1);
+        assert_eq!(check.violations().len(), 1);
         let violation = &check.violations()[0];
         assert_eq!(violation.class, "Counter");
         assert_eq!(violation.interface, "ICounter");
@@ -935,7 +926,7 @@ mod tests {
         // Repeats dedupe: still one distinct violation.
         let mut msg = Message::outputs(1);
         ptr.call(&rt, 0, &mut msg).unwrap();
-        assert_eq!(check.count(), 1);
+        assert_eq!(check.violations().len(), 1);
     }
 
     #[test]
@@ -985,16 +976,6 @@ mod tests {
         );
         let mut msg = Message::outputs(1);
         ptr.call(&rt, 0, &mut msg).unwrap();
-        assert_eq!(check.count(), 0);
-    }
-
-    #[test]
-    fn overhead_meter_resets() {
-        let rt = ComRuntime::single_machine();
-        let meter = OverheadMeter::new();
-        meter.charge(&rt, 50);
-        assert_eq!(meter.total_us(), 50);
-        meter.reset();
-        assert_eq!(meter.total_us(), 0);
+        assert_eq!(check.violations().len(), 0);
     }
 }

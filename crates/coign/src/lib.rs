@@ -62,10 +62,10 @@ pub mod sweep;
 
 pub use analysis::{analyze, Distribution};
 pub use application::Application;
-pub use classifier::{ClassificationId, ClassifierKind, Descriptor, InstanceClassifier};
+pub use classifier::{ClassificationId, ClassifierKind, InstanceClassifier};
 pub use profile::IccProfile;
-pub use recovery::{RecoveryConfig, RecoveryCoordinator, RecoveryEvent, RecoveryTrigger};
-pub use rte::{CoignRte, FallbackEvent};
+pub use recovery::{RecoveryConfig, RecoveryCoordinator};
+pub use rte::CoignRte;
 pub use runtime::{
     run_default, run_distributed, run_distributed_faulty, run_distributed_recovering, run_raw,
     FaultReport, RecoveryRun, RunReport,

@@ -22,7 +22,7 @@ pub enum Severity {
 
 impl Severity {
     /// Stable lowercase name, shared by both renderers.
-    pub fn as_str(self) -> &'static str {
+    fn as_str(self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warn => "warn",
@@ -92,7 +92,7 @@ impl DiagnosticSink {
     }
 
     /// Reports a finding.
-    pub fn report(
+    pub(crate) fn report(
         &mut self,
         code: &'static str,
         severity: Severity,
@@ -115,7 +115,7 @@ impl DiagnosticSink {
     }
 
     /// Number of diagnostics at the given severity.
-    pub fn count(&self, severity: Severity) -> usize {
+    fn count(&self, severity: Severity) -> usize {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == severity)
@@ -130,12 +130,13 @@ impl DiagnosticSink {
     }
 
     /// True if nothing was reported.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.diagnostics.is_empty()
     }
 
     /// One-line totals, e.g. `"1 error(s), 3 warning(s), 2 note(s)"`.
-    pub fn summary(&self) -> String {
+    fn summary(&self) -> String {
         format!(
             "{} error(s), {} warning(s), {} note(s)",
             self.count(Severity::Error),

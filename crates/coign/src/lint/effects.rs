@@ -46,7 +46,7 @@ pub struct EffectAnalysis {
 impl EffectAnalysis {
     /// True when the class may mutate instance state. Unknown classes are
     /// conservatively mutable.
-    pub fn is_mutable(&self, class: &str) -> bool {
+    pub(crate) fn is_mutable(&self, class: &str) -> bool {
         self.class_mutable.get(class).copied().unwrap_or(true)
     }
 
@@ -56,7 +56,8 @@ impl EffectAnalysis {
     }
 
     /// Classes proven immutable after construction, in name order.
-    pub fn immutable_classes(&self) -> Vec<&str> {
+    #[cfg(test)]
+    fn immutable_classes(&self) -> Vec<&str> {
         self.class_mutable
             .iter()
             .filter(|(_, mutable)| !**mutable)

@@ -27,7 +27,7 @@ use coign_com::{AppImage, ClassRegistry};
 use std::collections::BTreeMap;
 
 /// Runs every image lint.
-pub fn check_image(image: &AppImage, registry: &ClassRegistry, sink: &mut DiagnosticSink) {
+pub(crate) fn check_image(image: &AppImage, registry: &ClassRegistry, sink: &mut DiagnosticSink) {
     check_runtime_import(image, sink);
     check_sections(image, sink);
     check_classes(image, registry, sink);

@@ -38,9 +38,7 @@ pub mod remotability;
 pub mod satisfiability;
 pub mod sharing;
 
-pub use diag::{Diagnostic, DiagnosticSink, Severity};
-pub use effects::EffectAnalysis;
-pub use sharing::ReplicationReport;
+pub use diag::{Diagnostic, DiagnosticSink};
 
 use crate::application::Application;
 use crate::classifier::ClassificationId;
@@ -75,7 +73,7 @@ pub fn classification_label(
 ///
 /// Both `coign check` and the analysis pipeline call this, so a
 /// contradiction produces byte-identical diagnostics on either path.
-pub fn check_constraint_stage(
+pub(crate) fn check_constraint_stage(
     profile: &IccProfile,
     registry: &ClassRegistry,
     named: &[NamedConstraint],

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// Runs the remotability stage over every interface in the registry.
-pub fn check_registry(registry: &ClassRegistry, sink: &mut DiagnosticSink) {
+pub(crate) fn check_registry(registry: &ClassRegistry, sink: &mut DiagnosticSink) {
     let declared = registry.declared_iids();
     // Interface descriptions are shared between classes; analyze each one
     // once, in name order for deterministic reports.

@@ -74,7 +74,7 @@ impl ColocationForest {
 /// Checks that the full constraint set (plus non-remotable colocation
 /// pairs) admits at least one client/server assignment. Reports a
 /// COIGN020 error per unsatisfiable group; returns `true` when satisfiable.
-pub fn check_constraints(
+pub(crate) fn check_constraints(
     constraints: &[Constraint],
     non_remotable: &[(ClassificationId, ClassificationId)],
     label: &dyn Fn(ClassificationId) -> String,
@@ -150,7 +150,11 @@ pub fn check_constraints(
 /// Checks programmer constraints against the class registry: every name
 /// must resolve to a registered class. Reports a COIGN021 error per
 /// unknown name.
-pub fn check_named(named: &[NamedConstraint], registry: &ClassRegistry, sink: &mut DiagnosticSink) {
+pub(crate) fn check_named(
+    named: &[NamedConstraint],
+    registry: &ClassRegistry,
+    sink: &mut DiagnosticSink,
+) {
     let mut unknown: BTreeSet<&str> = BTreeSet::new();
     for constraint in named {
         let names: Vec<&str> = match constraint {

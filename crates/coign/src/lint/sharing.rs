@@ -52,12 +52,13 @@ pub struct ReplicationReport {
 
 impl ReplicationReport {
     /// True when the class may legally be duplicated onto several machines.
-    pub fn is_replicable(&self, class: &str) -> bool {
+    pub(crate) fn is_replicable(&self, class: &str) -> bool {
         self.replicable.iter().any(|c| c == class)
     }
 
     /// True when at least two distinct holders can reach the class.
-    pub fn is_shared(&self, class: &str) -> bool {
+    #[cfg(test)]
+    fn is_shared(&self, class: &str) -> bool {
         self.holders.get(class).is_some_and(|h| h.len() >= 2)
     }
 }

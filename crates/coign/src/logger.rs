@@ -13,7 +13,6 @@
 use crate::classifier::ClassificationId;
 use crate::profile::IccProfile;
 use coign_com::{Clsid, Iid, InstanceId};
-use coign_obs::TraceArg;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -43,48 +42,15 @@ pub struct CallRecord {
     pub remotable: bool,
 }
 
-impl CallRecord {
-    /// This record as typed tracer arguments: the list the tracer's
-    /// `icc_call` instant events render from.
-    pub fn trace_args(&self) -> Vec<(&'static str, TraceArg)> {
-        vec![
-            (
-                "caller",
-                match self.caller {
-                    Some(id) => TraceArg::U64(id.0),
-                    None => TraceArg::Null,
-                },
-            ),
-            (
-                "caller_class",
-                TraceArg::U64(u64::from(self.caller_class.0)),
-            ),
-            ("callee", TraceArg::U64(self.callee.0)),
-            (
-                "callee_class",
-                TraceArg::U64(u64::from(self.callee_class.0)),
-            ),
-            ("iid", TraceArg::Guid((self.iid.0).0)),
-            ("method", TraceArg::U64(u64::from(self.method))),
-            ("req_bytes", TraceArg::U64(self.req_bytes)),
-            ("reply_bytes", TraceArg::U64(self.reply_bytes)),
-            ("remotable", TraceArg::Bool(self.remotable)),
-        ]
-    }
-}
-
 /// Receives application events from the Coign runtime.
 ///
 /// The event vocabulary is the paper's §3.3 list: "component
 /// instantiations, component destructions, interface instantiations,
-/// interface destructions, and interface calls". (Interface destructions
-/// coincide with their owner's release in the simulation, so the owner's
-/// `log_instance_released` stands for both.)
+/// interface destructions, and interface calls", less the two
+/// destructions: simCOM never releases an instance.
 pub trait InfoLogger: Send + Sync {
     /// An instance was created and classified.
     fn log_instance_created(&self, _id: InstanceId, _clsid: Clsid, _class: ClassificationId) {}
-    /// An instance was released.
-    fn log_instance_released(&self, _id: InstanceId) {}
     /// An interface was instantiated (a pointer minted and wrapped).
     fn log_interface_created(&self, _owner: InstanceId, _iid: Iid) {}
     /// An interface call completed.
@@ -108,11 +74,6 @@ pub enum LogEvent {
         clsid: Clsid,
         /// Its classification.
         class: ClassificationId,
-    },
-    /// Component destruction.
-    InstanceReleased {
-        /// Released instance.
-        id: InstanceId,
     },
     /// Interface instantiation.
     InterfaceCreated {
@@ -158,10 +119,6 @@ impl InfoLogger for EventLogger {
         self.events
             .lock()
             .push(LogEvent::InstanceCreated { id, clsid, class });
-    }
-
-    fn log_instance_released(&self, id: InstanceId) {
-        self.events.lock().push(LogEvent::InstanceReleased { id });
     }
 
     fn log_interface_created(&self, owner: InstanceId, iid: Iid) {
@@ -228,20 +185,13 @@ impl ProfilingLogger {
     }
 
     /// Per-execution instance-pair traffic (order-normalized keys).
-    pub fn instance_pairs(&self) -> HashMap<(InstanceId, InstanceId), PairTraffic> {
+    pub(crate) fn instance_pairs(&self) -> HashMap<(InstanceId, InstanceId), PairTraffic> {
         self.pairs.lock().clone()
     }
 
     /// The classification observed for each instance this execution.
-    pub fn instance_classes(&self) -> HashMap<InstanceId, ClassificationId> {
+    pub(crate) fn instance_classes(&self) -> HashMap<InstanceId, ClassificationId> {
         self.instance_class.lock().clone()
-    }
-
-    /// Clears per-execution state (pairs, bindings) while keeping the
-    /// accumulated profile.
-    pub fn begin_execution(&self) {
-        self.pairs.lock().clear();
-        self.instance_class.lock().clear();
     }
 }
 
@@ -316,12 +266,10 @@ mod tests {
         let logger = EventLogger::new();
         logger.log_instance_created(InstanceId(1), Clsid::from_name("A"), ClassificationId(1));
         logger.log_call(&record(0, 1, 5, 7, true));
-        logger.log_instance_released(InstanceId(1));
-        assert_eq!(logger.len(), 3);
+        assert_eq!(logger.len(), 2);
         let events = logger.take_events();
         assert!(matches!(events[0], LogEvent::InstanceCreated { .. }));
         assert!(matches!(events[1], LogEvent::Call(_)));
-        assert!(matches!(events[2], LogEvent::InstanceReleased { .. }));
         assert!(logger.is_empty());
     }
 
@@ -379,15 +327,6 @@ mod tests {
         assert_eq!(p.scenarios, vec!["test".to_string()]);
         assert_eq!(p.total_messages(), 2);
         assert_eq!(logger.snapshot_profile().total_messages(), 0);
-        assert!(logger.instance_pairs().is_empty());
-    }
-
-    #[test]
-    fn begin_execution_keeps_profile_but_clears_pairs() {
-        let logger = ProfilingLogger::new();
-        logger.log_call(&record(1, 2, 10, 10, true));
-        logger.begin_execution();
-        assert_eq!(logger.snapshot_profile().total_messages(), 2);
         assert!(logger.instance_pairs().is_empty());
     }
 

@@ -48,7 +48,7 @@ pub fn correlation(a: &CommVector, b: &CommVector) -> f64 {
 
 /// Builds per-instance communication vectors from one execution's pair
 /// traffic, expressing peers by their classification.
-pub fn instance_vectors(
+fn instance_vectors(
     pairs: &HashMap<(InstanceId, InstanceId), PairTraffic>,
     instance_classes: &HashMap<InstanceId, ClassificationId>,
     network: &NetworkProfile,

@@ -12,7 +12,7 @@
 use crate::analysis::Distribution;
 use crate::classifier::ClassificationId;
 use crate::icc::IccGraph;
-use crate::lint::ReplicationReport;
+use crate::lint::sharing::ReplicationReport;
 use crate::profile::IccProfile;
 use coign_com::{ClassRegistry, ComError, ComResult, MachineId};
 use coign_dcom::NetworkProfile;
@@ -156,7 +156,8 @@ impl ReplicationPlan {
     }
 
     /// True when the plan allows replicating the classification.
-    pub fn allows(&self, class: ClassificationId) -> bool {
+    #[cfg(test)]
+    fn allows(&self, class: ClassificationId) -> bool {
         self.replicable.binary_search(&class).is_ok()
     }
 }
@@ -454,7 +455,7 @@ pub fn derive_replica_router(
     (!replicas.is_empty()).then(|| ReplicaRouter::new(distribution, &replicas))
 }
 
-/// What [`ReplicaRouter::drop_machine`] did to the copy sets when a
+/// What `ReplicaRouter::drop_machine` did to the copy sets when a
 /// machine died.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplicaFailover {
@@ -471,7 +472,7 @@ pub struct ReplicaFailover {
 impl ReplicaFailover {
     /// True when every classification on the dead machine had a surviving
     /// copy — recovery needs no solve at all.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.orphaned.is_empty()
     }
 }
@@ -513,8 +514,9 @@ impl ReplicaRouter {
         ReplicaRouter { copies }
     }
 
-    /// True when no classification has more than its home copy.
-    pub fn has_replicas(&self) -> bool {
+    /// True when some classification has more than its home copy.
+    #[cfg(test)]
+    fn has_replicas(&self) -> bool {
         self.copies.values().any(|set| set.len() > 1)
     }
 
@@ -525,7 +527,8 @@ impl ReplicaRouter {
     }
 
     /// The classification's copies, home first (empty when unknown).
-    pub fn copies_of(&self, class: ClassificationId) -> &[MachineId] {
+    #[cfg(test)]
+    pub(crate) fn copies_of(&self, class: ClassificationId) -> &[MachineId] {
         self.copies.get(&class).map_or(&[], Vec::as_slice)
     }
 
@@ -533,7 +536,7 @@ impl ReplicaRouter {
     /// the live home, else a surviving copy on the caller's own machine,
     /// else the lowest-id surviving copy. `None` when the class is
     /// unknown or every copy is dead.
-    pub fn route(
+    pub(crate) fn route(
         &self,
         class: ClassificationId,
         caller: MachineId,
@@ -564,7 +567,7 @@ impl ReplicaRouter {
     /// surviving replica (or reported orphaned when none survives). The
     /// returned summary is what the recovery layer needs to decide
     /// between pure failover and a re-solve.
-    pub fn drop_machine(&mut self, dead: MachineId) -> ReplicaFailover {
+    pub(crate) fn drop_machine(&mut self, dead: MachineId) -> ReplicaFailover {
         let mut failover = ReplicaFailover::default();
         for (class, copies) in self.copies.iter_mut() {
             let home_died = copies.first() == Some(&dead);
@@ -588,7 +591,8 @@ impl ReplicaRouter {
 
     /// The current home of a classification (`None` when orphaned or
     /// unknown).
-    pub fn home_of(&self, class: ClassificationId) -> Option<MachineId> {
+    #[cfg(test)]
+    pub(crate) fn home_of(&self, class: ClassificationId) -> Option<MachineId> {
         self.copies.get(&class)?.first().copied()
     }
 
@@ -597,7 +601,7 @@ impl ReplicaRouter {
     /// surviving replicas keep serving unless they sit on a dead machine
     /// or became redundant (co-located with the new home). Classes the
     /// new placement no longer mentions are dropped.
-    pub fn rebase(
+    pub(crate) fn rebase(
         &mut self,
         placement: &HashMap<ClassificationId, MachineId>,
         dead: &BTreeSet<MachineId>,
@@ -1041,7 +1045,7 @@ mod tests {
                 .register(name, vec![], ApiImports::NONE, |_, _| Arc::new(Nop));
         }
         let profile = shared_dictionary_profile();
-        let report = crate::lint::ReplicationReport {
+        let report = crate::lint::sharing::ReplicationReport {
             replicable: vec!["Dict".to_string()],
             mutable_shared: vec![],
             holders: Default::default(),

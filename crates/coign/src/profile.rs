@@ -45,14 +45,15 @@ pub fn size_bucket(bytes: u64) -> u8 {
 }
 
 /// Inclusive upper bound of a bucket, in bytes.
-pub fn bucket_bound(bucket: u8) -> u64 {
+#[cfg(test)]
+fn bucket_bound(bucket: u8) -> u64 {
     BUCKET_BASE.saturating_mul(1u64 << bucket.min(BUCKET_COUNT - 1))
 }
 
 /// The bucket bounds as finite histogram bounds for the metrics registry
 /// (the registry's `coign_icc_message_bytes` histogram mirrors these
 /// paper buckets exactly).
-pub fn icc_size_bounds() -> Vec<u64> {
+pub(crate) fn icc_size_bounds() -> Vec<u64> {
     coign_obs::metrics::exponential_bounds(BUCKET_BASE, u32::from(BUCKET_COUNT))
 }
 
@@ -166,7 +167,7 @@ impl IccProfile {
     /// Colliding edge keys accumulate and non-remotable pairs are
     /// re-normalized, so the result is well-formed even for non-injective
     /// maps.
-    pub fn remap_classifications(&self, map: &[ClassificationId]) -> IccProfile {
+    pub(crate) fn remap_classifications(&self, map: &[ClassificationId]) -> IccProfile {
         let at = |id: ClassificationId| -> ClassificationId {
             *map.get(id.0 as usize)
                 .expect("profile references a classification missing from the translation")
@@ -224,7 +225,7 @@ impl IccProfile {
     /// Aggregated undirected traffic per classification pair
     /// (order-normalized): `(messages, bytes)`, saturating at `u64::MAX`
     /// (capacities clamp far below that; see [`crate::icc::IccGraph::capacity_of`]).
-    pub fn pair_traffic(&self) -> HashMap<(ClassificationId, ClassificationId), EdgeStats> {
+    pub(crate) fn pair_traffic(&self) -> HashMap<(ClassificationId, ClassificationId), EdgeStats> {
         let mut out: HashMap<(ClassificationId, ClassificationId), EdgeStats> = HashMap::new();
         for (key, stats) in &self.edges {
             let pair = if key.from <= key.to {
@@ -282,22 +283,6 @@ impl IccProfile {
             e.put_str(s);
         }
         e.finish()
-    }
-
-    /// Writes the profile to a log file — the paper's "at the end of a
-    /// profiling execution, Coign writes the inter-component communication
-    /// profiles to a file for later analysis".
-    pub fn write_to_file(&self, path: &std::path::Path) -> ComResult<()> {
-        std::fs::write(path, self.encode())
-            .map_err(|e| coign_com::ComError::App(format!("cannot write {}: {e}", path.display())))
-    }
-
-    /// Reads a profile log file written by [`IccProfile::write_to_file`].
-    pub fn read_from_file(path: &std::path::Path) -> ComResult<Self> {
-        let bytes = std::fs::read(path).map_err(|e| {
-            coign_com::ComError::App(format!("cannot read {}: {e}", path.display()))
-        })?;
-        Self::decode(&bytes)
     }
 
     /// Deserializes a profile.
@@ -472,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn log_files_roundtrip_and_merge() {
+    fn encoded_profiles_roundtrip_and_merge() {
         let iid = Iid::from_name("IX");
         let mut a = IccProfile::new();
         a.record_message(c(1), c(2), iid, 0, 10);
@@ -481,22 +466,12 @@ mod tests {
         b.record_message(c(2), c(3), iid, 1, 99);
         b.scenarios.push("s2".into());
 
-        let dir = std::env::temp_dir();
-        let pa = dir.join(format!("coign_log_a_{}.icc", std::process::id()));
-        let pb = dir.join(format!("coign_log_b_{}.icc", std::process::id()));
-        a.write_to_file(&pa).unwrap();
-        b.write_to_file(&pb).unwrap();
-
         // "Log files from multiple profiling scenarios may be combined and
         // summarized during later analysis."
-        let mut merged = IccProfile::read_from_file(&pa).unwrap();
-        merged.merge(&IccProfile::read_from_file(&pb).unwrap());
+        let mut merged = IccProfile::decode(&a.encode()).unwrap();
+        merged.merge(&IccProfile::decode(&b.encode()).unwrap());
         assert_eq!(merged.total_messages(), 2);
         assert_eq!(merged.scenarios, vec!["s1".to_string(), "s2".to_string()]);
-
-        std::fs::remove_file(&pa).ok();
-        std::fs::remove_file(&pb).ok();
-        assert!(IccProfile::read_from_file(&pa).is_err());
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub enum RecoveryTrigger {
 
 impl RecoveryTrigger {
     /// Stable name used in traces and summaries.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             RecoveryTrigger::MachineDeath => "machine_death",
             RecoveryTrigger::Drift => "drift",
@@ -298,7 +298,7 @@ fn survivor_of(dead: MachineId) -> MachineId {
 /// and (optionally) a dead machine. With a dead machine, absolute pins to
 /// it are treated as redirected to the survivor, and nothing may remain
 /// placed on it. Classifications absent from the placement are skipped.
-pub fn validate_placement(
+fn validate_placement(
     placement: &HashMap<ClassificationId, MachineId>,
     constraints: &[Constraint],
     non_remotable: &[(ClassificationId, ClassificationId)],
@@ -393,7 +393,7 @@ pub struct RecoveryCoordinator {
 impl RecoveryCoordinator {
     /// Creates the coordinator and performs the base solve (cold), so that
     /// every recovery re-solve warm-starts from a real flow snapshot.
-    pub fn new(
+    pub(crate) fn new(
         graph: &IccGraph,
         constraints: &[Constraint],
         factory: Arc<ComponentFactory>,
@@ -463,12 +463,13 @@ impl RecoveryCoordinator {
     /// classification), making machine-death recovery replica-aware: a
     /// death fully covered by surviving copies recovers by pure failover,
     /// and re-solves re-base the surviving replicas on the new placement.
-    pub fn install_replicas(&self, router: ReplicaRouter) {
+    pub(crate) fn install_replicas(&self, router: ReplicaRouter) {
         *self.replicas.lock() = Some(router);
     }
 
     /// Snapshot of the current replica routing table, if one is installed.
-    pub fn replica_router(&self) -> Option<ReplicaRouter> {
+    #[cfg(test)]
+    fn replica_router(&self) -> Option<ReplicaRouter> {
         self.replicas.lock().clone()
     }
 
@@ -520,7 +521,7 @@ impl RecoveryCoordinator {
     /// Upper bound on delivery attempts per logical call in the
     /// distribution informer's retry loop: enough preflight failures to
     /// trip the machine breaker, plus the post-recovery attempt.
-    pub fn max_call_attempts(&self) -> u32 {
+    pub(crate) fn max_call_attempts(&self) -> u32 {
         self.health.policy().failure_threshold + 2
     }
 
@@ -533,10 +534,10 @@ impl RecoveryCoordinator {
     }
 
     /// Records a double execution in the defensive ledger. The retry
-    /// protocol never calls this on any reachable path; it exists so a
-    /// future protocol change that breaks exactly-once fails the chaos
-    /// invariants instead of passing silently.
-    pub fn note_double_execution(&self) {
+    /// protocol has no path that double-executes a call, so only tests
+    /// call this, to show the audit battery reports one.
+    #[cfg(test)]
+    fn note_double_execution(&self) {
         self.double_executions.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -638,7 +639,7 @@ impl RecoveryCoordinator {
     /// should retry: either a recovery just completed (the callee may have
     /// migrated next to the caller), or the failure is a machine-down
     /// error still feeding the breaker toward a trip.
-    pub fn on_call_failure(&self, rt: &ComRuntime, error: &ComError) -> bool {
+    pub(crate) fn on_call_failure(&self, rt: &ComRuntime, error: &ComError) -> bool {
         if self.drain_machine_deaths(rt) {
             return true;
         }
@@ -655,7 +656,7 @@ impl RecoveryCoordinator {
     /// re-places work onto it. (Without the drain, `recover` would run
     /// with `dead: None` while the health monitor already knew the
     /// machine was gone.)
-    pub fn poll_drift(&self, rt: &ComRuntime) -> bool {
+    pub(crate) fn poll_drift(&self, rt: &ComRuntime) -> bool {
         let Some((monitor, threshold)) = &self.drift else {
             return false;
         };
@@ -837,7 +838,7 @@ impl RecoveryCoordinator {
             let target = placement
                 .get(&class)
                 .copied()
-                .unwrap_or_else(|| self.factory.placement_for(class, instance.clsid));
+                .unwrap_or_else(|| self.factory.place(class, instance.clsid));
             if instance.machine() != target {
                 on_move();
                 instance.set_machine(target);
@@ -848,7 +849,7 @@ impl RecoveryCoordinator {
     }
 
     /// Adds the coordinator's counters to a metrics registry.
-    pub fn record_metrics(&self, registry: &coign_obs::Registry) {
+    pub(crate) fn record_metrics(&self, registry: &coign_obs::Registry) {
         registry
             .counter("coign_recovery_events_total")
             .add(self.recovery_count());
@@ -1002,7 +1003,11 @@ mod tests {
         base.insert(c(1), MachineId::CLIENT);
         base.insert(c(2), MachineId::SERVER);
         base.insert(c(3), MachineId::SERVER);
-        let factory = Arc::new(ComponentFactory::new(base.clone(), MachineId::CLIENT, 2));
+        let factory = Arc::new(ComponentFactory::new(
+            base.clone(),
+            HashMap::new(),
+            MachineId::CLIENT,
+        ));
         let health = Arc::new(HealthMonitor::new(BreakerPolicy {
             failure_threshold: 1,
             ..BreakerPolicy::default()
@@ -1124,7 +1129,11 @@ mod tests {
         base.insert(c(1), MachineId::CLIENT);
         base.insert(c(2), MachineId::SERVER);
         base.insert(c(3), MachineId::SERVER);
-        let factory = Arc::new(ComponentFactory::new(base, MachineId::CLIENT, 2));
+        let factory = Arc::new(ComponentFactory::new(
+            base,
+            HashMap::new(),
+            MachineId::CLIENT,
+        ));
         let health = Arc::new(HealthMonitor::new(BreakerPolicy {
             failure_threshold: 1,
             ..BreakerPolicy::default()

@@ -5,16 +5,11 @@
 //! event logger to drive detailed application simulations."
 //!
 //! This module is that downstream consumer: it reconstructs summarized
-//! profiles from raw event traces ([`profile_from_events`]) — useful to
-//! re-analyze an execution offline without re-running it — and replays a
-//! trace against a hypothetical distribution to estimate its communication
-//! cost *in event order* ([`replay_cost_us`]), which is how a simulation
-//! would consume the log.
+//! profiles from raw event traces ([`profile_from_events`]), which lets an
+//! execution be re-analyzed offline without re-running it.
 
-use crate::analysis::Distribution;
 use crate::logger::{InfoLogger, LogEvent};
 use crate::profile::IccProfile;
-use coign_dcom::NetworkProfile;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -27,7 +22,7 @@ pub fn profile_from_events(events: &[LogEvent]) -> IccProfile {
             LogEvent::InstanceCreated { clsid, class, .. } => {
                 profile.record_instance(*class, *clsid);
             }
-            LogEvent::InstanceReleased { .. } | LogEvent::InterfaceCreated { .. } => {}
+            LogEvent::InterfaceCreated { .. } => {}
             LogEvent::Call(r) => {
                 if r.remotable {
                     profile.record_message(
@@ -51,31 +46,6 @@ pub fn profile_from_events(events: &[LogEvent]) -> IccProfile {
         }
     }
     profile
-}
-
-/// Replays a trace against a distribution: the predicted network time of
-/// every call whose endpoints land on different machines, in event order.
-///
-/// Returns `(total_us, crossing_calls)`.
-pub fn replay_cost_us(
-    events: &[LogEvent],
-    distribution: &Distribution,
-    network: &NetworkProfile,
-) -> (f64, u64) {
-    let mut total = 0.0;
-    let mut crossing = 0;
-    for event in events {
-        let LogEvent::Call(r) = event else { continue };
-        if !r.remotable {
-            continue;
-        }
-        if distribution.machine_of(r.caller_class) == distribution.machine_of(r.callee_class) {
-            continue;
-        }
-        total += network.predict_us(r.req_bytes) + network.predict_us(r.reply_bytes);
-        crossing += 1;
-    }
-    (total, crossing)
 }
 
 /// Forwards events to several loggers at once — lets a single profiling run
@@ -109,10 +79,6 @@ impl InfoLogger for TeeLogger {
         self.each(|s| s.log_instance_created(id, clsid, class));
     }
 
-    fn log_instance_released(&self, id: coign_com::InstanceId) {
-        self.each(|s| s.log_instance_released(id));
-    }
-
     fn log_interface_created(&self, owner: coign_com::InstanceId, iid: coign_com::Iid) {
         self.each(|s| s.log_interface_created(owner, iid));
     }
@@ -127,7 +93,7 @@ mod tests {
     use super::*;
     use crate::classifier::ClassificationId;
     use crate::logger::{CallRecord, EventLogger, ProfilingLogger};
-    use coign_com::{Clsid, Iid, InstanceId, MachineId};
+    use coign_com::{Clsid, Iid, InstanceId};
 
     fn c(n: u32) -> ClassificationId {
         ClassificationId(n)
@@ -161,61 +127,9 @@ mod tests {
             tee.log_call(&record(1, 2, 100 + i, 5000, true));
         }
         tee.log_call(&record(1, 2, 0, 0, false));
-        tee.log_instance_released(InstanceId(2));
 
         let online = profiling.snapshot_profile();
         let offline = profile_from_events(&events.take_events());
         assert_eq!(offline, online);
-    }
-
-    #[test]
-    fn replay_costs_only_crossing_calls() {
-        use coign_dcom::NetworkModel;
-        let events = vec![
-            LogEvent::Call(record(1, 2, 1000, 1000, true)),
-            LogEvent::Call(record(1, 3, 1000, 1000, true)),
-            LogEvent::Call(record(1, 2, 0, 0, false)),
-        ];
-        let dist = Distribution {
-            placement: [
-                (c(1), MachineId::CLIENT),
-                (c(2), MachineId::SERVER),
-                (c(3), MachineId::CLIENT),
-            ]
-            .into_iter()
-            .collect(),
-            predicted_comm_us: 0.0,
-            network_name: "t".into(),
-        };
-        let net = NetworkProfile::exact(&NetworkModel::ethernet_10baset());
-        let (total, crossing) = replay_cost_us(&events, &dist, &net);
-        assert_eq!(crossing, 1);
-        let expected = net.predict_us(1000) * 2.0;
-        assert!((total - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn replay_agrees_with_prediction_model() {
-        // The event-order replay and the summarized prediction model are
-        // two routes to the same number.
-        let events: Vec<LogEvent> = (0..25)
-            .map(|i| LogEvent::Call(record(1, 2, 100 + i, 900, true)))
-            .collect();
-        let dist = Distribution {
-            placement: [(c(1), MachineId::CLIENT), (c(2), MachineId::SERVER)]
-                .into_iter()
-                .collect(),
-            predicted_comm_us: 0.0,
-            network_name: "t".into(),
-        };
-        use coign_dcom::NetworkModel;
-        let net = NetworkProfile::exact(&NetworkModel::ethernet_10baset());
-        let (replayed, _) = replay_cost_us(&events, &dist, &net);
-        let profile = profile_from_events(&events);
-        let summarized = crate::predict::predict_comm_us(&profile, &dist, &net);
-        assert!(
-            (replayed - summarized).abs() < 1e-6,
-            "replay {replayed} vs summary {summarized}"
-        );
     }
 }

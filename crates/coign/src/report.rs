@@ -177,36 +177,9 @@ pub fn caching_candidates(
     out
 }
 
-/// Renders the application's communication graph in Graphviz DOT form —
-/// the textual equivalent of the paper's Figures 4–8: one node per
-/// classification (labelled with its class and instance count), gray edges
-/// for distributable interfaces, **bold black edges** for non-remotable
-/// ones, and server-side nodes drawn as filled boxes.
-///
-/// Location constraints render in a distinct dashed style: pins as dashed
-/// edges to synthetic diamond `client`/`server` machine nodes, explicit
-/// colocations as dashed edges between the bound classifications (pairs
-/// already drawn bold-black as non-remotable are not repeated).
-pub fn to_dot(
-    profile: &IccProfile,
-    network: &NetworkProfile,
-    distribution: Option<&Distribution>,
-    constraints: &[Constraint],
-    class_names: &HashMap<coign_com::Clsid, String>,
-) -> String {
-    to_dot_annotated(
-        profile,
-        network,
-        distribution,
-        constraints,
-        class_names,
-        &DotFacts::default(),
-    )
-}
-
 /// Replication-legality facts layered onto the DOT rendering by
-/// [`to_dot_annotated`]. The default (empty) facts reproduce [`to_dot`]
-/// byte for byte, so unannotated applications keep their exact output.
+/// [`to_dot`]. The default (empty) facts overlay nothing, so unannotated
+/// applications keep their plain rendering.
 #[derive(Debug, Clone, Default)]
 pub struct DotFacts {
     /// Stage-4/5 verdicts: replicable classes render double-circled
@@ -232,11 +205,22 @@ pub fn method_effects(rt: &ComRuntime) -> HashMap<(Iid, u32), StateEffect> {
     effects
 }
 
-/// [`to_dot`] plus the stage-4/5 replication-legality overlay: replicable
-/// classes draw double-circled, mutable-shared classes draw shaded, and
-/// edges carrying only declared-read-only traffic are labelled with the
-/// strongest effect they carry (`pure` or `reads`).
-pub fn to_dot_annotated(
+/// Renders the application's communication graph in Graphviz DOT form —
+/// the textual equivalent of the paper's Figures 4–8: one node per
+/// classification (labelled with its class and instance count), gray edges
+/// for distributable interfaces, **bold black edges** for non-remotable
+/// ones, and server-side nodes drawn as filled boxes.
+///
+/// Location constraints render in a distinct dashed style: pins as dashed
+/// edges to synthetic diamond `client`/`server` machine nodes, explicit
+/// colocations as dashed edges between the bound classifications (pairs
+/// already drawn bold-black as non-remotable are not repeated).
+///
+/// `facts` layers the stage-4/5 replication-legality overlay on top:
+/// replicable classes draw double-circled, mutable-shared classes draw
+/// shaded, and edges carrying only declared-read-only traffic are labelled
+/// with the strongest effect they carry (`pure` or `reads`).
+pub fn to_dot(
     profile: &IccProfile,
     network: &NetworkProfile,
     distribution: Option<&Distribution>,
@@ -510,7 +494,14 @@ mod tests {
         let dist = split_dist();
         let mut p = profile();
         p.record_non_remotable(c(1), c(3));
-        let dot = to_dot(&p, &net(), Some(&dist), &[], &HashMap::new());
+        let dot = to_dot(
+            &p,
+            &net(),
+            Some(&dist),
+            &[],
+            &HashMap::new(),
+            &DotFacts::default(),
+        );
         assert!(dot.starts_with("graph icc {"));
         assert!(dot.ends_with("}\n"));
         // One node per classification (+ the root).
@@ -540,7 +531,14 @@ mod tests {
             // Covered by the bold-black non-remotable edge: not repeated.
             Constraint::Colocate(c(3), c(1)),
         ];
-        let dot = to_dot(&p, &net(), None, &constraints, &HashMap::new());
+        let dot = to_dot(
+            &p,
+            &net(),
+            None,
+            &constraints,
+            &HashMap::new(),
+            &DotFacts::default(),
+        );
         assert!(dot.contains("client [label=\"client\", shape=diamond];"));
         assert!(dot.contains("server [label=\"server\", shape=diamond];"));
         assert!(dot.contains("n0 -- client [style=dashed, color=steelblue];"));
@@ -552,23 +550,6 @@ mod tests {
         );
         assert!(!dot.contains("n1 -- n3 [style=dashed"));
         assert_eq!(dot.matches('{').count(), dot.matches('}').count());
-    }
-
-    #[test]
-    fn empty_dot_facts_reproduce_plain_output_byte_for_byte() {
-        let dist = split_dist();
-        let mut p = profile();
-        p.record_non_remotable(c(1), c(3));
-        let plain = to_dot(&p, &net(), Some(&dist), &[], &HashMap::new());
-        let annotated = to_dot_annotated(
-            &p,
-            &net(),
-            Some(&dist),
-            &[],
-            &HashMap::new(),
-            &DotFacts::default(),
-        );
-        assert_eq!(plain, annotated);
     }
 
     #[test]
@@ -596,7 +577,7 @@ mod tests {
             replication: Some(replication),
             effects,
         };
-        let dot = to_dot_annotated(&p, &net(), None, &[], &names, &facts);
+        let dot = to_dot(&p, &net(), None, &[], &names, &facts);
         // Replicable B (node 2) draws double-circled.
         assert!(dot.contains("n2 [label=\"B x1\", peripheries=2];"));
         // Mutable-shared A (node 1) draws shaded.

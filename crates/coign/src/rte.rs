@@ -69,8 +69,6 @@ pub struct CoignRte {
     /// installs (idle in distributed mode — the lightweight informer never
     /// walks parameters it doesn't have to).
     marshal_cache: Arc<SizeCache>,
-    /// Binaries observed in the address space (RTE address-space tracking).
-    images: Mutex<Vec<String>>,
     /// Instantiations re-routed because the target machine was down.
     fallbacks: Mutex<Vec<FallbackEvent>>,
     /// COIGN045 sink: declared-read-only calls whose instance fingerprint
@@ -94,7 +92,6 @@ impl CoignRte {
             logger,
             overhead: Arc::new(OverheadMeter::new()),
             marshal_cache: Arc::new(SizeCache::new()),
-            images: Mutex::new(Vec::new()),
             fallbacks: Mutex::new(Vec::new()),
             effect_check: Arc::new(EffectCrossCheck::new()),
             obs: None,
@@ -105,7 +102,7 @@ impl CoignRte {
     /// Creates a distributed-mode RTE realizing the given placement; with a
     /// `drift` monitor it additionally counts messages for usage-drift
     /// detection.
-    pub fn distributed(
+    pub(crate) fn distributed(
         classifier: Arc<InstanceClassifier>,
         logger: Arc<dyn InfoLogger>,
         factory: ComponentFactory,
@@ -122,7 +119,6 @@ impl CoignRte {
             logger,
             overhead: Arc::new(OverheadMeter::new()),
             marshal_cache: Arc::new(SizeCache::new()),
-            images: Mutex::new(Vec::new()),
             fallbacks: Mutex::new(Vec::new()),
             effect_check: Arc::new(EffectCrossCheck::new()),
             obs: None,
@@ -132,7 +128,7 @@ impl CoignRte {
 
     /// The component factory, in distributed mode. Shared so the recovery
     /// coordinator can swap its placement table while the run is live.
-    pub fn factory(&self) -> Option<Arc<ComponentFactory>> {
+    pub(crate) fn factory(&self) -> Option<Arc<ComponentFactory>> {
         match &self.mode {
             RteMode::Profiling => None,
             RteMode::Distributed { factory, .. } => Some(factory.clone()),
@@ -142,7 +138,7 @@ impl CoignRte {
     /// Installs the self-healing coordinator. Interfaces wrapped after this
     /// point route transport failures through it (recover + retry) instead
     /// of failing the call outright.
-    pub fn set_recovery(&self, coordinator: Arc<crate::recovery::RecoveryCoordinator>) {
+    pub(crate) fn set_recovery(&self, coordinator: Arc<crate::recovery::RecoveryCoordinator>) {
         *self.recovery.lock() = Some(coordinator);
     }
 
@@ -155,7 +151,7 @@ impl CoignRte {
     /// on reports through it, and in distributed mode the transport's
     /// fault layer is hooked up too (fault events become tracer instants
     /// and flight-recorder entries).
-    pub fn with_obs(mut self, obs: Obs) -> Self {
+    pub(crate) fn with_obs(mut self, obs: Obs) -> Self {
         if let RteMode::Distributed { transport, .. } = &self.mode {
             transport.set_obs(obs.tracer.clone(), obs.recorder.clone());
         }
@@ -163,61 +159,42 @@ impl CoignRte {
         self
     }
 
-    /// The attached observability bundle, if any.
-    pub fn obs(&self) -> Option<&Obs> {
-        self.obs.as_ref()
-    }
-
     /// The classifier in use.
     pub fn classifier(&self) -> &Arc<InstanceClassifier> {
         &self.classifier
     }
 
-    /// The information logger in use.
-    pub fn logger(&self) -> &Arc<dyn InfoLogger> {
-        &self.logger
-    }
-
     /// Total instrumentation overhead charged so far, microseconds.
-    pub fn overhead_us(&self) -> u64 {
+    pub(crate) fn overhead_us(&self) -> u64 {
         self.overhead.total_us()
     }
 
     /// The marshal-size memo cache shared by this RTE's profiling
     /// informers (its counters stay zero in distributed mode).
-    pub fn marshal_cache(&self) -> &Arc<SizeCache> {
+    pub(crate) fn marshal_cache(&self) -> &Arc<SizeCache> {
         &self.marshal_cache
     }
 
-    /// Records a binary loaded into the application's address space.
-    pub fn track_image(&self, name: &str) {
-        self.images.lock().push(name.to_string());
-    }
-
-    /// Binaries observed so far.
-    pub fn images(&self) -> Vec<String> {
-        self.images.lock().clone()
-    }
-
     /// True when running in distributed (lightweight) mode.
-    pub fn is_distributed(&self) -> bool {
+    fn is_distributed(&self) -> bool {
         matches!(self.mode, RteMode::Distributed { .. })
     }
 
     /// Instantiations re-routed to the requesting machine because their
     /// placement target was down.
-    pub fn fallbacks(&self) -> Vec<FallbackEvent> {
+    #[cfg(test)]
+    fn fallbacks(&self) -> Vec<FallbackEvent> {
         self.fallbacks.lock().clone()
     }
 
     /// Number of placement fallbacks taken so far.
-    pub fn fallback_count(&self) -> u64 {
+    pub(crate) fn fallback_count(&self) -> u64 {
         self.fallbacks.lock().len() as u64
     }
 
     /// COIGN045 violations observed so far: declared-read-only methods whose
     /// instance fingerprint changed under profiling, in deterministic order.
-    pub fn effect_violations(&self) -> Vec<EffectViolation> {
+    pub(crate) fn effect_violations(&self) -> Vec<EffectViolation> {
         self.effect_check.violations()
     }
 }
@@ -236,7 +213,7 @@ impl RuntimeHook for CoignRte {
                 // Classify the about-to-be-instantiated component from the
                 // current call stack, then let the factory route it.
                 let class = self.classifier.classify_pending(rt, req.clsid);
-                let mut machine = factory.place(class, req.clsid, rt.current_machine());
+                let mut machine = factory.place(class, req.clsid);
                 // Graceful degradation: a placement targeting a dead
                 // machine falls back to local instantiation rather than
                 // failing the application.
@@ -278,10 +255,6 @@ impl RuntimeHook for CoignRte {
     fn instance_created(&self, rt: &ComRuntime, id: InstanceId, clsid: Clsid) {
         let class = self.classifier.classify_instance(rt, id, clsid);
         self.logger.log_instance_created(id, clsid, class);
-    }
-
-    fn instance_released(&self, _rt: &ComRuntime, id: InstanceId) {
-        self.logger.log_instance_released(id);
     }
 
     fn wrap_interface(&self, _rt: &ComRuntime, ptr: InterfacePtr) -> InterfacePtr {
@@ -437,7 +410,7 @@ mod tests {
         placement.insert(viewer_class, MachineId::CLIENT);
         placement.insert(reader_class, MachineId::SERVER);
         classifier.begin_execution();
-        let factory = ComponentFactory::new(placement, MachineId::CLIENT, 2);
+        let factory = ComponentFactory::new(placement, HashMap::new(), MachineId::CLIENT);
         let transport = Arc::new(Transport::new(NetworkModel::ethernet_10baset(), 7));
         let rte2 = Arc::new(CoignRte::distributed(
             classifier.clone(),
@@ -497,7 +470,7 @@ mod tests {
         placement.insert(viewer_class, MachineId::CLIENT);
         placement.insert(reader_class, MachineId::SERVER);
         classifier.begin_execution();
-        let factory = ComponentFactory::new(placement, MachineId::CLIENT, 2);
+        let factory = ComponentFactory::new(placement, HashMap::new(), MachineId::CLIENT);
         let plan = FaultPlan::none().with_machine_down(MachineId::SERVER, TimeWindow::ALWAYS);
         let transport = Arc::new(Transport::with_faults(
             NetworkModel::ethernet_10baset(),
@@ -532,15 +505,6 @@ mod tests {
         assert_eq!(event.actual, MachineId::CLIENT);
         // Nothing crossed the wire.
         assert_eq!(rt2.stats().cross_machine_calls, 0);
-    }
-
-    #[test]
-    fn rte_tracks_loaded_images() {
-        let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::St));
-        let rte = CoignRte::profiling(classifier, Arc::new(crate::logger::NullLogger));
-        rte.track_image("octarine.exe");
-        rte.track_image("mso97.dll");
-        assert_eq!(rte.images(), vec!["octarine.exe", "mso97.dll"]);
     }
 
     #[test]

@@ -162,8 +162,7 @@ impl RunReport {
     /// Every scalar measurement of this report under its metric name: the
     /// one table [`RunReport::record_metrics`] and [`RunReport::summary`]
     /// both render from, so the report and a `--metrics` snapshot can never
-    /// disagree about a counter. The fault counters carry the same names
-    /// the transport's own [`FaultStats::record_metrics`] uses.
+    /// disagree about a counter.
     fn counters(&self) -> [(&'static str, u64); 17] {
         [
             ("coign_compute_us", self.stats.compute_us),
@@ -197,7 +196,7 @@ impl RunReport {
 
     /// Adds every scalar measurement of this report to a metrics registry —
     /// the superset a `--metrics` snapshot exposes.
-    pub fn record_metrics(&self, registry: &Registry) {
+    fn record_metrics(&self, registry: &Registry) {
         for (metric, value) in self.counters() {
             registry.counter(metric).add(value);
         }
@@ -639,11 +638,10 @@ pub fn execute(run: Run<'_>) -> ComResult<Execution> {
         .baseline
         .filter(|_| arms_drift)
         .map(|baseline| Arc::new(DriftMonitor::from_profile(baseline)));
-    let factory = ComponentFactory::with_class_pins(
+    let factory = ComponentFactory::new(
         run.distribution.placement.clone(),
         storage_class_pins(&rt),
         MachineId::CLIENT,
-        rt.machines().len(),
     );
     let mut rte = CoignRte::distributed(
         run.classifier.clone(),

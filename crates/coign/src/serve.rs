@@ -551,7 +551,7 @@ fn latency_bounds() -> Vec<u64> {
     exponential_bounds(LATENCY_BUCKET_BASE, LATENCY_BUCKET_COUNT)
 }
 
-/// Serialization-only component of a one-way send (keeps MTU overhead).
+/// Serialization-only component of a one-way send (framing included).
 fn ser_us(net: &NetworkModel, bytes: u64) -> f64 {
     (net.mean_time_us(bytes) - net.latency_us).max(0.0)
 }

@@ -33,7 +33,7 @@ use crate::constraints::Constraint;
 use crate::icc::IccGraph;
 use crate::profile::IccProfile;
 use crate::runtime::{check_constraints, derive_constraints};
-use coign_com::{ComError, ComResult, MachineId};
+use coign_com::{ComError, ComResult};
 use coign_dcom::{NetworkModel, NetworkProfile};
 use coign_flow::{min_cut, min_cut_warm, MaxFlowAlgorithm};
 
@@ -366,19 +366,6 @@ fn grid_model(latency_us: f64, bandwidth_bps: f64) -> NetworkModel {
     model
 }
 
-/// Converts a machine placement of one sweep point into the common
-/// `(classification, machine)` listing, client first.
-pub fn point_placements(point: &SweepPoint) -> Vec<(ClassificationId, MachineId)> {
-    let mut out: Vec<(ClassificationId, MachineId)> = point
-        .client
-        .iter()
-        .map(|c| (*c, MachineId::CLIENT))
-        .chain(point.server.iter().map(|c| (*c, MachineId::SERVER)))
-        .collect();
-    out.sort();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,18 +486,5 @@ mod tests {
         let grid = SweepGrid::paper_networks();
         let err = sweep_profile(&profile, &contradictory, &grid, SweepMode::Warm).unwrap_err();
         assert!(err.to_string().contains("contradictory"));
-    }
-
-    #[test]
-    fn point_placements_lists_every_classification_once() {
-        let profile = document_profile();
-        let grid = SweepGrid {
-            latencies_us: vec![1_000.0],
-            bandwidths_bps: vec![1.25e6],
-        };
-        let result = sweep_profile(&profile, &constraints(), &grid, SweepMode::Warm).unwrap();
-        let placements = point_placements(&result.points[0]);
-        assert_eq!(placements.len(), 4); // ROOT + 3 classifications
-        assert_eq!(placements[0].0, ClassificationId::ROOT);
     }
 }

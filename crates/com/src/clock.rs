@@ -27,16 +27,6 @@ use std::sync::Arc;
 /// A shared, monotonically advancing virtual clock counting microseconds.
 ///
 /// Cloning a `SimClock` yields a handle to the same underlying clock.
-///
-/// # Examples
-///
-/// ```
-/// use coign_com::SimClock;
-/// let clock = SimClock::new();
-/// let handle = clock.clone();
-/// clock.advance_us(250);
-/// assert_eq!(handle.now_us(), 250);
-/// ```
 #[derive(Clone, Debug, Default)]
 pub struct SimClock {
     micros: Arc<AtomicU64>,
@@ -44,7 +34,7 @@ pub struct SimClock {
 
 impl SimClock {
     /// Creates a clock at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SimClock::default()
     }
 
@@ -56,16 +46,6 @@ impl SimClock {
     /// Advances the clock by `us` microseconds and returns the new time.
     pub fn advance_us(&self, us: u64) -> u64 {
         self.micros.fetch_add(us, Ordering::Relaxed) + us
-    }
-
-    /// Resets the clock to zero (between scenario runs).
-    pub fn reset(&self) {
-        self.micros.store(0, Ordering::Relaxed);
-    }
-
-    /// Current simulated time in seconds.
-    pub fn now_secs(&self) -> f64 {
-        self.now_us() as f64 / 1e6
     }
 }
 
@@ -130,7 +110,7 @@ impl<T> Ord for Entry<T> {
 ///
 /// ```
 /// use coign_com::EventQueue;
-/// let mut q = EventQueue::new();
+/// let mut q = EventQueue::default();
 /// q.schedule(20, "reply");
 /// q.schedule(10, "request");
 /// q.schedule(10, "tiebreak-after-request");
@@ -147,7 +127,6 @@ pub struct EventQueue<T> {
     run: VecDeque<(u64, T)>,
     seq: u64,
     now_us: u64,
-    high_water: usize,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -158,7 +137,7 @@ impl<T> Default for EventQueue<T> {
 
 impl<T> EventQueue<T> {
     /// Creates an empty queue at time zero.
-    pub fn new() -> Self {
+    fn new() -> Self {
         EventQueue::with_capacity(0)
     }
 
@@ -172,7 +151,6 @@ impl<T> EventQueue<T> {
             run: VecDeque::with_capacity(cap),
             seq: 0,
             now_us: 0,
-            high_water: 0,
         }
     }
 
@@ -190,13 +168,7 @@ impl<T> EventQueue<T> {
             })),
             _ => self.run.push_back((at_us, payload)),
         }
-        self.high_water = self.high_water.max(self.len());
         at_us
-    }
-
-    /// Schedules `payload` to fire `delay_us` after the current time.
-    pub fn schedule_in(&mut self, delay_us: u64, payload: T) -> u64 {
-        self.schedule(self.now_us.saturating_add(delay_us), payload)
     }
 
     /// Pops the earliest pending event, advancing the clock to its due
@@ -222,7 +194,8 @@ impl<T> EventQueue<T> {
     }
 
     /// Due time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<u64> {
+    #[cfg(test)]
+    fn peek_time(&self) -> Option<u64> {
         let run = self.run.front().map(|(at_us, _)| *at_us);
         let heap = self.heap.peek().map(|Reverse(e)| e.at_us);
         run.into_iter().chain(heap).min()
@@ -241,14 +214,6 @@ impl<T> EventQueue<T> {
     /// Whether the agenda is empty.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty() && self.run.is_empty()
-    }
-
-    /// The queue-depth hook for telemetry: the most pending events the
-    /// agenda has ever held. Tracked in `schedule` (one `max` per push),
-    /// so samplers read it for free instead of instrumenting every push
-    /// site themselves.
-    pub fn high_water_mark(&self) -> usize {
-        self.high_water
     }
 }
 
@@ -275,15 +240,6 @@ mod tests {
         let b = a.clone();
         a.advance_us(100);
         assert_eq!(b.now_us(), 100);
-        b.reset();
-        assert_eq!(a.now_us(), 0);
-    }
-
-    #[test]
-    fn seconds_conversion() {
-        let c = SimClock::new();
-        c.advance_us(2_500_000);
-        assert!((c.now_secs() - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -325,32 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn event_queue_schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(100, ());
-        q.pop();
-        assert_eq!(q.schedule_in(25, ()), 125);
-        assert_eq!(q.pop(), Some((125, ())));
-    }
-
-    #[test]
-    fn event_queue_tracks_high_water_mark() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.high_water_mark(), 0);
-        q.schedule(10, "a");
-        q.schedule(20, "b");
-        q.schedule(30, "c");
-        assert_eq!(q.high_water_mark(), 3);
-        q.pop();
-        q.pop();
-        // The mark remembers the peak, not the current depth.
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.high_water_mark(), 3);
-        q.schedule(40, "d");
-        assert_eq!(q.high_water_mark(), 3, "peak only moves on a new high");
-    }
-
-    #[test]
     fn event_queue_interleaved_schedule_and_pop_is_deterministic() {
         // The serving harness schedules follow-ups while draining; replay
         // the same trace twice and demand identical pop order.
@@ -389,20 +319,19 @@ mod tests {
     }
 
     #[test]
-    fn event_queue_len_and_high_water_mark_count_the_run() {
+    fn event_queue_len_counts_the_run() {
         let mut q = EventQueue::new();
         for t in 1..=5 {
             q.schedule(t * 10, t); // a monotone stream: all in the run
         }
-        assert_eq!((q.len(), q.high_water_mark()), (5, 5));
+        assert_eq!(q.len(), 5);
         q.schedule(15, 0); // earlier than the run's last: the heap
-        assert_eq!((q.len(), q.high_water_mark()), (6, 6));
+        assert_eq!(q.len(), 6);
         assert_eq!(q.pop(), Some((10, 1)));
         assert_eq!(q.pop(), Some((15, 0)));
-        assert_eq!((q.len(), q.high_water_mark()), (4, 6));
+        assert_eq!(q.len(), 4);
         while q.pop().is_some() {}
         assert!(q.is_empty());
-        assert_eq!(q.high_water_mark(), 6);
     }
 }
 
@@ -419,7 +348,6 @@ mod properties {
         heap: BinaryHeap<Reverse<(u64, u64)>>,
         seq: u64,
         now_us: u64,
-        high_water: usize,
     }
 
     impl Reference {
@@ -427,7 +355,6 @@ mod properties {
             let at_us = at_us.max(self.now_us);
             self.heap.push(Reverse((at_us, self.seq)));
             self.seq += 1;
-            self.high_water = self.high_water.max(self.heap.len());
             at_us
         }
 
@@ -453,7 +380,7 @@ mod properties {
                     assert_eq!(q.schedule(at_us, seq), due, "case {case} step {step}");
                     due
                 };
-                match rng.gen_range(0..6) {
+                match rng.gen_range(0..5) {
                     // An arrival-like monotone burst.
                     0 => {
                         let mut t = now + rng.gen_range(0..500u64);
@@ -467,32 +394,19 @@ mod properties {
                     2 => last_at = at(&mut q, &mut model, last_at),
                     // In the past: must clamp to now.
                     3 => last_at = at(&mut q, &mut model, rng.gen_range(0..=now)),
-                    4 => {
-                        let (seq, delay) = (model.seq, rng.gen_range(0..300));
-                        last_at = model.schedule(now + delay);
-                        let due = q.schedule_in(delay, seq);
-                        assert_eq!(due, last_at, "case {case} step {step}");
-                    }
                     _ => {
                         for _ in 0..rng.gen_range(1..30) {
                             assert_eq!(q.pop(), model.pop(), "case {case} step {step}");
                         }
                     }
                 }
-                // (peek_time, len, is_empty, now_us, high_water_mark)
-                let observed = (
-                    q.peek_time(),
-                    q.len(),
-                    q.is_empty(),
-                    q.now_us(),
-                    q.high_water_mark(),
-                );
+                // (peek_time, len, is_empty, now_us)
+                let observed = (q.peek_time(), q.len(), q.is_empty(), q.now_us());
                 let expected = (
                     model.heap.peek().map(|Reverse((at_us, _))| *at_us),
                     model.heap.len(),
                     model.heap.is_empty(),
                     model.now_us,
-                    model.high_water,
                 );
                 assert_eq!(observed, expected, "case {case} step {step}");
             }

@@ -27,16 +27,6 @@ impl Encoder {
         self.buf
     }
 
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Returns true if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Writes one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -54,11 +44,6 @@ impl Encoder {
 
     /// Writes a little-endian u64.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian i64.
-    pub fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -109,13 +94,8 @@ impl<'a> Decoder<'a> {
     }
 
     /// Bytes remaining.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
-    }
-
-    /// Returns true if the whole buffer has been consumed.
-    pub fn is_done(&self) -> bool {
-        self.remaining() == 0
     }
 
     fn take(&mut self, n: usize) -> ComResult<&'a [u8]> {
@@ -149,11 +129,6 @@ impl<'a> Decoder<'a> {
     /// Reads a little-endian u64.
     pub fn get_u64(&mut self) -> ComResult<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian i64.
-    pub fn get_i64(&mut self) -> ComResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Reads an IEEE-754 f64.
@@ -218,7 +193,6 @@ mod tests {
         e.put_u16(0xCDEF);
         e.put_u32(0xDEADBEEF);
         e.put_u64(u64::MAX - 1);
-        e.put_i64(-42);
         e.put_f64(3.25);
         e.put_bool(true);
         let bytes = e.finish();
@@ -227,10 +201,9 @@ mod tests {
         assert_eq!(d.get_u16().unwrap(), 0xCDEF);
         assert_eq!(d.get_u32().unwrap(), 0xDEADBEEF);
         assert_eq!(d.get_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(d.get_i64().unwrap(), -42);
         assert_eq!(d.get_f64().unwrap(), 3.25);
         assert!(d.get_bool().unwrap());
-        assert!(d.is_done());
+        assert_eq!(d.remaining(), 0);
     }
 
     #[test]
@@ -346,7 +319,6 @@ pub(crate) mod properties {
         for case in 0..CASES {
             let mut rng = StdRng::seed_from_u64(case);
             let a = rng.next_u64();
-            let b = rng.next_u64() as i64;
             // Any bit pattern, NaN payloads included: compared by bits.
             let c = f64::from_bits(rng.next_u64());
             let s = random_string(&mut rng, &['\0'..=char::MAX], 0..65);
@@ -355,7 +327,6 @@ pub(crate) mod properties {
             let g = random_u128(&mut rng);
             let mut e = Encoder::new();
             e.put_u64(a);
-            e.put_i64(b);
             e.put_f64(c);
             e.put_str(&s);
             e.put_bytes(&bytes);
@@ -364,13 +335,12 @@ pub(crate) mod properties {
             let buf = e.finish();
             let mut d = Decoder::new(&buf);
             assert_eq!(d.get_u64().unwrap(), a, "case {case}");
-            assert_eq!(d.get_i64().unwrap(), b, "case {case}");
             assert_eq!(d.get_f64().unwrap().to_bits(), c.to_bits(), "case {case}");
             assert_eq!(d.get_str().unwrap(), s, "case {case}");
             assert_eq!(d.get_bytes().unwrap(), bytes, "case {case}");
             assert_eq!(d.get_bool().unwrap(), flag, "case {case}");
             assert_eq!(d.get_guid().unwrap(), Guid(g), "case {case}");
-            assert!(d.is_done(), "case {case}");
+            assert_eq!(d.remaining(), 0, "case {case}");
         }
     }
 

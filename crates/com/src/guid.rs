@@ -17,15 +17,7 @@ const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 
 impl Guid {
     /// Derives a GUID deterministically from a name using 128-bit FNV-1a.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use coign_com::Guid;
-    /// assert_eq!(Guid::from_name("IStream"), Guid::from_name("IStream"));
-    /// assert_ne!(Guid::from_name("IStream"), Guid::from_name("IStorage"));
-    /// ```
-    pub fn from_name(name: &str) -> Self {
+    pub(crate) fn from_name(name: &str) -> Self {
         let mut hash = FNV_OFFSET;
         for byte in name.as_bytes() {
             hash ^= u128::from(*byte);
@@ -36,11 +28,6 @@ impl Guid {
 
     /// The all-zero GUID (`GUID_NULL`).
     pub const NULL: Guid = Guid(0);
-
-    /// Returns true if this is the null GUID.
-    pub fn is_null(&self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl fmt::Display for Guid {
@@ -128,12 +115,6 @@ mod tests {
             let g = Guid::from_name(&format!("Interface{i}"));
             assert!(seen.insert(g), "collision at {i}");
         }
-    }
-
-    #[test]
-    fn null_guid() {
-        assert!(Guid::NULL.is_null());
-        assert!(!Guid::from_name("x").is_null());
     }
 
     #[test]

@@ -56,18 +56,13 @@ impl ParamDesc {
     }
 
     /// Shorthand for an `[in]` parameter.
-    pub fn input(name: &str, ty: PType) -> Self {
+    fn input(name: &str, ty: PType) -> Self {
         Self::new(name, ParamDir::In, ty)
     }
 
     /// Shorthand for an `[out]` parameter.
-    pub fn output(name: &str, ty: PType) -> Self {
+    fn output(name: &str, ty: PType) -> Self {
         Self::new(name, ParamDir::Out, ty)
-    }
-
-    /// Shorthand for an `[in, out]` parameter.
-    pub fn inout(name: &str, ty: PType) -> Self {
-        Self::new(name, ParamDir::InOut, ty)
     }
 }
 
@@ -130,7 +125,7 @@ impl MethodDesc {
     }
 
     /// Creates a method description with an explicit state effect.
-    pub fn with_effect(name: &str, params: Vec<ParamDesc>, effect: StateEffect) -> Self {
+    fn with_effect(name: &str, params: Vec<ParamDesc>, effect: StateEffect) -> Self {
         MethodDesc {
             effect,
             ..Self::new(name, params)
@@ -138,7 +133,7 @@ impl MethodDesc {
     }
 
     /// Returns true if every parameter type can cross a machine boundary.
-    pub fn is_remotable(&self) -> bool {
+    fn is_remotable(&self) -> bool {
         self.params.iter().all(|p| p.ty.is_remotable())
     }
 
@@ -146,7 +141,7 @@ impl MethodDesc {
     ///
     /// Checks arity and per-parameter structural conformance; `Null` is
     /// accepted anywhere (out-parameters start as `Null`).
-    pub fn check_args(&self, args: &[Value]) -> Result<(), String> {
+    pub(crate) fn check_args(&self, args: &[Value]) -> Result<(), String> {
         if args.len() != self.params.len() {
             return Err(format!(
                 "method {} expects {} args, got {}",
@@ -190,7 +185,7 @@ pub struct InterfaceDesc {
 impl InterfaceDesc {
     /// Creates an interface description; remotability is computed from the
     /// method signatures.
-    pub fn new(name: &str, methods: Vec<MethodDesc>) -> Arc<Self> {
+    fn new(name: &str, methods: Vec<MethodDesc>) -> Arc<Self> {
         let remotable = methods.iter().all(MethodDesc::is_remotable);
         Arc::new(InterfaceDesc {
             iid: Iid::from_name(name),
@@ -203,14 +198,6 @@ impl InterfaceDesc {
     /// Looks up a method by index.
     pub fn method(&self, id: u32) -> Option<&MethodDesc> {
         self.methods.get(id as usize)
-    }
-
-    /// Looks up a method index by name.
-    pub fn method_id(&self, name: &str) -> Option<u32> {
-        self.methods
-            .iter()
-            .position(|m| m.name == name)
-            .map(|i| i as u32)
     }
 }
 
@@ -229,7 +216,7 @@ impl InterfaceDesc {
 ///     .method("Seek", |m| m.input("pos", PType::I8))
 ///     .build();
 /// assert!(desc.remotable);
-/// assert_eq!(desc.method_id("Seek"), Some(1));
+/// assert_eq!(desc.methods[1].name, "Seek");
 /// ```
 pub struct InterfaceBuilder {
     name: String,
@@ -253,12 +240,6 @@ impl MethodBuilder {
     /// Adds an `[out]` parameter.
     pub fn output(mut self, name: &str, ty: PType) -> Self {
         self.params.push(ParamDesc::output(name, ty));
-        self
-    }
-
-    /// Adds an `[in, out]` parameter.
-    pub fn inout(mut self, name: &str, ty: PType) -> Self {
-        self.params.push(ParamDesc::inout(name, ty));
         self
     }
 
@@ -330,8 +311,7 @@ mod tests {
         let desc = sample();
         assert_eq!(desc.methods.len(), 2);
         assert_eq!(desc.method(0).unwrap().name, "Get");
-        assert_eq!(desc.method_id("Put"), Some(1));
-        assert_eq!(desc.method_id("Missing"), None);
+        assert_eq!(desc.method(1).unwrap().name, "Put");
         assert!(desc.method(9).is_none());
     }
 

@@ -28,7 +28,7 @@ pub struct DllImport {
 
 impl DllImport {
     /// Creates an import entry.
-    pub fn new(name: &str) -> Self {
+    fn new(name: &str) -> Self {
         DllImport {
             name: name.to_string(),
         }
@@ -104,7 +104,7 @@ impl AppImage {
     }
 
     /// Writes (or replaces) a section.
-    pub fn set_section(&mut self, name: &str, data: Vec<u8>) {
+    fn set_section(&mut self, name: &str, data: Vec<u8>) {
         if let Some(s) = self.sections.iter_mut().find(|s| s.name == name) {
             s.data = data;
         } else {
@@ -198,7 +198,7 @@ impl AppImage {
 }
 
 /// Fluent constructor for [`AppImage`]: starts from the standard system
-/// import table and accumulates classes, extra imports, and sections.
+/// import table and accumulates classes and extra imports.
 ///
 /// # Examples
 ///
@@ -206,8 +206,7 @@ impl AppImage {
 /// use coign_com::{AppImage, Clsid};
 ///
 /// let image = AppImage::builder("gen-7-small.exe")
-///     .class(Clsid::from_name("GenDoc"))
-///     .classes([Clsid::from_name("GenStore")])
+///     .classes([Clsid::from_name("GenDoc"), Clsid::from_name("GenStore")])
 ///     .import("odbc32.dll")
 ///     .build();
 /// assert_eq!(image.classes.len(), 2);
@@ -219,12 +218,6 @@ pub struct ImageBuilder {
 }
 
 impl ImageBuilder {
-    /// Adds one component class.
-    pub fn class(mut self, clsid: Clsid) -> Self {
-        self.image.classes.push(clsid);
-        self
-    }
-
     /// Adds a batch of component classes, preserving order.
     pub fn classes<I: IntoIterator<Item = Clsid>>(mut self, clsids: I) -> Self {
         self.image.classes.extend(clsids);
@@ -237,12 +230,6 @@ impl ImageBuilder {
         if !self.image.has_import(name) {
             self.image.imports.push(DllImport::new(name));
         }
-        self
-    }
-
-    /// Writes (or replaces) a named data section.
-    pub fn section(mut self, name: &str, data: Vec<u8>) -> Self {
-        self.image.set_section(name, data);
         self
     }
 
@@ -321,12 +308,11 @@ mod tests {
     #[test]
     fn builder_accumulates_and_dedups_imports() {
         let img = AppImage::builder("gen-1-small.exe")
-            .class(Clsid::from_name("A"))
-            .classes([Clsid::from_name("B"), Clsid::from_name("C")])
+            .classes([Clsid::from_name("A"), Clsid::from_name("B")])
+            .classes([Clsid::from_name("C")])
             .import("odbc32.dll")
             .import("odbc32.dll")
             .import("user32.dll") // already in the system table
-            .section(".gen", vec![1, 2])
             .build();
         assert_eq!(img.classes.len(), 3);
         assert_eq!(
@@ -343,7 +329,6 @@ mod tests {
                 .count(),
             1
         );
-        assert_eq!(img.section(".gen").unwrap().data, vec![1, 2]);
         // The builder path and the direct path agree on the system table.
         assert_eq!(img.imports[0].name, "kernel32.dll");
     }

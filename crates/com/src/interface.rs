@@ -103,7 +103,7 @@ pub struct InterfacePtr {
 
 impl InterfacePtr {
     /// Builds an interface pointer from parts (runtime/hook use).
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         desc: Arc<InterfaceDesc>,
         owner: InstanceId,
         owner_clsid: Clsid,
@@ -145,16 +145,6 @@ impl InterfacePtr {
         self.node.owner
     }
 
-    /// Class of the owning component instance.
-    pub fn owner_clsid(&self) -> Clsid {
-        self.node.owner_clsid
-    }
-
-    /// Returns true if two pointers reference the same underlying node.
-    pub fn ptr_eq(&self, other: &InterfacePtr) -> bool {
-        Arc::ptr_eq(&self.node, &other.node)
-    }
-
     /// Calls a method by index.
     ///
     /// Validates the argument list against the IDL signature, then routes the
@@ -176,14 +166,6 @@ impl InterfacePtr {
             method,
         };
         self.node.invoker.invoke(rt, call, msg)
-    }
-
-    /// Calls a method by name (convenience for tests and scenario drivers).
-    pub fn call_named(&self, rt: &ComRuntime, name: &str, msg: &mut Message) -> ComResult<()> {
-        let id = self.node.desc.method_id(name).ok_or(ComError::BadParam {
-            detail: format!("interface {} has no method `{name}`", self.node.desc.name),
-        })?;
-        self.call(rt, id, msg)
     }
 }
 
@@ -261,27 +243,11 @@ mod tests {
     }
 
     #[test]
-    fn call_named_resolves_method() {
-        let rt = ComRuntime::single_machine();
-        let ptr = test_ptr();
-        // Resolves "Do" and reaches the invoker (which fails intentionally).
-        let err = ptr
-            .call_named(&rt, "Do", &mut Message::new(vec![Value::I4(1)]))
-            .unwrap_err();
-        assert!(matches!(err, ComError::App(_)));
-        // Unknown name fails without reaching the invoker.
-        let err = ptr
-            .call_named(&rt, "Nope", &mut Message::empty())
-            .unwrap_err();
-        assert!(matches!(err, ComError::BadParam { .. }));
-    }
-
-    #[test]
     fn wrap_preserves_identity() {
         let ptr = test_ptr();
         let wrapped = ptr.wrap(Arc::new(FailInvoker));
         assert_eq!(wrapped.owner(), ptr.owner());
         assert_eq!(wrapped.iid(), ptr.iid());
-        assert!(!wrapped.ptr_eq(&ptr));
+        assert!(!Arc::ptr_eq(&wrapped.node, &ptr.node));
     }
 }

@@ -34,13 +34,13 @@ pub mod registry;
 pub mod runtime;
 pub mod value;
 
-pub use clock::{EventQueue, SimClock};
+pub use clock::EventQueue;
 pub use error::{ComError, ComResult};
 pub use guid::{Clsid, Guid, Iid};
 pub use idl::{InterfaceDesc, MethodDesc, ParamDesc, ParamDir, StateEffect};
-pub use image::{AppImage, ConfigSection, DllImport, ImageBuilder};
+pub use image::{AppImage, ConfigSection};
 pub use interface::{InterfacePtr, Invoker, Message};
 pub use object::{CallCtx, ComObject, InstanceId, MachineId};
-pub use registry::{ApiImports, ClassDesc, ClassRegistry};
+pub use registry::{ApiImports, ClassRegistry};
 pub use runtime::{ComRuntime, CreateRequest, Frame, MachineSpec, RtStats, RuntimeHook};
 pub use value::{PType, Value};

@@ -49,17 +49,12 @@ impl fmt::Display for MachineId {
 pub struct CallCtx<'a> {
     rt: &'a ComRuntime,
     self_id: InstanceId,
-    self_clsid: Clsid,
 }
 
 impl<'a> CallCtx<'a> {
     /// Creates a call context (used by the dispatch machinery).
-    pub fn new(rt: &'a ComRuntime, self_id: InstanceId, self_clsid: Clsid) -> Self {
-        CallCtx {
-            rt,
-            self_id,
-            self_clsid,
-        }
+    pub(crate) fn new(rt: &'a ComRuntime, self_id: InstanceId) -> Self {
+        CallCtx { rt, self_id }
     }
 
     /// The runtime executing this call.
@@ -70,11 +65,6 @@ impl<'a> CallCtx<'a> {
     /// The instance being invoked.
     pub fn self_id(&self) -> InstanceId {
         self.self_id
-    }
-
-    /// The class of the instance being invoked.
-    pub fn self_clsid(&self) -> Clsid {
-        self.self_clsid
     }
 
     /// Instantiates a child component (equivalent to `CoCreateInstance`).
@@ -126,7 +116,7 @@ pub struct Instance {
 
 impl Instance {
     /// Creates an instance record.
-    pub fn new(
+    pub(crate) fn new(
         id: InstanceId,
         clsid: Clsid,
         object: Arc<dyn ComObject>,

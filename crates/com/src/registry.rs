@@ -31,13 +31,8 @@ impl ApiImports {
     /// Database connectivity (ODBC) — pins a component to the server.
     pub const DATABASE: ApiImports = ApiImports(4);
 
-    /// Union of two import sets.
-    pub fn union(self, other: ApiImports) -> ApiImports {
-        ApiImports(self.0 | other.0)
-    }
-
     /// Returns true if all bits of `flags` are present.
-    pub fn contains(self, flags: ApiImports) -> bool {
+    fn contains(self, flags: ApiImports) -> bool {
         self.0 & flags.0 == flags.0
     }
 
@@ -211,7 +206,7 @@ mod tests {
 
     #[test]
     fn imports_flags() {
-        let both = ApiImports::GUI.union(ApiImports::STORAGE);
+        let both = ApiImports(ApiImports::GUI.0 | ApiImports::STORAGE.0);
         assert!(both.uses_gui());
         assert!(both.uses_storage());
         assert!(!ApiImports::NONE.uses_gui());
@@ -278,7 +273,10 @@ mod tests {
 
     #[test]
     fn debug_output_names_flags() {
-        let s = format!("{:?}", ApiImports::GUI.union(ApiImports::DATABASE));
+        let s = format!(
+            "{:?}",
+            ApiImports(ApiImports::GUI.0 | ApiImports::DATABASE.0)
+        );
         assert!(s.contains("GUI") && s.contains("DATABASE"));
         assert_eq!(format!("{:?}", ApiImports::NONE), "ApiImports(NONE)");
     }

@@ -68,9 +68,6 @@ pub trait RuntimeHook: Send + Sync {
     /// Notified after any instance is created.
     fn instance_created(&self, _rt: &ComRuntime, _id: InstanceId, _clsid: Clsid) {}
 
-    /// Notified when an instance is released.
-    fn instance_released(&self, _rt: &ComRuntime, _id: InstanceId) {}
-
     /// Wraps a freshly minted interface pointer (identity must be preserved).
     fn wrap_interface(&self, _rt: &ComRuntime, ptr: InterfacePtr) -> InterfacePtr {
         ptr
@@ -264,18 +261,6 @@ impl ComRuntime {
         self.make_ptr(ptr.owner(), iid)
     }
 
-    /// Releases an instance, removing it from the instance table.
-    pub fn release_instance(&self, id: InstanceId) -> ComResult<()> {
-        let removed = self.instances.write().remove(&id);
-        if removed.is_none() {
-            return Err(ComError::DeadInstance(id.0));
-        }
-        for hook in self.hooks_snapshot() {
-            hook.instance_released(self, id);
-        }
-        Ok(())
-    }
-
     /// Looks up a live instance.
     pub fn instance(&self, id: InstanceId) -> Option<Arc<Instance>> {
         self.instances.read().get(&id).cloned()
@@ -310,11 +295,6 @@ impl ComRuntime {
         self.stack.lock().clone()
     }
 
-    /// Depth of the current call stack.
-    pub fn stack_depth(&self) -> usize {
-        self.stack.lock().len()
-    }
-
     pub(crate) fn push_frame(&self, frame: Frame) {
         self.stack.lock().push(frame);
     }
@@ -325,7 +305,7 @@ impl ComRuntime {
 
     /// Charges `us` microseconds of compute on the instance's machine,
     /// scaled by that machine's CPU factor.
-    pub fn charge_compute(&self, instance: InstanceId, us: u64) {
+    pub(crate) fn charge_compute(&self, instance: InstanceId, us: u64) {
         let machine = self
             .instance(instance)
             .map(|i| i.machine())
@@ -354,20 +334,6 @@ impl ComRuntime {
     /// Snapshot of the run statistics.
     pub fn stats(&self) -> RtStats {
         *self.stats.lock()
-    }
-
-    /// Resets statistics and the clock (between scenario runs).
-    pub fn reset_accounting(&self) {
-        *self.stats.lock() = RtStats::default();
-        self.clock.reset();
-    }
-
-    /// Releases every instance and clears the call stack; statistics and
-    /// hooks are preserved.
-    pub fn clear_instances(&self) {
-        self.instances.write().clear();
-        self.stack.lock().clear();
-        self.next_instance.store(1, Ordering::Relaxed);
     }
 }
 
@@ -401,7 +367,7 @@ impl Invoker for DirectInvoker {
             method: call.method,
         });
         let _guard = FrameGuard { rt };
-        let ctx = CallCtx::new(rt, call.owner, call.owner_clsid);
+        let ctx = CallCtx::new(rt, call.owner);
         self.object.invoke(&ctx, call.desc.iid, call.method, msg)
     }
 }
@@ -527,19 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn release_removes_instance() {
-        let (rt, clsid, iid) = setup();
-        let ptr = rt.create_instance(clsid, iid).unwrap();
-        assert_eq!(rt.instance_count(), 1);
-        rt.release_instance(ptr.owner()).unwrap();
-        assert_eq!(rt.instance_count(), 0);
-        assert!(rt.release_instance(ptr.owner()).is_err());
-        // The pointer still dispatches (the object is kept alive by the
-        // invoker), but a fresh QueryInterface fails.
-        assert!(rt.make_ptr(ptr.owner(), iid).is_err());
-    }
-
-    #[test]
     fn hook_can_fulfill_creation_remotely() {
         struct RemoteHook;
         impl RuntimeHook for RemoteHook {
@@ -616,7 +569,7 @@ mod tests {
             fn instance_created(&self, rt: &ComRuntime, _id: InstanceId, clsid: Clsid) {
                 if clsid == Clsid::from_name("Counter") {
                     self.depth_at_create
-                        .store(rt.stack_depth() as u64, Ordering::Relaxed);
+                        .store(rt.call_stack().len() as u64, Ordering::Relaxed);
                 }
             }
         }
@@ -647,7 +600,7 @@ mod tests {
         // The Counter was created from inside Spawner::Spawn → depth 1.
         assert_eq!(hook.depth_at_create.load(Ordering::Relaxed), 1);
         // After the call returns the stack is empty again.
-        assert_eq!(rt.stack_depth(), 0);
+        assert!(rt.call_stack().is_empty());
         // The returned child pointer works.
         let child = msg.arg(0).unwrap().as_interface().unwrap().clone();
         child
@@ -663,30 +616,7 @@ mod tests {
         // Method 1 wants one out param; arity check fails before dispatch...
         assert!(err.is_err());
         // ...and even a dispatched failure leaves the stack clean.
-        assert_eq!(rt.stack_depth(), 0);
-    }
-
-    #[test]
-    fn reset_accounting_clears_clock_and_stats() {
-        let (rt, clsid, iid) = setup();
-        let ptr = rt.create_instance(clsid, iid).unwrap();
-        ptr.call(&rt, 0, &mut Message::new(vec![Value::I4(1)]))
-            .unwrap();
-        rt.charge_comm(100, 64, 2);
-        assert!(rt.stats().comm_us > 0);
-        rt.reset_accounting();
-        assert_eq!(rt.stats(), RtStats::default());
-        assert_eq!(rt.clock().now_us(), 0);
-    }
-
-    #[test]
-    fn clear_instances_resets_ids() {
-        let (rt, clsid, iid) = setup();
-        rt.create_instance(clsid, iid).unwrap();
-        rt.clear_instances();
-        assert_eq!(rt.instance_count(), 0);
-        let ptr = rt.create_instance(clsid, iid).unwrap();
-        assert_eq!(ptr.owner(), InstanceId(1));
+        assert!(rt.call_stack().is_empty());
     }
 
     #[test]

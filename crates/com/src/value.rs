@@ -110,7 +110,7 @@ impl Value {
     ///
     /// `Null` conforms to every type (it is the pre-call state of an
     /// out-parameter).
-    pub fn conforms_to(&self, ty: &PType) -> bool {
+    pub(crate) fn conforms_to(&self, ty: &PType) -> bool {
         match (self, ty) {
             (Value::Null, _) => true,
             (Value::I4(_), PType::I4) => true,
@@ -137,14 +137,6 @@ impl Value {
         }
     }
 
-    /// Convenience accessor for an `I8` value.
-    pub fn as_i8(&self) -> Option<i64> {
-        match self {
-            Value::I8(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Convenience accessor for a `Blob` size.
     pub fn as_blob(&self) -> Option<u64> {
         match self {
@@ -166,43 +158,6 @@ impl Value {
         match self {
             Value::Interface(Some(ptr)) => Some(ptr),
             _ => None,
-        }
-    }
-
-    /// Takes an interface pointer out of the value, leaving `Null`.
-    pub fn take_interface(&mut self) -> Option<InterfacePtr> {
-        match std::mem::replace(self, Value::Null) {
-            Value::Interface(Some(ptr)) => Some(ptr),
-            other => {
-                *self = other;
-                None
-            }
-        }
-    }
-
-    /// Visits every value in the tree (pre-order), including `self`.
-    pub fn walk(&self, visit: &mut dyn FnMut(&Value)) {
-        visit(self);
-        match self {
-            Value::Array(items) | Value::Struct(items) => {
-                for item in items {
-                    item.walk(visit);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Visits every value mutably (pre-order), including `self`.
-    pub fn walk_mut(&mut self, visit: &mut dyn FnMut(&mut Value)) {
-        visit(self);
-        match self {
-            Value::Array(items) | Value::Struct(items) => {
-                for item in items {
-                    item.walk_mut(visit);
-                }
-            }
-            _ => {}
         }
     }
 }
@@ -270,28 +225,9 @@ mod tests {
     }
 
     #[test]
-    fn walk_visits_nested_values() {
-        let v = Value::Struct(vec![
-            Value::I4(1),
-            Value::Array(vec![Value::Str("a".into()), Value::Blob(10)]),
-        ]);
-        let mut count = 0;
-        v.walk(&mut |_| count += 1);
-        assert_eq!(count, 5); // struct + i4 + array + str + blob
-    }
-
-    #[test]
     fn accessors() {
         assert_eq!(Value::I4(42).as_i4(), Some(42));
-        assert_eq!(Value::I4(42).as_i8(), None);
         assert_eq!(Value::Blob(99).as_blob(), Some(99));
         assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
-    }
-
-    #[test]
-    fn take_interface_on_non_interface_is_noop() {
-        let mut v = Value::I4(3);
-        assert!(v.take_interface().is_none());
-        assert_eq!(v.as_i4(), Some(3));
     }
 }

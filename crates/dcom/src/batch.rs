@@ -26,7 +26,6 @@
 //! and calls [`LinkBatcher::drain`] when that event fires. This keeps the
 //! module synchronous, single-threaded, and trivially deterministic.
 
-use crate::network::NetworkModel;
 use coign_com::{ComError, MachineId};
 use std::collections::HashMap;
 
@@ -77,17 +76,6 @@ pub struct BatchStats {
     pub failed_messages: u64,
 }
 
-impl BatchStats {
-    /// Mean messages per batch (0 when no batch was ever opened).
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.messages as f64 / self.batches as f64
-        }
-    }
-}
-
 /// Per-link batch accumulator with a fixed coalescing window.
 ///
 /// # Examples
@@ -122,11 +110,6 @@ impl<T> LinkBatcher<T> {
             open: HashMap::new(),
             stats: BatchStats::default(),
         }
-    }
-
-    /// The coalescing window in simulated microseconds.
-    pub fn window_us(&self) -> u64 {
-        self.window_us
     }
 
     /// Adds a message to the link's open batch, opening one if the link is
@@ -178,7 +161,8 @@ impl<T> LinkBatcher<T> {
     }
 
     /// Messages currently waiting in the link's open batch.
-    pub fn pending(&self, link: LinkKey) -> usize {
+    #[cfg(test)]
+    fn pending(&self, link: LinkKey) -> usize {
         self.open.get(&link).map_or(0, Vec::len)
     }
 
@@ -196,26 +180,6 @@ impl<T> LinkBatcher<T> {
     pub fn stats(&self) -> BatchStats {
         self.stats
     }
-}
-
-/// Arrival offsets (µs after the flush instant) for a pipelined batch.
-///
-/// The batch pays `latency_us` once — the caller supplies it, jittered or
-/// not — and then members serialize back-to-back at link bandwidth:
-/// member *i* arrives at `latency_us + Σ_{j≤i} ser(bytes_j)`, where
-/// `ser(b)` is the model's serialization time (its mean one-way time minus
-/// the fixed latency, so MTU fragmentation overhead is preserved).
-///
-/// A singleton batch therefore costs exactly one unbatched send; a batch
-/// of *k* saves `(k−1)·latency_us` over *k* individual sends.
-pub fn pipelined_arrivals(net: &NetworkModel, latency_us: f64, sizes: &[u64]) -> Vec<f64> {
-    let mut arrivals = Vec::with_capacity(sizes.len());
-    let mut cursor = latency_us;
-    for &bytes in sizes {
-        cursor += (net.mean_time_us(bytes) - net.latency_us).max(0.0);
-        arrivals.push(cursor);
-    }
-    arrivals
 }
 
 #[cfg(test)]
@@ -270,8 +234,6 @@ mod tests {
         assert_eq!(stats.batches, 2);
         assert_eq!(stats.messages, 3);
         assert_eq!(stats.bytes, 175);
-        assert!((stats.mean_batch_size() - 1.5).abs() < 1e-12);
-        assert_eq!(BatchStats::default().mean_batch_size(), 0.0);
     }
 
     #[test]
@@ -344,48 +306,5 @@ mod tests {
     fn zero_window_flushes_at_now() {
         let mut b: LinkBatcher<()> = LinkBatcher::new(0);
         assert_eq!(b.enqueue(link(), 1, (), 777), Some(777));
-    }
-
-    #[test]
-    fn pipelined_arrivals_are_monotone_and_singleton_matches_unbatched() {
-        let net = NetworkModel::ethernet_10baset();
-        let lat = net.latency_us;
-        let single = pipelined_arrivals(&net, lat, &[4096]);
-        assert_eq!(single.len(), 1);
-        assert!(
-            (single[0] - net.mean_time_us(4096)).abs() < 1e-9,
-            "a singleton batch costs exactly one unbatched send"
-        );
-        let sizes = [100, 5000, 64, 20_000];
-        let arrivals = pipelined_arrivals(&net, lat, &sizes);
-        for pair in arrivals.windows(2) {
-            assert!(pair[0] < pair[1], "pipelined arrivals are monotone");
-        }
-    }
-
-    #[test]
-    fn batching_saves_latency_over_individual_sends() {
-        let net = NetworkModel::ethernet_10baset();
-        let sizes = [256u64; 8];
-        let batched_last = *pipelined_arrivals(&net, net.latency_us, &sizes)
-            .last()
-            .unwrap();
-        let individual_sum: f64 = sizes.iter().map(|&b| net.mean_time_us(b)).sum();
-        let saving = individual_sum - batched_last;
-        let expected = (sizes.len() - 1) as f64 * net.latency_us;
-        assert!(
-            (saving - expected).abs() < 1e-6,
-            "a batch of k saves (k-1) latencies: saving={saving} expected={expected}"
-        );
-    }
-
-    #[test]
-    fn pipelining_preserves_mtu_fragmentation_cost() {
-        let net = NetworkModel::ethernet_10baset().with_mtu(1_500);
-        let arrivals = pipelined_arrivals(&net, net.latency_us, &[1_000_000]);
-        assert!(
-            (arrivals[0] - net.mean_time_us(1_000_000)).abs() < 1e-9,
-            "serialization component must include per-packet overhead"
-        );
     }
 }

@@ -56,7 +56,7 @@ impl TimeWindow {
     }
 
     /// True when `now_us` falls inside the window.
-    pub fn contains(&self, now_us: u64) -> bool {
+    fn contains(&self, now_us: u64) -> bool {
         self.from_us <= now_us && now_us < self.until_us
     }
 }
@@ -221,7 +221,8 @@ impl FaultPlan {
 
     /// True when nothing can cross the `a`↔`b` link at `now_us` — the link
     /// itself is partitioned or either endpoint is down.
-    pub fn link_severed(&self, a: MachineId, b: MachineId, now_us: u64) -> bool {
+    #[cfg(test)]
+    fn link_severed(&self, a: MachineId, b: MachineId, now_us: u64) -> bool {
         self.wire_verdict(a, b, now_us, &BTreeSet::new()).is_some()
     }
 
@@ -527,14 +528,15 @@ impl Default for CallPolicy {
 
 impl CallPolicy {
     /// Total attempts the policy allows (first try + retries).
-    pub fn max_attempts(&self) -> u32 {
+    #[cfg(test)]
+    fn max_attempts(&self) -> u32 {
         self.max_retries + 1
     }
 
     /// The retry decision after the `failed`-th consecutive failed attempt
     /// of one call (1-based), shared by the RTE transport and the serve
     /// DES: `Some(base)` — re-send after the jitter-free backoff
-    /// [`CallPolicy::backoff_us`]`(failed)`, which each caller jitters its
+    /// `CallPolicy::backoff_us(failed)`, which each caller jitters its
     /// own way — while retries remain, `None` once the call is given up.
     pub fn retry_after(&self, failed: u32) -> Option<u64> {
         (failed <= self.max_retries).then(|| self.backoff_us(failed))
@@ -542,7 +544,7 @@ impl CallPolicy {
 
     /// The deterministic (jitter-free) backoff before retry number
     /// `retry` (1-based).
-    pub fn backoff_us(&self, retry: u32) -> u64 {
+    fn backoff_us(&self, retry: u32) -> u64 {
         let factor = self.backoff_multiplier.powi(retry.saturating_sub(1) as i32);
         (self.backoff_base_us as f64 * factor).round() as u64
     }
@@ -567,7 +569,8 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// True when the fault layer never perturbed anything.
-    pub fn is_clean(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_clean(&self) -> bool {
         *self == FaultStats::default()
     }
 
@@ -579,27 +582,6 @@ impl FaultStats {
         self.failed_calls += other.failed_calls;
         self.machine_down_errors += other.machine_down_errors;
         self.wasted_us += other.wasted_us;
-    }
-
-    /// Absorbs these counters into a metrics registry under the
-    /// `coign_fault_*` namespace.
-    pub fn record_metrics(&self, registry: &coign_obs::Registry) {
-        registry.counter("coign_fault_drops_total").add(self.drops);
-        registry
-            .counter("coign_fault_timeouts_total")
-            .add(self.timeouts);
-        registry
-            .counter("coign_fault_retries_total")
-            .add(self.retries);
-        registry
-            .counter("coign_fault_failed_calls_total")
-            .add(self.failed_calls);
-        registry
-            .counter("coign_fault_machine_down_errors_total")
-            .add(self.machine_down_errors);
-        registry
-            .counter("coign_fault_wasted_us")
-            .add(self.wasted_us);
     }
 }
 

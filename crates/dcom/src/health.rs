@@ -105,7 +105,7 @@ pub enum BreakerTransition {
 
 impl BreakerTransition {
     /// Stable event name for tracer instants and recorder entries.
-    pub fn event_name(self) -> &'static str {
+    pub(crate) fn event_name(self) -> &'static str {
         match self {
             BreakerTransition::Opened => "breaker_open",
             BreakerTransition::HalfOpened => "breaker_half_open",
@@ -314,7 +314,8 @@ impl HealthMonitor {
 
     /// Current breaker state of the `from`↔`to` link (closed if the link
     /// has never reported an outcome).
-    pub fn link_state(&self, from: MachineId, to: MachineId) -> BreakerState {
+    #[cfg(test)]
+    pub(crate) fn link_state(&self, from: MachineId, to: MachineId) -> BreakerState {
         self.inner
             .lock()
             .links
@@ -325,7 +326,8 @@ impl HealthMonitor {
 
     /// True when `machine`'s breaker has opened (the machine is presumed
     /// dead).
-    pub fn machine_open(&self, machine: MachineId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn machine_open(&self, machine: MachineId) -> bool {
         self.inner.lock().dead_machines.contains_key(&machine.0)
     }
 
@@ -342,7 +344,8 @@ impl HealthMonitor {
 
     /// True when no outcome has ever been recorded and no gate decision
     /// went beyond `Allow` — the monitor provably never interfered.
-    pub fn is_pristine(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_pristine(&self) -> bool {
         let inner = self.inner.lock();
         inner.stats == HealthStats::default()
             && inner

@@ -35,9 +35,9 @@ pub mod network;
 pub mod profiler;
 pub mod transport;
 
-pub use batch::{BatchStats, FlushReason, LinkBatcher, PendingMessage};
+pub use batch::{FlushReason, LinkBatcher};
 pub use faults::{CallPolicy, Fault, FaultPlan, FaultStats, LinkSelector, TimeWindow};
-pub use health::{BreakerDecision, BreakerPolicy, BreakerState, BreakerTransition, HealthMonitor};
+pub use health::{BreakerDecision, BreakerPolicy, HealthMonitor};
 pub use marshal::{message_reply_size, message_request_size, value_size};
 pub use network::NetworkModel;
 pub use profiler::NetworkProfile;

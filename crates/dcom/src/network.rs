@@ -27,11 +27,6 @@ pub struct NetworkModel {
     pub overhead_bytes: u64,
     /// Half-width of the uniform multiplicative jitter (0.05 = ±5 %).
     pub jitter: f64,
-    /// Optional maximum transmission unit: when set, a message is
-    /// fragmented into `ceil(bytes / mtu)` packets, each paying the framing
-    /// overhead and a per-packet slice of the latency (protocol
-    /// processing). `None` models the link as a pure pipe.
-    pub mtu: Option<u64>,
 }
 
 impl NetworkModel {
@@ -43,19 +38,7 @@ impl NetworkModel {
             bandwidth_bytes_per_sec,
             overhead_bytes: 64,
             jitter: 0.05,
-            mtu: None,
         }
-    }
-
-    /// Returns this model with packet fragmentation at the given MTU.
-    ///
-    /// Fragmentation makes large transfers costlier than the pure-pipe
-    /// model: every packet repays the framing overhead plus 10 % of the
-    /// base latency for protocol processing.
-    pub fn with_mtu(mut self, mtu: u64) -> Self {
-        assert!(mtu > 0, "mtu must be positive");
-        self.mtu = Some(mtu);
-        self
     }
 
     /// Isolated 10BaseT Ethernet — the paper's experimental network
@@ -80,28 +63,9 @@ impl NetworkModel {
         NetworkModel::new("SAN", 20.0, 125e6)
     }
 
-    /// Same-machine loopback (used for sanity checks).
-    pub fn localhost() -> Self {
-        let mut m = NetworkModel::new("loopback", 5.0, 1e9);
-        m.jitter = 0.0;
-        m
-    }
-
     /// Deterministic (jitter-free) one-way time for a message of `bytes`.
     pub fn mean_time_us(&self, bytes: u64) -> f64 {
-        match self.mtu {
-            None => {
-                self.latency_us
-                    + (bytes + self.overhead_bytes) as f64 / self.bandwidth_bytes_per_sec * 1e6
-            }
-            Some(mtu) => {
-                let packets = bytes.div_ceil(mtu).max(1);
-                let wire_bytes = bytes + packets * self.overhead_bytes;
-                self.latency_us
-                    + (packets - 1) as f64 * self.latency_us * 0.1
-                    + wire_bytes as f64 / self.bandwidth_bytes_per_sec * 1e6
-            }
-        }
+        self.latency_us + (bytes + self.overhead_bytes) as f64 / self.bandwidth_bytes_per_sec * 1e6
     }
 
     /// Sampled one-way time with multiplicative jitter from `rng`.
@@ -116,11 +80,6 @@ impl NetworkModel {
         let jitter = self.jitter.min(1.0);
         let factor = 1.0 + rng.gen_range(-jitter..=jitter);
         base * factor
-    }
-
-    /// Deterministic round-trip time for a request/reply pair.
-    pub fn mean_round_trip_us(&self, request_bytes: u64, reply_bytes: u64) -> f64 {
-        self.mean_time_us(request_bytes) + self.mean_time_us(reply_bytes)
     }
 }
 
@@ -184,43 +143,13 @@ mod tests {
 
     #[test]
     fn zero_jitter_is_exact() {
-        let net = NetworkModel::localhost();
+        let mut net = NetworkModel::san();
+        net.jitter = 0.0;
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(
             net.sample_time_us(100, &mut rng).to_bits(),
             net.mean_time_us(100).to_bits()
         );
-    }
-
-    #[test]
-    fn mtu_fragmentation_costs_more_for_bulk() {
-        let pipe = NetworkModel::ethernet_10baset();
-        let framed = NetworkModel::ethernet_10baset().with_mtu(1_500);
-        // Small messages (one packet) cost the same.
-        assert!((framed.mean_time_us(500) - pipe.mean_time_us(500)).abs() < 1e-9);
-        // Bulk transfers pay per-packet overhead and processing.
-        assert!(framed.mean_time_us(1_000_000) > pipe.mean_time_us(1_000_000) * 1.05);
-        // Still monotone in size.
-        assert!(framed.mean_time_us(100_000) < framed.mean_time_us(200_000));
-    }
-
-    #[test]
-    fn mtu_packet_count_is_exact_at_boundaries() {
-        let m = NetworkModel::ethernet_10baset().with_mtu(1_000);
-        // 1000 bytes = 1 packet, 1001 = 2 packets: a visible step.
-        let one = m.mean_time_us(1_000);
-        let two = m.mean_time_us(1_001);
-        let step = two - one;
-        assert!(
-            step > m.latency_us * 0.09,
-            "expected a per-packet step, got {step}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "mtu must be positive")]
-    fn zero_mtu_panics() {
-        NetworkModel::ethernet_10baset().with_mtu(0);
     }
 
     #[test]
@@ -245,7 +174,6 @@ mod tests {
             NetworkModel::ethernet_10baset(),
             NetworkModel::atm155(),
             NetworkModel::san(),
-            NetworkModel::localhost(),
         ];
         let mut rng = StdRng::seed_from_u64(13);
         for net in &presets {
@@ -259,12 +187,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn round_trip_is_sum_of_directions() {
-        let net = NetworkModel::ethernet_10baset();
-        let rt = net.mean_round_trip_us(100, 200);
-        assert!((rt - net.mean_time_us(100) - net.mean_time_us(200)).abs() < 1e-9);
     }
 }

@@ -206,20 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_fit_degrades_gracefully_on_packetized_links() {
-        // The α+β model is exact for pure-pipe links; an MTU-fragmented
-        // link is piecewise, so the fit carries a modest bias — still
-        // within a usable band (the source of larger real-world errors).
-        let framed = NetworkModel::ethernet_10baset().with_mtu(1_500);
-        let fit = NetworkProfile::measure(&framed, 50, 3);
-        for bytes in [256u64, 8_192, 262_144] {
-            let truth = framed.mean_time_us(bytes);
-            let rel = (fit.predict_us(bytes) - truth).abs() / truth;
-            assert!(rel < 0.25, "relative error {rel} at {bytes} bytes");
-        }
-    }
-
-    #[test]
     fn traffic_prediction_scales_with_messages_and_bytes() {
         let profile = NetworkProfile::exact(&NetworkModel::ethernet_10baset());
         let one = profile.predict_traffic_us(1, 1000);

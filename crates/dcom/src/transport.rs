@@ -17,26 +17,21 @@
 
 use crate::faults::{CallPolicy, FaultPlan, FaultStats};
 use crate::health::{BreakerDecision, HealthMonitor};
-use crate::marshal::{message_reply_size, message_request_size};
 use crate::network::NetworkModel;
-use coign_com::idl::MethodDesc;
-use coign_com::{ComError, ComResult, ComRuntime, MachineId, Message};
+use coign_com::{ComError, ComResult, ComRuntime, MachineId};
 use coign_obs::{FlightRecorder, TraceArg, Tracer};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Simulated DCOM wire transport between the machines of a topology.
 ///
-/// By default every machine pair shares one network model (the paper's
-/// two-machine isolated Ethernet). Multi-tier topologies can override
-/// individual links — e.g. an ISDN line between client and middle tier but
-/// a system-area network between the middle tier and the database.
+/// Every machine pair shares one network model (the paper's two-machine
+/// isolated Ethernet).
 pub struct Transport {
     network: NetworkModel,
-    links: HashMap<(u16, u16), NetworkModel>,
     rng: Mutex<StdRng>,
     faults: FaultPlan,
     policy: CallPolicy,
@@ -53,14 +48,6 @@ pub struct Transport {
     /// consulted only on fault paths — with an empty fault plan the
     /// monitor is never touched, keeping clean runs bit-identical.
     health: Mutex<Option<Arc<HealthMonitor>>>,
-}
-
-fn link_key(a: MachineId, b: MachineId) -> (u16, u16) {
-    if a.0 <= b.0 {
-        (a.0, b.0)
-    } else {
-        (b.0, a.0)
-    }
 }
 
 impl Transport {
@@ -81,7 +68,6 @@ impl Transport {
     ) -> Self {
         Transport {
             network,
-            links: HashMap::new(),
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             faults,
             policy,
@@ -92,23 +78,7 @@ impl Transport {
         }
     }
 
-    /// Creates a transport with per-link overrides (order-insensitive
-    /// machine pairs); unlisted pairs use `default`.
-    pub fn with_links(
-        default: NetworkModel,
-        links: Vec<((MachineId, MachineId), NetworkModel)>,
-        seed: u64,
-    ) -> Self {
-        Transport {
-            links: links
-                .into_iter()
-                .map(|((a, b), model)| (link_key(a, b), model))
-                .collect(),
-            ..Self::new(default, seed)
-        }
-    }
-
-    /// The default network model.
+    /// The network model.
     pub fn network(&self) -> &NetworkModel {
         &self.network
     }
@@ -116,11 +86,6 @@ impl Transport {
     /// The fault schedule this transport injects.
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.faults
-    }
-
-    /// The retry/timeout/backoff policy at the proxy boundary.
-    pub fn policy(&self) -> &CallPolicy {
-        &self.policy
     }
 
     /// Snapshot of the fault counters accumulated so far.
@@ -145,14 +110,6 @@ impl Transport {
     /// The attached health monitor, if any.
     pub fn health(&self) -> Option<Arc<HealthMonitor>> {
         self.health.lock().clone()
-    }
-
-    /// Absorbs the accumulated fault counters into a metrics registry.
-    pub fn record_metrics(&self, registry: &coign_obs::Registry) {
-        self.fault_stats().record_metrics(registry);
-        if let Some(monitor) = self.health() {
-            monitor.record_metrics(registry);
-        }
     }
 
     /// Runs `f` against the observability hook, if one is attached.
@@ -245,66 +202,19 @@ impl Transport {
         }
     }
 
-    /// The model governing one machine pair.
-    pub fn link(&self, a: MachineId, b: MachineId) -> &NetworkModel {
-        self.links.get(&link_key(a, b)).unwrap_or(&self.network)
-    }
-
-    /// Charges a full remote call (request + reply) for the given method
-    /// invocation to the runtime. Returns the `(request, reply)` sizes.
-    ///
-    /// Fails with `NotRemotable` if the message cannot be marshaled — the
-    /// simulation equivalent of DCOM refusing to remote an interface whose
-    /// parameters have no marshaler.
-    pub fn charge_remote_call(
-        &self,
-        rt: &ComRuntime,
-        method: &MethodDesc,
-        request: &Message,
-        reply: &Message,
-    ) -> ComResult<(u64, u64)> {
-        let req_bytes = message_request_size(method, request)?;
-        let reply_bytes = message_reply_size(method, reply)?;
-        self.charge_sized_call_on(
-            rt,
-            MachineId::CLIENT,
-            MachineId::SERVER,
-            req_bytes,
-            reply_bytes,
-        );
-        Ok((req_bytes, reply_bytes))
-    }
-
-    /// Charges raw request/reply sizes on the default link.
-    pub fn charge_sized_call(&self, rt: &ComRuntime, req_bytes: u64, reply_bytes: u64) {
-        self.charge_sized_call_on(
-            rt,
-            MachineId::CLIENT,
-            MachineId::SERVER,
-            req_bytes,
-            reply_bytes,
-        );
-    }
-
-    /// Charges raw request/reply sizes on the link joining `from` and `to`.
-    pub fn charge_sized_call_on(
-        &self,
-        rt: &ComRuntime,
-        from: MachineId,
-        to: MachineId,
-        req_bytes: u64,
-        reply_bytes: u64,
-    ) {
-        let model = self.link(from, to);
+    /// Charges one delivered request/reply pair: the model's jittered
+    /// one-way times, scaled by a latency-spike `factor` (1.0 on a clean
+    /// wire, where the product is exact).
+    fn charge(&self, rt: &ComRuntime, req_bytes: u64, reply_bytes: u64, factor: f64) {
         let (req_us, reply_us) = {
             let mut rng = self.rng.lock();
             (
-                model.sample_time_us(req_bytes, &mut *rng),
-                model.sample_time_us(reply_bytes, &mut *rng),
+                self.network.sample_time_us(req_bytes, &mut *rng),
+                self.network.sample_time_us(reply_bytes, &mut *rng),
             )
         };
         rt.charge_comm(
-            (req_us + reply_us).round() as u64,
+            ((req_us + reply_us) * factor).round() as u64,
             req_bytes + reply_bytes,
             2,
         );
@@ -419,14 +329,14 @@ impl Transport {
         Ok(())
     }
 
-    /// Fault-aware variant of [`Transport::charge_sized_call_on`]: charges
-    /// the request/reply pair on the `from`↔`to` link, injecting message
-    /// loss, latency spikes, and partitions per the fault plan and riding
-    /// them out per the call policy. Returns the number of attempts the
-    /// call took (1 = clean first try).
+    /// Charges the request/reply pair of one remote call on the
+    /// `from`↔`to` link, injecting message loss, latency spikes, and
+    /// partitions per the fault plan and riding them out per the call
+    /// policy. Returns the number of attempts the call took (1 = clean
+    /// first try).
     ///
-    /// With an empty fault plan this is exactly `charge_sized_call_on`:
-    /// same jitter draws, same single `charge_comm`.
+    /// With an empty fault plan this is one jittered charge: two jitter
+    /// draws, one `charge_comm`, no fault randomness.
     pub fn charge_sized_call_checked(
         &self,
         rt: &ComRuntime,
@@ -436,11 +346,10 @@ impl Transport {
         reply_bytes: u64,
     ) -> ComResult<u32> {
         if self.faults.is_empty() {
-            self.charge_sized_call_on(rt, from, to, req_bytes, reply_bytes);
+            self.charge(rt, req_bytes, reply_bytes, 1.0);
             return Ok(1);
         }
         self.health_gate(rt, from, to)?;
-        let model = self.link(from, to);
         let mut attempt = 0;
         loop {
             attempt += 1;
@@ -485,18 +394,7 @@ impl Transport {
                         );
                     });
                 }
-                let (req_us, reply_us) = {
-                    let mut rng = self.rng.lock();
-                    (
-                        model.sample_time_us(req_bytes, &mut *rng),
-                        model.sample_time_us(reply_bytes, &mut *rng),
-                    )
-                };
-                rt.charge_comm(
-                    ((req_us + reply_us) * factor).round() as u64,
-                    req_bytes + reply_bytes,
-                    2,
-                );
+                self.charge(rt, req_bytes, reply_bytes, factor);
                 self.health_success(rt, from, to);
                 return Ok(attempt);
             }
@@ -520,50 +418,32 @@ impl Transport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coign_com::idl::{MethodDesc, ParamDesc, ParamDir};
-    use coign_com::{PType, Value};
 
-    fn method() -> MethodDesc {
-        MethodDesc::new(
-            "Fetch",
-            vec![
-                ParamDesc::new("key", ParamDir::In, PType::Str),
-                ParamDesc::new("data", ParamDir::Out, PType::Blob),
-            ],
-        )
+    /// Charges one clean-wire client→server call of the given sizes.
+    fn charge(transport: &Transport, rt: &ComRuntime, req_bytes: u64, reply_bytes: u64) {
+        let attempts = transport
+            .charge_sized_call_checked(
+                rt,
+                MachineId::CLIENT,
+                MachineId::SERVER,
+                req_bytes,
+                reply_bytes,
+            )
+            .unwrap();
+        assert_eq!(attempts, 1);
     }
 
     #[test]
-    fn remote_call_charges_clock_and_stats() {
+    fn sized_call_charges_clock_and_stats() {
         let rt = ComRuntime::client_server();
         let transport = Transport::new(NetworkModel::ethernet_10baset(), 1);
-        let req = Message::new(vec![Value::Str("doc".into()), Value::Null]);
-        let reply = Message::new(vec![Value::Str("doc".into()), Value::Blob(10_000)]);
-        let (req_bytes, reply_bytes) = transport
-            .charge_remote_call(&rt, &method(), &req, &reply)
-            .unwrap();
-        assert!(req_bytes > 0 && reply_bytes > 10_000);
+        charge(&transport, &rt, 40, 10_040);
         let stats = rt.stats();
         assert_eq!(stats.messages, 2);
-        assert_eq!(stats.bytes, req_bytes + reply_bytes);
+        assert_eq!(stats.bytes, 10_080);
+        assert_eq!(stats.cross_machine_calls, 1);
         assert!(stats.comm_us > 0);
         assert_eq!(rt.clock().now_us(), stats.comm_us);
-    }
-
-    #[test]
-    fn non_remotable_message_fails_without_charging() {
-        let rt = ComRuntime::client_server();
-        let transport = Transport::new(NetworkModel::ethernet_10baset(), 1);
-        let opaque_method = MethodDesc::new(
-            "Map",
-            vec![ParamDesc::new("h", ParamDir::In, PType::Opaque)],
-        );
-        let msg = Message::new(vec![Value::Opaque(3)]);
-        assert!(transport
-            .charge_remote_call(&rt, &opaque_method, &msg, &msg)
-            .is_err());
-        assert_eq!(rt.stats().messages, 0);
-        assert_eq!(rt.clock().now_us(), 0);
     }
 
     #[test]
@@ -572,7 +452,7 @@ mod tests {
             let rt = ComRuntime::client_server();
             let transport = Transport::new(NetworkModel::ethernet_10baset(), seed);
             for _ in 0..10 {
-                transport.charge_sized_call(&rt, 500, 1500);
+                charge(&transport, &rt, 500, 1500);
             }
             rt.clock().now_us()
         };
@@ -581,51 +461,16 @@ mod tests {
     }
 
     #[test]
-    fn per_link_models_apply() {
-        let rt = ComRuntime::new(vec![
-            coign_com::MachineSpec::new("client", 1.0),
-            coign_com::MachineSpec::new("middle", 1.0),
-            coign_com::MachineSpec::new("db", 1.0),
-        ]);
-        let transport = Transport::with_links(
-            NetworkModel::ethernet_10baset(),
-            vec![
-                ((MachineId(0), MachineId(1)), NetworkModel::isdn()),
-                ((MachineId(1), MachineId(2)), NetworkModel::san()),
-            ],
-            1,
-        );
-        assert_eq!(transport.link(MachineId(0), MachineId(1)).name, "ISDN 128k");
-        // Order-insensitive lookup.
-        assert_eq!(transport.link(MachineId(1), MachineId(0)).name, "ISDN 128k");
-        assert_eq!(transport.link(MachineId(1), MachineId(2)).name, "SAN");
-        // Unlisted pair falls back to the default.
-        assert_eq!(
-            transport.link(MachineId(0), MachineId(2)).name,
-            "10BaseT Ethernet"
-        );
-
-        // The slow link charges far more time for the same payload.
-        let before = rt.clock().now_us();
-        transport.charge_sized_call_on(&rt, MachineId(0), MachineId(1), 10_000, 10_000);
-        let isdn_cost = rt.clock().now_us() - before;
-        let before = rt.clock().now_us();
-        transport.charge_sized_call_on(&rt, MachineId(1), MachineId(2), 10_000, 10_000);
-        let san_cost = rt.clock().now_us() - before;
-        assert!(
-            isdn_cost > san_cost * 100,
-            "isdn {isdn_cost} vs san {san_cost}"
-        );
-    }
-
-    #[test]
     fn bigger_payloads_cost_more_time() {
         let rt_small = ComRuntime::client_server();
         let rt_big = ComRuntime::client_server();
-        let t1 = Transport::new(NetworkModel::localhost(), 1);
-        let t2 = Transport::new(NetworkModel::localhost(), 1);
-        t1.charge_sized_call(&rt_small, 100, 100);
-        t2.charge_sized_call(&rt_big, 1_000_000, 100);
+        charge(&Transport::new(NetworkModel::san(), 1), &rt_small, 100, 100);
+        charge(
+            &Transport::new(NetworkModel::san(), 1),
+            &rt_big,
+            1_000_000,
+            100,
+        );
         assert!(rt_big.clock().now_us() > rt_small.clock().now_us());
     }
 
@@ -660,7 +505,7 @@ mod tests {
             let rt = ComRuntime::client_server();
             let t = Transport::new(NetworkModel::ethernet_10baset(), 7);
             for _ in 0..10 {
-                t.charge_sized_call(&rt, 500, 1500);
+                charge(&t, &rt, 500, 1500);
             }
             (rt.clock().now_us(), rt.stats())
         };
@@ -874,7 +719,7 @@ mod tests {
         let plain = ComRuntime::client_server();
         let p = Transport::new(NetworkModel::ethernet_10baset(), 7);
         for _ in 0..10 {
-            p.charge_sized_call(&plain, 500, 1500);
+            charge(&p, &plain, 500, 1500);
         }
         assert_eq!(rt.clock().now_us(), plain.clock().now_us());
     }
@@ -976,7 +821,7 @@ mod tests {
     }
 
     #[test]
-    fn obs_hook_reports_fault_events_and_metrics() {
+    fn obs_hook_reports_fault_events() {
         let plan = FaultPlan::none().with_loss(1.0);
         let rt = ComRuntime::client_server();
         let t = Transport::with_faults(
@@ -1010,17 +855,6 @@ mod tests {
         assert_eq!(
             recorder.len() as u64,
             stats.drops + stats.timeouts + stats.retries + 1
-        );
-
-        let registry = coign_obs::Registry::new();
-        t.record_metrics(&registry);
-        assert_eq!(
-            registry.counter_value("coign_fault_drops_total"),
-            Some(stats.drops)
-        );
-        assert_eq!(
-            registry.counter_value("coign_fault_wasted_us"),
-            Some(stats.wasted_us)
         );
     }
 }

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 /// # Panics
 ///
 /// Panics if `s == t`.
-pub fn max_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
+pub(crate) fn max_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
     assert_ne!(s, t, "source and sink must differ");
     let n = g.node_count();
     let mut total: u128 = 0;

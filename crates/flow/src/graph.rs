@@ -44,12 +44,12 @@ impl FlowNetwork {
     }
 
     /// Number of directed edges (excluding the implicit reverses).
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.edges.len() / 2
     }
 
     /// Adds a node, returning its id.
-    pub fn add_node(&mut self) -> NodeId {
+    pub(crate) fn add_node(&mut self) -> NodeId {
         self.adj.push(Vec::new());
         self.adj.len() - 1
     }
@@ -60,7 +60,7 @@ impl FlowNetwork {
     ///
     /// Panics if `u` or `v` is out of range (a programming error in the
     /// graph construction, not a runtime condition).
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId, cap: u64) {
+    pub(crate) fn add_edge(&mut self, u: NodeId, v: NodeId, cap: u64) {
         self.add_edge_with_reverse(u, v, cap, 0);
     }
 
@@ -73,7 +73,7 @@ impl FlowNetwork {
     }
 
     /// Adds an edge with explicit forward and reverse capacities.
-    pub fn add_edge_with_reverse(&mut self, u: NodeId, v: NodeId, cap: u64, rev_cap: u64) {
+    fn add_edge_with_reverse(&mut self, u: NodeId, v: NodeId, cap: u64, rev_cap: u64) {
         assert!(
             u < self.adj.len() && v < self.adj.len(),
             "node out of range"
@@ -119,7 +119,7 @@ impl FlowNetwork {
     }
 
     /// Residual capacity of edge `e`.
-    pub fn residual(&self, e: usize) -> u64 {
+    pub(crate) fn residual(&self, e: usize) -> u64 {
         self.edges[e].cap
     }
 
@@ -129,24 +129,24 @@ impl FlowNetwork {
     }
 
     /// Head node of edge `e`.
-    pub fn head(&self, e: usize) -> NodeId {
+    pub(crate) fn head(&self, e: usize) -> NodeId {
         self.edges[e].to
     }
 
     /// Edge indices leaving `u` (including reverse edges).
-    pub fn edges_of(&self, u: NodeId) -> &[usize] {
+    pub(crate) fn edges_of(&self, u: NodeId) -> &[usize] {
         &self.adj[u]
     }
 
     /// Flow currently on forward edge `e` (original − residual).
-    pub fn flow_on(&self, e: usize) -> u64 {
+    fn flow_on(&self, e: usize) -> u64 {
         self.original_caps[e].saturating_sub(self.edges[e].cap)
     }
 
     /// Snapshot of the flow on every directed edge slot (forward and
     /// reverse, in raw edge-id order) — the format consumed by
     /// warm-started solvers such as
-    /// [`push_relabel::max_flow_warm`](crate::push_relabel::max_flow_warm).
+    /// `push_relabel::max_flow_warm`.
     ///
     /// Take it after a completed max-flow run; pass it to a later solve on
     /// a network with identical topology and capacities that only grew.
@@ -158,7 +158,7 @@ impl FlowNetwork {
     /// feasible flow under the network's *current* capacities, which may be
     /// smaller than the capacities the snapshot was taken under.
     ///
-    /// [`push_relabel::max_flow_warm`](crate::push_relabel::max_flow_warm)
+    /// `push_relabel::max_flow_warm`
     /// requires capacities that only grew since the snapshot; a recovery
     /// re-solve violates that — pinning a component away from a dead
     /// machine shrinks an edge that may have carried flow. This primitive
@@ -259,7 +259,7 @@ impl FlowNetwork {
 
     /// Nodes reachable from `s` in the residual graph — the source side of
     /// a minimum cut once a maximum flow has been established.
-    pub fn residual_reachable(&self, s: NodeId) -> Vec<bool> {
+    pub(crate) fn residual_reachable(&self, s: NodeId) -> Vec<bool> {
         let mut seen = vec![false; self.node_count()];
         let mut queue = std::collections::VecDeque::new();
         seen[s] = true;
@@ -280,7 +280,7 @@ impl FlowNetwork {
     ///
     /// Returns the list of violating nodes (empty when the flow is valid).
     /// Used by tests and debug assertions.
-    pub fn conservation_violations(&self, s: NodeId, t: NodeId) -> Vec<NodeId> {
+    pub(crate) fn conservation_violations(&self, s: NodeId, t: NodeId) -> Vec<NodeId> {
         let mut net: Vec<i128> = vec![0; self.node_count()];
         for base in (0..self.edges.len()).step_by(2) {
             let flow = self.flow_on(base) as i128 - self.flow_on(base + 1) as i128;

@@ -23,6 +23,6 @@ pub mod mincut;
 pub mod multiway;
 pub mod push_relabel;
 
-pub use graph::{FlowNetwork, NodeId, INFINITE};
-pub use mincut::{min_cut, min_cut_invocations, min_cut_warm, CutResult, MaxFlowAlgorithm};
-pub use multiway::{crossing_value, multiway_cut, refine_assignment, MultiwayCut};
+pub use graph::{FlowNetwork, INFINITE};
+pub use mincut::{min_cut, min_cut_invocations, min_cut_warm, MaxFlowAlgorithm};
+pub use multiway::{multiway_cut, refine_assignment};

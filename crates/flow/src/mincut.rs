@@ -40,7 +40,7 @@ impl MaxFlowAlgorithm {
     pub const ALL: [MaxFlowAlgorithm; 2] = [MaxFlowAlgorithm::LiftToFront, MaxFlowAlgorithm::Dinic];
 
     /// Runs the selected algorithm.
-    pub fn run(self, g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
+    fn run(self, g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
         match self {
             MaxFlowAlgorithm::LiftToFront => push_relabel::max_flow(g, s, t),
             MaxFlowAlgorithm::Dinic => dinic::max_flow(g, s, t),
@@ -55,18 +55,6 @@ pub struct CutResult {
     pub cut_value: u64,
     /// `true` for nodes on the source (client) side.
     pub source_side: Vec<bool>,
-}
-
-impl CutResult {
-    /// Number of nodes on the source side.
-    pub fn source_count(&self) -> usize {
-        self.source_side.iter().filter(|&&b| b).count()
-    }
-
-    /// Number of nodes on the sink side.
-    pub fn sink_count(&self) -> usize {
-        self.source_side.len() - self.source_count()
-    }
 }
 
 /// Computes a minimum `s`–`t` cut of the network.
@@ -96,7 +84,7 @@ pub fn min_cut(
 /// `previous_flows` is a [`FlowNetwork::snapshot_flows`] taken after a
 /// completed solve on a network with identical topology whose capacities
 /// were no larger than this one's (see
-/// [`push_relabel::max_flow_warm`](crate::push_relabel::max_flow_warm) for
+/// `push_relabel::max_flow_warm` for
 /// the feasibility argument). With `None` this is exactly
 /// [`min_cut`] with [`MaxFlowAlgorithm::LiftToFront`]. Warm starting never
 /// changes the cut value or the source side — only how much work the solve
@@ -123,7 +111,8 @@ pub fn min_cut_warm(
 
 /// Sums the original capacities of forward edges crossing from the source
 /// side to the sink side — used by tests to confirm duality.
-pub fn crossing_capacity(g: &FlowNetwork, side: &[bool]) -> u64 {
+#[cfg(test)]
+fn crossing_capacity(g: &FlowNetwork, side: &[bool]) -> u64 {
     let mut total = 0u64;
     for u in 0..g.node_count() {
         if !side[u] {
@@ -169,8 +158,6 @@ mod tests {
         let mut g = chain();
         let cut = min_cut(&mut g, 0, 4, MaxFlowAlgorithm::LiftToFront);
         assert_eq!(cut.source_side, vec![true, true, false, false, false]);
-        assert_eq!(cut.source_count(), 2);
-        assert_eq!(cut.sink_count(), 3);
     }
 
     #[test]

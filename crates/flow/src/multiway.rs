@@ -157,7 +157,7 @@ pub fn refine_assignment(
 
 /// Total original capacity of edges whose endpoints are assigned to
 /// different machines.
-pub fn crossing_value(g: &FlowNetwork, assignment: &[usize]) -> u64 {
+fn crossing_value(g: &FlowNetwork, assignment: &[usize]) -> u64 {
     let mut total = 0u64;
     for u in 0..g.node_count() {
         for &e in g.edges_of(u) {

@@ -26,11 +26,11 @@
 //!    the stranded excess home.
 //!
 //! The result is a real maximum flow, so
-//! [`FlowNetwork::residual_reachable`] yields the unique minimal source side
+//! `FlowNetwork::residual_reachable` yields the unique minimal source side
 //! of the minimum cut — the same side every exact solver yields — and a
 //! [`FlowNetwork::snapshot_flows`] of it is a feasible warm start.
 //!
-//! [`max_flow_warm`] supports *warm starts*: re-solving a network whose
+//! `max_flow_warm` supports *warm starts*: re-solving a network whose
 //! topology is unchanged but whose capacities grew (e.g. a sweep over
 //! network speeds) by re-installing the previous solve's flow as the
 //! starting preflow instead of starting from zero.
@@ -48,7 +48,7 @@ const RELABEL_WORK: usize = 12;
 /// # Panics
 ///
 /// Panics if `s == t`.
-pub fn max_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
+pub(crate) fn max_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
     assert_ne!(s, t, "source and sink must differ");
     let excess = vec![0u128; g.node_count()];
     solve(g, s, t, excess)
@@ -74,7 +74,12 @@ pub fn max_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
 /// edge table, or if some edge capacity shrank below its previous flow
 /// (the snapshot would be infeasible here — the caller broke the
 /// monotonicity contract).
-pub fn max_flow_warm(g: &mut FlowNetwork, s: NodeId, t: NodeId, previous_flows: &[u64]) -> u64 {
+pub(crate) fn max_flow_warm(
+    g: &mut FlowNetwork,
+    s: NodeId,
+    t: NodeId,
+    previous_flows: &[u64],
+) -> u64 {
     assert_ne!(s, t, "source and sink must differ");
     assert_eq!(
         previous_flows.len(),

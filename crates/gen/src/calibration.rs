@@ -9,7 +9,7 @@
 //!
 //! Calibration works with *two* distributions:
 //!
-//! * [`PAYLOAD_BUCKET_PROBS`] is what [`sample_size`] draws deliberate
+//! * [`PAYLOAD_BUCKET_PROBS`] is what `sample_size` draws deliberate
 //!   payload sizes from (document fetches, ledger commits). It is
 //!   heavy-tailed: payloads are the minority of messages but carry the
 //!   envelope's tail.
@@ -69,7 +69,7 @@ pub const KS_TOLERANCE: f64 = 0.15;
 
 /// Draws one payload size from [`PAYLOAD_BUCKET_PROBS`]: pick a bucket by
 /// its probability, then a size uniformly within the bucket.
-pub fn sample_size(rng: &mut StdRng) -> u64 {
+pub(crate) fn sample_size(rng: &mut StdRng) -> u64 {
     let roll = rng.gen_range(0.0..1.0);
     let mut cumulative = 0.0;
     let mut bucket = 0usize;

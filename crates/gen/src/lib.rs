@@ -94,7 +94,7 @@ impl GenSize {
     }
 
     /// Canonical lowercase name.
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             GenSize::Small => "small",
             GenSize::Medium => "medium",
@@ -312,7 +312,7 @@ impl Blueprint {
     /// identical blueprints (the seed is mixed with the size class so
     /// `gen-7-small` and `gen-7-large` differ structurally, not just in
     /// scale).
-    pub fn generate(spec: GenSpec) -> Blueprint {
+    fn generate(spec: GenSpec) -> Blueprint {
         let size_salt = match spec.size {
             GenSize::Small => 0x5347u64,
             GenSize::Medium => 0x4D45u64,
@@ -463,7 +463,7 @@ impl Blueprint {
     }
 
     /// Every class name, in registration order.
-    pub fn class_names(&self) -> Vec<&'static str> {
+    fn class_names(&self) -> Vec<&'static str> {
         let mut names = vec![self.frame];
         names.extend(self.bars.iter().map(|b| b.name));
         names.extend(self.leaves.iter().map(|l| l.name));
@@ -478,25 +478,25 @@ impl Blueprint {
     }
 
     /// Number of component classes.
-    pub fn class_count(&self) -> usize {
+    fn class_count(&self) -> usize {
         self.class_names().len()
     }
 
     /// Distinct interfaces registered by this app.
-    pub fn interface_count(&self) -> usize {
+    fn interface_count(&self) -> usize {
         // IWidget, IWindowSite, IIdleLoop, ITheme, IStore, IGenDoc,
         // IGenLedger (+ IGenNative when canvases exist).
         7 + usize::from(!self.canvases.is_empty())
     }
 
     /// Non-remotable interfaces among [`Self::interface_count`].
-    pub fn non_remotable_count(&self) -> usize {
+    fn non_remotable_count(&self) -> usize {
         // IWindowSite always; IGenNative when canvases exist.
         1 + usize::from(!self.canvases.is_empty())
     }
 
     /// Total `Fetch` calls across all scenarios.
-    pub fn fetch_calls(&self) -> usize {
+    fn fetch_calls(&self) -> usize {
         self.docs.iter().map(|d| d.fetch_sizes.len()).sum::<usize>() + self.main_fetches.len()
     }
 }
@@ -518,7 +518,7 @@ pub const NATIVE_BLIT: u32 = 0;
 
 /// The generated document interface — fully annotated so the state-effect
 /// and replication analyses have real metadata to chew on.
-pub fn igen_doc() -> Arc<InterfaceDesc> {
+fn igen_doc() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IGenDoc")
         .method("Fetch", |m| {
             m.input("bytes", PType::I4)
@@ -531,7 +531,7 @@ pub fn igen_doc() -> Arc<InterfaceDesc> {
 }
 
 /// The commit ledger interface (honest `mutates_state`).
-pub fn igen_ledger() -> Arc<InterfaceDesc> {
+fn igen_ledger() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IGenLedger")
         .method("Commit", |m| {
             m.input("payload", PType::Blob)
@@ -543,7 +543,7 @@ pub fn igen_ledger() -> Arc<InterfaceDesc> {
 
 /// The native canvas interface: an opaque window handle crosses it, so it
 /// is non-remotable (PhotoDraw's shared-memory hazard).
-pub fn igen_native() -> Arc<InterfaceDesc> {
+fn igen_native() -> Arc<InterfaceDesc> {
     InterfaceBuilder::new("IGenNative")
         .method("Blit", |m| {
             m.input("hwnd", PType::Opaque).input("rows", PType::I4)
@@ -691,11 +691,6 @@ impl GeneratedApp {
             name: spec.stem(),
             ledger_commits: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    /// The generation plan.
-    pub fn blueprint(&self) -> &Blueprint {
-        &self.blueprint
     }
 
     /// Ledger commits observed so far (across every run of this instance).
@@ -1072,12 +1067,12 @@ mod tests {
         let image = app.image();
         let rt = ComRuntime::single_machine();
         app.register(&rt);
-        for name in app.blueprint().class_names() {
+        for name in app.blueprint.class_names() {
             assert!(
                 image.classes.contains(&Clsid::from_name(name)),
                 "{name} missing from image"
             );
         }
-        assert_eq!(image.classes.len(), app.blueprint().class_count());
+        assert_eq!(image.classes.len(), app.blueprint.class_count());
     }
 }

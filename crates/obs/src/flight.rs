@@ -23,8 +23,8 @@ struct FlightInner {
     entries: VecDeque<FlightEntry>,
     /// Events evicted because the ring was full.
     evicted: u64,
-    /// Number of times the recorder has been dumped.
-    dumps: u64,
+    /// Whether the recorder has been dumped (and printed) already.
+    dumped: bool,
 }
 
 /// A bounded ring buffer retaining the most recent [`FlightEntry`] values.
@@ -44,7 +44,7 @@ impl FlightRecorder {
             inner: Mutex::new(FlightInner {
                 entries: VecDeque::new(),
                 evicted: 0,
-                dumps: 0,
+                dumped: false,
             }),
         }
     }
@@ -64,7 +64,8 @@ impl FlightRecorder {
     }
 
     /// The retained events, oldest first.
-    pub fn entries(&self) -> Vec<FlightEntry> {
+    #[cfg(test)]
+    fn entries(&self) -> Vec<FlightEntry> {
         self.inner.lock().entries.iter().cloned().collect()
     }
 
@@ -78,18 +79,8 @@ impl FlightRecorder {
         self.inner.lock().entries.is_empty()
     }
 
-    /// Number of events evicted because the ring was full.
-    pub fn evicted(&self) -> u64 {
-        self.inner.lock().evicted
-    }
-
-    /// Number of times [`FlightRecorder::dump`] has fired.
-    pub fn dump_count(&self) -> u64 {
-        self.inner.lock().dumps
-    }
-
     /// Renders the retained events as a human-readable block.
-    pub fn render(&self, reason: &str) -> String {
+    fn render(&self, reason: &str) -> String {
         let inner = self.inner.lock();
         let mut out = format!(
             "=== flight recorder dump ({reason}): last {} event(s), {} evicted ===\n",
@@ -111,11 +102,7 @@ impl FlightRecorder {
     /// error propagating through several layers — render silently so a
     /// dying run does not spam its post-mortem.
     pub fn dump(&self, reason: &str) -> String {
-        let first = {
-            let mut inner = self.inner.lock();
-            inner.dumps += 1;
-            inner.dumps == 1
-        };
+        let first = !std::mem::replace(&mut self.inner.lock().dumped, true);
         let rendered = self.render(reason);
         if first {
             eprint!("{rendered}");
@@ -136,7 +123,9 @@ mod tests {
         }
         let entries = recorder.entries();
         assert_eq!(entries.len(), 3);
-        assert_eq!(recorder.evicted(), 2);
+        assert!(recorder
+            .render("full")
+            .contains("last 3 event(s), 2 evicted"));
         assert_eq!(entries[0].detail, "call 2");
         assert_eq!(entries[2].detail, "call 4");
     }
@@ -147,7 +136,6 @@ mod tests {
         recorder.record(7, "fault_timeout", "m0->m1 attempt 1".to_string());
         let first = recorder.dump("Timeout");
         let second = recorder.dump("Timeout");
-        assert_eq!(recorder.dump_count(), 2);
         assert!(first.contains("flight recorder dump (Timeout)"));
         assert!(first.contains("t=7us fault_timeout m0->m1 attempt 1"));
         assert_eq!(first, second);

@@ -12,7 +12,7 @@
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Json {
+pub(crate) enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -29,7 +29,7 @@ pub enum Json {
 
 impl Json {
     /// Parses a JSON document, requiring that the whole input is consumed.
-    pub fn parse(text: &str) -> Result<Json, String> {
+    pub(crate) fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         let value = parse_value(bytes, &mut pos)?;
@@ -41,7 +41,7 @@ impl Json {
     }
 
     /// Looks up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -49,39 +49,23 @@ impl Json {
     }
 
     /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The number parsed as `u64`, if this is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(raw) => raw.parse::<u64>().ok(),
             _ => None,
         }
     }
 
-    /// The number parsed as `i64`, if this is an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(raw) => raw.parse::<i64>().ok(),
-            _ => None,
-        }
-    }
-
     /// The number parsed as `f64`, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(raw) => raw.parse::<f64>().ok(),
             _ => None,
@@ -89,17 +73,9 @@ impl Json {
     }
 
     /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The field list, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
             _ => None,
         }
     }
@@ -292,7 +268,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 
 /// Escapes a string for embedding in a JSON document (no surrounding
 /// quotes).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {

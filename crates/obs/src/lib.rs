@@ -40,17 +40,17 @@
 #![warn(missing_docs)]
 
 pub mod flight;
-pub mod json;
+mod json;
 pub mod metrics;
 pub mod timeseries;
 pub mod trace;
 
-pub use flight::{FlightEntry, FlightRecorder};
-pub use metrics::{Counter, Gauge, Histogram, Registry};
-pub use timeseries::{SloReport, TimeSeries};
-pub use trace::{validate_chrome_trace, PhaseSpan, TraceArg, TraceSummary, Tracer};
+pub use flight::FlightRecorder;
+pub use metrics::{Counter, Histogram, Registry};
+pub use timeseries::TimeSeries;
+pub use trace::{validate_chrome_trace, TraceArg, Tracer};
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The bundle of observability facilities threaded through the pipeline.
 ///
@@ -87,26 +87,10 @@ impl Obs {
     }
 
     /// True when the tracer is recording.
-    pub fn is_enabled(&self) -> bool {
+    #[cfg(test)]
+    fn is_enabled(&self) -> bool {
         self.tracer.is_enabled()
     }
-}
-
-static GLOBAL: OnceLock<Obs> = OnceLock::new();
-
-/// Installs the process-global observability bundle.
-///
-/// The first installation wins; returns `false` if a bundle was already
-/// installed. The CLI installs one per process when `--trace` or
-/// `--metrics` is passed; library code should prefer explicitly threaded
-/// [`Obs`] handles so tests stay isolated.
-pub fn install_global(obs: Obs) -> bool {
-    GLOBAL.set(obs).is_ok()
-}
-
-/// The process-global bundle, if one was installed.
-pub fn global() -> Option<&'static Obs> {
-    GLOBAL.get()
 }
 
 #[cfg(test)]

@@ -22,11 +22,6 @@ use std::sync::Arc;
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -124,7 +119,7 @@ impl Histogram {
     }
 
     /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
+    fn sum(&self) -> u64 {
         self.0.sum.load(Ordering::Relaxed)
     }
 
@@ -156,7 +151,7 @@ impl Histogram {
     /// Observations in the overflow bucket clamp to the largest finite
     /// bound. An empty histogram reports 0; `q` outside `[0, 1]` (including
     /// NaN) is clamped rather than extrapolated. Use
-    /// [`try_quantile`](Histogram::try_quantile) to distinguish "empty"
+    /// `Histogram::try_quantile` to distinguish "empty"
     /// from "p-whatever is 0".
     pub fn quantile(&self, q: f64) -> f64 {
         self.try_quantile(q).unwrap_or(0.0)
@@ -164,7 +159,7 @@ impl Histogram {
 
     /// [`quantile`](Histogram::quantile) that reports `None` on an empty
     /// histogram instead of a fabricated 0.
-    pub fn try_quantile(&self, q: f64) -> Option<f64> {
+    fn try_quantile(&self, q: f64) -> Option<f64> {
         quantile_from_buckets(self.bounds(), &self.bucket_counts(), q)
     }
 
@@ -284,11 +279,6 @@ impl Registry {
         self.inner.lock().counters.get(name).map(Counter::value)
     }
 
-    /// Current value of a gauge, if it exists.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.inner.lock().gauges.get(name).map(Gauge::value)
-    }
-
     /// Names of all registered counters, sorted.
     pub fn counter_names(&self) -> Vec<String> {
         self.inner.lock().counters.keys().cloned().collect()
@@ -374,13 +364,13 @@ mod tests {
     fn counters_and_gauges_register_and_update() {
         let registry = Registry::new();
         let calls = registry.counter("coign_calls_total");
-        calls.inc();
+        calls.add(1);
         calls.add(4);
         // Fetching the same name yields the same underlying cell.
-        registry.counter("coign_calls_total").inc();
+        registry.counter("coign_calls_total").add(1);
         assert_eq!(registry.counter_value("coign_calls_total"), Some(6));
         registry.gauge("coign_drift_tv").set(0.25);
-        assert_eq!(registry.gauge_value("coign_drift_tv"), Some(0.25));
+        assert_eq!(registry.gauge("coign_drift_tv").value(), 0.25);
         assert_eq!(registry.counter_value("missing"), None);
     }
 

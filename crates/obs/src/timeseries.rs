@@ -83,7 +83,7 @@ pub struct Window {
 
 impl Window {
     /// Mean messages per batch flushed in this window.
-    pub fn mean_batch(&self) -> f64 {
+    fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0
         } else {
@@ -92,7 +92,7 @@ impl Window {
     }
 
     /// Total link busy-µs across every link.
-    pub fn busy_us(&self) -> u64 {
+    fn busy_us(&self) -> u64 {
         self.link_busy_us.values().sum()
     }
 
@@ -103,7 +103,7 @@ impl Window {
 
     /// The link that dominated busy time, with its µs (ties break on the
     /// smaller link key, deterministically).
-    pub fn dominant_link(&self) -> Option<(RawLink, u64)> {
+    fn dominant_link(&self) -> Option<(RawLink, u64)> {
         self.link_busy_us
             .iter()
             .max_by(|(ka, va), (kb, vb)| va.cmp(vb).then(kb.cmp(ka)))
@@ -111,7 +111,7 @@ impl Window {
     }
 
     /// The classification that dominated server compute, with its µs.
-    pub fn dominant_class(&self) -> Option<(u32, u64)> {
+    fn dominant_class(&self) -> Option<(u32, u64)> {
         self.class_busy_us
             .iter()
             .max_by(|(ka, va), (kb, vb)| va.cmp(vb).then(kb.cmp(ka)))
@@ -197,11 +197,6 @@ impl SloReport {
         }
         out.push('}');
         out
-    }
-
-    /// Width of the series' windows, µs.
-    pub fn window_width_us(&self) -> u64 {
-        self.window_us
     }
 }
 
@@ -338,11 +333,6 @@ impl TimeSeries {
         }
     }
 
-    /// The window width in simulated µs.
-    pub fn window_us(&self) -> u64 {
-        self.window_us
-    }
-
     /// Marks the series as carrying fault-layer activity: the fault
     /// columns become part of every rendered window from here on.
     pub fn mark_faulted(&mut self) {
@@ -354,17 +344,6 @@ impl TimeSeries {
         self.faulted
     }
 
-    /// Number of recorded windows (windows with no activity are counted
-    /// up to the latest instant observed).
-    pub fn len(&self) -> usize {
-        self.scalars.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.scalars.is_empty()
-    }
-
     /// The recorded windows, earliest first, materialized as per-window
     /// views. Intended for render/inspection paths, not hot loops.
     pub fn windows(&self) -> Vec<Window> {
@@ -372,7 +351,7 @@ impl TimeSeries {
     }
 
     /// Materializes one window's view (zero busy-µs entries are elided).
-    pub fn window(&self, idx: usize) -> Window {
+    fn window(&self, idx: usize) -> Window {
         let s = &self.scalars[idx];
         Window {
             arrivals: u64::from(s.arrivals),
@@ -467,18 +446,6 @@ impl TimeSeries {
         idx
     }
 
-    /// A session arrived at `at_us`; `pool_miss` when it paid full
-    /// instantiation, and `pool_live` is the live session count right
-    /// after the arrival (folded into the window peak).
-    #[inline]
-    pub fn on_arrival(&mut self, at_us: u64, pool_miss: bool, pool_live: u64) {
-        let i = self.index_for(STREAM_EVENT, at_us);
-        let s = &mut self.scalars[i];
-        s.arrivals = s.arrivals.saturating_add(1);
-        s.pool_misses = s.pool_misses.saturating_add(u32::from(pool_miss));
-        s.pool_live_peak = s.pool_live_peak.max(sat32(pool_live));
-    }
-
     /// A session completed at `at_us` with the given end-to-end latency.
     #[inline]
     pub fn on_completion(&mut self, at_us: u64, latency_us: u64) {
@@ -499,34 +466,6 @@ impl TimeSeries {
             }
             _ => self.latency_log.push(entry),
         }
-    }
-
-    /// A scripted call was issued at `at_us` (`local` = co-located).
-    #[inline]
-    pub fn on_call(&mut self, at_us: u64, local: bool) {
-        let i = self.index_for(STREAM_EVENT, at_us);
-        let s = &mut self.scalars[i];
-        s.calls = s.calls.saturating_add(1);
-        if local {
-            s.local_calls = s.local_calls.saturating_add(1);
-        } else {
-            s.remote_messages = s.remote_messages.saturating_add(1);
-        }
-    }
-
-    /// A run of `calls` scripted calls (`local_calls` of them co-located)
-    /// charged in one shot at `at_us` — the hot-path form of [`on_call`]
-    /// for the serve loop's inline local-call runs, which would otherwise
-    /// pay one recorder hook per call. A run spans well under one window
-    /// at the default widths, so charging it at its start instant keeps
-    /// per-window counts faithful.
-    #[inline]
-    pub fn on_calls(&mut self, at_us: u64, calls: u64, local_calls: u64) {
-        let i = self.index_for(STREAM_EVENT, at_us);
-        let s = &mut self.scalars[i];
-        s.calls = s.calls.saturating_add(sat32(calls));
-        s.local_calls = s.local_calls.saturating_add(sat32(local_calls));
-        s.remote_messages = s.remote_messages.saturating_add(sat32(calls - local_calls));
     }
 
     /// A batch of `members` messages flushed at `at_us` (unbatched
@@ -559,15 +498,6 @@ impl TimeSeries {
             row.resize(i + 1, 0);
         }
         row[i] += busy_us;
-    }
-
-    /// Samples the event-queue depth at `at_us` (folded into the window
-    /// peak).
-    #[inline]
-    pub fn sample_queue_depth(&mut self, at_us: u64, depth: u64) {
-        let i = self.index_for(STREAM_EVENT, at_us);
-        let s = &mut self.scalars[i];
-        s.queue_depth_peak = s.queue_depth_peak.max(sat32(depth));
     }
 
     /// Folds a whole window's worth of staged counters in one call. The
@@ -673,7 +603,7 @@ impl TimeSeries {
     }
 
     /// A window's latency quantile estimate (0 when it saw no completion).
-    pub fn window_quantile_us(&self, index: usize, q: f64) -> f64 {
+    fn window_quantile_us(&self, index: usize, q: f64) -> f64 {
         if index >= self.scalars.len() {
             return 0.0;
         }
@@ -898,14 +828,30 @@ mod tests {
         TimeSeries::new(window_us, vec![100, 200, 400, 800])
     }
 
+    /// One session arrival as staged counts: `pool_miss` is 0 or 1, and
+    /// `pool_live` the live session count right after it.
+    fn arrival(pool_miss: u64, pool_live: u64) -> WindowCounts {
+        WindowCounts {
+            arrivals: 1,
+            pool_misses: pool_miss,
+            pool_live_peak: pool_live,
+            ..WindowCounts::default()
+        }
+    }
+
     #[test]
     fn observations_land_in_their_windows() {
         let mut ts = series(100);
-        ts.on_arrival(0, true, 1);
-        ts.on_arrival(99, false, 2);
-        ts.on_arrival(100, false, 3);
-        ts.on_call(250, true);
-        ts.on_call(250, false);
+        ts.add_counts(0, &arrival(1, 1));
+        ts.add_counts(99, &arrival(0, 2));
+        ts.add_counts(100, &arrival(0, 3));
+        let calls = WindowCounts {
+            calls: 2,
+            local_calls: 1,
+            remote_messages: 1,
+            ..WindowCounts::default()
+        };
+        ts.add_counts(250, &calls);
         ts.on_completion(310, 310);
         assert_eq!(ts.windows().len(), 4);
         assert_eq!(ts.windows()[0].arrivals, 2);
@@ -927,9 +873,12 @@ mod tests {
         let build = |offsets: &[u64]| {
             let mut ts = series(50);
             for &at in offsets {
-                ts.on_arrival(at, false, 1);
+                let counts = WindowCounts {
+                    queue_depth_peak: at + 1,
+                    ..arrival(0, 1)
+                };
+                ts.add_counts(at, &counts);
                 ts.on_link_busy(at, (0, 1), 10);
-                ts.sample_queue_depth(at, at + 1);
                 ts.on_completion(at, 150);
             }
             ts
@@ -989,7 +938,7 @@ mod tests {
     fn renders_are_deterministic_and_cover_every_window() {
         let build = || {
             let mut ts = series(100);
-            ts.on_arrival(5, true, 1);
+            ts.add_counts(5, &arrival(1, 1));
             ts.on_batch_flush(120, 3);
             ts.on_link_busy(120, (0, 1), 55);
             ts.on_completion(390, 210);
@@ -1009,7 +958,7 @@ mod tests {
     #[test]
     fn fault_columns_render_only_when_marked() {
         let mut plain = series(100);
-        plain.on_arrival(5, false, 1);
+        plain.add_counts(5, &arrival(0, 1));
         plain.on_completion(150, 120);
         let baseline_json = plain.to_json();
         let baseline_csv = plain.to_csv();

@@ -63,7 +63,7 @@ pub enum TraceArg {
 impl TraceArg {
     /// Renders this argument as a JSON value (also used by the profiling
     /// `EventLogger`'s line-delimited export, so both emitters agree).
-    pub fn render_json(&self, out: &mut String) {
+    fn render_json(&self, out: &mut String) {
         match self {
             TraceArg::Null => out.push_str("null"),
             TraceArg::U64(v) => out.push_str(&v.to_string()),
@@ -187,7 +187,7 @@ impl Tracer {
     }
 
     /// Creates a tracer that records nothing.
-    pub fn disabled() -> Tracer {
+    pub(crate) fn disabled() -> Tracer {
         Tracer {
             enabled: false,
             host_time: AtomicBool::new(false),
@@ -378,7 +378,7 @@ pub struct PhaseSpan<'a> {
 
 impl PhaseSpan<'_> {
     /// Host-monotonic time elapsed since the span opened, in microseconds.
-    pub fn elapsed_host_us(&self) -> u64 {
+    fn elapsed_host_us(&self) -> u64 {
         self.started.elapsed().as_micros() as u64
     }
 }

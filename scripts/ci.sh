@@ -15,6 +15,38 @@ if grep -rn 'allow(clippy::too_many_lines)' crates/; then
   exit 1
 fi
 
+echo "==> public surface: every pub fn and pub use name is named outside its crate"
+# rustc's dead_code lint ignores `pub` items, so public surface nobody
+# calls would never be reported. A `pub fn`, or a name re-exported with
+# `pub use`, in a library crate's src/ must be named somewhere outside that
+# src/: another crate, the root src/, tests/ or examples/, benchmark/, or
+# the crate's own tests/. Otherwise narrow it to pub(crate) and let
+# dead_code (clippy -D warnings, below) judge what is left.
+mapfile -t RUST_FILES < <(find crates src tests examples benchmark -name target -prune -o -name '*.rs' -print)
+unnamed=0
+for crate in com dcom flow coign gen obs apps; do
+  src="crates/$crate/src"
+  outside=()
+  for file in "${RUST_FILES[@]}"; do
+    [[ "$file" == "$src/"* ]] || outside+=("$file")
+  done
+  names=$( {
+    grep -rhoE '^\s*pub fn [A-Za-z_][A-Za-z0-9_]*' "$src" | sed -E 's/.*pub fn //'
+    grep -rhzoE 'pub use [^;]*;' "$src" | tr '\0' '\n' |
+      sed -E 's/pub use //; s/[{};]/ /g; s/[A-Za-z_0-9]+ as //g' | tr ', ' '\n\n' | sed -E 's/.*:://'
+  } | grep -E '^[A-Za-z_]' | sort -u || true)
+  for name in $names; do
+    if ! grep -qw -- "$name" "${outside[@]}"; then
+      echo "  $src: $name"
+      unnamed=$((unnamed + 1))
+    fi
+  done
+done
+if [ "$unnamed" -gt 0 ]; then
+  echo "$unnamed public name(s) above are named nowhere outside their crate; narrow them"
+  exit 1
+fi
+
 # Every cargo step runs --locked: a manifest edit that leaves Cargo.lock
 # stale fails here instead of being silently rewritten.
 echo "==> cargo clippy -D warnings"
