@@ -7,7 +7,7 @@
 //! is what the min-cut algorithm partitions.
 
 use crate::classifier::ClassificationId;
-use crate::profile::IccProfile;
+use crate::profile::{EdgeStats, IccProfile};
 use coign_dcom::NetworkProfile;
 use coign_flow::INFINITE;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -31,6 +31,9 @@ pub struct IccGraph {
     pub non_remotable: HashSet<(usize, usize)>,
     /// The network profile the graph was concretized against.
     pub network_name: String,
+    /// The network-independent traffic behind each `weights_us` entry, in
+    /// key order.
+    pub(crate) traffic: Vec<EdgeStats>,
 }
 
 impl IccGraph {
@@ -39,43 +42,48 @@ impl IccGraph {
     /// Edge weight = `α · messages + β · bytes` summed over all summarized
     /// entries between the pair — the predicted communication time if the
     /// pair were split across the network.
+    ///
+    /// The build is linear in the profile: [`IccProfile::pair_table`]
+    /// numbers the classifications with a multiply-shift id hash and merges
+    /// the traffic per node pair with two counting sorts, so each merged
+    /// pair is priced once, in key order, and `weights_us` is bulk-built
+    /// from the already-sorted sequence.
     pub fn build(profile: &IccProfile, network: &NetworkProfile) -> Self {
-        let mut nodes: Vec<ClassificationId> = profile.classifications().into_iter().collect();
-        if !nodes.contains(&ClassificationId::ROOT) {
-            nodes.push(ClassificationId::ROOT);
-        }
-        nodes.sort();
-        let index: HashMap<ClassificationId, usize> =
-            nodes.iter().enumerate().map(|(i, c)| (*c, i)).collect();
+        let table = profile.pair_table();
+        let index: HashMap<ClassificationId, usize> = table
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (*c, i))
+            .collect();
 
-        let mut weights_us: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-        let mut traffic: Vec<_> = profile.pair_traffic().into_iter().collect();
-        traffic.sort_by_key(|(pair, _)| *pair);
-        for (pair, stats) in traffic {
-            let (a, b) = (index[&pair.0], index[&pair.1]);
-            if a == b {
-                continue; // self-communication never crosses the network
-            }
-            let key = if a < b { (a, b) } else { (b, a) };
-            let cost = network.predict_traffic_us(stats.messages, stats.bytes);
-            *weights_us.entry(key).or_insert(0.0) += cost;
-        }
-
-        let mut non_remotable = HashSet::new();
-        for (ca, cb) in &profile.non_remotable {
-            let (a, b) = (index[ca], index[cb]);
-            if a == b {
-                continue;
-            }
-            non_remotable.insert(if a < b { (a, b) } else { (b, a) });
-        }
+        // Self-communication never crosses the network.
+        let (weights, traffic): (Vec<_>, Vec<_>) = table
+            .pairs
+            .iter()
+            .filter(|pair| pair.lo != pair.hi)
+            .map(|pair| {
+                let stats = pair.stats;
+                // `0.0 +` turns a -0.0 cost (an empty pair under negative
+                // fitted coefficients) into +0.0: no weight is negative zero.
+                let weight = 0.0 + network.predict_traffic_us(stats.messages, stats.bytes);
+                (((pair.lo as usize, pair.hi as usize), weight), stats)
+            })
+            .unzip();
+        let weights_us: BTreeMap<(usize, usize), f64> = weights.into_iter().collect();
+        let non_remotable = table
+            .non_remotable
+            .into_iter()
+            .filter(|(a, b)| a != b)
+            .collect();
 
         IccGraph {
-            nodes,
+            nodes: table.nodes,
             index,
             weights_us,
             non_remotable,
             network_name: network.network_name.clone(),
+            traffic,
         }
     }
 
@@ -199,5 +207,196 @@ mod tests {
         let g = IccGraph::build(&IccProfile::new(), &network());
         assert_eq!(g.node_count(), 1);
         assert_eq!(g.total_time_us(), 0.0);
+    }
+
+    mod properties {
+        use super::*;
+        use crate::profile::EdgeKey;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// The graph as a `HashMap` of pair traffic, a comparison sort and
+        /// `BTreeMap` inserts build it: the reference the linear build must
+        /// reproduce bit for bit.
+        struct Reference {
+            nodes: Vec<ClassificationId>,
+            index: HashMap<ClassificationId, usize>,
+            weights_us: BTreeMap<(usize, usize), f64>,
+            non_remotable: HashSet<(usize, usize)>,
+            traffic: BTreeMap<(usize, usize), EdgeStats>,
+            pair_traffic: Vec<((ClassificationId, ClassificationId), EdgeStats)>,
+        }
+
+        fn reference_build(profile: &IccProfile, network: &NetworkProfile) -> Reference {
+            let mut nodes: Vec<ClassificationId> = profile.classifications().into_iter().collect();
+            if !nodes.contains(&ClassificationId::ROOT) {
+                nodes.push(ClassificationId::ROOT);
+            }
+            nodes.sort();
+            let index: HashMap<ClassificationId, usize> =
+                nodes.iter().enumerate().map(|(i, c)| (*c, i)).collect();
+
+            let mut pair_traffic: HashMap<(ClassificationId, ClassificationId), EdgeStats> =
+                HashMap::new();
+            for (key, stats) in &profile.edges {
+                let pair = if key.from <= key.to {
+                    (key.from, key.to)
+                } else {
+                    (key.to, key.from)
+                };
+                let entry = pair_traffic.entry(pair).or_default();
+                entry.messages = entry.messages.saturating_add(stats.messages);
+                entry.bytes = entry.bytes.saturating_add(stats.bytes);
+            }
+            let mut sorted: Vec<_> = pair_traffic.into_iter().collect();
+            sorted.sort_by_key(|(pair, _)| *pair);
+
+            let mut weights_us = BTreeMap::new();
+            let mut traffic = BTreeMap::new();
+            for &(pair, stats) in &sorted {
+                let (a, b) = (index[&pair.0], index[&pair.1]);
+                if a == b {
+                    continue;
+                }
+                let key = if a < b { (a, b) } else { (b, a) };
+                let cost = network.predict_traffic_us(stats.messages, stats.bytes);
+                *weights_us.entry(key).or_insert(0.0) += cost;
+                traffic.insert(key, stats);
+            }
+
+            let mut non_remotable = HashSet::new();
+            for (ca, cb) in &profile.non_remotable {
+                let (a, b) = (index[ca], index[cb]);
+                if a != b {
+                    non_remotable.insert(if a < b { (a, b) } else { (b, a) });
+                }
+            }
+            Reference {
+                nodes,
+                index,
+                weights_us,
+                non_remotable,
+                traffic,
+                pair_traffic: sorted,
+            }
+        }
+
+        /// A random profile over an id pool that is small and dense, or
+        /// sparse up to `u32::MAX`, with or without `ROOT`; edges run both
+        /// ways and to self, some ids appear only in non-remotable pairs,
+        /// and some stats sit near `u64::MAX` so merged sums saturate.
+        /// Case 0 is the empty profile.
+        fn random_profile(case: u64) -> IccProfile {
+            let mut profile = IccProfile::new();
+            if case == 0 {
+                return profile;
+            }
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut pool: Vec<u32> = match case % 3 {
+                0 => (0..rng.gen_range(1..12)).collect(),
+                1 => (0..rng.gen_range(1..40))
+                    .map(|_| rng.gen_range(0..=u32::MAX))
+                    .collect(),
+                _ => vec![0, 1, 7, u32::MAX - 1, u32::MAX],
+            };
+            if case % 4 == 1 {
+                pool.retain(|id| *id != ClassificationId::ROOT.0);
+                pool.push(u32::MAX);
+            }
+            let pick = |rng: &mut StdRng| ClassificationId(pool[rng.gen_range(0..pool.len())]);
+            let huge = case.is_multiple_of(5);
+            for _ in 0..rng.gen_range(0..80) {
+                let from = pick(&mut rng);
+                let to = if rng.gen_bool(0.1) {
+                    from
+                } else {
+                    pick(&mut rng)
+                };
+                let key = EdgeKey {
+                    from,
+                    to,
+                    iid: Iid::from_name("IProp"),
+                    method: rng.gen_range(0..3),
+                    bucket: rng.gen_range(0..4),
+                };
+                let stats = if huge {
+                    EdgeStats {
+                        messages: u64::MAX - rng.gen_range(0..4u64),
+                        bytes: rng.gen_range(u64::MAX / 2..=u64::MAX),
+                    }
+                } else {
+                    // One entry in ten is empty, which a network with
+                    // negative coefficients prices at -0.0.
+                    let messages = rng.gen_range(0..10u64);
+                    EdgeStats {
+                        messages,
+                        bytes: messages * rng.gen_range(0..20_000u64),
+                    }
+                };
+                profile.edges.insert(key, stats);
+            }
+            for _ in 0..rng.gen_range(0..4) {
+                profile.record_instance(pick(&mut rng), Clsid::from_name("A"));
+            }
+            for _ in 0..rng.gen_range(0..5) {
+                // Ids past the pool are named only by this pair.
+                let only_here = ClassificationId(rng.gen_range(0..=u32::MAX));
+                let other = if rng.gen_bool(0.5) {
+                    only_here
+                } else {
+                    pick(&mut rng)
+                };
+                profile.record_non_remotable(only_here, other);
+                profile.record_non_remotable(pick(&mut rng), pick(&mut rng));
+            }
+            profile
+        }
+
+        /// Networks with ordinary, zero and negative (fitted) cost
+        /// coefficients; the last prices an empty edge at -0.0.
+        fn networks() -> Vec<NetworkProfile> {
+            let fitted = |alpha_us, beta_us_per_byte| NetworkProfile {
+                network_name: "fitted".into(),
+                alpha_us,
+                beta_us_per_byte,
+                samples: 1,
+            };
+            vec![network(), fitted(0.0, 0.0), fitted(-3.5, -0.25)]
+        }
+
+        /// The linear build matches the reference on 256 random profiles:
+        /// nodes, index, non-remotable pairs, the bits of every weight, the
+        /// traffic table the warm sweep reprices, and the sorted pair
+        /// traffic (self-pairs included) that reports and predictions sum.
+        #[test]
+        fn linear_build_matches_reference() {
+            for case in 0..256 {
+                let profile = random_profile(case);
+                for network in networks() {
+                    let graph = IccGraph::build(&profile, &network);
+                    let reference = reference_build(&profile, &network);
+                    assert_eq!(graph.nodes, reference.nodes, "case {case}");
+                    assert_eq!(graph.index, reference.index, "case {case}");
+                    assert_eq!(graph.non_remotable, reference.non_remotable, "case {case}");
+                    let bits = |w: &BTreeMap<(usize, usize), f64>| -> Vec<((usize, usize), u64)> {
+                        w.iter().map(|(k, v)| (*k, v.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(&graph.weights_us),
+                        bits(&reference.weights_us),
+                        "case {case}"
+                    );
+                    assert!(
+                        graph.traffic.iter().eq(reference.traffic.values()),
+                        "case {case}"
+                    );
+                    assert_eq!(
+                        profile.pair_traffic(),
+                        reference.pair_traffic,
+                        "case {case}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -28,11 +28,10 @@ pub fn predict_comm_us(
     distribution: &Distribution,
     network: &NetworkProfile,
 ) -> f64 {
-    // Sum in a deterministic order so the floating-point result is
-    // bit-stable run to run.
-    let mut traffic: Vec<_> = profile.pair_traffic().into_iter().collect();
-    traffic.sort_by_key(|(pair, _)| *pair);
-    traffic
+    // Sum in pair order so the floating-point result is bit-stable run
+    // to run.
+    profile
+        .pair_traffic()
         .iter()
         .filter(|((a, b), _)| distribution.machine_of(*a) != distribution.machine_of(*b))
         .map(|(_, stats)| network.predict_traffic_us(stats.messages, stats.bytes))

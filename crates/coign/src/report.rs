@@ -302,9 +302,8 @@ pub fn to_dot(
             };
         }
     }
-    let mut pairs: Vec<_> = profile.pair_traffic().into_iter().collect();
-    pairs.sort_by_key(|(pair, _)| *pair);
-    for ((a, b), stats) in pairs {
+    let pairs = profile.pair_traffic();
+    for &((a, b), stats) in &pairs {
         if a == b {
             continue;
         }
@@ -327,7 +326,10 @@ pub fn to_dot(
     }
     // Pure constraint edges with no measured traffic.
     for (a, b) in &profile.non_remotable {
-        if profile.pair_traffic().contains_key(&(*a, *b)) {
+        if pairs
+            .binary_search_by_key(&(*a, *b), |(pair, _)| *pair)
+            .is_ok()
+        {
             continue;
         }
         let _ = writeln!(out, "  n{} -- n{} [color=black, penwidth=2.5];", a.0, b.0);

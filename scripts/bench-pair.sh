@@ -3,10 +3,12 @@
 # temporary `git archive` checkouts (each with its own cargo target
 # directory, outside the repo, --offline), then, workload by workload,
 # alternates a/b runs of the BENCHMARK.json command with `--trace 0`,
-# printing each pair's failed operations and end-to-end metrics
-# (round_ms_p50, work_per_s, ...), then one summary block: per metric the
-# parent's median and IQR, the change's median, how many pairs the change
-# won and the median b/a ratio. Writes nothing inside the repo.
+# printing each pair's failed operations, exit statuses and end-to-end
+# metrics (round_ms_p50, work_per_s, ...), then one summary block: failing
+# runs per side, and per metric the parent's median and IQR, the change's
+# median, how many pairs the change won and the median b/a ratio. A run
+# that exits non-zero is reported, not fatal. Writes nothing inside the
+# repo.
 #
 #   scripts/bench-pair.sh <rev-a> <rev-b> <workload[,workload...]|all> [pairs, default 10]
 #
@@ -28,18 +30,26 @@ for side in a b; do
         cargo build --release --quiet --offline --manifest-path benchmark/Cargo.toml)
 done
 python3 - "$work" "$3" "${4:-10}" <<'EOF'
-import json, os, statistics, subprocess, sys
+import json, math, os, statistics, subprocess, sys
 
 work, names, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
 decl = {side: json.load(open(f"{work}/{side}/BENCHMARK.json")) for side in "ab"}
 workloads = [w["name"] for w in decl["a"]["workloads"]] if names == "all" else names.split(",")
 lower_is_better = {m["name"]: m["better"] == "lower" for m in decl["a"]["end_to_end"]}
 def run(side, workload):
+    # A run that exits non-zero still reports: its last JSON line, if it
+    # printed one, and its exit status, so a broken check shows as evidence
+    # instead of aborting the comparison.
     cmd = decl[side]["command"] + ["--workload", workload, "--seconds", str(decl[side]["run_seconds"]), "--trace", "0"]
     env = {**os.environ, "CARGO_TARGET_DIR": f"{work}/target-{side}"}
-    out = subprocess.run(cmd, cwd=f"{work}/{side}", env=env, stdout=subprocess.PIPE, text=True, check=True)
-    last = json.loads(out.stdout.strip().splitlines()[-1])
-    return {"failed": last["failed"], **{k: last["metrics"][k]["value"] for k in lower_is_better}}
+    out = subprocess.run(cmd, cwd=f"{work}/{side}", env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        last = json.loads(out.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        last = {}
+    metrics = last.get("metrics", {})
+    return {"exit": out.returncode, "failed": last.get("failed", float("nan")),
+            **{k: metrics.get(k, {}).get("value", float("nan")) for k in lower_is_better}}
 for workload in workloads:
     print(f"== {workload}", flush=True)
     seen = []
@@ -49,12 +59,19 @@ for workload in workloads:
         pair = {first: run(first, workload), second: run(second, workload)}
         seen.append(pair)
         print(f"pair {i + 1} ({first} first): " + "  ".join(
-            f"{k} {pair['a'][k]:.6g} -> {pair['b'][k]:.6g}" for k in ["failed", *lower_is_better]), flush=True)
+            f"{k} {pair['a'][k]:.6g} -> {pair['b'][k]:.6g}" for k in ["failed", "exit", *lower_is_better]), flush=True)
+    failing = {side: sum(p[side]["exit"] != 0 for p in seen) for side in "ab"}
+    print(f"{workload} failing runs: a {failing['a']}/{pairs}, b {failing['b']}/{pairs}", flush=True)
     for k, lower in lower_is_better.items():
-        a, b = [p["a"][k] for p in seen], [p["b"][k] for p in seen]
-        q1, _, q3 = statistics.quantiles(a, n=4) if pairs > 1 else a * 3
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
-        ratio = statistics.median(y / x if x else float("nan") for x, y in zip(a, b))
+        # Only pairs where both sides reported the metric are compared.
+        both = [(p["a"][k], p["b"][k]) for p in seen if not (math.isnan(p["a"][k]) or math.isnan(p["b"][k]))]
+        if not both:
+            print(f"{workload} {k}: no pair reported it on both sides", flush=True)
+            continue
+        a, b = [x for x, _ in both], [y for _, y in both]
+        q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else a * 3
+        wins = sum((y < x) if lower else (y > x) for x, y in both)
+        ratio = statistics.median(y / x if x else float("nan") for x, y in both)
         print(f"{workload} {k}: a median {statistics.median(a):.6g} (IQR {q3 - q1:.3g}), "
-              f"b median {statistics.median(b):.6g}, b better in {wins}/{pairs}, median b/a {ratio:.3f}", flush=True)
+              f"b median {statistics.median(b):.6g}, b better in {wins}/{len(both)}, median b/a {ratio:.3f}", flush=True)
 EOF

@@ -10,17 +10,21 @@
 //! input to the decoder that owns it, one test per decoder. The `.fplan`
 //! fault-plan parser gets the same treatment over the committed demo plan.
 //! A failure names its case, which replays by seeding `StdRng` with it.
+//!
+//! A mutated profile that decodes goes on through `analyze`, graph build
+//! and cut included, which must return `Ok` or a typed error too.
 
-use coign::analysis::Distribution;
+use coign::analysis::{analyze, Distribution};
 use coign::application::Application;
-use coign::classifier::{ClassifierKind, InstanceClassifier};
+use coign::classifier::{ClassificationId, ClassifierKind, InstanceClassifier};
 use coign::config::ConfigRecord;
 use coign::profile::IccProfile;
 use coign::rewriter;
 use coign::runtime::{choose_distribution, profile_scenario};
 use coign_apps::Octarine;
-use coign_com::{AppImage, ComError, ComResult};
+use coign_com::{AppImage, ComError, ComResult, Iid};
 use coign_dcom::{FaultPlan, NetworkModel, NetworkProfile};
+use coign_flow::MaxFlowAlgorithm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,8 +39,7 @@ fn realized_octarine() -> (AppImage, ConfigRecord) {
     let run = profile_scenario(&app, "o_newdoc", &classifier).unwrap();
     rewriter::accumulate_profile(&mut image, &run.profile).unwrap();
     let record = rewriter::read_config(&image).unwrap();
-    let network = NetworkProfile::exact(&NetworkModel::ethernet_10baset());
-    let dist = choose_distribution(&app, &record.profile, &network).unwrap();
+    let dist = choose_distribution(&app, &record.profile, &ethernet()).unwrap();
     rewriter::realize(&mut image, &classifier, &dist).unwrap();
     let record = rewriter::read_config(&image).unwrap();
     (image, record)
@@ -103,12 +106,59 @@ fn classifier_decode_survives_mutation_and_fork_absorb() {
     });
 }
 
+fn ethernet() -> NetworkProfile {
+    NetworkProfile::exact(&NetworkModel::ethernet_10baset())
+}
+
 #[test]
 fn profile_decode_survives_mutation() {
     let (_, record) = realized_octarine();
     survives_mutations(&record.profile.encode(), |b| {
-        IccProfile::decode(b).map(drop)
+        let profile = IccProfile::decode(b)?;
+        // Whatever `analyze` returns is `Ok` or a typed `ComError`; a
+        // panic in the build or the cut is what this catches.
+        let _ = analyze(&profile, &ethernet(), &[], MaxFlowAlgorithm::LiftToFront);
+        Ok(())
     });
+}
+
+/// Peak virtual size of this process in KiB, where `/proc` reports it.
+fn peak_virtual_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmPeak:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
+}
+
+/// Ids at both ends of the `u32` range: the graph build sizes its tables
+/// by the ids present, never by the largest. A table with even one byte
+/// per possible id would reserve 4 GiB, which shows in the process's peak
+/// virtual size; the 1 GiB bound leaves room for the allocator arenas of
+/// tests starting on other threads meanwhile.
+#[test]
+fn sparse_ids_analyze_without_an_id_sized_table() {
+    let iid = Iid::from_name("ISparse");
+    let ids = [0, 7, u32::MAX].map(ClassificationId);
+    let mut profile = IccProfile::new();
+    for (i, from) in ids.iter().enumerate() {
+        for to in &ids[i..] {
+            profile.record_message(*from, *to, iid, 0, 100);
+            profile.record_message(*to, *from, iid, 1, 5_000);
+        }
+    }
+    profile.record_non_remotable(ids[1], ids[2]);
+
+    let before = peak_virtual_kib();
+    let distribution = analyze(&profile, &ethernet(), &[], MaxFlowAlgorithm::LiftToFront)
+        .expect("an unconstrained profile always has a cut");
+    let after = peak_virtual_kib();
+    assert_eq!(distribution.placement.len(), ids.len());
+    if let (Some(before), Some(after)) = (before, after) {
+        assert!(
+            after - before < 1 << 20,
+            "peak virtual size grew by {} KiB",
+            after - before
+        );
+    }
 }
 
 #[test]
