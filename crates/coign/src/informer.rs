@@ -85,7 +85,7 @@ fn classify_caller(
     rt: &ComRuntime,
     classifier: &InstanceClassifier,
 ) -> (Option<coign_com::InstanceId>, ClassificationId) {
-    match rt.call_stack().last() {
+    match rt.innermost_frame() {
         Some(frame) => (
             Some(frame.instance),
             classifier

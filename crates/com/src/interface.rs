@@ -95,7 +95,11 @@ struct IfaceNode {
 
 /// A COM-style interface pointer: the unit of inter-component communication.
 ///
-/// Cloning an `InterfacePtr` is reference-count duplication (`AddRef`).
+/// Cloning an `InterfacePtr` duplicates the handle and its wrappers, but no
+/// pointer keeps its component alive: the runtime owns every instance for
+/// the runtime's lifetime, a pointer reaches its object weakly, and a call
+/// through a pointer whose runtime has been dropped returns
+/// [`ComError::DeadInstance`].
 #[derive(Clone)]
 pub struct InterfacePtr {
     node: Arc<IfaceNode>,

@@ -14,6 +14,14 @@
 //! * **Time.** Compute charges are scaled by the executing machine's CPU
 //!   factor; the transport layer reports communication time here so the
 //!   run's execution/communication split is observable.
+//!
+//! **Ownership.** The runtime's instance table is the only owner of a
+//! component object, for the runtime's whole lifetime: instances are never
+//! removed while it lives. An [`InterfacePtr`] reaches its object weakly, so
+//! components that hold each other's pointers (or their own) form no
+//! reference cycle, and dropping the runtime frees every component together
+//! with every pointer and wrapper it held. A call through a pointer that
+//! outlived its runtime returns [`ComError::DeadInstance`].
 
 use crate::clock::SimClock;
 use crate::error::{ComError, ComResult};
@@ -24,7 +32,7 @@ use crate::registry::ClassRegistry;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// One entry of the interface-call back-trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,9 +80,6 @@ pub trait RuntimeHook: Send + Sync {
     fn wrap_interface(&self, _rt: &ComRuntime, ptr: InterfacePtr) -> InterfacePtr {
         ptr
     }
-
-    /// Notified on every direct (terminal) interface dispatch.
-    fn call_dispatched(&self, _rt: &ComRuntime, _call: &CallInfo<'_>) {}
 }
 
 /// A machine participating in the simulated topology.
@@ -246,7 +251,7 @@ impl ComRuntime {
             id,
             instance.clsid,
             Arc::new(DirectInvoker {
-                object: instance.object.clone(),
+                object: Arc::downgrade(&instance.object),
             }),
         );
         let mut ptr = raw;
@@ -280,19 +285,19 @@ impl ComRuntime {
 
     /// The machine of the currently executing instance (client at top level).
     pub fn current_machine(&self) -> MachineId {
-        let stack = self.stack.lock();
-        match stack.last() {
-            Some(frame) => self
-                .instance(frame.instance)
-                .map(|i| i.machine())
-                .unwrap_or(MachineId::CLIENT),
-            None => MachineId::CLIENT,
-        }
+        self.innermost_frame()
+            .and_then(|frame| self.instance(frame.instance))
+            .map_or(MachineId::CLIENT, |i| i.machine())
     }
 
     /// Snapshot of the interface-call back-trace (innermost frame last).
     pub fn call_stack(&self) -> Vec<Frame> {
         self.stack.lock().clone()
+    }
+
+    /// The innermost frame of the back-trace (`None` at top level).
+    pub fn innermost_frame(&self) -> Option<Frame> {
+        self.stack.lock().last().copied()
     }
 
     pub(crate) fn push_frame(&self, frame: Frame) {
@@ -338,9 +343,10 @@ impl ComRuntime {
 }
 
 /// Terminal invoker: dispatches into the component object, maintaining the
-/// call-frame stack around the dispatch.
+/// call-frame stack around the dispatch. The object is owned by the
+/// runtime's instance table; the pointer only reaches it.
 struct DirectInvoker {
-    object: Arc<dyn ComObject>,
+    object: Weak<dyn ComObject>,
 }
 
 /// Pops the frame on drop so a propagating error cannot corrupt the stack.
@@ -356,10 +362,11 @@ impl Drop for FrameGuard<'_> {
 
 impl Invoker for DirectInvoker {
     fn invoke(&self, rt: &ComRuntime, call: CallInfo<'_>, msg: &mut Message) -> ComResult<()> {
+        let object = self
+            .object
+            .upgrade()
+            .ok_or(ComError::DeadInstance(call.owner.0))?;
         rt.stats.lock().calls += 1;
-        for hook in rt.hooks_snapshot() {
-            hook.call_dispatched(rt, &call);
-        }
         rt.push_frame(Frame {
             instance: call.owner,
             clsid: call.owner_clsid,
@@ -368,7 +375,7 @@ impl Invoker for DirectInvoker {
         });
         let _guard = FrameGuard { rt };
         let ctx = CallCtx::new(rt, call.owner);
-        self.object.invoke(&ctx, call.desc.iid, call.method, msg)
+        object.invoke(&ctx, call.desc.iid, call.method, msg)
     }
 }
 
@@ -379,6 +386,7 @@ mod tests {
     use crate::registry::ApiImports;
     use crate::value::{PType, Value};
     use parking_lot::Mutex as PlMutex;
+    use std::sync::atomic::AtomicBool;
 
     /// A counter component: `Add(x)` accumulates, `Total() -> i4` reports.
     struct Counter {
@@ -617,6 +625,98 @@ mod tests {
         assert!(err.is_err());
         // ...and even a dispatched failure leaves the stack clean.
         assert!(rt.call_stack().is_empty());
+    }
+
+    /// A component that keeps whatever interface pointer it is handed and
+    /// raises its flag when it is freed.
+    struct Holder {
+        held: PlMutex<Option<InterfacePtr>>,
+        dropped: Arc<AtomicBool>,
+    }
+
+    impl ComObject for Holder {
+        fn invoke(
+            &self,
+            _ctx: &CallCtx<'_>,
+            _iid: Iid,
+            _method: u32,
+            msg: &mut Message,
+        ) -> ComResult<()> {
+            *self.held.lock() = msg.arg(0).and_then(Value::as_interface).cloned();
+            Ok(())
+        }
+    }
+
+    impl Drop for Holder {
+        fn drop(&mut self) {
+            self.dropped.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// One drop flag per `Holder` created, in creation order.
+    type DropFlags = Arc<PlMutex<Vec<Arc<AtomicBool>>>>;
+
+    /// A runtime whose `Holder` class records one drop flag per instance.
+    fn holder_runtime() -> (ComRuntime, Clsid, Iid, DropFlags) {
+        let rt = ComRuntime::client_server();
+        let iholder = InterfaceBuilder::new("IHolder")
+            .method("Hold", |m| {
+                m.input("peer", PType::Interface(Iid::from_name("IHolder")))
+            })
+            .build();
+        let iid = iholder.iid;
+        let flags = Arc::new(PlMutex::new(Vec::new()));
+        let factory_flags = flags.clone();
+        let clsid =
+            rt.registry()
+                .register("Holder", vec![iholder], ApiImports::NONE, move |_, _| {
+                    let dropped = Arc::new(AtomicBool::new(false));
+                    factory_flags.lock().push(dropped.clone());
+                    Arc::new(Holder {
+                        held: PlMutex::new(None),
+                        dropped,
+                    })
+                });
+        (rt, clsid, iid, flags)
+    }
+
+    fn hold(rt: &ComRuntime, holder: &InterfacePtr, peer: &InterfacePtr) {
+        let mut msg = Message::new(vec![Value::Interface(Some(peer.clone()))]);
+        holder.call(rt, 0, &mut msg).unwrap();
+    }
+
+    #[test]
+    fn components_holding_each_other_are_freed_with_their_runtime() {
+        let (rt, clsid, iid, flags) = holder_runtime();
+        let a = rt.create_instance(clsid, iid).unwrap();
+        let b = rt.create_instance(clsid, iid).unwrap();
+        let c = rt.create_instance(clsid, iid).unwrap();
+        hold(&rt, &a, &b);
+        hold(&rt, &b, &a);
+        hold(&rt, &c, &c);
+        assert_eq!(flags.lock().len(), 3);
+        assert!(flags.lock().iter().all(|f| !f.load(Ordering::Relaxed)));
+
+        // The caller's own pointers outlive the runtime, yet keep nothing.
+        drop(rt);
+        assert!(flags.lock().iter().all(|f| f.load(Ordering::Relaxed)));
+        drop((a, b, c));
+    }
+
+    #[test]
+    fn a_pointer_called_after_its_runtime_is_dropped_is_a_dead_instance() {
+        let (rt, clsid, iid, _) = holder_runtime();
+        let ptr = rt.create_instance(clsid, iid).unwrap();
+        let owner = ptr.owner();
+        hold(&rt, &ptr, &ptr);
+        drop(rt);
+
+        let other = ComRuntime::single_machine();
+        let mut msg = Message::new(vec![Value::Interface(None)]);
+        let err = ptr.call(&other, 0, &mut msg).unwrap_err();
+        assert!(matches!(err, ComError::DeadInstance(id) if id == owner.0));
+        assert_eq!(other.stats().calls, 0);
+        assert!(other.call_stack().is_empty());
     }
 
     #[test]

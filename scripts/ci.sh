@@ -67,6 +67,11 @@ trap 'rm -rf "$TMP"' EXIT
 mkdir "$TMP/test-tmp"
 TMPDIR="$TMP/test-tmp" cargo test --locked -q --workspace --no-fail-fast
 
+echo "==> run teardown (one scenario 200 cycles in-process, release, peak RSS flat)"
+# The tier-1 run of tests/run_teardown.rs covers 20 cycles in debug; the
+# ignored 200-cycle variant is what a long-lived host would do.
+cargo test --locked --release -q --test run_teardown -- --ignored
+
 echo "==> benchmark/ci.sh (measured surface: offline build, smoke test, --check-expected)"
 # The benchmark is a workspace of its own that compiles against pinned
 # signatures of these crates; build and smoke it here so a break of that
