@@ -41,6 +41,15 @@
 //!     --faults-at 4000,9000,14000,21000 --thresholds 1,3 \
 //!     > crates/cli/tests/golden/explore_small.txt
 //! ```
+//!
+//! The same sweep with every interleaving also drift-armed pins the drift
+//! path (drift polls, drift re-solves, unchanged recoveries):
+//!
+//! ```text
+//! cargo run -p coign-cli --bin coign -- explore gen:42 g_main \
+//!     --faults-at 4000,9000,14000,21000 --thresholds 1,3 --drift \
+//!     > crates/cli/tests/golden/explore_small_drift.txt
+//! ```
 
 use coign_cli::{
     cmd_analyze, cmd_check, cmd_dot, cmd_explore, cmd_gen, cmd_instrument, cmd_profile, cmd_serve,
@@ -262,6 +271,28 @@ fn explore_report_matches_golden_file() {
     );
     assert!(golden.contains("invariants: ok (0 violation(s)"));
     assert!(golden.contains("calibration: ks="));
+}
+
+#[test]
+fn drift_armed_explore_report_matches_golden_file() {
+    // The golden sweep again, each interleaving also run drift-armed: the
+    // drift fires re-solve hundreds of times (`recoveries=496`).
+    let opts = ExploreOptions {
+        faults_at: Some(vec![4000, 9000, 14000, 21000]),
+        thresholds: vec![1, 3],
+        with_drift: true,
+        ..ExploreOptions::default()
+    };
+    let report = cmd_explore("gen:42", "g_main", "ethernet", &opts).expect("explore succeeds");
+    let golden = include_str!("golden/explore_small_drift.txt");
+    assert_eq!(
+        report.trim_end(),
+        golden.trim_end(),
+        "drift-armed `coign explore` drifted from the committed golden output; \
+         if the change is intentional, regenerate it (see module docs)"
+    );
+    assert!(golden.contains("x 2 drift mode(s) = 16 interleaving(s)"));
+    assert!(golden.contains("invariants: ok (0 violation(s)"));
 }
 
 #[test]

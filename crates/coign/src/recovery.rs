@@ -14,7 +14,8 @@
 //!    the machine they asked for no longer exists). The solve warm-starts
 //!    from the previous solution's flow snapshot via
 //!    [`FlowNetwork::clamp_flows`] + [`min_cut_warm`], so recovery never
-//!    pays for a cold max-flow run.
+//!    pays for a cold max-flow run. A re-solve for the same dead machine
+//!    as the previous one is answered by the previous cut.
 //! 2. **Swaps the live placement**: the component factory's routing table is
 //!    replaced atomically, so instantiations after the recovery land on the
 //!    new cut.
@@ -147,9 +148,21 @@ pub struct RecoverySolver {
     /// here, not in the static part of the network).
     base_client: Vec<bool>,
     base_server: Vec<bool>,
-    prev_flows: Option<Vec<u64>>,
+    prev: Option<Solved>,
     warm_solves: u64,
     cold_solves: u64,
+}
+
+/// A routing table shared between the solver's memo, the coordinator's
+/// installed mark and each recovery that installs it.
+type Placement = HashMap<ClassificationId, MachineId>;
+
+/// The last successful solve: its flow snapshot (the next solve's warm
+/// start) and the answer it gave for its dead machine.
+struct Solved {
+    flows: Vec<u64>,
+    dead: Option<MachineId>,
+    placement: Arc<Placement>,
 }
 
 impl RecoverySolver {
@@ -213,7 +226,7 @@ impl RecoverySolver {
             pin_pairs,
             base_client,
             base_server,
-            prev_flows: None,
+            prev: None,
             warm_solves: 0,
             cold_solves: 0,
         }
@@ -228,6 +241,20 @@ impl RecoverySolver {
         &mut self,
         dead: Option<MachineId>,
     ) -> ComResult<HashMap<ClassificationId, MachineId>> {
+        self.solve_shared(dead).map(Arc::unwrap_or_clone)
+    }
+
+    /// [`RecoverySolver::solve`], answering with the shared table. A solve
+    /// for the same `dead` as the previous one returns that solve's table
+    /// itself: the network depends only on `dead`, and every maximum flow
+    /// of a network leaves the same set reachable from the source (the
+    /// minimal min-cut source side), so the previous flow already answers
+    /// it — a warm solve with zero pushes.
+    pub(crate) fn solve_shared(&mut self, dead: Option<MachineId>) -> ComResult<Arc<Placement>> {
+        if let Some(prev) = self.prev.as_ref().filter(|prev| prev.dead == dead) {
+            self.warm_solves += 1;
+            return Ok(Arc::clone(&prev.placement));
+        }
         self.flow.reset();
         for (node, &(client_pair, server_pair)) in self.pin_pairs.iter().enumerate() {
             let (client, server) = match dead {
@@ -242,8 +269,8 @@ impl RecoverySolver {
             self.flow
                 .set_undirected_capacity(server_pair, if server { INFINITE } else { 0 });
         }
-        let cut = match self.prev_flows.take() {
-            Some(mut flows) => {
+        let cut = match self.prev.take() {
+            Some(Solved { mut flows, .. }) => {
                 self.flow.clamp_flows(self.source, self.sink, &mut flows);
                 self.warm_solves += 1;
                 min_cut_warm(&mut self.flow, self.source, self.sink, Some(&flows))
@@ -259,7 +286,6 @@ impl RecoverySolver {
             cut.cut_value,
             format_args!("recovery re-solve"),
         )?;
-        self.prev_flows = Some(self.flow.snapshot_flows());
         let mut placement = HashMap::with_capacity(self.nodes.len());
         for (node, class) in self.nodes.iter().enumerate() {
             let machine = if cut.source_side[node] {
@@ -269,10 +295,18 @@ impl RecoverySolver {
             };
             placement.insert(*class, machine);
         }
+        let placement = Arc::new(placement);
+        self.prev = Some(Solved {
+            flows: self.flow.snapshot_flows(),
+            dead,
+            placement: Arc::clone(&placement),
+        });
         Ok(placement)
     }
 
-    /// Warm-started solves performed so far.
+    /// Warm-started solves performed so far. A solve that repeats the
+    /// previous solve's dead machine counts here too: it is answered from
+    /// the previous flow with zero pushes.
     pub fn warm_solves(&self) -> u64 {
         self.warm_solves
     }
@@ -380,6 +414,11 @@ pub struct RecoveryCoordinator {
     epoch: AtomicU64,
     events: Mutex<Vec<RecoveryEvent>>,
     dead: Mutex<BTreeSet<MachineId>>,
+    /// The solved placement the last solver recovery installed, with the
+    /// dead machine it was solved for. Cleared whenever the dead set
+    /// changes: the replica router and, on failover, the factory's table
+    /// then change outside the solver path.
+    installed: Mutex<Option<(Option<MachineId>, Arc<Placement>)>>,
     replicas: Mutex<Option<ReplicaRouter>>,
     replica_failovers: AtomicU64,
     migrations: AtomicU64,
@@ -421,6 +460,7 @@ impl RecoveryCoordinator {
             epoch: AtomicU64::new(0),
             events: Mutex::new(Vec::new()),
             dead: Mutex::new(BTreeSet::new()),
+            installed: Mutex::new(None),
             replicas: Mutex::new(None),
             replica_failovers: AtomicU64::new(0),
             migrations: AtomicU64::new(0),
@@ -508,7 +548,8 @@ impl RecoveryCoordinator {
         self.double_executions.load(Ordering::Relaxed)
     }
 
-    /// Warm-started re-solves performed.
+    /// Warm-started re-solves performed, a repeated pin set (answered
+    /// from the previous cut with zero pushes) included.
     pub fn warm_solves(&self) -> u64 {
         self.solver.lock().warm_solves()
     }
@@ -629,6 +670,7 @@ impl RecoveryCoordinator {
         let mut recovered = false;
         for machine in self.health.drain_opened_machines() {
             if self.dead.lock().insert(machine) {
+                *self.installed.lock() = None;
                 recovered |= self.recover(rt, RecoveryTrigger::MachineDeath, Some(machine));
             }
         }
@@ -676,6 +718,11 @@ impl RecoveryCoordinator {
     /// validation, factory swap, instance migration. Both paths bump the
     /// epoch and emit an event; a re-solve re-bases surviving replicas on
     /// the new placement so later deaths keep failing over.
+    ///
+    /// A re-solve that returns the installed placement for the same dead
+    /// machine changes nothing the validation, swap and rebase depend on,
+    /// so it skips them; only the instance walk runs, because instances
+    /// the factory placed by fallback can still sit off the placement.
     fn recover(&self, rt: &ComRuntime, trigger: RecoveryTrigger, dead: Option<MachineId>) -> bool {
         let dead = dead.or_else(|| self.current_dead());
         if trigger == RecoveryTrigger::MachineDeath {
@@ -693,14 +740,25 @@ impl RecoveryCoordinator {
                 }
             }
         }
-        let placement = match self.solver.lock().solve(dead) {
+        let placement = match self.solver.lock().solve_shared(dead) {
             Ok(placement) => placement,
             Err(_) => return false,
         };
-        if validate_placement(&placement, &self.constraints, &self.non_remotable, dead).is_err() {
+        let unchanged = self
+            .installed
+            .lock()
+            .as_ref()
+            .is_some_and(|(at, installed)| *at == dead && Arc::ptr_eq(installed, &placement));
+        let validate =
+            || validate_placement(&placement, &self.constraints, &self.non_remotable, dead);
+        if unchanged {
+            // Validation is a pure function of (placement, constraints,
+            // dead), and this pair already passed it.
+            debug_assert_eq!(validate(), Ok(()));
+        } else if validate().is_err() {
             return false;
         }
-        let migrations = self.install_placement(rt, dead, &placement, || {
+        let migrations = self.install_placement(rt, dead, &placement, !unchanged, || {
             // Relocation is modeled as the paper would do it over DCOM:
             // marshal the instance's state, ship it, unmarshal on the
             // target — so the move costs simulated time proportional to
@@ -713,9 +771,12 @@ impl RecoveryCoordinator {
                 .fetch_add(bytes, Ordering::Relaxed);
         });
         self.migrations.fetch_add(migrations, Ordering::Relaxed);
-        if let Some(router) = self.replicas.lock().as_mut() {
-            let dead_set = self.dead.lock().clone();
-            router.rebase(&placement, &dead_set);
+        if !unchanged {
+            if let Some(router) = self.replicas.lock().as_mut() {
+                let dead_set = self.dead.lock().clone();
+                router.rebase(&placement, &dead_set);
+            }
+            *self.installed.lock() = Some((dead, placement));
         }
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let event = RecoveryEvent {
@@ -780,7 +841,7 @@ impl RecoveryCoordinator {
         // The surviving replica already holds the state on the target
         // machine: the instance record re-points without marshaling, wire
         // time, or clock charge.
-        let failovers = self.install_placement(rt, Some(machine), &placement, || {});
+        let failovers = self.install_placement(rt, Some(machine), &placement, true, || {});
         self.replica_failovers
             .fetch_add(failovers, Ordering::Relaxed);
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
@@ -814,21 +875,25 @@ impl RecoveryCoordinator {
         true
     }
 
-    /// Installs a recovery's placement: pins that demanded the dead machine
-    /// move to its survivor, the factory places new instances by
-    /// `placement`, and every live instance off its target re-points
-    /// there, `on_move` running just before each. Returns how many moved.
+    /// Installs a recovery's placement: with `swap`, pins that demanded
+    /// the dead machine move to its survivor and the factory places new
+    /// instances by `placement` (without it, both already hold). Then every
+    /// live instance off its target re-points there, `on_move` running
+    /// just before each. Returns how many moved.
     fn install_placement(
         &self,
         rt: &ComRuntime,
         dead: Option<MachineId>,
-        placement: &HashMap<ClassificationId, MachineId>,
+        placement: &Placement,
+        swap: bool,
         mut on_move: impl FnMut(),
     ) -> u64 {
-        if let Some(machine) = dead {
-            self.factory.retarget_pins(machine, survivor_of(machine));
+        if swap {
+            if let Some(machine) = dead {
+                self.factory.retarget_pins(machine, survivor_of(machine));
+            }
+            self.factory.swap_placement(placement.clone());
         }
-        self.factory.swap_placement(placement.clone());
         let mut moved = 0;
         for instance in rt.instances_snapshot() {
             let class = self
@@ -1110,6 +1175,78 @@ mod tests {
             assert_eq!(router.home_of(class), Some(MachineId::CLIENT));
             assert!(!router.copies_of(class).contains(&MachineId::SERVER));
         }
+    }
+
+    /// A drift re-solve that lands on the installed placement skips the
+    /// validation, swap and rebase, but not the instance walk: an instance
+    /// sitting off the placement (here a root-classified one on the
+    /// server) still migrates.
+    #[test]
+    fn unchanged_drift_recovery_still_migrates_instances_off_the_placement() {
+        use crate::classifier::ClassifierKind;
+        use coign_com::idl::InterfaceBuilder;
+        use coign_com::registry::ApiImports;
+        use coign_com::{CallCtx, ComObject, Message};
+
+        struct Inert;
+        impl ComObject for Inert {
+            fn invoke(&self, _: &CallCtx<'_>, _: Iid, _: u32, _: &mut Message) -> ComResult<()> {
+                Ok(())
+            }
+        }
+
+        let (graph, constraints) = document_graph();
+        let rt = ComRuntime::client_server();
+        let iface = InterfaceBuilder::new("IInert").build();
+        let iid = iface.iid;
+        let clsid = rt
+            .registry()
+            .register("Inert", vec![iface], ApiImports::NONE, |_, _| {
+                Arc::new(Inert)
+            });
+        let mut base = HashMap::new();
+        base.insert(ClassificationId::ROOT, MachineId::CLIENT);
+        base.insert(c(1), MachineId::CLIENT);
+        base.insert(c(2), MachineId::SERVER);
+        base.insert(c(3), MachineId::SERVER);
+        let factory = Arc::new(ComponentFactory::new(
+            base,
+            HashMap::new(),
+            MachineId::CLIENT,
+        ));
+        // Empty baseline: every non-empty window reads as full drift.
+        let monitor = Arc::new(DriftMonitor::from_profile(&IccProfile::new()));
+        let coordinator = RecoveryCoordinator::new(
+            &graph,
+            &constraints,
+            factory,
+            Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb)),
+            Arc::new(HealthMonitor::new(BreakerPolicy::default())),
+            Some((monitor.clone(), 0.5)),
+            None,
+        )
+        .unwrap();
+        monitor.record_call(c(1), c(2));
+        assert!(coordinator.poll_drift(&rt));
+        assert_eq!(coordinator.migration_count(), 0);
+        // An unclassified instance (classification ROOT, placed on the
+        // client) sits on the server, then drift fires again.
+        let stray = rt
+            .create_direct(clsid, iid, Some(MachineId::SERVER))
+            .unwrap();
+        monitor.record_call(c(1), c(2));
+        assert!(coordinator.poll_drift(&rt));
+        let instance = rt.instance(stray.owner()).unwrap();
+        assert_eq!(instance.machine(), MachineId::CLIENT, "stray never moved");
+        let events = coordinator.events();
+        assert_eq!(events.len(), 2, "events: {events:?}");
+        assert_eq!(events[1].migrations, 1);
+        assert_eq!(coordinator.migration_count(), 1);
+        // Both drift solves repeat the base solve's pin set: warm, and
+        // answered without a second cold solve.
+        assert_eq!(coordinator.warm_solves(), 2);
+        assert_eq!(coordinator.cold_solves(), 1);
+        coordinator.validate().unwrap();
     }
 
     /// Regression: a drift fire and a breaker machine-death declaration

@@ -168,6 +168,16 @@ cmp "$TMP/explore_a.txt" "$TMP/explore_b.txt" \
   || { echo "explore summary differs between --jobs 1 and --jobs 4"; exit 1; }
 grep -q "invariants: ok" "$TMP/explore_a.txt" \
   || { echo "explore found invariant violations on gen seed 3"; exit 1; }
+# The drift-armed axis: drift polls and drift re-solves must be just as
+# independent of the job count.
+"$BIN" explore gen:3 g_main --faults-at 4000,9000,14000 --thresholds 1,3 --drift \
+  > "$TMP/explore_drift_a.txt"
+"$BIN" explore gen:3 g_main --faults-at 4000,9000,14000 --thresholds 1,3 --drift --jobs 4 \
+  > "$TMP/explore_drift_b.txt"
+cmp "$TMP/explore_drift_a.txt" "$TMP/explore_drift_b.txt" \
+  || { echo "drift-armed explore summary differs between --jobs 1 and --jobs 4"; exit 1; }
+grep -q "invariants: ok" "$TMP/explore_drift_a.txt" \
+  || { echo "drift-armed explore found invariant violations on gen seed 3"; exit 1; }
 
 echo "==> observability smoke (--trace/--metrics, byte-identical across runs)"
 # Same image, plan, and seed must export byte-identical trace and metrics

@@ -10,15 +10,23 @@
 //!    fallback recorded in the report;
 //! 3. a zero-fault plan produces a report identical to a run without the
 //!    fault layer at all.
+//!
+//! It also pins the recovery solver's memo: a solve that repeats the
+//! previous pin set answers from the last cut, and every answer equals a
+//! fresh solver's cold one.
 
 use coign::classifier::{ClassifierKind, InstanceClassifier};
+use coign::icc::IccGraph;
+use coign::recovery::RecoverySolver;
 use coign::runtime::{
-    choose_distribution, profile_scenario, run_distributed, run_distributed_faulty,
+    choose_distribution, derive_constraints, profile_scenario, profile_scenarios_observed,
+    run_distributed, run_distributed_faulty,
 };
-use coign::Distribution;
+use coign::{Application, Distribution, IccProfile};
 use coign_apps::scenarios::app_by_name;
 use coign_com::{ComError, MachineId};
 use coign_dcom::{CallPolicy, FaultPlan, NetworkModel, NetworkProfile, TimeWindow};
+use coign_gen::{GenSize, GenSpec, GeneratedApp};
 use std::sync::Arc;
 
 const SEED: u64 = 7;
@@ -257,4 +265,57 @@ fn parsed_plan_behaves_like_the_built_plan() {
         .unwrap()
     };
     assert_eq!(run(built), run(parsed));
+}
+
+/// Runs the solve sequence `None, None, SERVER, SERVER, None` on one
+/// solver and checks every answer against a freshly built solver's cold
+/// answer for the same dead machine.
+fn assert_repeated_solves_match_cold_ones(app: &dyn Application, profile: &IccProfile) {
+    let graph = IccGraph::build(
+        profile,
+        &NetworkProfile::exact(&NetworkModel::ethernet_10baset()),
+    );
+    let constraints = derive_constraints(app, profile);
+    let cold = |dead| {
+        RecoverySolver::new(&graph, &constraints)
+            .solve(dead)
+            .unwrap()
+    };
+    let (base, dead_server) = (cold(None), cold(Some(MachineId::SERVER)));
+    assert_ne!(base, dead_server, "the death must move something");
+    let mut solver = RecoverySolver::new(&graph, &constraints);
+    for (step, dead) in [
+        None,
+        None,
+        Some(MachineId::SERVER),
+        Some(MachineId::SERVER),
+        None,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let expected = if dead.is_none() { &base } else { &dead_server };
+        assert_eq!(
+            &solver.solve(dead).unwrap(),
+            expected,
+            "solve {step} ({dead:?}) differs from a cold solve"
+        );
+    }
+    assert_eq!(solver.cold_solves(), 1, "only the first solve is cold");
+    assert_eq!(solver.warm_solves(), 4);
+}
+
+#[test]
+fn repeated_pin_sets_answer_as_a_cold_solve_would() {
+    let app = app_by_name("octarine").unwrap();
+    let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
+    let run = profile_scenario(app.as_ref(), "o_oldtb3", &classifier).unwrap();
+    assert_repeated_solves_match_cold_ones(app.as_ref(), &run.profile);
+    for seed in [3, 42] {
+        let app = GeneratedApp::new(GenSpec::new(seed, GenSize::Small));
+        let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
+        let profile =
+            profile_scenarios_observed(&app, &app.scenarios(), &classifier, None).unwrap();
+        assert_repeated_solves_match_cold_ones(&app, &profile);
+    }
 }
