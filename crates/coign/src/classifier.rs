@@ -27,7 +27,7 @@
 //! classifications stable across executions.
 
 use coign_com::codec::{Decoder, Encoder};
-use coign_com::{Clsid, ComError, ComResult, ComRuntime, Frame, Iid, InstanceId};
+use coign_com::{Clsid, ComError, ComResult, ComRuntime, FoldState, Frame, Iid, InstanceId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -208,9 +208,9 @@ pub struct ClassifierStats {
 }
 
 struct ClassifierState {
-    interned: HashMap<Descriptor, ClassificationId>,
+    interned: HashMap<Descriptor, ClassificationId, FoldState>,
     descriptors: Vec<Descriptor>,
-    instance_class: HashMap<InstanceId, ClassificationId>,
+    instance_class: HashMap<InstanceId, ClassificationId, FoldState>,
     /// Per-execution instantiation counter (incremental classifier).
     counter: u64,
     instances_seen: u64,
@@ -238,9 +238,9 @@ impl InstanceClassifier {
             kind,
             depth,
             state: Mutex::new(ClassifierState {
-                interned: HashMap::new(),
+                interned: HashMap::default(),
                 descriptors: Vec::new(),
-                instance_class: HashMap::new(),
+                instance_class: HashMap::default(),
                 counter: 0,
                 instances_seen: 0,
             }),
@@ -276,10 +276,13 @@ impl InstanceClassifier {
     ///
     /// Safe to call both before the instance exists (factory placement) and
     /// at creation (binding): the same stack yields the same descriptor.
+    ///
+    /// The descriptor is built from the borrowed stack. The state lock is
+    /// taken first and the stack lock second; nothing takes them in the
+    /// other order.
     pub(crate) fn classify_pending(&self, rt: &ComRuntime, clsid: Clsid) -> ClassificationId {
-        let stack = rt.call_stack();
         let mut st = self.state.lock();
-        let descriptor = self.build_descriptor(clsid, &stack, &mut st);
+        let descriptor = rt.with_call_stack(|stack| self.build_descriptor(clsid, stack, &mut st));
         Self::intern(&mut st, descriptor)
     }
 
@@ -290,9 +293,8 @@ impl InstanceClassifier {
         id: InstanceId,
         clsid: Clsid,
     ) -> ClassificationId {
-        let stack = rt.call_stack();
         let mut st = self.state.lock();
-        let descriptor = self.build_descriptor(clsid, &stack, &mut st);
+        let descriptor = rt.with_call_stack(|stack| self.build_descriptor(clsid, stack, &mut st));
         // The incremental counter advances once per *instance*, so the
         // pending classification (if it was queried) and the bound one agree:
         // build_descriptor uses the counter without advancing; we advance
@@ -430,7 +432,7 @@ impl InstanceClassifier {
     /// Snapshot of the instance→classification binding of the current
     /// execution.
     #[cfg(test)]
-    pub(crate) fn bindings(&self) -> HashMap<InstanceId, ClassificationId> {
+    pub(crate) fn bindings(&self) -> HashMap<InstanceId, ClassificationId, FoldState> {
         self.state.lock().instance_class.clone()
     }
 
@@ -470,7 +472,7 @@ impl InstanceClassifier {
             state: Mutex::new(ClassifierState {
                 interned: st.interned.clone(),
                 descriptors: st.descriptors.clone(),
-                instance_class: HashMap::new(),
+                instance_class: HashMap::default(),
                 counter: 0,
                 instances_seen: 0,
             }),
@@ -519,7 +521,7 @@ impl InstanceClassifier {
         };
         let n = d.get_seq(2)?;
         let mut descriptors = Vec::with_capacity(n);
-        let mut interned = HashMap::with_capacity(n);
+        let mut interned = HashMap::with_capacity_and_hasher(n, FoldState::default());
         for i in 0..n {
             let id = ClassificationId(i as u32 + 1);
             let desc = decode_descriptor(&mut d)?;
@@ -546,7 +548,7 @@ impl InstanceClassifier {
             state: Mutex::new(ClassifierState {
                 interned,
                 descriptors,
-                instance_class: HashMap::new(),
+                instance_class: HashMap::default(),
                 counter: 0,
                 instances_seen: 0,
             }),

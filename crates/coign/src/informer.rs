@@ -442,9 +442,8 @@ impl Invoker for DistributionInvoker {
 
         let caller_machine = rt.current_machine();
         let callee_machine = rt
-            .instance(call.owner)
-            .ok_or(ComError::DeadInstance(call.owner.0))?
-            .machine();
+            .instance_machine(call.owner)
+            .ok_or(ComError::DeadInstance(call.owner.0))?;
 
         if caller_machine == callee_machine {
             let result = self.inner.call(rt, call.method, msg);
@@ -497,9 +496,8 @@ impl Invoker for DistributionInvoker {
             // its own machine died mid-call.
             let caller_machine = rt.current_machine();
             let callee_machine = rt
-                .instance(call.owner)
-                .ok_or(ComError::DeadInstance(call.owner.0))?
-                .machine();
+                .instance_machine(call.owner)
+                .ok_or(ComError::DeadInstance(call.owner.0))?;
             if callee_machine == caller_machine {
                 // The callee migrated next to the caller mid-call.
                 if executed {

@@ -12,7 +12,7 @@
 
 use crate::classifier::ClassificationId;
 use crate::profile::IccProfile;
-use coign_com::{Clsid, Iid, InstanceId};
+use coign_com::{Clsid, FoldState, Iid, InstanceId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -150,8 +150,8 @@ pub struct PairTraffic {
 #[derive(Debug, Default)]
 pub struct ProfilingLogger {
     profile: Mutex<IccProfile>,
-    pairs: Mutex<HashMap<(InstanceId, InstanceId), PairTraffic>>,
-    instance_class: Mutex<HashMap<InstanceId, ClassificationId>>,
+    pairs: Mutex<HashMap<(InstanceId, InstanceId), PairTraffic, FoldState>>,
+    instance_class: Mutex<HashMap<InstanceId, ClassificationId, FoldState>>,
 }
 
 /// Sentinel instance id representing the application root in pair keys
@@ -185,12 +185,14 @@ impl ProfilingLogger {
     }
 
     /// Per-execution instance-pair traffic (order-normalized keys).
-    pub(crate) fn instance_pairs(&self) -> HashMap<(InstanceId, InstanceId), PairTraffic> {
+    pub(crate) fn instance_pairs(
+        &self,
+    ) -> HashMap<(InstanceId, InstanceId), PairTraffic, FoldState> {
         self.pairs.lock().clone()
     }
 
     /// The classification observed for each instance this execution.
-    pub(crate) fn instance_classes(&self) -> HashMap<InstanceId, ClassificationId> {
+    pub(crate) fn instance_classes(&self) -> HashMap<InstanceId, ClassificationId, FoldState> {
         self.instance_class.lock().clone()
     }
 }

@@ -17,7 +17,7 @@ use crate::application::Application;
 use crate::classifier::{ClassificationId, ClassifierKind, InstanceClassifier};
 use crate::logger::{PairTraffic, ROOT_INSTANCE};
 use crate::runtime::profile_scenario;
-use coign_com::{ComResult, InstanceId};
+use coign_com::{ComResult, FoldState, InstanceId};
 use coign_dcom::NetworkProfile;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,8 +49,8 @@ pub fn correlation(a: &CommVector, b: &CommVector) -> f64 {
 /// Builds per-instance communication vectors from one execution's pair
 /// traffic, expressing peers by their classification.
 fn instance_vectors(
-    pairs: &HashMap<(InstanceId, InstanceId), PairTraffic>,
-    instance_classes: &HashMap<InstanceId, ClassificationId>,
+    pairs: &HashMap<(InstanceId, InstanceId), PairTraffic, FoldState>,
+    instance_classes: &HashMap<InstanceId, ClassificationId, FoldState>,
     network: &NetworkProfile,
 ) -> HashMap<InstanceId, CommVector> {
     let class_of = |id: InstanceId| -> ClassificationId {
@@ -247,7 +247,7 @@ mod tests {
     #[test]
     fn vectors_attribute_traffic_to_peer_classifications() {
         use coign_dcom::NetworkModel;
-        let mut pairs = HashMap::new();
+        let mut pairs = HashMap::default();
         pairs.insert(
             (InstanceId(1), InstanceId(2)),
             PairTraffic {
@@ -262,7 +262,7 @@ mod tests {
                 bytes: 100,
             },
         );
-        let mut classes = HashMap::new();
+        let mut classes = HashMap::default();
         classes.insert(InstanceId(1), ClassificationId(10));
         classes.insert(InstanceId(2), ClassificationId(20));
         let network = NetworkProfile::exact(&NetworkModel::ethernet_10baset());

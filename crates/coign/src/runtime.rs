@@ -33,8 +33,8 @@ use crate::profile::IccProfile;
 use crate::recovery::{RecoveryConfig, RecoveryCoordinator};
 use crate::rte::CoignRte;
 use coign_com::{
-    ClassRegistry, Clsid, ComError, ComResult, ComRuntime, CreateRequest, InstanceId, InterfacePtr,
-    MachineId, RtStats, RuntimeHook,
+    ClassRegistry, Clsid, ComError, ComResult, ComRuntime, CreateRequest, FoldState, InstanceId,
+    InterfacePtr, MachineId, RtStats, RuntimeHook,
 };
 use coign_dcom::marshal::SizeCache;
 use coign_dcom::{
@@ -208,12 +208,20 @@ impl RunReport {
     /// counter's key is its metric name less the `coign_` prefix and
     /// `_total` suffix.
     pub fn summary(&self) -> String {
-        let mut placements: Vec<String> = self
-            .instance_placements
-            .iter()
-            .map(|(clsid, machine)| format!("{clsid}@{machine}"))
+        // Sorted as rendered text. Instances of one class on one machine
+        // render alike, so each distinct pair is formatted once and
+        // repeated.
+        let mut pairs = self.instance_placements.clone();
+        pairs.sort_unstable();
+        let mut distinct: Vec<(String, usize)> = pairs
+            .chunk_by(|a, b| a == b)
+            .map(|run| (format!("{}@{}", run[0].0, run[0].1), run.len()))
             .collect();
-        placements.sort();
+        distinct.sort_unstable();
+        let placements: Vec<&str> = distinct
+            .iter()
+            .flat_map(|(text, count)| std::iter::repeat_n(text.as_str(), *count))
+            .collect();
         let mut out = String::new();
         for (metric, value) in self.counters() {
             let key = metric
@@ -254,9 +262,9 @@ pub struct ProfileRun {
     /// The summarized communication profile of this run.
     pub profile: IccProfile,
     /// Per-instance-pair traffic (for communication vectors).
-    pub instance_pairs: HashMap<(InstanceId, InstanceId), PairTraffic>,
+    pub instance_pairs: HashMap<(InstanceId, InstanceId), PairTraffic, FoldState>,
     /// Instance → classification binding of this run.
-    pub instance_classes: HashMap<InstanceId, ClassificationId>,
+    pub instance_classes: HashMap<InstanceId, ClassificationId, FoldState>,
     /// Execution measurements.
     pub report: RunReport,
     /// COIGN045: declared-read-only methods whose instance state changed

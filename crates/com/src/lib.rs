@@ -26,6 +26,7 @@ pub mod clock;
 pub mod codec;
 pub mod error;
 pub mod guid;
+pub mod hash;
 pub mod idl;
 pub mod image;
 pub mod interface;
@@ -37,6 +38,7 @@ pub mod value;
 pub use clock::EventQueue;
 pub use error::{ComError, ComResult};
 pub use guid::{Clsid, Guid, Iid};
+pub use hash::FoldState;
 pub use idl::{InterfaceDesc, MethodDesc, ParamDesc, ParamDir, StateEffect};
 pub use image::{AppImage, ConfigSection};
 pub use interface::{InterfacePtr, Invoker, Message};

@@ -4,8 +4,8 @@ use crate::error::ComResult;
 use crate::guid::{Clsid, Iid};
 use crate::interface::Message;
 use crate::runtime::ComRuntime;
-use parking_lot::Mutex;
 use std::fmt;
+use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
 
 /// Identifies one component *instance* within an execution.
@@ -110,8 +110,10 @@ pub struct Instance {
     pub clsid: Clsid,
     /// The implementation object.
     pub object: Arc<dyn ComObject>,
-    /// Machine the instance currently lives on.
-    machine: Mutex<MachineId>,
+    /// Machine the instance currently lives on. `Relaxed` suffices: the
+    /// value publishes no other data, and all accesses to one atomic agree
+    /// on the order of its writes.
+    machine: AtomicU16,
 }
 
 impl Instance {
@@ -126,19 +128,19 @@ impl Instance {
             id,
             clsid,
             object,
-            machine: Mutex::new(machine),
+            machine: AtomicU16::new(machine.0),
         })
     }
 
     /// Machine the instance currently lives on.
     pub fn machine(&self) -> MachineId {
-        *self.machine.lock()
+        MachineId(self.machine.load(Ordering::Relaxed))
     }
 
     /// Moves the instance to another machine (used when a distribution is
     /// realized).
     pub fn set_machine(&self, m: MachineId) {
-        *self.machine.lock() = m;
+        self.machine.store(m.0, Ordering::Relaxed);
     }
 }
 

@@ -9,6 +9,7 @@
 
 use crate::error::{ComError, ComResult};
 use crate::guid::Clsid;
+use crate::hash::FoldState;
 use crate::idl::InterfaceDesc;
 use crate::object::{ComObject, InstanceId};
 use crate::runtime::ComRuntime;
@@ -103,7 +104,7 @@ impl fmt::Debug for ClassDesc {
 /// Registry of all component classes known to a runtime.
 #[derive(Default)]
 pub struct ClassRegistry {
-    classes: RwLock<HashMap<Clsid, Arc<ClassDesc>>>,
+    classes: RwLock<HashMap<Clsid, Arc<ClassDesc>, FoldState>>,
 }
 
 impl ClassRegistry {

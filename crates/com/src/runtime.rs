@@ -22,6 +22,11 @@
 //! reference cycle, and dropping the runtime frees every component together
 //! with every pointer and wrapper it held. A call through a pointer that
 //! outlived its runtime returns [`ComError::DeadInstance`].
+//!
+//! Instance ids are dense indices: the runtime allocates them from 1 with
+//! no gaps, and the table keeps instance `id` in slot `id - 1`. Finding an
+//! instance is an index, not a hash, and the table is in id order by
+//! construction.
 
 use crate::clock::SimClock;
 use crate::error::{ComError, ComResult};
@@ -30,7 +35,6 @@ use crate::interface::{CallInfo, InterfacePtr, Invoker, Message};
 use crate::object::{CallCtx, ComObject, Instance, InstanceId, MachineId};
 use crate::registry::ClassRegistry;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -118,16 +122,40 @@ pub struct RtStats {
     pub cross_machine_calls: u64,
 }
 
+/// The counters behind [`RtStats`]. Each is `Relaxed`: a statistic
+/// publishes no other data.
+#[derive(Default)]
+struct StatCounters {
+    compute_us: AtomicU64,
+    comm_us: AtomicU64,
+    messages: AtomicU64,
+    bytes: AtomicU64,
+    calls: AtomicU64,
+    cross_machine_calls: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.fetch_add(by, Ordering::Relaxed);
+}
+
+/// The slot of instance `id` in the instance table (`None` for id 0).
+fn slot(id: InstanceId) -> Option<usize> {
+    usize::try_from(id.0).ok()?.checked_sub(1)
+}
+
 /// The component runtime (`CoCreateInstance`, interception, accounting).
 pub struct ComRuntime {
     registry: ClassRegistry,
     clock: SimClock,
     machines: Vec<MachineSpec>,
-    instances: RwLock<HashMap<InstanceId, Arc<Instance>>>,
+    /// Slot `id - 1` holds instance `id`. A slot is `None` only while its
+    /// instance's factory runs (it may create instances of its own first).
+    instances: RwLock<Vec<Option<Arc<Instance>>>>,
     next_instance: AtomicU64,
-    hooks: RwLock<Vec<Arc<dyn RuntimeHook>>>,
+    /// Replaced whole on change, so a snapshot is one `Arc` clone.
+    hooks: RwLock<Arc<[Arc<dyn RuntimeHook>]>>,
     stack: Mutex<Vec<Frame>>,
-    stats: Mutex<RtStats>,
+    stats: StatCounters,
 }
 
 impl ComRuntime {
@@ -140,11 +168,11 @@ impl ComRuntime {
             registry: ClassRegistry::new(),
             clock: SimClock::new(),
             machines,
-            instances: RwLock::new(HashMap::new()),
+            instances: RwLock::new(Vec::new()),
             next_instance: AtomicU64::new(1),
-            hooks: RwLock::new(Vec::new()),
+            hooks: RwLock::new(Arc::new([])),
             stack: Mutex::new(Vec::new()),
-            stats: Mutex::new(RtStats::default()),
+            stats: StatCounters::default(),
         }
     }
 
@@ -179,15 +207,16 @@ impl ComRuntime {
 
     /// Registers an interception hook (appended to the chain).
     pub fn add_hook(&self, hook: Arc<dyn RuntimeHook>) {
-        self.hooks.write().push(hook);
+        let mut hooks = self.hooks.write();
+        *hooks = hooks.iter().cloned().chain([hook]).collect();
     }
 
     /// Removes all interception hooks.
     pub fn clear_hooks(&self) {
-        self.hooks.write().clear();
+        *self.hooks.write() = Arc::new([]);
     }
 
-    fn hooks_snapshot(&self) -> Vec<Arc<dyn RuntimeHook>> {
+    fn hooks_snapshot(&self) -> Arc<[Arc<dyn RuntimeHook>]> {
         self.hooks.read().clone()
     }
 
@@ -195,7 +224,7 @@ impl ComRuntime {
     /// (the `CoCreateInstance` entry point).
     pub fn create_instance(&self, clsid: Clsid, iid: Iid) -> ComResult<InterfacePtr> {
         let req = CreateRequest { clsid, iid };
-        for hook in self.hooks_snapshot() {
+        for hook in self.hooks_snapshot().iter() {
             if let Some(result) = hook.fulfill_create(self, &req) {
                 return result;
             }
@@ -227,8 +256,15 @@ impl ComRuntime {
         let id = InstanceId(self.next_instance.fetch_add(1, Ordering::Relaxed));
         let object = (class.factory)(self, id);
         let instance = Instance::new(id, clsid, object, machine);
-        self.instances.write().insert(id, instance);
-        for hook in self.hooks_snapshot() {
+        {
+            let index = slot(id).expect("instance ids start at 1");
+            let mut slots = self.instances.write();
+            if slots.len() <= index {
+                slots.resize(index + 1, None);
+            }
+            slots[index] = Some(instance);
+        }
+        for hook in self.hooks_snapshot().iter() {
             hook.instance_created(self, id, clsid);
         }
         self.make_ptr(id, iid)
@@ -237,25 +273,18 @@ impl ComRuntime {
     /// Builds a (wrapped) interface pointer for an existing instance —
     /// the `QueryInterface` equivalent by instance id.
     pub fn make_ptr(&self, id: InstanceId, iid: Iid) -> ComResult<InterfacePtr> {
-        let instance = self.instance(id).ok_or(ComError::DeadInstance(id.0))?;
-        let class = self.registry.get(instance.clsid)?;
+        let (clsid, object) = self
+            .with_instance(id, |instance| {
+                (instance.clsid, Arc::downgrade(&instance.object))
+            })
+            .ok_or(ComError::DeadInstance(id.0))?;
+        let class = self.registry.get(clsid)?;
         let desc = class
             .interface(iid)
-            .ok_or(ComError::NoInterface {
-                clsid: instance.clsid,
-                iid,
-            })?
+            .ok_or(ComError::NoInterface { clsid, iid })?
             .clone();
-        let raw = InterfacePtr::from_parts(
-            desc,
-            id,
-            instance.clsid,
-            Arc::new(DirectInvoker {
-                object: Arc::downgrade(&instance.object),
-            }),
-        );
-        let mut ptr = raw;
-        for hook in self.hooks_snapshot() {
+        let mut ptr = InterfacePtr::from_parts(desc, id, clsid, Arc::new(DirectInvoker { object }));
+        for hook in self.hooks_snapshot().iter() {
             ptr = hook.wrap_interface(self, ptr);
         }
         Ok(ptr)
@@ -266,33 +295,43 @@ impl ComRuntime {
         self.make_ptr(ptr.owner(), iid)
     }
 
+    /// Runs `f` on a live instance, borrowed under the table's read lock.
+    fn with_instance<R>(&self, id: InstanceId, f: impl FnOnce(&Arc<Instance>) -> R) -> Option<R> {
+        self.instances.read().get(slot(id)?)?.as_ref().map(f)
+    }
+
     /// Looks up a live instance.
     pub fn instance(&self, id: InstanceId) -> Option<Arc<Instance>> {
-        self.instances.read().get(&id).cloned()
+        self.with_instance(id, Arc::clone)
+    }
+
+    /// The machine a live instance is on, read without cloning the record.
+    pub fn instance_machine(&self, id: InstanceId) -> Option<MachineId> {
+        self.with_instance(id, |instance| instance.machine())
     }
 
     /// Number of live instances.
     pub fn instance_count(&self) -> usize {
-        self.instances.read().len()
+        self.instances.read().iter().flatten().count()
     }
 
-    /// Snapshot of all live instances, ordered by instance id.
+    /// Snapshot of all live instances, ordered by instance id (the table's
+    /// own order).
     pub fn instances_snapshot(&self) -> Vec<Arc<Instance>> {
-        let mut all: Vec<_> = self.instances.read().values().cloned().collect();
-        all.sort_by_key(|i| i.id);
-        all
+        self.instances.read().iter().flatten().cloned().collect()
     }
 
     /// The machine of the currently executing instance (client at top level).
     pub fn current_machine(&self) -> MachineId {
         self.innermost_frame()
-            .and_then(|frame| self.instance(frame.instance))
-            .map_or(MachineId::CLIENT, |i| i.machine())
+            .and_then(|frame| self.instance_machine(frame.instance))
+            .unwrap_or(MachineId::CLIENT)
     }
 
-    /// Snapshot of the interface-call back-trace (innermost frame last).
-    pub fn call_stack(&self) -> Vec<Frame> {
-        self.stack.lock().clone()
+    /// Runs `f` on the interface-call back-trace (innermost frame last),
+    /// borrowed under the stack lock: `f` must not call into the runtime.
+    pub fn with_call_stack<R>(&self, f: impl FnOnce(&[Frame]) -> R) -> R {
+        f(&self.stack.lock())
     }
 
     /// The innermost frame of the back-trace (`None` at top level).
@@ -311,10 +350,7 @@ impl ComRuntime {
     /// Charges `us` microseconds of compute on the instance's machine,
     /// scaled by that machine's CPU factor.
     pub(crate) fn charge_compute(&self, instance: InstanceId, us: u64) {
-        let machine = self
-            .instance(instance)
-            .map(|i| i.machine())
-            .unwrap_or(MachineId::CLIENT);
+        let machine = self.instance_machine(instance).unwrap_or(MachineId::CLIENT);
         let scale = self
             .machines
             .get(machine.0 as usize)
@@ -322,23 +358,30 @@ impl ComRuntime {
             .unwrap_or(1.0);
         let scaled = (us as f64 / scale).round() as u64;
         self.clock.advance_us(scaled);
-        self.stats.lock().compute_us += scaled;
+        bump(&self.stats.compute_us, scaled);
     }
 
     /// Records `us` microseconds of communication moving `bytes` bytes in
     /// `messages` messages (called by the transport layer).
     pub fn charge_comm(&self, us: u64, bytes: u64, messages: u64) {
         self.clock.advance_us(us);
-        let mut stats = self.stats.lock();
-        stats.comm_us += us;
-        stats.bytes += bytes;
-        stats.messages += messages;
-        stats.cross_machine_calls += 1;
+        bump(&self.stats.comm_us, us);
+        bump(&self.stats.bytes, bytes);
+        bump(&self.stats.messages, messages);
+        bump(&self.stats.cross_machine_calls, 1);
     }
 
     /// Snapshot of the run statistics.
     pub fn stats(&self) -> RtStats {
-        *self.stats.lock()
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        RtStats {
+            compute_us: read(&self.stats.compute_us),
+            comm_us: read(&self.stats.comm_us),
+            messages: read(&self.stats.messages),
+            bytes: read(&self.stats.bytes),
+            calls: read(&self.stats.calls),
+            cross_machine_calls: read(&self.stats.cross_machine_calls),
+        }
     }
 }
 
@@ -366,7 +409,7 @@ impl Invoker for DirectInvoker {
             .object
             .upgrade()
             .ok_or(ComError::DeadInstance(call.owner.0))?;
-        rt.stats.lock().calls += 1;
+        bump(&rt.stats.calls, 1);
         rt.push_frame(Frame {
             instance: call.owner,
             clsid: call.owner_clsid,
@@ -577,7 +620,7 @@ mod tests {
             fn instance_created(&self, rt: &ComRuntime, _id: InstanceId, clsid: Clsid) {
                 if clsid == Clsid::from_name("Counter") {
                     self.depth_at_create
-                        .store(rt.call_stack().len() as u64, Ordering::Relaxed);
+                        .store(rt.with_call_stack(<[Frame]>::len) as u64, Ordering::Relaxed);
                 }
             }
         }
@@ -608,7 +651,7 @@ mod tests {
         // The Counter was created from inside Spawner::Spawn → depth 1.
         assert_eq!(hook.depth_at_create.load(Ordering::Relaxed), 1);
         // After the call returns the stack is empty again.
-        assert!(rt.call_stack().is_empty());
+        assert!(rt.with_call_stack(<[Frame]>::is_empty));
         // The returned child pointer works.
         let child = msg.arg(0).unwrap().as_interface().unwrap().clone();
         child
@@ -624,7 +667,7 @@ mod tests {
         // Method 1 wants one out param; arity check fails before dispatch...
         assert!(err.is_err());
         // ...and even a dispatched failure leaves the stack clean.
-        assert!(rt.call_stack().is_empty());
+        assert!(rt.with_call_stack(<[Frame]>::is_empty));
     }
 
     /// A component that keeps whatever interface pointer it is handed and
@@ -716,7 +759,7 @@ mod tests {
         let err = ptr.call(&other, 0, &mut msg).unwrap_err();
         assert!(matches!(err, ComError::DeadInstance(id) if id == owner.0));
         assert_eq!(other.stats().calls, 0);
-        assert!(other.call_stack().is_empty());
+        assert!(other.with_call_stack(<[Frame]>::is_empty));
     }
 
     #[test]
@@ -728,5 +771,65 @@ mod tests {
         let snap = rt.instances_snapshot();
         assert_eq!(snap.len(), 5);
         assert!(snap.windows(2).all(|w| w[0].id < w[1].id));
+    }
+
+    /// A component whose factory creates a child before it is itself in the
+    /// table, so ids enter the table out of order.
+    struct Nest {
+        _child: InterfacePtr,
+    }
+
+    impl ComObject for Nest {
+        fn invoke(
+            &self,
+            _ctx: &CallCtx<'_>,
+            _iid: Iid,
+            _method: u32,
+            _msg: &mut Message,
+        ) -> ComResult<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn instances_are_found_by_id_whatever_order_they_enter_the_table() {
+        let (rt, counter, counter_iid) = setup();
+        let inest = InterfaceBuilder::new("INest").build();
+        let nest_iid = inest.iid;
+        let nest = rt
+            .registry()
+            .register("Nest", vec![inest], ApiImports::NONE, move |rt, _| {
+                let child = rt
+                    .create_instance(counter, counter_iid)
+                    .expect("Counter is registered");
+                Arc::new(Nest { _child: child })
+            });
+        // Nest #1's factory creates Counter #2, which is inserted first.
+        let first = rt.create_instance(nest, nest_iid).unwrap();
+        let second = rt.create_instance(nest, nest_iid).unwrap();
+        assert_eq!(
+            (first.owner(), second.owner()),
+            (InstanceId(1), InstanceId(3))
+        );
+        for (id, clsid) in [(1, nest), (2, counter), (3, nest), (4, counter)] {
+            let instance = rt.instance(InstanceId(id)).unwrap();
+            assert_eq!((instance.id, instance.clsid), (InstanceId(id), clsid));
+            assert_eq!(rt.instance_machine(InstanceId(id)), Some(MachineId::CLIENT));
+        }
+        let order: Vec<u64> = rt.instances_snapshot().iter().map(|i| i.id.0).collect();
+        assert_eq!(order, [1, 2, 3, 4]);
+        assert_eq!(rt.instance_count(), 4);
+        // Dense: slot `id - 1` holds instance `id`, so no slot is spare.
+        assert_eq!(rt.instances.read().len(), 4);
+        for missing in [InstanceId(0), InstanceId(5), InstanceId(u64::MAX)] {
+            assert!(rt.instance(missing).is_none());
+            assert_eq!(rt.instance_machine(missing), None);
+        }
+
+        rt.instance(InstanceId(2))
+            .unwrap()
+            .set_machine(MachineId::SERVER);
+        assert_eq!(rt.instance_machine(InstanceId(2)), Some(MachineId::SERVER));
+        assert_eq!(rt.instance_machine(InstanceId(4)), Some(MachineId::CLIENT));
     }
 }

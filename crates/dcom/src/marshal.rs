@@ -15,7 +15,7 @@
 //! execution (which they are, because both call this module).
 
 use coign_com::idl::MethodDesc;
-use coign_com::{ComError, ComResult, Iid, Message, Value};
+use coign_com::{ComError, ComResult, FoldState, Iid, Message, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,6 +158,9 @@ fn directional_fingerprint(method: &MethodDesc, msg: &Message, want_request: boo
     Some(h)
 }
 
+/// `(iid, method, request?, shape fingerprint)`.
+type SizeKey = (Iid, u32, bool, u64);
+
 /// Memoizes deep-copy message sizes by `(iid, method, direction,
 /// value-shape fingerprint)`.
 ///
@@ -173,7 +176,7 @@ fn directional_fingerprint(method: &MethodDesc, msg: &Message, want_request: boo
 /// the non-remotable error path and must re-fire every time.
 #[derive(Debug, Default)]
 pub struct SizeCache {
-    map: Mutex<HashMap<(Iid, u32, bool, u64), u64>>,
+    map: Mutex<HashMap<SizeKey, u64, FoldState>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }

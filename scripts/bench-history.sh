@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The append-only perf trajectory: runs the BENCHMARK.json command once per
-# workload and appends {commit, date, nproc, workload, metrics} — metrics
-# being the benchmark's own last stdout line — to BENCH_HISTORY.jsonl
+# workload and appends {commit, date, nproc, workload, exit, metrics} —
+# metrics being the benchmark's own last stdout line, or null when the run
+# printed none — to BENCH_HISTORY.jsonl
 # (git-ignored; commit it deliberately or not at all). It gates nothing and
 # compares nothing; a dirty tree is recorded under its HEAD commit.
 set -euo pipefail
@@ -19,8 +20,13 @@ for workload in (w["name"] for w in decl["workloads"]):
     run = subprocess.run(
         decl["command"] + ["--workload", workload, "--seconds", str(decl["run_seconds"]), "--trace", "0"],
         stdout=subprocess.PIPE, text=True, check=False)
-    last = json.loads(run.stdout.strip().splitlines()[-1])
+    # A run that printed no JSON line is recorded with its exit status and
+    # null metrics; it does not stop the workloads after it.
+    try:
+        last = json.loads(run.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        last = None
     with open("BENCH_HISTORY.jsonl", "a") as history:
-        history.write(json.dumps({**stamp, "workload": workload, "metrics": last}) + "\n")
-    print(f"{workload}: appended (exit {run.returncode})")
+        history.write(json.dumps({**stamp, "workload": workload, "exit": run.returncode, "metrics": last}) + "\n")
+    print(f"{workload}: appended (exit {run.returncode}{'' if last else ', no metrics'})")
 EOF

@@ -6,9 +6,17 @@
 # printing each pair's failed operations, exit statuses and end-to-end
 # metrics (round_ms_p50, work_per_s, ...), then one summary block: failing
 # runs per side, and per metric the parent's median and IQR, the change's
-# median, how many pairs the change won and the median b/a ratio. A run
-# that exits non-zero is reported, not fatal. Writes nothing inside the
-# repo.
+# median, how many pairs the change won, the median b/a ratio and a
+# verdict under the metric's BENCHMARK.json bound:
+#   gain          the change won >= 9/10 of the pairs and the medians differ
+#                 by more than the parent's IQR;
+#   identical     equal in every pair (the sim_* metrics);
+#   within bound  not worse in the median, or worse by at most the bound;
+#   unresolved    worse in the median, but the wider IQR of the two sides
+#                 exceeds the bound, so the runs cannot tell;
+#   regression    worse by more than the bound.
+# A run that exits non-zero is reported, not fatal. Writes nothing inside
+# the repo.
 #
 #   scripts/bench-pair.sh <rev-a> <rev-b> <workload[,workload...]|all> [pairs, default 10]
 #
@@ -36,6 +44,27 @@ work, names, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
 decl = {side: json.load(open(f"{work}/{side}/BENCHMARK.json")) for side in "ab"}
 workloads = [w["name"] for w in decl["a"]["workloads"]] if names == "all" else names.split(",")
 lower_is_better = {m["name"]: m["better"] == "lower" for m in decl["a"]["end_to_end"]}
+bound = {m["name"]: m["bound"] for m in decl["a"]["end_to_end"]}
+def iqr(xs):
+    q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+    return q3 - q1
+def verdict(both, lower, k):
+    # How one metric's pairs read under its bound. `worse` and `spread` are
+    # fractions of the parent's median.
+    a, b = [x for x, _ in both], [y for _, y in both]
+    if all(x == y for x, y in both):
+        return "identical"
+    ma, mb = statistics.median(a), statistics.median(b)
+    wins = sum((y < x) if lower else (y > x) for x, y in both)
+    if 10 * wins >= 9 * len(both) and abs(mb - ma) > iqr(a) and (mb < ma) == lower:
+        return "gain"
+    worse = ((mb - ma) if lower else (ma - mb)) / ma if ma else 0.0
+    spread = max(iqr(a), iqr(b)) / abs(ma) if ma else 0.0
+    if worse <= 0:
+        return "within bound"
+    if spread > bound[k]:
+        return "unresolved"
+    return "regression" if worse > bound[k] else "within bound"
 def run(side, workload):
     # A run that exits non-zero still reports: its last JSON line, if it
     # printed one, and its exit status, so a broken check shows as evidence
@@ -69,9 +98,9 @@ for workload in workloads:
             print(f"{workload} {k}: no pair reported it on both sides", flush=True)
             continue
         a, b = [x for x, _ in both], [y for _, y in both]
-        q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else a * 3
         wins = sum((y < x) if lower else (y > x) for x, y in both)
         ratio = statistics.median(y / x if x else float("nan") for x, y in both)
-        print(f"{workload} {k}: a median {statistics.median(a):.6g} (IQR {q3 - q1:.3g}), "
-              f"b median {statistics.median(b):.6g}, b better in {wins}/{len(both)}, median b/a {ratio:.3f}", flush=True)
+        print(f"{workload} {k}: a median {statistics.median(a):.6g} (IQR {iqr(a):.3g}), "
+              f"b median {statistics.median(b):.6g}, b better in {wins}/{len(both)}, median b/a {ratio:.3f}: "
+              f"{verdict(both, lower, k)}", flush=True)
 EOF

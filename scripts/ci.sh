@@ -114,6 +114,24 @@ if cmp -s "$TMP/fault_run_seed_7.txt" "$TMP/fault_run_seed_11.txt"; then
   exit 1
 fi
 
+echo "==> profiled images are byte-identical across processes (octarine, gen:)"
+# Every map the profiling path fills is seeded per process, so an image
+# written in iteration order of one would differ between two processes.
+# Instrument and profile the same app in two separate process chains and
+# compare the bytes.
+for tag in a b; do
+  "$BIN" instrument octarine "$TMP/det_${tag}.cimg" >/dev/null
+  "$BIN" profile "$TMP/det_${tag}.cimg" o_oldtb3 >/dev/null
+  "$BIN" profile "$TMP/det_${tag}.cimg" o_newdoc >/dev/null
+  mkdir "$TMP/det_gen_${tag}"
+  "$BIN" gen --seed 5 --emit "$TMP/det_gen_${tag}" >/dev/null
+  "$BIN" profile "$TMP/det_gen_${tag}/gen-5-small.cimg" g_main g_doc >/dev/null
+done
+cmp "$TMP/det_a.cimg" "$TMP/det_b.cimg" \
+  || { echo "two processes profiled octarine into different images"; exit 1; }
+cmp "$TMP/det_gen_a/gen-5-small.cimg" "$TMP/det_gen_b/gen-5-small.cimg" \
+  || { echo "two processes profiled gen seed 5 into different images"; exit 1; }
+
 echo "==> chaos harness determinism (two seeds vs committed expectations, --jobs cross-check)"
 # The chaos summary must be byte-identical for a given seed — across
 # machines (the committed expectations), across runs, and across worker
