@@ -10,18 +10,27 @@ use std::sync::Mutex;
 /// Runs `job(0) … job(n-1)` on up to `jobs` worker threads (at least one,
 /// at most `n`) and returns the results in index order.
 ///
+/// A one-worker pool is the caller's own thread: the jobs run inline, in
+/// index order, with no thread spawned (and so no second allocator arena
+/// for a shard or trial to grow). Thread-local state a job leaves behind,
+/// such as `coign_flow::min_cut_invocations`, is then the caller's.
+///
 /// Workers claim indices from a shared ticket counter, so a slow job never
 /// idles the pool; each result lands in its own slot, so completion order
 /// is invisible to the caller. A job's `Err` is just its result — it comes
 /// back in its slot for the caller to propagate in index order. A panicking
 /// job panics the caller when the pool joins.
 pub fn run_indexed<T: Send>(n: usize, jobs: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = jobs.clamp(1, n.max(1));
+    if workers == 1 {
+        return (0..n).map(job).collect();
+    }
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     // Relaxed: the counter only hands out tickets; results are published by
     // the slot mutexes and the scope's join.
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..jobs.clamp(1, n.max(1)) {
+        for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
@@ -95,5 +104,21 @@ mod tests {
             let collected: Result<Vec<usize>, String> = out.into_iter().collect();
             assert_eq!(collected, Err("job 4 failed".to_string()));
         }
+    }
+
+    #[test]
+    fn a_one_worker_pool_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        for (n, jobs) in [(5, 0), (5, 1), (1, 8)] {
+            let out = run_indexed(n, jobs, |i| (i, std::thread::current().id()));
+            assert_eq!(
+                out,
+                (0..n).map(|i| (i, caller)).collect::<Vec<_>>(),
+                "n={n} jobs={jobs}"
+            );
+        }
+        // Two workers really are other threads.
+        let out = run_indexed(2, 2, |_| std::thread::current().id());
+        assert!(out.iter().all(|id| *id != caller));
     }
 }

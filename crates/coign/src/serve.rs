@@ -39,7 +39,7 @@ use crate::jobs::run_indexed;
 use crate::multiway::ReplicaRouter;
 use crate::profile::IccProfile;
 use coign_com::{ComError, ComResult, EventQueue, MachineId};
-use coign_dcom::batch::{FlushReason, LinkBatcher, LinkKey};
+use coign_dcom::batch::{FlushReason, LinkBatcher, LinkKey, PendingMessage};
 use coign_dcom::{
     BreakerDecision, BreakerPolicy, CallPolicy, FaultPlan, FaultStats, HealthMonitor, NetworkModel,
 };
@@ -700,6 +700,10 @@ struct Shard<'a> {
     think_state: u64,
     queue: EventQueue<Event>,
     batcher: LinkBatcher<u32>,
+    /// The one buffer every flush drains its batch into and hands back:
+    /// it and the batcher's per-link buffers trade places, so a
+    /// steady-state flush allocates nothing.
+    flush_buf: Vec<PendingMessage<u32>>,
     sessions: Vec<SessionState>,
     /// The session pool: a LIFO free list of instantiated slots. Slots are
     /// only ever created on a miss, so `report.pool_misses` ends as the peak
@@ -780,6 +784,7 @@ impl<'a> Shard<'a> {
             think_state: shard_seed ^ 0xA076_1D64_78BD_642F,
             queue: EventQueue::with_capacity(shard_sessions as usize + 64),
             batcher: LinkBatcher::new(opts.window_us),
+            flush_buf: Vec::new(),
             sessions: vec![SessionState::default(); shard_sessions as usize],
             free_slots: Vec::new(),
             machine_now: Vec::new(),
@@ -1034,7 +1039,7 @@ impl<'a> Shard<'a> {
         }
         // Unbatched datagrams meet the wire at send time.
         if let Some(err) = self.wire_failure(link, t, "datagram") {
-            self.fail_on_wire(link, t, &err, &[s]);
+            self.fail_on_wire(link, t, &err, std::iter::once(s));
             return;
         }
         // Independent datagram: it occupies the link for its payload plus a
@@ -1093,7 +1098,13 @@ impl<'a> Shard<'a> {
     /// breaker observation however many members it carried, machines the
     /// breaker opens are declared dead, and every member's attempt times
     /// out into the retry policy.
-    fn fail_on_wire(&mut self, link: LinkKey, now: u64, err: &ComError, members: &[u32]) {
+    fn fail_on_wire(
+        &mut self,
+        link: LinkKey,
+        now: u64,
+        err: &ComError,
+        members: impl ExactSizeIterator<Item = u32>,
+    ) {
         let Some(f) = self.fault.as_mut() else {
             return;
         };
@@ -1107,7 +1118,7 @@ impl<'a> Shard<'a> {
         }
         f.out.stats.timeouts += members.len() as u64;
         let wait_us = f.policy.timeout_us;
-        for &s in members {
+        for s in members {
             self.retry(s, now, wait_us);
         }
     }
@@ -1149,13 +1160,21 @@ impl<'a> Shard<'a> {
     /// retry policy. Each delivered member's reply schedules its session's
     /// next `Issue`.
     fn on_flush(&mut self, now: u64, link: LinkKey, gated: bool) {
+        let mut batch = std::mem::take(&mut self.flush_buf);
         if let Some(err) = self.wire_failure(link, now, "batch") {
-            let failed = self.batcher.fail_open(link, &err);
-            let members: Vec<u32> = failed.iter().map(|(msg, _)| msg.payload).collect();
-            self.fail_on_wire(link, now, &err, &members);
-            return;
+            self.batcher.fail_open(link, &mut batch);
+            self.fail_on_wire(link, now, &err, batch.iter().map(|msg| msg.payload));
+        } else {
+            self.batcher.drain_into(link, &mut batch);
+            self.transmit(now, link, gated, &batch);
         }
-        let batch = self.batcher.drain(link);
+        batch.clear();
+        self.flush_buf = batch;
+    }
+
+    /// The flushed `batch` crosses `link` as one datagram and its members
+    /// are served FIFO at the target machine.
+    fn transmit(&mut self, now: u64, link: LinkKey, gated: bool, batch: &[PendingMessage<u32>]) {
         debug_assert!(!batch.is_empty(), "flush fired on an idle link");
         self.batcher.note_flush(if gated {
             FlushReason::LinkFreed
@@ -1188,7 +1207,7 @@ impl<'a> Shard<'a> {
         // Server compute begins at the first member's service start; the
         // batch's whole compute bill is charged there per class.
         let mut compute_at = u64::MAX;
-        for msg in &batch {
+        for msg in batch {
             // Members arrive pipelined: each becomes visible to the server
             // as soon as its own payload bytes land.
             cursor += payload_us(net, msg.bytes);

@@ -23,11 +23,19 @@
 //! The batcher is deliberately passive: it never owns a clock or an event
 //! queue. The caller (the discrete-event shard loop in `coign::serve`)
 //! schedules the flush event at the time [`LinkBatcher::enqueue`] returns
-//! and calls [`LinkBatcher::drain`] when that event fires. This keeps the
-//! module synchronous, single-threaded, and trivially deterministic.
+//! and calls [`LinkBatcher::drain_into`] (or [`LinkBatcher::drain`]) when
+//! that event fires. This keeps the module synchronous, single-threaded,
+//! and trivially deterministic.
+//!
+//! A batcher talks over a handful of directed links (a serve shard: its
+//! client→server link plus the replica targets failover adds), so each
+//! link's open batch lives in a slot of a small vec found by a linear
+//! scan: an index compare per message instead of a keyed hash. A slot is
+//! never removed, so an idle link keeps its emptied buffer, and a caller
+//! that drains into one recycled buffer of its own allocates nothing per
+//! flush once the buffers have grown.
 
-use coign_com::{ComError, MachineId};
-use std::collections::HashMap;
+use coign_com::MachineId;
 
 /// A directed machine-to-machine link.
 pub type LinkKey = (MachineId, MachineId);
@@ -69,11 +77,6 @@ pub struct BatchStats {
     pub window_flushes: u64,
     /// Flushes held open until the link freed ([`FlushReason::LinkFreed`]).
     pub link_free_flushes: u64,
-    /// Open batches failed as units because their link died
-    /// ([`LinkBatcher::fail_open`]).
-    pub failed_batches: u64,
-    /// Messages drained with a typed error from failed batches.
-    pub failed_messages: u64,
 }
 
 /// Per-link batch accumulator with a fixed coalescing window.
@@ -98,7 +101,9 @@ pub struct BatchStats {
 #[derive(Debug)]
 pub struct LinkBatcher<T> {
     window_us: u64,
-    open: HashMap<LinkKey, Vec<PendingMessage<T>>>,
+    /// One slot per directed link ever enqueued on, in first-use order;
+    /// an empty buffer is an idle link.
+    open: Vec<(LinkKey, Vec<PendingMessage<T>>)>,
     stats: BatchStats,
 }
 
@@ -107,9 +112,14 @@ impl<T> LinkBatcher<T> {
     pub fn new(window_us: u64) -> Self {
         LinkBatcher {
             window_us,
-            open: HashMap::new(),
+            open: Vec::new(),
             stats: BatchStats::default(),
         }
+    }
+
+    /// Index of the link's slot, if the link has ever been enqueued on.
+    fn position(&self, link: LinkKey) -> Option<usize> {
+        self.open.iter().position(|(key, _)| *key == link)
     }
 
     /// Adds a message to the link's open batch, opening one if the link is
@@ -121,7 +131,11 @@ impl<T> LinkBatcher<T> {
     pub fn enqueue(&mut self, link: LinkKey, bytes: u64, payload: T, now_us: u64) -> Option<u64> {
         self.stats.messages += 1;
         self.stats.bytes += bytes;
-        let queue = self.open.entry(link).or_default();
+        let i = self.position(link).unwrap_or_else(|| {
+            self.open.push((link, Vec::new()));
+            self.open.len() - 1
+        });
+        let queue = &mut self.open[i].1;
         queue.push(PendingMessage { bytes, payload });
         if queue.len() == 1 {
             self.stats.batches += 1;
@@ -134,36 +148,39 @@ impl<T> LinkBatcher<T> {
     /// Closes the link's open batch and returns its messages in enqueue
     /// order. Called when the flush event fires; the link becomes idle.
     pub fn drain(&mut self, link: LinkKey) -> Vec<PendingMessage<T>> {
-        self.open.remove(&link).unwrap_or_default()
+        match self.position(link) {
+            Some(i) => std::mem::take(&mut self.open[i].1),
+            None => Vec::new(),
+        }
+    }
+
+    /// [`drain`](LinkBatcher::drain) without allocating: `out` (whatever it
+    /// held is discarded) receives the link's open batch in enqueue order,
+    /// and the link keeps `out`'s old buffer, capacity and all, for its
+    /// next batch. A caller that drains every flush into one recycled
+    /// buffer allocates nothing per flush once the buffers have grown.
+    pub fn drain_into(&mut self, link: LinkKey, out: &mut Vec<PendingMessage<T>>) {
+        out.clear();
+        if let Some(i) = self.position(link) {
+            std::mem::swap(&mut self.open[i].1, out);
+        }
     }
 
     /// Fails the link's open batch because the link died (machine down or
-    /// partition) with the batch still coalescing. Every member is drained
-    /// in enqueue order, paired with a clone of the typed `error`, so the
-    /// caller can re-resolve each call (retry, failover) instead of
-    /// silently charging transit on a dead link. The link becomes idle; a
-    /// still-scheduled flush event will find nothing to drain. Failing an
-    /// idle link is a no-op.
-    pub fn fail_open(
-        &mut self,
-        link: LinkKey,
-        error: &ComError,
-    ) -> Vec<(PendingMessage<T>, ComError)> {
-        let members = self.open.remove(&link).unwrap_or_default();
-        if !members.is_empty() {
-            self.stats.failed_batches += 1;
-            self.stats.failed_messages += members.len() as u64;
-        }
-        members
-            .into_iter()
-            .map(|message| (message, error.clone()))
-            .collect()
+    /// partition) with the batch still coalescing: every member lands in
+    /// `out` in enqueue order, as with [`drain_into`](LinkBatcher::drain_into),
+    /// so the caller can re-resolve each call (retry, failover) instead of
+    /// silently charging transit on a dead link. No flush is noted. The
+    /// link becomes idle; a still-scheduled flush event will find nothing
+    /// to drain. Failing an idle link leaves `out` empty.
+    pub fn fail_open(&mut self, link: LinkKey, out: &mut Vec<PendingMessage<T>>) {
+        self.drain_into(link, out);
     }
 
     /// Messages currently waiting in the link's open batch.
     #[cfg(test)]
     fn pending(&self, link: LinkKey) -> usize {
-        self.open.get(&link).map_or(0, Vec::len)
+        self.position(link).map_or(0, |i| self.open[i].1.len())
     }
 
     /// Records why a flush fired. The caller — who scheduled the flush at
@@ -271,31 +288,26 @@ mod tests {
     }
 
     #[test]
-    fn fail_open_drains_members_with_the_typed_error() {
+    fn fail_open_drains_members_into_the_buffer() {
         let mut b: LinkBatcher<u32> = LinkBatcher::new(50);
         assert!(b.enqueue(link(), 100, 7, 0).is_some());
         assert!(b.enqueue(link(), 200, 8, 10).is_none());
-        let dead = ComError::MachineDown(MachineId(1));
-        let failed = b.fail_open(link(), &dead);
+        let mut failed = Vec::new();
+        b.fail_open(link(), &mut failed);
         assert_eq!(
             failed
                 .iter()
-                .map(|(m, _)| (m.bytes, m.payload))
+                .map(|m| (m.bytes, m.payload))
                 .collect::<Vec<_>>(),
             [(100, 7), (200, 8)],
             "members drain in enqueue order"
         );
-        assert!(
-            failed.iter().all(|(_, e)| *e == dead),
-            "every member carries the typed link-death error"
-        );
         assert_eq!(b.pending(link()), 0);
         let stats = b.stats();
-        assert_eq!(stats.failed_batches, 1);
-        assert_eq!(stats.failed_messages, 2);
-        // Failing an idle link is a no-op and counts nothing.
-        assert!(b.fail_open(link(), &dead).is_empty());
-        assert_eq!(b.stats().failed_batches, 1);
+        assert_eq!(stats.window_flushes + stats.link_free_flushes, 0);
+        // Failing an idle link leaves the buffer empty.
+        b.fail_open(link(), &mut failed);
+        assert!(failed.is_empty());
         // The link is idle again: the next message opens a fresh window,
         // and the still-scheduled flush of the failed batch finds nothing.
         assert!(b.enqueue(link(), 10, 9, 100).is_some());
@@ -303,8 +315,150 @@ mod tests {
     }
 
     #[test]
+    fn drain_into_swaps_buffers_so_a_recycled_flush_allocates_nothing() {
+        let mut b: LinkBatcher<u32> = LinkBatcher::new(50);
+        let mut out = Vec::with_capacity(8);
+        out.push(PendingMessage {
+            bytes: 1,
+            payload: 99,
+        });
+        for round in 0..3u32 {
+            b.enqueue(link(), 10, round, u64::from(round) * 100);
+            b.enqueue(link(), 20, round + 10, u64::from(round) * 100 + 1);
+            b.drain_into(link(), &mut out);
+            assert_eq!(
+                out.iter().map(|m| m.payload).collect::<Vec<_>>(),
+                [round, round + 10],
+                "round {round}: the batch, and nothing stale"
+            );
+            assert_eq!(b.pending(link()), 0);
+            out.clear();
+        }
+        // Two buffers circulate between the caller and the link's slot,
+        // and neither is reallocated once grown.
+        let ptr = out.as_ptr();
+        b.enqueue(link(), 10, 1, 1_000);
+        b.drain_into(link(), &mut out);
+        out.clear();
+        b.enqueue(link(), 10, 2, 2_000);
+        b.drain_into(link(), &mut out);
+        assert_eq!(out.as_ptr(), ptr, "the buffer came back around");
+        // An unknown link drains nothing.
+        b.drain_into((MachineId(7), MachineId(8)), &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
     fn zero_window_flushes_at_now() {
         let mut b: LinkBatcher<()> = LinkBatcher::new(0);
         assert_eq!(b.enqueue(link(), 1, (), 777), Some(777));
+    }
+
+    /// The batcher as it was before links had slots: a SipHash map whose
+    /// entry is removed by every drain. The reference the slot table must
+    /// match step for step.
+    struct MapBatcher<T> {
+        window_us: u64,
+        open: std::collections::HashMap<LinkKey, Vec<PendingMessage<T>>>,
+        stats: BatchStats,
+    }
+
+    impl<T> MapBatcher<T> {
+        fn enqueue(&mut self, link: LinkKey, bytes: u64, payload: T, now_us: u64) -> Option<u64> {
+            self.stats.messages += 1;
+            self.stats.bytes += bytes;
+            let queue = self.open.entry(link).or_default();
+            queue.push(PendingMessage { bytes, payload });
+            if queue.len() == 1 {
+                self.stats.batches += 1;
+                Some(now_us.saturating_add(self.window_us))
+            } else {
+                None
+            }
+        }
+
+        fn drain(&mut self, link: LinkKey) -> Vec<PendingMessage<T>> {
+            self.open.remove(&link).unwrap_or_default()
+        }
+
+        fn pending(&self, link: LinkKey) -> usize {
+            self.open.get(&link).map_or(0, Vec::len)
+        }
+
+        fn note_flush(&mut self, reason: FlushReason) {
+            match reason {
+                FlushReason::WindowExpired => self.stats.window_flushes += 1,
+                FlushReason::LinkFreed => self.stats.link_free_flushes += 1,
+            }
+        }
+    }
+
+    #[test]
+    fn slot_table_matches_the_map_batcher_step_for_step() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Two links share a source machine, and one pair is used in both
+        // directions.
+        let links: [LinkKey; 5] = [
+            (MachineId::CLIENT, MachineId(1)),
+            (MachineId::CLIENT, MachineId(2)),
+            (MachineId(1), MachineId::CLIENT),
+            (MachineId(2), MachineId(3)),
+            (MachineId(3), MachineId(1)),
+        ];
+        for seed in 0..256u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let window = rng.gen_range(0..200);
+            let mut slots: LinkBatcher<u32> = LinkBatcher::new(window);
+            let mut map = MapBatcher {
+                window_us: window,
+                open: std::collections::HashMap::new(),
+                stats: BatchStats::default(),
+            };
+            // Reused across steps; it keeps its capacity, and sometimes
+            // still holds a stale member when it is handed back.
+            let mut out = Vec::new();
+            let mut now = 0u64;
+            for step in 0..64u32 {
+                now += rng.gen_range(0..50u64);
+                let link = links[rng.gen_range(0..links.len())];
+                let case = format!("seed {seed} step {step} link {link:?}");
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let bytes = rng.gen_range(0..4_096);
+                        assert_eq!(
+                            slots.enqueue(link, bytes, step, now),
+                            map.enqueue(link, bytes, step, now),
+                            "flush time, {case}"
+                        );
+                    }
+                    5 => assert_eq!(slots.drain(link), map.drain(link), "drain, {case}"),
+                    6 | 7 => {
+                        if rng.gen_bool(0.5) {
+                            out.clear();
+                        }
+                        if rng.gen_bool(0.5) {
+                            slots.drain_into(link, &mut out);
+                        } else {
+                            slots.fail_open(link, &mut out);
+                        }
+                        assert_eq!(out, map.drain(link), "drain_into/fail_open, {case}");
+                    }
+                    _ => {
+                        let reason = if rng.gen_bool(0.5) {
+                            FlushReason::WindowExpired
+                        } else {
+                            FlushReason::LinkFreed
+                        };
+                        slots.note_flush(reason);
+                        map.note_flush(reason);
+                    }
+                }
+                for l in links {
+                    assert_eq!(slots.pending(l), map.pending(l), "pending {l:?}, {case}");
+                }
+                assert_eq!(slots.stats(), map.stats, "stats, {case}");
+            }
+        }
     }
 }

@@ -165,7 +165,10 @@ pub struct HealthStats {
 
 #[derive(Default)]
 struct HealthInner {
-    links: BTreeMap<(u16, u16), LinkHealth>,
+    /// One breaker per order-normalized machine pair, found by a linear
+    /// scan: a run has a handful of links, and `check`/`on_success` run on
+    /// every remote call, so an index compare beats a tree walk.
+    links: Vec<((u16, u16), LinkHealth)>,
     /// Consecutive `MachineDown` outcomes per target machine.
     machine_failures: BTreeMap<u16, u32>,
     /// Machines whose breaker is open (declared dead).
@@ -173,6 +176,21 @@ struct HealthInner {
     /// Dead machines not yet drained by the recovery layer.
     opened_queue: Vec<MachineId>,
     stats: HealthStats,
+}
+
+impl HealthInner {
+    /// The `from`↔`to` breaker, created closed on first sight.
+    fn link(&mut self, from: MachineId, to: MachineId) -> &mut LinkHealth {
+        let key = HealthMonitor::key(from, to);
+        let i = match self.links.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                self.links.push((key, LinkHealth::new()));
+                self.links.len() - 1
+            }
+        };
+        &mut self.links[i].1
+    }
 }
 
 /// Health state for every link and machine of one run.
@@ -214,10 +232,7 @@ impl HealthMonitor {
     /// `now_us`: allow, admit as probe, or fail fast.
     pub fn check(&self, from: MachineId, to: MachineId, now_us: u64) -> BreakerDecision {
         let mut inner = self.inner.lock();
-        let link = inner
-            .links
-            .entry(Self::key(from, to))
-            .or_insert_with(LinkHealth::new);
+        let link = inner.link(from, to);
         match link.state {
             BreakerState::Closed | BreakerState::HalfOpen => BreakerDecision::Allow,
             BreakerState::Open => {
@@ -240,10 +255,7 @@ impl HealthMonitor {
     /// policy's success threshold).
     pub fn on_success(&self, from: MachineId, to: MachineId) -> Option<BreakerTransition> {
         let mut inner = self.inner.lock();
-        let link = inner
-            .links
-            .entry(Self::key(from, to))
-            .or_insert_with(LinkHealth::new);
+        let link = inner.link(from, to);
         link.consecutive_failures = 0;
         if link.state == BreakerState::HalfOpen {
             link.consecutive_successes += 1;
@@ -277,10 +289,7 @@ impl HealthMonitor {
         let kind = FailureKind::classify(error);
         let mut inner = self.inner.lock();
         let threshold = self.policy.failure_threshold;
-        let link = inner
-            .links
-            .entry(Self::key(from, to))
-            .or_insert_with(LinkHealth::new);
+        let link = inner.link(from, to);
         link.consecutive_successes = 0;
         link.consecutive_failures += 1;
         let trip = match link.state {
@@ -316,12 +325,13 @@ impl HealthMonitor {
     /// has never reported an outcome).
     #[cfg(test)]
     pub(crate) fn link_state(&self, from: MachineId, to: MachineId) -> BreakerState {
+        let key = Self::key(from, to);
         self.inner
             .lock()
             .links
-            .get(&Self::key(from, to))
-            .map(|l| l.state)
-            .unwrap_or(BreakerState::Closed)
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map_or(BreakerState::Closed, |(_, l)| l.state)
     }
 
     /// True when `machine`'s breaker has opened (the machine is presumed
@@ -350,8 +360,8 @@ impl HealthMonitor {
         inner.stats == HealthStats::default()
             && inner
                 .links
-                .values()
-                .all(|l| l.state == BreakerState::Closed && l.consecutive_failures == 0)
+                .iter()
+                .all(|(_, l)| l.state == BreakerState::Closed && l.consecutive_failures == 0)
     }
 
     /// Absorbs the counters into a metrics registry under the
@@ -635,6 +645,205 @@ mod tests {
         assert_eq!(
             registry.counter_value("coign_health_fast_fails_total"),
             Some(1)
+        );
+    }
+
+    /// The monitor as it was before breakers had slots: a `BTreeMap` per
+    /// table. The reference the scanned link table must match step for
+    /// step.
+    struct MapMonitor {
+        policy: BreakerPolicy,
+        links: BTreeMap<(u16, u16), LinkHealth>,
+        machine_failures: BTreeMap<u16, u32>,
+        dead_machines: BTreeMap<u16, ()>,
+        opened_queue: Vec<MachineId>,
+        stats: HealthStats,
+    }
+
+    impl MapMonitor {
+        fn new(policy: BreakerPolicy) -> Self {
+            MapMonitor {
+                policy,
+                links: BTreeMap::new(),
+                machine_failures: BTreeMap::new(),
+                dead_machines: BTreeMap::new(),
+                opened_queue: Vec::new(),
+                stats: HealthStats::default(),
+            }
+        }
+
+        fn check(&mut self, from: MachineId, to: MachineId, now_us: u64) -> BreakerDecision {
+            let link = self
+                .links
+                .entry(HealthMonitor::key(from, to))
+                .or_insert_with(LinkHealth::new);
+            match link.state {
+                BreakerState::Closed | BreakerState::HalfOpen => BreakerDecision::Allow,
+                BreakerState::Open => {
+                    if now_us >= link.next_probe_us {
+                        link.state = BreakerState::HalfOpen;
+                        link.consecutive_successes = 0;
+                        self.stats.probes += 1;
+                        BreakerDecision::Probe
+                    } else {
+                        self.stats.fast_fails += 1;
+                        BreakerDecision::FastFail(link.tripped_by.to_error(from, to))
+                    }
+                }
+            }
+        }
+
+        fn on_success(&mut self, from: MachineId, to: MachineId) -> Option<BreakerTransition> {
+            let link = self
+                .links
+                .entry(HealthMonitor::key(from, to))
+                .or_insert_with(LinkHealth::new);
+            link.consecutive_failures = 0;
+            if link.state == BreakerState::HalfOpen {
+                link.consecutive_successes += 1;
+                if link.consecutive_successes >= self.policy.success_threshold {
+                    link.state = BreakerState::Closed;
+                    link.consecutive_successes = 0;
+                    self.stats.closes += 1;
+                    return Some(BreakerTransition::Closed);
+                }
+            }
+            None
+        }
+
+        fn on_failure(
+            &mut self,
+            from: MachineId,
+            to: MachineId,
+            error: &ComError,
+            now_us: u64,
+        ) -> (Option<BreakerTransition>, Option<MachineId>) {
+            let kind = FailureKind::classify(error);
+            let threshold = self.policy.failure_threshold;
+            let link = self
+                .links
+                .entry(HealthMonitor::key(from, to))
+                .or_insert_with(LinkHealth::new);
+            link.consecutive_successes = 0;
+            link.consecutive_failures += 1;
+            let trip = match link.state {
+                BreakerState::HalfOpen => true,
+                BreakerState::Closed => link.consecutive_failures >= threshold,
+                BreakerState::Open => false,
+            };
+            let transition = trip.then(|| {
+                link.state = BreakerState::Open;
+                link.tripped_by = kind;
+                link.next_probe_us = now_us + self.policy.probe_interval_us;
+                self.stats.opens += 1;
+                BreakerTransition::Opened
+            });
+            let mut opened = None;
+            if let FailureKind::MachineDown(machine) = kind {
+                let count = self.machine_failures.entry(machine.0).or_insert(0);
+                *count += 1;
+                if (*count >= threshold || trip) && !self.dead_machines.contains_key(&machine.0) {
+                    self.dead_machines.insert(machine.0, ());
+                    self.opened_queue.push(machine);
+                    self.stats.machines_opened += 1;
+                    opened = Some(machine);
+                }
+            }
+            (transition, opened)
+        }
+
+        fn link_state(&self, from: MachineId, to: MachineId) -> BreakerState {
+            self.links
+                .get(&HealthMonitor::key(from, to))
+                .map_or(BreakerState::Closed, |l| l.state)
+        }
+    }
+
+    #[test]
+    fn link_table_matches_the_map_monitor_step_for_step() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let machines = [C, S, MachineId(2)];
+        let mut seen = HealthStats::default();
+        for seed in 0..256u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let policy = BreakerPolicy {
+                failure_threshold: rng.gen_range(1..=4),
+                success_threshold: rng.gen_range(1..=3),
+                probe_interval_us: rng.gen_range(1_000..=20_000),
+            };
+            let table = HealthMonitor::new(policy);
+            let mut map = MapMonitor::new(policy);
+            let mut now = 0u64;
+            for step in 0..96 {
+                // Steps of up to a probe interval, so open breakers probe.
+                now += rng.gen_range(0..=policy.probe_interval_us);
+                let from = machines[rng.gen_range(0..machines.len())];
+                let to = machines[rng.gen_range(0..machines.len())];
+                let case = format!("seed {seed} step {step} {}→{}", from.0, to.0);
+                match rng.gen_range(0..8) {
+                    0 | 1 => assert_eq!(
+                        table.check(from, to, now),
+                        map.check(from, to, now),
+                        "check, {case}"
+                    ),
+                    2 | 3 => assert_eq!(
+                        table.on_success(from, to),
+                        map.on_success(from, to),
+                        "on_success, {case}"
+                    ),
+                    4..=6 => {
+                        let error = match rng.gen_range(0..3) {
+                            0 => ComError::MachineDown(if rng.gen_bool(0.5) { to } else { from }),
+                            1 => ComError::Partitioned { from, to },
+                            _ => timeout(),
+                        };
+                        assert_eq!(
+                            table.on_failure(from, to, &error, now),
+                            map.on_failure(from, to, &error, now),
+                            "on_failure {error:?}, {case}"
+                        );
+                    }
+                    _ => assert_eq!(
+                        table.drain_opened_machines(),
+                        std::mem::take(&mut map.opened_queue),
+                        "drained machines, {case}"
+                    ),
+                }
+                for a in machines {
+                    for b in machines {
+                        assert_eq!(
+                            table.link_state(a, b),
+                            map.link_state(a, b),
+                            "state of {}→{}, {case}",
+                            a.0,
+                            b.0
+                        );
+                    }
+                    assert_eq!(
+                        table.machine_open(a),
+                        map.dead_machines.contains_key(&a.0),
+                        "machine {}, {case}",
+                        a.0
+                    );
+                }
+                assert_eq!(table.stats(), map.stats, "stats, {case}");
+            }
+            let stats = table.stats();
+            seen.opens += stats.opens;
+            seen.probes += stats.probes;
+            seen.closes += stats.closes;
+            seen.fast_fails += stats.fast_fails;
+            seen.machines_opened += stats.machines_opened;
+        }
+        // The sequences reach every transition, not just closed breakers.
+        assert!(
+            seen.opens > 0
+                && seen.probes > 0
+                && seen.closes > 0
+                && seen.fast_fails > 0
+                && seen.machines_opened > 0,
+            "{seen:?}"
         );
     }
 }

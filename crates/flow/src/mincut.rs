@@ -20,7 +20,9 @@ thread_local! {
 /// Callers that reject infeasible inputs *before* cutting (Coign's
 /// constraint-satisfiability pre-check) use this counter in tests to prove
 /// the solver was never reached. Thread-local so concurrently running tests
-/// cannot disturb each other's counts.
+/// cannot disturb each other's counts. Solves inside a one-worker
+/// `coign::jobs::run_indexed` pool run inline and so count on the calling
+/// thread; with more workers they count on the pool's threads.
 pub fn min_cut_invocations() -> u64 {
     MIN_CUT_INVOCATIONS.with(Cell::get)
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Repo-local CI gate: formatting, lints, release build, and the full test
-# suite (tier-1 is the root-package subset of `cargo test`). Run from
-# anywhere; everything executes at the repository root.
+# suite. Tier-1 (`cargo build --release && cargo test -q`) runs the same
+# tests, since the root manifest's default-members cover every crate; this
+# gate adds everything below them. Run from anywhere; everything executes
+# at the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
