@@ -50,6 +50,15 @@
 //!     --faults-at 4000,9000,14000,21000 --thresholds 1,3 --drift \
 //!     > crates/cli/tests/golden/explore_small_drift.txt
 //! ```
+//!
+//! Drift-armed and replicated at once, over a medium app — the explore
+//! mode the benchmark's recovery workload runs:
+//!
+//! ```text
+//! cargo run -p coign-cli --bin coign -- explore gen:7:medium g_main \
+//!     --faults-at 4000,9000,14000,21000 --thresholds 1,3 --drift --replicate \
+//!     > crates/cli/tests/golden/explore_drift_replicate.txt
+//! ```
 
 use coign_cli::{
     cmd_analyze, cmd_check, cmd_dot, cmd_explore, cmd_gen, cmd_instrument, cmd_profile, cmd_serve,
@@ -292,6 +301,31 @@ fn drift_armed_explore_report_matches_golden_file() {
          if the change is intentional, regenerate it (see module docs)"
     );
     assert!(golden.contains("x 2 drift mode(s) = 16 interleaving(s)"));
+    assert!(golden.contains("invariants: ok (0 violation(s)"));
+}
+
+#[test]
+fn drift_armed_replicated_explore_report_matches_golden_file() {
+    // Every interleaving drift-armed with replicas placed, over a medium
+    // app: the drift fires, the recoveries that change nothing and the
+    // replica failover routing all show in one summary.
+    let opts = ExploreOptions {
+        faults_at: Some(vec![4000, 9000, 14000, 21000]),
+        thresholds: vec![1, 3],
+        with_drift: true,
+        with_replicas: true,
+        ..ExploreOptions::default()
+    };
+    let report =
+        cmd_explore("gen:7:medium", "g_main", "ethernet", &opts).expect("explore succeeds");
+    let golden = include_str!("golden/explore_drift_replicate.txt");
+    assert_eq!(
+        report.trim_end(),
+        golden.trim_end(),
+        "drift-armed replicated `coign explore` drifted from the committed golden \
+         output; if the change is intentional, regenerate it (see module docs)"
+    );
+    assert!(golden.contains("failover: routed="));
     assert!(golden.contains("invariants: ok (0 violation(s)"));
 }
 

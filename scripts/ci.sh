@@ -198,6 +198,16 @@ cmp "$TMP/explore_drift_a.txt" "$TMP/explore_drift_b.txt" \
   || { echo "drift-armed explore summary differs between --jobs 1 and --jobs 4"; exit 1; }
 grep -q "invariants: ok" "$TMP/explore_drift_a.txt" \
   || { echo "drift-armed explore found invariant violations on gen seed 3"; exit 1; }
+# Drift-armed and replicated together, on a medium app: the explore mode
+# the benchmark's recovery workload runs.
+"$BIN" explore gen:7:medium g_main --faults-at 4000,9000,14000,21000 --thresholds 1,3 \
+  --drift --replicate --jobs 1 > "$TMP/explore_drift_rep_a.txt"
+"$BIN" explore gen:7:medium g_main --faults-at 4000,9000,14000,21000 --thresholds 1,3 \
+  --drift --replicate --jobs 4 > "$TMP/explore_drift_rep_b.txt"
+cmp "$TMP/explore_drift_rep_a.txt" "$TMP/explore_drift_rep_b.txt" \
+  || { echo "drift-armed replicated explore summary differs between --jobs 1 and --jobs 4"; exit 1; }
+grep -q "invariants: ok" "$TMP/explore_drift_rep_a.txt" \
+  || { echo "drift-armed replicated explore found invariant violations on gen seed 7"; exit 1; }
 
 echo "==> observability smoke (--trace/--metrics, byte-identical across runs)"
 # Same image, plan, and seed must export byte-identical trace and metrics
