@@ -23,7 +23,7 @@ use coign_com::{
     InterfacePtr, MachineId, Message, PType, Value,
 };
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Queries the client form sends each result cache.
 pub const CACHE_QUERIES: i32 = 6;
@@ -42,83 +42,101 @@ pub const DEPENDENT_CACHES: i32 = 5;
 
 /// `IOdbc`: the database driver (pinned to the server).
 fn iodbc() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IOdbc")
-        .method("Exec", |m| {
-            m.input("sql", PType::Str).output("rows", PType::Blob)
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IOdbc")
+            .method("Exec", |m| {
+                m.input("sql", PType::Str).output("rows", PType::Blob)
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IManager`: the middle-tier business-logic entry points.
 fn imanager() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IManager")
-        .method("Load", |m| {
-            m.input("employee", PType::I4).output(
-                "caches",
-                PType::Array(Box::new(PType::Interface(Iid::from_name("ICache")))),
-            )
-        })
-        .method("Mutate", |m| {
-            m.input("employee", PType::I4)
-                .input("fields", PType::Blob)
-                .output("status", PType::I4)
-        })
-        .method("Status", |m| {
-            m.input("key", PType::I4).output("value", PType::Blob)
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IManager")
+            .method("Load", |m| {
+                m.input("employee", PType::I4).output(
+                    "caches",
+                    PType::Array(Box::new(PType::Interface(Iid::from_name("ICache")))),
+                )
+            })
+            .method("Mutate", |m| {
+                m.input("employee", PType::I4)
+                    .input("fields", PType::Blob)
+                    .output("status", PType::I4)
+            })
+            .method("Status", |m| {
+                m.input("key", PType::I4).output("value", PType::Blob)
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `ICache`: a client-facing result cache. `Fill` is the one mutation;
 /// the paging queries afterwards only read the cached rows.
 fn icache() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ICache")
-        .method("Fill", |m| m.input("rows", PType::Blob).mutates_state())
-        .method("Get", |m| {
-            m.input("key", PType::I4)
-                .output("value", PType::Blob)
-                .reads_state()
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ICache")
+            .method("Fill", |m| m.input("rows", PType::Blob).mutates_state())
+            .method("Get", |m| {
+                m.input("key", PType::I4)
+                    .output("value", PType::Blob)
+                    .reads_state()
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IRecord`: a row-backed business object (stays on the middle tier).
 /// Cross-checks read the database; the record itself never changes.
 fn irecord() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IRecord")
-        .method("Init", |m| {
-            m.input("driver", PType::Interface(Iid::from_name("IOdbc")))
-                .input("row", PType::Blob)
-                .reads_state()
-        })
-        .method("Validate", |m| m.output("ok", PType::I4).pure())
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IRecord")
+            .method("Init", |m| {
+                m.input("driver", PType::Interface(Iid::from_name("IOdbc")))
+                    .input("row", PType::Blob)
+                    .reads_state()
+            })
+            .method("Validate", |m| m.output("ok", PType::I4).pure())
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IValidator`: field validation (rule tables from the database).
 fn ivalidator() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IValidator")
-        .method("Init", |m| {
-            m.input("driver", PType::Interface(Iid::from_name("IOdbc")))
-                .mutates_state()
-        })
-        .method("Check", |m| {
-            m.input("field", PType::Blob)
-                .output("ok", PType::I4)
-                .reads_state()
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IValidator")
+            .method("Init", |m| {
+                m.input("driver", PType::Interface(Iid::from_name("IOdbc")))
+                    .mutates_state()
+            })
+            .method("Check", |m| {
+                m.input("field", PType::Blob)
+                    .output("ok", PType::I4)
+                    .reads_state()
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IReport`: chart/report generation.
 fn ireport() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IReport")
-        .method("Render", |m| {
-            m.input("driver", PType::Interface(Iid::from_name("IOdbc")))
-                .input("kind", PType::I4)
-                .output("chart", PType::Blob)
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IReport")
+            .method("Render", |m| {
+                m.input("driver", PType::Interface(Iid::from_name("IOdbc")))
+                    .input("kind", PType::I4)
+                    .output("chart", PType::Blob)
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// The ODBC driver: serves row data; DATABASE import pins it to the server.

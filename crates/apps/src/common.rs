@@ -13,7 +13,9 @@
 //!   from shared code while keeping distinct COM identities.
 //! * [`FileStore`] — the data file on the server: page-oriented reads plus
 //!   named streams, `STORAGE`-importing (so static analysis pins it).
-//! * Interface definitions shared across the suite.
+//! * Interface definitions shared across the suite. Like a COM type
+//!   library, each is built once per process and every registration shares
+//!   it, so registering an application allocates only its class records.
 
 use coign_com::idl::{InterfaceBuilder, InterfaceDesc};
 use coign_com::{
@@ -21,7 +23,7 @@ use coign_com::{
     Message, PType, Value,
 };
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// `IWidget`: the uniform GUI-component interface.
 ///
@@ -32,34 +34,40 @@ use std::sync::Arc;
 /// call-chain classifiers their hardest cases: the same procedures executed
 /// by *different instances*.
 fn iwidget() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IWidget")
-        .method("Build", |m| {
-            m.input("site", PType::Interface(Iid::from_name("IWindowSite")))
-        })
-        .method("Paint", |m| m.output("pixels", PType::I4))
-        .method("OnIdle", |m| {
-            m.input("theme", PType::Interface(Iid::from_name("ITheme")))
-        })
-        .method("RefreshA", |m| {
-            m.input("theme", PType::Interface(Iid::from_name("ITheme")))
-        })
-        .method("RefreshB", |m| {
-            m.input("theme", PType::Interface(Iid::from_name("ITheme")))
-        })
-        .method("RegisterIdle", |m| {
-            m.input("loop", PType::Interface(Iid::from_name("IIdleLoop")))
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IWidget")
+            .method("Build", |m| {
+                m.input("site", PType::Interface(Iid::from_name("IWindowSite")))
+            })
+            .method("Paint", |m| m.output("pixels", PType::I4))
+            .method("OnIdle", |m| {
+                m.input("theme", PType::Interface(Iid::from_name("ITheme")))
+            })
+            .method("RefreshA", |m| {
+                m.input("theme", PType::Interface(Iid::from_name("ITheme")))
+            })
+            .method("RefreshB", |m| {
+                m.input("theme", PType::Interface(Iid::from_name("ITheme")))
+            })
+            .method("RegisterIdle", |m| {
+                m.input("loop", PType::Interface(Iid::from_name("IIdleLoop")))
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IIdleLoop`: background-callback dispatcher.
 fn iidle_loop() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IIdleLoop")
-        .method("Register", |m| {
-            m.input("sink", PType::Interface(Iid::from_name("IWidget")))
-        })
-        .method("Pump", |m| m.input("rounds", PType::I4))
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IIdleLoop")
+            .method("Register", |m| {
+                m.input("sink", PType::Interface(Iid::from_name("IWidget")))
+            })
+            .method("Pump", |m| m.input("rounds", PType::I4))
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `ITheme`: the shared theme/resource service all idle transients are
@@ -68,49 +76,58 @@ fn iidle_loop() -> Arc<InterfaceDesc> {
 /// the pattern that makes classifier accuracy depend on stack-walk depth
 /// (Table 3).
 fn itheme() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ITheme")
-        .method("SpawnTransient", |m| {
-            m.input("class", PType::Str)
-                .output("widget", PType::Interface(Iid::from_name("IWidget")))
-        })
-        .method("AllocRecord", |m| {
-            m.input("class", PType::Str)
-                .output("widget", PType::Interface(Iid::from_name("IWidget")))
-        })
-        .method("CommitRecord", |m| {
-            m.input("class", PType::Str)
-                .output("widget", PType::Interface(Iid::from_name("IWidget")))
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ITheme")
+            .method("SpawnTransient", |m| {
+                m.input("class", PType::Str)
+                    .output("widget", PType::Interface(Iid::from_name("IWidget")))
+            })
+            .method("AllocRecord", |m| {
+                m.input("class", PType::Str)
+                    .output("widget", PType::Interface(Iid::from_name("IWidget")))
+            })
+            .method("CommitRecord", |m| {
+                m.input("class", PType::Str)
+                    .output("widget", PType::Interface(Iid::from_name("IWidget")))
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IWindowSite`: parent←child GUI notification. **Non-remotable** — the
 /// window handle is a raw pointer, exactly the idiom that makes most of
 /// Octarine's and PhotoDraw's GUI interfaces non-distributable.
 fn iwindow_site() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IWindowSite")
-        .method("Notify", |m| {
-            m.input("hwnd", PType::Opaque).input("code", PType::I4)
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IWindowSite")
+            .method("Notify", |m| {
+                m.input("hwnd", PType::Opaque).input("code", PType::I4)
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IStore`: the data-file interface (page reads and named streams). The
 /// file content is fixed at registration, so every method is a state read.
 fn istore() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IStore")
-        .method("ReadPage", |m| {
-            m.input("page", PType::I4)
-                .output("data", PType::Blob)
-                .reads_state()
-        })
-        .method("ReadStream", |m| {
-            m.input("name", PType::Str)
-                .output("data", PType::Blob)
-                .reads_state()
-        })
-        .method("PageCount", |m| m.output("pages", PType::I4).reads_state())
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IStore")
+            .method("ReadPage", |m| {
+                m.input("page", PType::I4)
+                    .output("data", PType::Blob)
+                    .reads_state()
+            })
+            .method("ReadStream", |m| {
+                m.input("name", PType::Str)
+                    .output("data", PType::Blob)
+                    .reads_state()
+            })
+            .method("PageCount", |m| m.output("pages", PType::I4).reads_state())
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// Hashes a component's mutable state into a COIGN045 fingerprint.

@@ -28,7 +28,7 @@ use coign_com::{
     Message, PType, Value,
 };
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Bytes per text-document page in the file.
 pub const TEXT_PAGE_BYTES: u64 = 30_000;
@@ -75,40 +75,43 @@ pub const CELL_SETS_PER_TABLE: usize = 12;
 /// `IDocReader`. `Open` loads the document (the one mutation); everything
 /// after it only reads the loaded content.
 fn idoc_reader() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IDocReader")
-        .method("Open", |m| {
-            m.input("kind", PType::Str)
-                .input("pages", PType::I4)
-                .mutates_state()
-        })
-        .method("GetOutline", |m| {
-            m.output("outline", PType::Blob).reads_state()
-        })
-        .method("GetParaText", |m| {
-            m.input("page", PType::I4)
-                .input("idx", PType::I4)
-                .output("text", PType::Blob)
-                .output("block", PType::Interface(Iid::from_name("ITextBlock")))
-                .reads_state()
-        })
-        .method("GetPropStream", |m| {
-            m.output("props", PType::Blob).reads_state()
-        })
-        .method("GetTableBatch", |m| {
-            m.input("table", PType::I4)
-                .output("batch", PType::Blob)
-                .reads_state()
-        })
-        .method("GetTemplate", |m| {
-            m.output("template", PType::Blob).reads_state()
-        })
-        .method("GetLineMetrics", |m| {
-            m.input("para", PType::I4)
-                .input("line", PType::I4)
-                .output("metrics", PType::Blob)
-                .pure()
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IDocReader")
+            .method("Open", |m| {
+                m.input("kind", PType::Str)
+                    .input("pages", PType::I4)
+                    .mutates_state()
+            })
+            .method("GetOutline", |m| {
+                m.output("outline", PType::Blob).reads_state()
+            })
+            .method("GetParaText", |m| {
+                m.input("page", PType::I4)
+                    .input("idx", PType::I4)
+                    .output("text", PType::Blob)
+                    .output("block", PType::Interface(Iid::from_name("ITextBlock")))
+                    .reads_state()
+            })
+            .method("GetPropStream", |m| {
+                m.output("props", PType::Blob).reads_state()
+            })
+            .method("GetTableBatch", |m| {
+                m.input("table", PType::I4)
+                    .output("batch", PType::Blob)
+                    .reads_state()
+            })
+            .method("GetTemplate", |m| {
+                m.output("template", PType::Blob).reads_state()
+            })
+            .method("GetLineMetrics", |m| {
+                m.input("para", PType::I4)
+                    .input("line", PType::I4)
+                    .output("metrics", PType::Blob)
+                    .pure()
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// Method ids of `IDocReader`.
@@ -131,92 +134,70 @@ pub mod reader_m {
 
 /// `ITextProps`.
 fn itext_props() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ITextProps")
-        .method("Init", |m| {
-            m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
-        })
-        .method("Query", |m| {
-            m.input("key", PType::I4)
-                .output("value", PType::Blob)
-                .reads_state()
-        })
-        // Font caches are allocated *through* the shared property set: all
-        // layouts of a document funnel their cache creation through one
-        // instance and one internal `AllocFace` hop — the chains that make
-        // classifier accuracy depend on stack-walk depth (Table 3).
-        // Allocation reads the loaded style data; it never writes it.
-        .method("MakeFontCache", |m| {
-            m.output("cache", PType::Interface(Iid::from_name("IFontCache")))
-                .reads_state()
-        })
-        .method("AllocFace", |m| {
-            m.output("cache", PType::Interface(Iid::from_name("IFontCache")))
-                .reads_state()
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ITextProps")
+            .method("Init", |m| {
+                m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
+            })
+            .method("Query", |m| {
+                m.input("key", PType::I4)
+                    .output("value", PType::Blob)
+                    .reads_state()
+            })
+            // Font caches are allocated *through* the shared property set: all
+            // layouts of a document funnel their cache creation through one
+            // instance and one internal `AllocFace` hop — the chains that make
+            // classifier accuracy depend on stack-walk depth (Table 3).
+            // Allocation reads the loaded style data; it never writes it.
+            .method("MakeFontCache", |m| {
+                m.output("cache", PType::Interface(Iid::from_name("IFontCache")))
+                    .reads_state()
+            })
+            .method("AllocFace", |m| {
+                m.output("cache", PType::Interface(Iid::from_name("IFontCache")))
+                    .reads_state()
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `ITextBlock`: one paragraph's backing text, handed out by the reader.
 /// A flyweight over immutable text — every method is effect-free, so the
 /// replication lints prove the class legal to duplicate.
 fn itext_block() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ITextBlock")
-        .method("Init", |m| m.input("text", PType::Blob).pure())
-        .method("GetRange", |m| {
-            m.input("from", PType::I4)
-                .input("to", PType::I4)
-                .output("text", PType::Blob)
-                .pure()
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ITextBlock")
+            .method("Init", |m| m.input("text", PType::Blob).pure())
+            .method("GetRange", |m| {
+                m.input("from", PType::I4)
+                    .input("to", PType::I4)
+                    .output("text", PType::Blob)
+                    .pure()
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IFontCache`: cached font metrics for one paragraph layout. The metrics
 /// are fixed at creation — effect-free, hence replicable.
 fn ifont_cache() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IFontCache")
-        .method("Init", |m| m.input("face", PType::Blob).pure())
-        .method("Measure", |m| {
-            m.input("key", PType::I4).output("width", PType::I4).pure()
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IFontCache")
+            .method("Init", |m| m.input("face", PType::Blob).pure())
+            .method("Measure", |m| {
+                m.input("key", PType::I4).output("width", PType::I4).pure()
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IStory`.
 fn istory() -> Arc<InterfaceDesc> {
-    let style_params = |m: coign_com::idl::MethodBuilder| {
-        m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
-            .input("props", PType::Interface(Iid::from_name("ITextProps")))
-            .input("view", PType::Interface(Iid::from_name("IPageView")))
-            .input("page", PType::I4)
-            .input("idx", PType::I4)
-            .input("view_calls", PType::I4)
-            .output("layout", PType::Interface(Iid::from_name("ILayoutNeg")))
-            .output("para", PType::Interface(Iid::from_name("IParagraph")))
-    };
-    InterfaceBuilder::new("IStory")
-        .method("Build", |m| {
-            m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
-                .input("props", PType::Interface(Iid::from_name("ITextProps")))
-                .input("view", PType::Interface(Iid::from_name("IPageView")))
-                .input("pages", PType::I4)
-                .input("tables", PType::I4)
-        })
-        // Per-style paragraph builders: body, heading, list, quote. Each
-        // style is a distinct internal code path, so paragraphs (and their
-        // layouts and runs) created for different styles carry different
-        // instantiation contexts.
-        .method("BuildBody", style_params)
-        .method("BuildHeading", style_params)
-        .method("BuildList", style_params)
-        .method("BuildQuote", style_params)
-        .build()
-}
-
-/// `IParagraph`.
-fn iparagraph() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IParagraph")
-        .method("Init", |m| {
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        let style_params = |m: coign_com::idl::MethodBuilder| {
             m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
                 .input("props", PType::Interface(Iid::from_name("ITextProps")))
                 .input("view", PType::Interface(Iid::from_name("IPageView")))
@@ -224,158 +205,231 @@ fn iparagraph() -> Arc<InterfaceDesc> {
                 .input("idx", PType::I4)
                 .input("view_calls", PType::I4)
                 .output("layout", PType::Interface(Iid::from_name("ILayoutNeg")))
-        })
-        .method("Render", |m| {
-            m.input("view", PType::Interface(Iid::from_name("IPageView")))
-        })
-        .build()
+                .output("para", PType::Interface(Iid::from_name("IParagraph")))
+        };
+        InterfaceBuilder::new("IStory")
+            .method("Build", |m| {
+                m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
+                    .input("props", PType::Interface(Iid::from_name("ITextProps")))
+                    .input("view", PType::Interface(Iid::from_name("IPageView")))
+                    .input("pages", PType::I4)
+                    .input("tables", PType::I4)
+            })
+            // Per-style paragraph builders: body, heading, list, quote. Each
+            // style is a distinct internal code path, so paragraphs (and their
+            // layouts and runs) created for different styles carry different
+            // instantiation contexts.
+            .method("BuildBody", style_params)
+            .method("BuildHeading", style_params)
+            .method("BuildList", style_params)
+            .method("BuildQuote", style_params)
+            .build()
+    });
+    Arc::clone(&DESC)
+}
+
+/// `IParagraph`.
+fn iparagraph() -> Arc<InterfaceDesc> {
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IParagraph")
+            .method("Init", |m| {
+                m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
+                    .input("props", PType::Interface(Iid::from_name("ITextProps")))
+                    .input("view", PType::Interface(Iid::from_name("IPageView")))
+                    .input("page", PType::I4)
+                    .input("idx", PType::I4)
+                    .input("view_calls", PType::I4)
+                    .output("layout", PType::Interface(Iid::from_name("ILayoutNeg")))
+            })
+            .method("Render", |m| {
+                m.input("view", PType::Interface(Iid::from_name("IPageView")))
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `ILayoutNeg` — paragraph layout, including the negotiation entry point.
 fn ilayout_neg() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ILayoutNeg")
-        .method("Init", |m| {
-            m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
-                .input("props", PType::Interface(Iid::from_name("ITextProps")))
-                .input("view", PType::Interface(Iid::from_name("IPageView")))
-                .input("view_calls", PType::I4)
-                .input("content", PType::I4)
-        })
-        .method("Reflow", |m| {
-            m.input("round", PType::I4).output("metrics", PType::Blob)
-        })
-        .method("Metric", |m| {
-            m.input("key", PType::I4).output("value", PType::Blob)
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ILayoutNeg")
+            .method("Init", |m| {
+                m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
+                    .input("props", PType::Interface(Iid::from_name("ITextProps")))
+                    .input("view", PType::Interface(Iid::from_name("IPageView")))
+                    .input("view_calls", PType::I4)
+                    .input("content", PType::I4)
+            })
+            .method("Reflow", |m| {
+                m.input("round", PType::I4).output("metrics", PType::Blob)
+            })
+            .method("Metric", |m| {
+                m.input("key", PType::I4).output("value", PType::Blob)
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `ITextRun`.
 fn itext_run() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ITextRun")
-        .method("Init", |m| {
-            m.input("layout", PType::Interface(Iid::from_name("ILayoutNeg")))
-        })
-        .method("Measure", |m| m.output("width", PType::I4))
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ITextRun")
+            .method("Init", |m| {
+                m.input("layout", PType::Interface(Iid::from_name("ILayoutNeg")))
+            })
+            .method("Measure", |m| m.output("width", PType::I4))
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IPageStub` — placeholder for a not-yet-displayed page. Stateless.
 fn ipage_stub() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IPageStub")
-        .method("Init", |m| m.input("page", PType::I4).pure())
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IPageStub")
+            .method("Init", |m| m.input("page", PType::I4).pure())
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IPageView` — the document viewport (a GUI component).
 fn ipage_view() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IPageView")
-        .method("Geometry", |m| {
-            m.input("q", PType::I4).output("rect", PType::Blob)
-        })
-        .method("RenderPara", |m| m.input("data", PType::Blob))
-        .method("DrawRow", |m| m.input("data", PType::Blob))
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IPageView")
+            .method("Geometry", |m| {
+                m.input("q", PType::I4).output("rect", PType::Blob)
+            })
+            .method("RenderPara", |m| m.input("data", PType::Blob))
+            .method("DrawRow", |m| m.input("data", PType::Blob))
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `ITableModel`.
 fn itable_model() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ITableModel")
-        .method("Init", |m| {
-            m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
-                .input("view", PType::Interface(Iid::from_name("IPageView")))
-                .input("table", PType::I4)
-                .input("pages", PType::I4)
-                .input("view_calls", PType::I4)
-        })
-        .method("NegotiateText", |m| {
-            m.input("props", PType::Interface(Iid::from_name("ITextProps")))
-                .input(
-                    "layouts",
-                    PType::Array(Box::new(PType::Interface(Iid::from_name("ILayoutNeg")))),
-                )
-                .input("rounds", PType::I4)
-        })
-        .method("GetRow", |m| {
-            m.input("page", PType::I4)
-                .input("row", PType::I4)
-                .output("cells", PType::Blob)
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ITableModel")
+            .method("Init", |m| {
+                m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
+                    .input("view", PType::Interface(Iid::from_name("IPageView")))
+                    .input("table", PType::I4)
+                    .input("pages", PType::I4)
+                    .input("view_calls", PType::I4)
+            })
+            .method("NegotiateText", |m| {
+                m.input("props", PType::Interface(Iid::from_name("ITextProps")))
+                    .input(
+                        "layouts",
+                        PType::Array(Box::new(PType::Interface(Iid::from_name("ILayoutNeg")))),
+                    )
+                    .input("rounds", PType::I4)
+            })
+            .method("GetRow", |m| {
+                m.input("page", PType::I4)
+                    .input("row", PType::I4)
+                    .output("cells", PType::Blob)
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `ITableCol`. Column statistics are fixed at creation; balancing is a
 /// computation over them — effect-free, hence replicable.
 fn itable_col() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ITableCol")
-        .method("Init", |m| m.input("stats", PType::Blob).pure())
-        .method("Balance", |m| {
-            m.input("round", PType::I4)
-                .output("width", PType::I4)
-                .pure()
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ITableCol")
+            .method("Init", |m| m.input("stats", PType::Blob).pure())
+            .method("Balance", |m| {
+                m.input("round", PType::I4)
+                    .output("width", PType::I4)
+                    .pure()
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `ICellSet` — a negotiated row-group of table cells. Placement derives
 /// from the fixed cell data — effect-free, hence replicable.
 fn icell_set() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ICellSet")
-        .method("Init", |m| m.input("cells", PType::Blob).pure())
-        .method("Place", |m| {
-            m.input("round", PType::I4)
-                .output("rect", PType::Blob)
-                .pure()
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ICellSet")
+            .method("Init", |m| m.input("cells", PType::Blob).pure())
+            .method("Place", |m| {
+                m.input("round", PType::I4)
+                    .output("rect", PType::Blob)
+                    .pure()
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IRowBatch`.
 fn irow_batch() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IRowBatch")
-        .method("Init", |m| m.input("data", PType::Blob))
-        .method("GetRow", |m| {
-            m.input("row", PType::I4).output("cells", PType::Blob)
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IRowBatch")
+            .method("Init", |m| m.input("data", PType::Blob))
+            .method("GetRow", |m| {
+                m.input("row", PType::I4).output("cells", PType::Blob)
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `ITableFrame` — the on-screen table grid (a GUI component).
 fn itable_frame() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ITableFrame")
-        .method("Show", |m| {
-            m.input("model", PType::Interface(Iid::from_name("ITableModel")))
-                .input("page", PType::I4)
-                .input("rows", PType::I4)
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ITableFrame")
+            .method("Show", |m| {
+                m.input("model", PType::Interface(Iid::from_name("ITableModel")))
+                    .input("page", PType::I4)
+                    .input("rows", PType::I4)
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IMusicSheet`.
 fn imusic_sheet() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IMusicSheet")
-        .method("Init", |m| {
-            m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
-                .input("view", PType::Interface(Iid::from_name("IPageView")))
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IMusicSheet")
+            .method("Init", |m| {
+                m.input("reader", PType::Interface(Iid::from_name("IDocReader")))
+                    .input("view", PType::Interface(Iid::from_name("IPageView")))
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IStaff`.
 fn istaff() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IStaff")
-        .method("Init", |m| {
-            m.input("notes", PType::Blob)
-                .input("view", PType::Interface(Iid::from_name("IPageView")))
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IStaff")
+            .method("Init", |m| {
+                m.input("notes", PType::Blob)
+                    .input("view", PType::Interface(Iid::from_name("IPageView")))
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `INoteRun`.
 fn inote_run() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("INoteRun")
-        .method("Init", |m| m.input("notes", PType::Blob))
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("INoteRun")
+            .method("Init", |m| m.input("notes", PType::Blob))
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IDocMgr`: one entry point per document command, so the instantiation
@@ -383,20 +437,23 @@ fn inote_run() -> Arc<InterfaceDesc> {
 /// user action that triggered them — the context the call-chain classifiers
 /// rely on.
 fn idoc_mgr() -> Arc<InterfaceDesc> {
-    let doc_params = |m: coign_com::idl::MethodBuilder| {
-        m.input("pages", PType::I4)
-            .input("tables", PType::I4)
-            .input("view", PType::Interface(Iid::from_name("IPageView")))
-    };
-    InterfaceBuilder::new("IDocMgr")
-        .method("OpenText", doc_params)
-        .method("OpenTable", doc_params)
-        .method("OpenMixed", doc_params)
-        .method("OpenMusic", doc_params)
-        .method("NewText", doc_params)
-        .method("NewTable", doc_params)
-        .method("NewMusic", doc_params)
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        let doc_params = |m: coign_com::idl::MethodBuilder| {
+            m.input("pages", PType::I4)
+                .input("tables", PType::I4)
+                .input("view", PType::Interface(Iid::from_name("IPageView")))
+        };
+        InterfaceBuilder::new("IDocMgr")
+            .method("OpenText", doc_params)
+            .method("OpenTable", doc_params)
+            .method("OpenMixed", doc_params)
+            .method("OpenMusic", doc_params)
+            .method("NewText", doc_params)
+            .method("NewTable", doc_params)
+            .method("NewMusic", doc_params)
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// Method ids of `IDocMgr`, matching document kinds.

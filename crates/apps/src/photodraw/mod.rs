@@ -20,7 +20,7 @@ use coign_com::{
     InterfacePtr, Message, PType, Value,
 };
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Pixel chunk size, bytes.
 pub const CHUNK_BYTES: u64 = 100_000;
@@ -34,96 +34,117 @@ pub const PROP_QUERIES: i32 = 4;
 /// `IPdReader`: the composition reader. `Open` loads the file; the chunk
 /// and stream accessors afterwards only read it.
 fn ipd_reader() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IPdReader")
-        .method("Open", |m| m.input("doc", PType::Str).mutates_state())
-        .method("GetChunk", |m| {
-            m.input("i", PType::I4)
-                .output("pixels", PType::Blob)
-                .reads_state()
-        })
-        .method("GetPropStream", |m| {
-            m.input("name", PType::Str)
-                .output("data", PType::Blob)
-                .reads_state()
-        })
-        .method("ChunkCount", |m| m.output("n", PType::I4).reads_state())
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IPdReader")
+            .method("Open", |m| m.input("doc", PType::Str).mutates_state())
+            .method("GetChunk", |m| {
+                m.input("i", PType::I4)
+                    .output("pixels", PType::Blob)
+                    .reads_state()
+            })
+            .method("GetPropStream", |m| {
+                m.input("name", PType::Str)
+                    .output("data", PType::Blob)
+                    .reads_state()
+            })
+            .method("ChunkCount", |m| m.output("n", PType::I4).reads_state())
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IPdPropSet`: a high-level property set — a read-only projection of
 /// data in the file, so the replication lints prove the class legal to
 /// duplicate (these are the seven components Figure 4 moves).
 fn ipd_prop_set() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IPdPropSet")
-        .method("Init", |m| {
-            m.input("reader", PType::Interface(Iid::from_name("IPdReader")))
-                .input("stream", PType::Str)
-                .reads_state()
-        })
-        .method("Query", |m| {
-            m.input("key", PType::I4)
-                .output("value", PType::Blob)
-                .pure()
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IPdPropSet")
+            .method("Init", |m| {
+                m.input("reader", PType::Interface(Iid::from_name("IPdReader")))
+                    .input("stream", PType::Str)
+                    .reads_state()
+            })
+            .method("Query", |m| {
+                m.input("key", PType::I4)
+                    .output("value", PType::Blob)
+                    .pure()
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `ISprite`: sprite-cache construction and painting (remotable part).
 fn isprite() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ISprite")
-        .method("Build", |m| {
-            m.input("reader", PType::Interface(Iid::from_name("IPdReader")))
-                .input("canvas", PType::Interface(Iid::from_name("IBlitSink")))
-                .input("depth", PType::I4)
-                .input("chunk", PType::I4)
-                .mutates_state()
-        })
-        .method("Compose", |m| m.output("regions", PType::I4).reads_state())
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ISprite")
+            .method("Build", |m| {
+                m.input("reader", PType::Interface(Iid::from_name("IPdReader")))
+                    .input("canvas", PType::Interface(Iid::from_name("IBlitSink")))
+                    .input("depth", PType::I4)
+                    .input("chunk", PType::I4)
+                    .mutates_state()
+            })
+            .method("Compose", |m| m.output("regions", PType::I4).reads_state())
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `ISharedRegion`: pixel hand-off through shared memory — **non-remotable**.
 fn ishared_region() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ISharedRegion")
-        .method("Share", |m| {
-            m.input("region", PType::Opaque).input("len", PType::I4)
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ISharedRegion")
+            .method("Share", |m| {
+                m.input("region", PType::Opaque).input("len", PType::I4)
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `IBlitSink`: the canvas the sprites blit into — **non-remotable**.
 fn iblit_sink() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IBlitSink")
-        .method("Blit", |m| m.input("region", PType::Opaque))
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IBlitSink")
+            .method("Blit", |m| m.input("region", PType::Opaque))
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `ISelection`: the marquee tool — tracks a selected image subset.
 fn iselection() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ISelection")
-        .method("Select", |m| {
-            m.input("canvas", PType::Interface(Iid::from_name("IBlitSink")))
-                .input("rect", PType::Blob)
-        })
-        .method("Region", |m| m.output("region", PType::Opaque))
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ISelection")
+            .method("Select", |m| {
+                m.input("canvas", PType::Interface(Iid::from_name("IBlitSink")))
+                    .input("rect", PType::Blob)
+            })
+            .method("Region", |m| m.output("region", PType::Opaque))
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// `ITransform`: an image transform applied to a selection — the pixels
 /// travel through shared memory, so the interface is **non-remotable**.
 fn itransform() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ITransform")
-        .method("Apply", |m| {
-            m.input("region", PType::Opaque)
-                .input("strength", PType::I4)
-                .mutates_state()
-        })
-        .method("Params", |m| {
-            m.input("key", PType::I4)
-                .output("value", PType::Blob)
-                .reads_state()
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("ITransform")
+            .method("Apply", |m| {
+                m.input("region", PType::Opaque)
+                    .input("strength", PType::I4)
+                    .mutates_state()
+            })
+            .method("Params", |m| {
+                m.input("key", PType::I4)
+                    .output("value", PType::Blob)
+                    .reads_state()
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// The composition reader: pulls the whole file from the store at `Open`,

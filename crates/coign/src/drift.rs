@@ -17,12 +17,15 @@
 
 use crate::classifier::ClassificationId;
 use crate::profile::IccProfile;
+use coign_com::FoldState;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Message-count distribution over classification pairs (order-normalized).
-type PairCounts = HashMap<(ClassificationId, ClassificationId), u64>;
+/// Keyed by the runtime's fold hasher: [`DriftMonitor::drift`] sums exact
+/// integers, so the map's iteration order never reaches a result.
+type PairCounts = HashMap<(ClassificationId, ClassificationId), u64, FoldState>;
 
 fn normalize_pair(
     a: ClassificationId,
@@ -60,7 +63,7 @@ pub struct DriftMonitor {
 impl DriftMonitor {
     /// Creates a monitor whose baseline is the profiled distribution.
     pub(crate) fn from_profile(profile: &IccProfile) -> Self {
-        let mut baseline: PairCounts = HashMap::new();
+        let mut baseline = PairCounts::default();
         for (pair, stats) in profile.pair_traffic() {
             *baseline.entry(pair).or_insert(0) += stats.messages;
         }
@@ -92,9 +95,14 @@ impl DriftMonitor {
     }
 
     /// Resets the observation window (e.g. per execution) and re-arms the
-    /// [`DriftMonitor::poll_reprofile`] latch.
+    /// [`DriftMonitor::poll_reprofile`] latch. The window's map is cleared
+    /// in place, so a run that fires and resets many times allocates it
+    /// once.
     pub(crate) fn reset(&self) {
-        *self.window.lock() = Window::default();
+        let mut window = self.window.lock();
+        window.counts.clear();
+        window.total = 0;
+        drop(window);
         self.tripped.store(false, Ordering::SeqCst);
     }
 
@@ -369,7 +377,7 @@ mod tests {
             let mut reference = Reference {
                 baseline: monitor.baseline.clone(),
                 baseline_total: monitor.baseline_total,
-                observed: HashMap::new(),
+                observed: PairCounts::default(),
                 tripped: false,
             };
             // Candidate pairs: the profiled ones plus two never profiled.

@@ -118,7 +118,7 @@ pub fn check_app_image(image: &AppImage, app: &dyn Application) -> DiagnosticSin
         .map(|record| record.profile)
         .unwrap_or_default();
     let named = app.explicit_constraints();
-    let constraints = crate::runtime::derive_constraints(app, &profile);
+    let constraints = crate::runtime::constraints_in(rt.registry(), app, &profile);
     check_constraint_stage(&profile, rt.registry(), &named, &constraints, &mut sink);
 
     image_lints::check_image(image, rt.registry(), &mut sink);

@@ -33,8 +33,8 @@ use crate::profile::IccProfile;
 use crate::recovery::{RecoveryConfig, RecoveryCoordinator};
 use crate::rte::CoignRte;
 use coign_com::{
-    ClassRegistry, Clsid, ComError, ComResult, ComRuntime, CreateRequest, FoldState, InstanceId,
-    InterfacePtr, MachineId, RtStats, RuntimeHook,
+    ClassRegistry, Clsid, ComError, ComResult, ComRuntime, CreateRequest, FoldState, Iid,
+    InstanceId, InterfacePtr, MachineId, RtStats, RuntimeHook,
 };
 use coign_dcom::marshal::SizeCache;
 use coign_dcom::{
@@ -42,7 +42,7 @@ use coign_dcom::{
 };
 use coign_flow::MaxFlowAlgorithm;
 use coign_obs::{Obs, Registry, TraceArg};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// What the fault layer did during one execution: the transport's counters
@@ -446,8 +446,19 @@ pub fn profile_scenarios_crosschecked(
 pub fn derive_constraints(app: &dyn Application, profile: &IccProfile) -> Vec<Constraint> {
     let rt = ComRuntime::single_machine();
     app.register(&rt);
-    let mut constraints = derive_static_constraints(profile, rt.registry());
-    constraints.extend(static_non_remotable_colocations(profile, rt.registry()));
+    constraints_in(rt.registry(), app, profile)
+}
+
+/// [`derive_constraints`] against a registry `app` is already registered
+/// in, such as the one of the runtime about to execute it, so the
+/// application's classes are not registered a second time.
+pub fn constraints_in(
+    registry: &ClassRegistry,
+    app: &dyn Application,
+    profile: &IccProfile,
+) -> Vec<Constraint> {
+    let mut constraints = derive_static_constraints(profile, registry);
+    constraints.extend(static_non_remotable_colocations(profile, registry));
     constraints.extend(resolve_named_constraints(
         profile,
         &app.explicit_constraints(),
@@ -464,15 +475,17 @@ fn static_non_remotable_colocations(
     profile: &IccProfile,
     registry: &ClassRegistry,
 ) -> Vec<Constraint> {
+    let non_remotable: HashSet<Iid, FoldState> = registry
+        .all()
+        .iter()
+        .flat_map(|class| &class.interfaces)
+        .filter(|desc| !desc.remotable)
+        .map(|desc| desc.iid)
+        .collect();
     let mut pairs: Vec<(ClassificationId, ClassificationId)> = profile
         .edges
         .keys()
-        .filter(|key| key.from != key.to)
-        .filter(|key| {
-            registry
-                .interface_by_iid(key.iid)
-                .is_some_and(|desc| !desc.remotable)
-        })
+        .filter(|key| key.from != key.to && non_remotable.contains(&key.iid))
         .map(|key| {
             if key.from <= key.to {
                 (key.from, key.to)
@@ -494,10 +507,19 @@ fn static_non_remotable_colocations(
 /// analysis runs. On failure the [`ComError::App`] detail carries the same
 /// rendered `COIGN0xx` diagnostics `coign check` prints.
 pub fn check_constraints(app: &dyn Application, profile: &IccProfile) -> ComResult<()> {
+    checked_constraints(app, profile).map(drop)
+}
+
+/// [`check_constraints`] handing back the vetted set: one registration
+/// and one derivation serve both the check and the caller's analysis.
+pub(crate) fn checked_constraints(
+    app: &dyn Application,
+    profile: &IccProfile,
+) -> ComResult<Vec<Constraint>> {
     let rt = ComRuntime::single_machine();
     app.register(&rt);
     let named = app.explicit_constraints();
-    let constraints = derive_constraints(app, profile);
+    let constraints = constraints_in(rt.registry(), app, profile);
     let mut sink = crate::lint::DiagnosticSink::new();
     crate::lint::check_constraint_stage(profile, rt.registry(), &named, &constraints, &mut sink);
     if sink.has_errors() {
@@ -506,7 +528,7 @@ pub fn check_constraints(app: &dyn Application, profile: &IccProfile) -> ComResu
             sink.render_human()
         )));
     }
-    Ok(())
+    Ok(constraints)
 }
 
 /// The analysis step: chooses the minimum-communication-time distribution
@@ -520,8 +542,7 @@ pub fn choose_distribution(
     profile: &IccProfile,
     network: &NetworkProfile,
 ) -> ComResult<Distribution> {
-    check_constraints(app, profile)?;
-    let constraints = derive_constraints(app, profile);
+    let constraints = checked_constraints(app, profile)?;
     analyze(
         profile,
         network,
@@ -672,7 +693,7 @@ pub fn execute(run: Run<'_>) -> ComResult<Execution> {
             transport.set_health(health.clone());
             let coordinator = RecoveryCoordinator::new(
                 &IccGraph::build(baseline, &NetworkProfile::exact(transport.network())),
-                &derive_constraints(run.app, baseline),
+                &constraints_in(rt.registry(), run.app, baseline),
                 rte.factory().expect("distributed-mode RTE has a factory"),
                 run.classifier.clone(),
                 health,

@@ -37,7 +37,7 @@ use crate::classifier::ClassificationId;
 use crate::constraints::Constraint;
 use crate::icc::IccGraph;
 use crate::profile::IccProfile;
-use crate::runtime::{check_constraints, derive_constraints};
+use crate::runtime::checked_constraints;
 use coign_com::{ComError, ComResult};
 use coign_dcom::{NetworkModel, NetworkProfile};
 use coign_flow::{min_cut, min_cut_warm, MaxFlowAlgorithm};
@@ -155,8 +155,7 @@ pub fn sweep(
     grid: &SweepGrid,
     mode: SweepMode,
 ) -> ComResult<SweepResult> {
-    check_constraints(app, profile)?;
-    let constraints = derive_constraints(app, profile);
+    let constraints = checked_constraints(app, profile)?;
     sweep_profile(profile, &constraints, grid, mode)
 }
 

@@ -150,18 +150,6 @@ impl ClassRegistry {
         self.classes.read().values().cloned().collect()
     }
 
-    /// Looks up an interface description by IID across all registered
-    /// classes. Interface descriptions are shared (`Arc`), so any class
-    /// declaring the IID yields the same metadata.
-    pub fn interface_by_iid(&self, iid: crate::guid::Iid) -> Option<Arc<InterfaceDesc>> {
-        self.classes
-            .read()
-            .values()
-            .flat_map(|class| &class.interfaces)
-            .find(|desc| desc.iid == iid)
-            .cloned()
-    }
-
     /// The set of interface IIDs declared by at least one registered class.
     pub fn declared_iids(&self) -> std::collections::HashSet<crate::guid::Iid> {
         self.classes
@@ -245,12 +233,10 @@ mod tests {
             ApiImports::NONE,
             |_, _| Arc::new(Nop),
         );
-        assert_eq!(reg.interface_by_iid(ia.iid).unwrap().name, "IAlpha");
-        assert_eq!(reg.interface_by_iid(ib.iid).unwrap().name, "IBeta");
-        assert!(reg.interface_by_iid(Iid::from_name("IGhost")).is_none());
         let declared = reg.declared_iids();
         assert_eq!(declared.len(), 2);
         assert!(declared.contains(&ia.iid) && declared.contains(&ib.iid));
+        assert!(!declared.contains(&Iid::from_name("IGhost")));
     }
 
     #[test]

@@ -141,7 +141,9 @@ struct RunStats {
 }
 
 struct Harness {
-    spec: GenSpec,
+    /// The profiled application. Each run copies it with a fresh ledger,
+    /// sharing its blueprint.
+    app: GeneratedApp,
     scenario: String,
     classifier: Arc<InstanceClassifier>,
     distribution: Distribution,
@@ -154,8 +156,8 @@ struct Harness {
 impl Harness {
     /// Runs one interleaving and evaluates every dynamic invariant.
     fn run(&self, point: SchedulePoint, index: usize) -> ComResult<RunStats> {
-        // A fresh application instance isolates the commit ledger per run.
-        let app = GeneratedApp::new(self.spec);
+        // A fresh commit ledger per run isolates its exactly-once check.
+        let app = self.app.with_fresh_ledger();
         let fork = Arc::new(self.classifier.fork());
         let mut plan = FaultPlan::none();
         plan.push(Fault::MachineDown {
@@ -356,7 +358,7 @@ pub fn explore(spec: GenSpec, scenario: &str, opts: &ExploreOptions) -> ComResul
     };
 
     let harness = Harness {
-        spec,
+        app,
         scenario: scenario.to_string(),
         classifier,
         distribution,
@@ -381,7 +383,7 @@ pub fn explore(spec: GenSpec, scenario: &str, opts: &ExploreOptions) -> ComResul
             probe.outcome, probe.violations
         )));
     }
-    let probe_app = GeneratedApp::new(spec);
+    let probe_app = harness.app.with_fresh_ledger();
     let probe_run = run_distributed_recovering(
         &probe_app,
         scenario,
@@ -450,7 +452,7 @@ pub fn explore(spec: GenSpec, scenario: &str, opts: &ExploreOptions) -> ComResul
 
     let mut out = format!(
         "explore app={} scenario={scenario} network={} seed={}\n",
-        app.name(),
+        harness.app.name(),
         opts.network_name,
         opts.seed
     );
@@ -501,7 +503,7 @@ pub fn explore(spec: GenSpec, scenario: &str, opts: &ExploreOptions) -> ComResul
     }
     out.push_str(&format!(
         "ledger: {} commit(s) scripted per completed {scenario} run; exact on every completed run\n",
-        app.expected_commits(scenario)
+        harness.app.expected_commits(scenario)
     ));
 
     let violation_count = violating.iter().map(|(_, v)| v.len()).sum::<usize>() + illegal.len();

@@ -37,7 +37,7 @@ pub mod explore;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use coign::application::Application;
 use coign::constraints::NamedConstraint;
@@ -519,36 +519,45 @@ pub const NATIVE_BLIT: u32 = 0;
 /// The generated document interface — fully annotated so the state-effect
 /// and replication analyses have real metadata to chew on.
 fn igen_doc() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IGenDoc")
-        .method("Fetch", |m| {
-            m.input("bytes", PType::I4)
-                .output("data", PType::Blob)
-                .reads_state()
-        })
-        .method("Load", |m| m.input("pages", PType::I4).mutates_state())
-        .method("Stat", |m| m.output("pages", PType::I4).reads_state())
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IGenDoc")
+            .method("Fetch", |m| {
+                m.input("bytes", PType::I4)
+                    .output("data", PType::Blob)
+                    .reads_state()
+            })
+            .method("Load", |m| m.input("pages", PType::I4).mutates_state())
+            .method("Stat", |m| m.output("pages", PType::I4).reads_state())
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// The commit ledger interface (honest `mutates_state`).
 fn igen_ledger() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IGenLedger")
-        .method("Commit", |m| {
-            m.input("payload", PType::Blob)
-                .output("seq", PType::I4)
-                .mutates_state()
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IGenLedger")
+            .method("Commit", |m| {
+                m.input("payload", PType::Blob)
+                    .output("seq", PType::I4)
+                    .mutates_state()
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// The native canvas interface: an opaque window handle crosses it, so it
 /// is non-remotable (PhotoDraw's shared-memory hazard).
 fn igen_native() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IGenNative")
-        .method("Blit", |m| {
-            m.input("hwnd", PType::Opaque).input("rows", PType::I4)
-        })
-        .build()
+    static DESC: LazyLock<Arc<InterfaceDesc>> = LazyLock::new(|| {
+        InterfaceBuilder::new("IGenNative")
+            .method("Blit", |m| {
+                m.input("hwnd", PType::Opaque).input("rows", PType::I4)
+            })
+            .build()
+    });
+    Arc::clone(&DESC)
 }
 
 /// A generated document: loads pages from its backing store, then serves
@@ -678,7 +687,7 @@ impl ComObject for GenCanvas {
 
 /// A fully synthetic Coign application generated from a [`GenSpec`].
 pub struct GeneratedApp {
-    blueprint: Blueprint,
+    blueprint: Arc<Blueprint>,
     name: String,
     ledger_commits: Arc<AtomicU64>,
 }
@@ -687,8 +696,18 @@ impl GeneratedApp {
     /// Builds the application for `spec` (deterministic).
     pub fn new(spec: GenSpec) -> GeneratedApp {
         GeneratedApp {
-            blueprint: Blueprint::generate(spec),
+            blueprint: Arc::new(Blueprint::generate(spec)),
             name: spec.stem(),
+            ledger_commits: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// The same application with a commit ledger of its own: the
+    /// blueprint is shared, not generated again.
+    pub(crate) fn with_fresh_ledger(&self) -> GeneratedApp {
+        GeneratedApp {
+            blueprint: Arc::clone(&self.blueprint),
+            name: self.name.clone(),
             ledger_commits: Arc::new(AtomicU64::new(0)),
         }
     }
