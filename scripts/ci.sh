@@ -160,10 +160,10 @@ grep -q "invariants: ok" "$TMP/chaos_seed_7.txt" \
 grep -q "invariants: ok" "$TMP/chaos_seed_11.txt" \
   || { echo "chaos invariants violated at seed 11"; exit 1; }
 
-echo "==> chaos & explore over generated applications (two gen seeds vs committed expectations)"
+echo "==> sweep, chaos & explore over generated applications (two gen seeds vs committed expectations)"
 # The generator is deterministic per seed, so the whole downstream pipeline
-# must be too: emit two generated images, profile + analyze them, run the
-# chaos harness over each, and diff against committed expectations. The
+# must be too: emit two generated images, profile + analyze them, sweep
+# the network grid and run the chaos harness over each, and diff against committed expectations. The
 # schedule-space explorer must likewise be byte-identical across --jobs
 # and report zero invariant violations on a healthy generated app.
 # Regenerate after an intentional change with the same flag as above.
@@ -172,6 +172,10 @@ for gseed in 3 16; do
   GIMG="$TMP/gen-${gseed}-small.cimg"
   "$BIN" profile "$GIMG" g_main g_doc g_idle >/dev/null
   "$BIN" analyze "$GIMG" ethernet >/dev/null
+  # The validated sweep re-solves every grid point with Dinic on the full,
+  # uncontracted network, so this also pins the solver's cuts.
+  "$BIN" sweep "$GIMG" --json > "$TMP/sweep_gen_${gseed}.json"
+  check_expected "sweep_gen_${gseed}.json" "generated sweep"
   "$BIN" chaos "$GIMG" g_main ethernet --seed 7 --trials 5 > "$TMP/chaos_gen_${gseed}.txt"
   check_expected "chaos_gen_${gseed}.txt" "generated chaos summary"
   grep -q "invariants: ok" "$TMP/chaos_gen_${gseed}.txt" \
