@@ -6,18 +6,22 @@
 //! lift-to-front cut in tests and the benchmark, and the yardstick that
 //! solver's speed is measured against.
 
-use crate::graph::{FlowNetwork, NodeId};
+use crate::graph::{Arcs, FlowNetwork, NodeId, ResidualArc};
+use crate::mincut::SolveWork;
 use std::collections::VecDeque;
 
-/// Computes a maximum `s`–`t` flow with Dinic's algorithm.
+/// Computes a maximum `s`–`t` flow with Dinic's algorithm. Its work is
+/// counted as one push per arc of every augmenting path.
 ///
 /// # Panics
 ///
 /// Panics if `s == t`.
-pub(crate) fn max_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
+pub(crate) fn max_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> (u64, SolveWork) {
     assert_ne!(s, t, "source and sink must differ");
     let n = g.node_count();
+    let arcs = g.arcs_mut();
     let mut total: u128 = 0;
+    let mut work = SolveWork::default();
     loop {
         // Build the level graph by BFS over residual arcs.
         let mut level = vec![usize::MAX; n];
@@ -25,9 +29,9 @@ pub(crate) fn max_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
         let mut queue = VecDeque::new();
         queue.push_back(s);
         while let Some(u) = queue.pop_front() {
-            for &e in g.edges_of(u) {
-                let v = g.head(e);
-                if g.residual(e) > 0 && level[v] == usize::MAX {
+            for arc in &arcs.arc[arcs.of(u)] {
+                let v = arc.head as usize;
+                if arc.residual > 0 && level[v] == usize::MAX {
                     level[v] = level[u] + 1;
                     queue.push_back(v);
                 }
@@ -37,9 +41,9 @@ pub(crate) fn max_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
             break;
         }
         // Blocking flow by iterative DFS with current-arc pointers.
-        let mut iter = vec![0usize; n];
+        let mut iter = arcs.first[..n].to_vec();
         loop {
-            let pushed = dfs(g, s, t, u64::MAX, &level, &mut iter);
+            let pushed = dfs(arcs, s, t, u64::MAX, &level, &mut iter, &mut work);
             if pushed == 0 {
                 break;
             }
@@ -47,28 +51,31 @@ pub(crate) fn max_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
         }
     }
     debug_assert!(g.conservation_violations(s, t).is_empty());
-    u64::try_from(total).expect("flow exceeds u64")
+    (u64::try_from(total).expect("flow exceeds u64"), work)
 }
 
 fn dfs(
-    g: &mut FlowNetwork,
+    arcs: &mut Arcs,
     u: NodeId,
     t: NodeId,
     limit: u64,
     level: &[usize],
     iter: &mut [usize],
+    work: &mut SolveWork,
 ) -> u64 {
     if u == t {
         return limit;
     }
-    while iter[u] < g.edges_of(u).len() {
-        let e = g.edges_of(u)[iter[u]];
-        let v = g.head(e);
-        let cap = g.residual(e);
-        if cap > 0 && level[v] == level[u] + 1 {
-            let pushed = dfs(g, v, t, limit.min(cap), level, iter);
+    let end = arcs.of(u).end;
+    while iter[u] < end {
+        let a = iter[u];
+        let ResidualArc { head, residual, .. } = arcs.arc[a];
+        let v = head as usize;
+        if residual > 0 && level[v] == level[u] + 1 {
+            let pushed = dfs(arcs, v, t, limit.min(residual), level, iter, work);
             if pushed > 0 {
-                g.push_along(e, pushed);
+                arcs.push(a, pushed);
+                work.pushes += 1;
                 return pushed;
             }
         }
@@ -86,7 +93,7 @@ mod tests {
         let mut g = FlowNetwork::new(3);
         g.add_edge(0, 1, 10);
         g.add_edge(1, 2, 3);
-        assert_eq!(max_flow(&mut g, 0, 2), 3);
+        assert_eq!(max_flow(&mut g, 0, 2).0, 3);
     }
 
     #[test]
@@ -103,7 +110,7 @@ mod tests {
         g.add_edge(v4, v3, 7);
         g.add_edge(v3, t, 20);
         g.add_edge(v4, t, 4);
-        assert_eq!(max_flow(&mut g, s, t), 23);
+        assert_eq!(max_flow(&mut g, s, t).0, 23);
     }
 
     #[test]
@@ -114,7 +121,7 @@ mod tests {
         g.add_edge(1, 2, 1);
         g.add_edge(1, 3, 1);
         g.add_edge(2, 3, 1);
-        assert_eq!(max_flow(&mut g, 0, 3), 2);
+        assert_eq!(max_flow(&mut g, 0, 3).0, 2);
     }
 
     #[test]
@@ -123,9 +130,9 @@ mod tests {
         g.add_undirected(0, 1, 7);
         g.add_undirected(1, 2, 4);
         g.add_undirected(2, 3, 9);
-        let first = max_flow(&mut g, 0, 3);
+        let first = max_flow(&mut g, 0, 3).0;
         g.reset();
-        let second = max_flow(&mut g, 0, 3);
+        let second = max_flow(&mut g, 0, 3).0;
         assert_eq!(first, second);
         assert_eq!(first, 4);
     }

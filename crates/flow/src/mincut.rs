@@ -42,7 +42,7 @@ impl MaxFlowAlgorithm {
     pub const ALL: [MaxFlowAlgorithm; 2] = [MaxFlowAlgorithm::LiftToFront, MaxFlowAlgorithm::Dinic];
 
     /// Runs the selected algorithm.
-    fn run(self, g: &mut FlowNetwork, s: NodeId, t: NodeId) -> u64 {
+    fn run(self, g: &mut FlowNetwork, s: NodeId, t: NodeId) -> (u64, SolveWork) {
         match self {
             MaxFlowAlgorithm::LiftToFront => push_relabel::max_flow(g, s, t),
             MaxFlowAlgorithm::Dinic => dinic::max_flow(g, s, t),
@@ -57,6 +57,38 @@ pub struct CutResult {
     pub cut_value: u64,
     /// `true` for nodes on the source (client) side.
     pub source_side: Vec<bool>,
+    /// Push operations the solve performed (Dinic: one per arc of each
+    /// augmenting path). A warm start's re-installed flow is not counted.
+    pub pushes: u64,
+    /// Relabel operations, gap relabels included (Dinic: none).
+    pub relabels: u64,
+    /// Global relabels, the one that starts each phase included (Dinic:
+    /// none).
+    pub global_relabels: u64,
+}
+
+/// The operations one max-flow solve performed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SolveWork {
+    pub(crate) pushes: u64,
+    pub(crate) relabels: u64,
+    pub(crate) global_relabels: u64,
+}
+
+impl CutResult {
+    /// Reads the cut off a network holding a maximum `s`–`t` flow.
+    fn extract(g: &FlowNetwork, s: NodeId, t: NodeId, (cut_value, work): (u64, SolveWork)) -> Self {
+        let source_side = g.residual_reachable(s);
+        debug_assert!(source_side[s]);
+        debug_assert!(!source_side[t]);
+        CutResult {
+            cut_value,
+            source_side,
+            pushes: work.pushes,
+            relabels: work.relabels,
+            global_relabels: work.global_relabels,
+        }
+    }
 }
 
 /// Computes a minimum `s`–`t` cut of the network.
@@ -70,14 +102,8 @@ pub fn min_cut(
     algorithm: MaxFlowAlgorithm,
 ) -> CutResult {
     MIN_CUT_INVOCATIONS.with(|n| n.set(n.get() + 1));
-    let cut_value = algorithm.run(g, s, t);
-    let source_side = g.residual_reachable(s);
-    debug_assert!(source_side[s]);
-    debug_assert!(!source_side[t]);
-    CutResult {
-        cut_value,
-        source_side,
-    }
+    let flow = algorithm.run(g, s, t);
+    CutResult::extract(g, s, t, flow)
 }
 
 /// Computes a minimum `s`–`t` cut, warm-starting lift-to-front from a
@@ -98,17 +124,11 @@ pub fn min_cut_warm(
     previous_flows: Option<&[u64]>,
 ) -> CutResult {
     MIN_CUT_INVOCATIONS.with(|n| n.set(n.get() + 1));
-    let cut_value = match previous_flows {
+    let flow = match previous_flows {
         Some(flows) => push_relabel::max_flow_warm(g, s, t, flows),
         None => push_relabel::max_flow(g, s, t),
     };
-    let source_side = g.residual_reachable(s);
-    debug_assert!(source_side[s]);
-    debug_assert!(!source_side[t]);
-    CutResult {
-        cut_value,
-        source_side,
-    }
+    CutResult::extract(g, s, t, flow)
 }
 
 /// Sums the original capacities of forward edges crossing from the source
@@ -120,7 +140,7 @@ fn crossing_capacity(g: &FlowNetwork, side: &[bool]) -> u64 {
         if !side[u] {
             continue;
         }
-        for &e in g.edges_of(u) {
+        for e in g.edges_of(u) {
             let v = g.head(e);
             if !side[v] {
                 total += g.original(e);
@@ -178,6 +198,70 @@ mod tests {
         let cut = min_cut(&mut g, 0, 2, MaxFlowAlgorithm::LiftToFront);
         assert_eq!(cut.cut_value, 5);
         assert!(cut.source_side[1], "node 1 must stay with the source");
+    }
+
+    /// The CLRS figure 26.1 network, made undirected.
+    fn clrs() -> FlowNetwork {
+        let mut g = FlowNetwork::new(6);
+        for (u, v, cap) in [
+            (0, 1, 16),
+            (0, 2, 13),
+            (1, 2, 10),
+            (2, 1, 4),
+            (1, 3, 12),
+            (3, 2, 9),
+            (2, 4, 14),
+            (4, 3, 7),
+            (3, 5, 20),
+            (4, 5, 4),
+        ] {
+            g.add_undirected(u, v, cap);
+        }
+        g
+    }
+
+    #[test]
+    fn solver_work_is_counted_exactly() {
+        let cut = min_cut(&mut clrs(), 0, 5, MaxFlowAlgorithm::LiftToFront);
+        let work = (cut.pushes, cut.relabels, cut.global_relabels);
+        assert_eq!(work, (9, 3, 2), "lift-to-front");
+        let cut = min_cut(&mut clrs(), 0, 5, MaxFlowAlgorithm::Dinic);
+        let work = (cut.pushes, cut.relabels, cut.global_relabels);
+        assert_eq!(work, (9, 0, 0), "Dinic");
+        // A warm start from the finished flow only hands the source's
+        // unsaturated arc back: one push, no relabel.
+        let mut g = clrs();
+        min_cut(&mut g, 0, 5, MaxFlowAlgorithm::LiftToFront);
+        let flows = g.snapshot_flows();
+        g.reset();
+        let warm = min_cut_warm(&mut g, 0, 5, Some(&flows));
+        assert_eq!((warm.pushes, warm.relabels), (1, 0));
+        assert_eq!(warm.cut_value, cut.cut_value);
+    }
+
+    #[test]
+    fn growing_a_solved_network_rebuilds_its_arc_layout() {
+        // Solve, then add a node and edges to the solved network, as
+        // `multiway_cut` does with its super-sink: the next solve must see
+        // the new arcs and start from the old residuals.
+        let mut g = chain();
+        let first = min_cut(&mut g, 0, 4, MaxFlowAlgorithm::LiftToFront);
+        assert_eq!(first.cut_value, 2);
+        let extra = g.add_node();
+        g.add_undirected(1, extra, 50);
+        g.add_undirected(extra, 4, 50);
+        assert_eq!(g.node_count(), 6);
+        assert_eq!(g.edges_of(extra).collect::<Vec<_>>(), [9, 10]);
+        assert_eq!(g.edges_of(1).collect::<Vec<_>>(), [1, 2, 8]);
+        // The old 2 units stay on the network, so the solve finds only the
+        // 8 more the new path admits past the first edge's 10.
+        let grown = min_cut(&mut g, 0, 4, MaxFlowAlgorithm::LiftToFront);
+        assert_eq!(grown.cut_value, 10 - 2);
+        g.reset();
+        let fresh = min_cut(&mut g, 0, 4, MaxFlowAlgorithm::Dinic);
+        assert_eq!(fresh.cut_value, 10);
+        assert_eq!(fresh.source_side, [true, false, false, false, false, false]);
+        assert_eq!(g.conservation_violations(0, 4), []);
     }
 
     #[test]
@@ -366,6 +450,11 @@ mod properties {
         (g, s, t)
     }
 
+    /// The cut a solve found, without the work it took.
+    fn cut_of(cut: &CutResult) -> (u64, &[bool]) {
+        (cut.cut_value, &cut.source_side)
+    }
+
     /// Shrinks about a quarter of `g`'s edge pairs, pins included, to a
     /// seeded fraction of their capacity (zero included).
     fn shrink(g: &mut FlowNetwork, seed: u64) {
@@ -392,8 +481,8 @@ mod properties {
                 let warm = min_cut_warm(&mut g, s, t, previous.as_deref());
                 let mut reference = pinned_graph(case, mul).0;
                 let dinic = min_cut(&mut reference, s, t, MaxFlowAlgorithm::Dinic);
-                assert_eq!(cold, dinic, "case {case}: cold x{mul}");
-                assert_eq!(warm, dinic, "case {case}: warm x{mul}");
+                assert_eq!(cut_of(&cold), cut_of(&dinic), "case {case}: cold x{mul}");
+                assert_eq!(cut_of(&warm), cut_of(&dinic), "case {case}: warm x{mul}");
                 for net in [&cold_net, &g] {
                     assert_eq!(net.conservation_violations(s, t), [], "case {case} x{mul}");
                 }
@@ -407,7 +496,7 @@ mod properties {
             let mut reference = pinned_graph(case, 8).0;
             shrink(&mut reference, case);
             let dinic = min_cut(&mut reference, s, t, MaxFlowAlgorithm::Dinic);
-            assert_eq!(warm, dinic, "case {case}: clamped");
+            assert_eq!(cut_of(&warm), cut_of(&dinic), "case {case}: clamped");
             assert_eq!(g.conservation_violations(s, t), [], "case {case}: clamped");
         }
     }
@@ -418,7 +507,7 @@ mod properties {
             let (seed, n, _) = graph_case(case, 3..16, 0..1);
             // The trivial cut that isolates the source bounds the min cut.
             let mut g = random_graph(seed, n, 10);
-            let trivial: u64 = g.edges_of(0).iter().map(|&e| g.original(e)).sum();
+            let trivial: u64 = g.edges_of(0).map(|e| g.original(e)).sum();
             let cut = min_cut(&mut g, 0, n - 1, MaxFlowAlgorithm::Dinic);
             assert!(cut.cut_value <= trivial, "case {case}");
         }

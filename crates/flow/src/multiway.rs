@@ -131,7 +131,7 @@ pub fn refine_assignment(
             }
             // Adjacent undirected capacity per machine.
             let mut pull = vec![0u64; machine_count];
-            for &e in g.edges_of(u) {
+            for e in g.edges_of(u) {
                 let v = g.head(e);
                 if v < n && v != u {
                     pull[assignment[v]] =
@@ -160,7 +160,7 @@ pub fn refine_assignment(
 fn crossing_value(g: &FlowNetwork, assignment: &[usize]) -> u64 {
     let mut total = 0u64;
     for u in 0..g.node_count() {
-        for &e in g.edges_of(u) {
+        for e in g.edges_of(u) {
             if e % 2 != 0 {
                 continue; // count each stored edge once, via its forward half
             }
