@@ -282,9 +282,12 @@ impl RecoverySolver {
             }
         };
         check_cut_in_range(
-            &self.flow,
-            self.traffic_pairs,
             cut.cut_value,
+            || {
+                (0..self.traffic_pairs)
+                    .map(|pair| u128::from(self.flow.original(pair * 2)))
+                    .sum()
+            },
             format_args!("recovery re-solve"),
         )?;
         let mut placement = HashMap::with_capacity(self.nodes.len());
