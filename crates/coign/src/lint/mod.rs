@@ -11,7 +11,8 @@
 //!    interface; flag opaque-pointer parameters and interface pointers
 //!    nobody declares (COIGN010–COIGN012).
 //! 2. [`satisfiability`] — close the colocation constraints under union and
-//!    prove that no group is pinned to both machines (COIGN020–COIGN021).
+//!    prove that no group is pinned to both machines; reject profile
+//!    traffic over non-remotable interfaces (COIGN020–COIGN022).
 //! 3. [`image_lints`] — verify the rewriter's invariants on the binary
 //!    image and its configuration record (COIGN030–COIGN035).
 //! 4. [`effects`] — fold per-method [`coign_com::StateEffect`] annotations
@@ -67,9 +68,9 @@ pub fn classification_label(
     }
 }
 
-/// Stage 2 as one call: named-constraint resolution checks plus
-/// satisfiability of the colocation closure. Returns `true` when the
-/// constraint set admits a distribution.
+/// Stage 2 as one call: named-constraint resolution checks, profile edges
+/// over non-remotable interfaces, and satisfiability of the colocation
+/// closure. Returns `true` when the constraint set admits a distribution.
 ///
 /// Both `coign check` and the analysis pipeline call this, so a
 /// contradiction produces byte-identical diagnostics on either path.
@@ -84,6 +85,7 @@ pub(crate) fn check_constraint_stage(
     let mut non_remotable: Vec<_> = profile.non_remotable.iter().copied().collect();
     non_remotable.sort();
     let label = |id: ClassificationId| classification_label(profile, registry, id);
+    satisfiability::check_non_remotable_edges(profile, registry, &label, sink);
     satisfiability::check_constraints(constraints, &non_remotable, &label, sink)
 }
 

@@ -33,8 +33,8 @@ use crate::profile::IccProfile;
 use crate::recovery::{RecoveryConfig, RecoveryCoordinator};
 use crate::rte::CoignRte;
 use coign_com::{
-    ClassRegistry, Clsid, ComError, ComResult, ComRuntime, CreateRequest, FoldState, Iid,
-    InstanceId, InterfacePtr, MachineId, RtStats, RuntimeHook,
+    ClassRegistry, Clsid, ComError, ComResult, ComRuntime, CreateRequest, FoldState, InstanceId,
+    InterfacePtr, MachineId, RtStats, RuntimeHook,
 };
 use coign_dcom::marshal::SizeCache;
 use coign_dcom::{
@@ -42,7 +42,7 @@ use coign_dcom::{
 };
 use coign_flow::MaxFlowAlgorithm;
 use coign_obs::{Obs, Registry, TraceArg};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// What the fault layer did during one execution: the transport's counters
@@ -440,9 +440,10 @@ pub fn profile_scenarios_crosschecked(
     Ok((merged, violations.into_iter().collect()))
 }
 
-/// Derives the full constraint set for an application: static API analysis,
-/// colocations implied by non-remotable interface metadata, plus the
-/// programmer's explicit constraints.
+/// Derives the full constraint set for an application: static API analysis
+/// plus the programmer's explicit constraints. Non-remotable pairs are not
+/// constraints here: the profiling logger records each one in
+/// [`IccProfile::non_remotable`], which the analysis colocates directly.
 pub fn derive_constraints(app: &dyn Application, profile: &IccProfile) -> Vec<Constraint> {
     let rt = ComRuntime::single_machine();
     app.register(&rt);
@@ -458,48 +459,11 @@ pub fn constraints_in(
     profile: &IccProfile,
 ) -> Vec<Constraint> {
     let mut constraints = derive_static_constraints(profile, registry);
-    constraints.extend(static_non_remotable_colocations(profile, registry));
     constraints.extend(resolve_named_constraints(
         profile,
         &app.explicit_constraints(),
     ));
     constraints
-}
-
-/// Colocations derived *statically* from interface metadata: any profiled
-/// edge carried by a non-remotable interface binds its endpoints to one
-/// machine — the same fact the profiling informer records dynamically in
-/// [`IccProfile::non_remotable`], recovered here from the registry alone so
-/// that analysis does not depend on the informer having observed the call.
-fn static_non_remotable_colocations(
-    profile: &IccProfile,
-    registry: &ClassRegistry,
-) -> Vec<Constraint> {
-    let non_remotable: HashSet<Iid, FoldState> = registry
-        .all()
-        .iter()
-        .flat_map(|class| &class.interfaces)
-        .filter(|desc| !desc.remotable)
-        .map(|desc| desc.iid)
-        .collect();
-    let mut pairs: Vec<(ClassificationId, ClassificationId)> = profile
-        .edges
-        .keys()
-        .filter(|key| key.from != key.to && non_remotable.contains(&key.iid))
-        .map(|key| {
-            if key.from <= key.to {
-                (key.from, key.to)
-            } else {
-                (key.to, key.from)
-            }
-        })
-        .collect();
-    pairs.sort();
-    pairs.dedup();
-    pairs
-        .into_iter()
-        .map(|(a, b)| Constraint::Colocate(a, b))
-        .collect()
 }
 
 /// Fast-fail guard shared by `coign check` and the pipeline: resolves the

@@ -1,8 +1,8 @@
 //! Integration tests for the `coign check` static analysis pass and its
 //! coupling to the analysis pipeline: contradictory constraint sets fail
 //! fast (min-cut is never invoked) with the same diagnostics `coign check`
-//! reports, and statically-derived non-remotable facts drive the same
-//! colocation decisions as the dynamic profiling path.
+//! reports, and profile traffic over a non-remotable interface is rejected
+//! rather than cut.
 
 use coign::application::Application;
 use coign::classifier::{ClassificationId, ClassifierKind, InstanceClassifier};
@@ -231,31 +231,31 @@ fn static_and_dynamic_non_remotable_paths_agree() {
     dynamic_profile.record_non_remotable(c(SHELL), c(WORKER));
     let dynamic = choose_distribution(&app, &dynamic_profile, &network()).unwrap();
 
-    // Static path: the informer never ran, but the profile carries traffic
-    // on ISharedBuffer, whose metadata alone proves it non-remotable.
-    let mut static_profile = base_profile();
-    static_profile.record_message(c(SHELL), c(WORKER), Iid::from_name("ISharedBuffer"), 0, 64);
-    assert!(static_profile.non_remotable.is_empty());
-    let constraints = derive_constraints(&app, &static_profile);
+    // Traffic path: the profile carries traffic on ISharedBuffer, which the
+    // profiling logger never writes (it records a non-remotable call as a
+    // pair, as above). Nothing binds the pair, so the constraint stage
+    // rejects the profile with COIGN022 instead of letting the cut split it.
+    let mut traffic_profile = base_profile();
+    traffic_profile.record_message(c(SHELL), c(WORKER), Iid::from_name("ISharedBuffer"), 0, 64);
+    assert!(traffic_profile.non_remotable.is_empty());
+    let constraints = derive_constraints(&app, &traffic_profile);
     assert!(
-        constraints
+        !constraints
             .iter()
             .any(|ct| *ct == coign::constraints::Constraint::Colocate(c(SHELL), c(WORKER))),
-        "static metadata must yield the colocation constraint: {constraints:?}"
+        "interface metadata is not a constraint source: {constraints:?}"
     );
-    let statically = choose_distribution(&app, &static_profile, &network()).unwrap();
+    let Err(ComError::App(detail)) = choose_distribution(&app, &traffic_profile, &network()) else {
+        panic!("traffic over a non-remotable interface must be rejected");
+    };
+    assert!(detail.contains("COIGN022"), "{detail}");
+    assert!(detail.contains("ISharedBuffer"), "{detail}");
 
-    // Both paths force the worker to stay with the GUI shell on the
-    // client — the same decision, from metadata alone vs. observation.
-    for class in [SHELL, WORKER, STORE] {
-        assert_eq!(
-            statically.machine_of(c(class)),
-            dynamic.machine_of(c(class)),
-            "placement of c:{class} differs between static and dynamic paths"
-        );
-    }
-    assert_eq!(statically.machine_of(c(WORKER)), MachineId::CLIENT);
-    assert_eq!(statically.machine_of(c(STORE)), MachineId::SERVER);
+    // The observed pair forces the worker to stay with the GUI shell on
+    // the client; neither path yields a distribution that splits it.
+    assert_eq!(dynamic.machine_of(c(WORKER)), MachineId::CLIENT);
+    assert_eq!(dynamic.machine_of(c(SHELL)), MachineId::CLIENT);
+    assert_eq!(dynamic.machine_of(c(STORE)), MachineId::SERVER);
 }
 
 #[test]

@@ -4,12 +4,14 @@
 //! instead of registering the application a second time.
 
 use coign::classifier::{ClassifierKind, InstanceClassifier};
-use coign::constraints::Constraint;
-use coign::runtime::{constraints_in, derive_constraints, profile_scenarios_observed};
+use coign::runtime::{
+    check_constraints, constraints_in, derive_constraints, profile_scenarios_observed,
+};
 use coign::Application;
 use coign_apps::{Benefits, Octarine, PhotoDraw};
 use coign_com::{ComRuntime, Iid};
 use coign_gen::{GenSize, GenSpec, GeneratedApp};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The three paper applications, each with one scenario to profile.
@@ -67,13 +69,12 @@ fn two_registrations_share_every_interface_description() {
 
 /// Checks one profiled application: the constraints derived from a runtime
 /// it is registered in equal [`derive_constraints`], and every profiled
-/// edge over a non-remotable interface yields its colocation. Returns how
-/// many such edges there were.
+/// edge over a non-remotable interface is rejected with a COIGN022 error.
+/// Returns how many such edges there were.
 ///
 /// The profiling informer records a non-remotable call as a constraint,
 /// not as traffic, so each such pair is also given an `IWindowSite` edge:
-/// the shape of a statically built profile, whose colocations come from
-/// interface metadata alone.
+/// the shape of a profile the logger never writes.
 fn check_constraints_in(app: &dyn Application, scenario: &str) -> usize {
     let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
     let mut profile =
@@ -93,20 +94,26 @@ fn check_constraints_in(app: &dyn Application, scenario: &str) -> usize {
         app.name()
     );
     let classes = rt.registry().all();
-    let mut non_remotable_edges = 0;
+    let mut non_remotable_edges = BTreeSet::new();
     for key in profile.edges.keys().filter(|key| key.from != key.to) {
         let mut descs = classes.iter().flat_map(|class| &class.interfaces);
         if descs.any(|desc| desc.iid == key.iid && !desc.remotable) {
             let pair = (key.from.min(key.to), key.from.max(key.to));
-            assert!(
-                constraints.contains(&Constraint::Colocate(pair.0, pair.1)),
-                "{} {scenario}: non-remotable edge {pair:?} is not colocated",
-                app.name()
-            );
-            non_remotable_edges += 1;
+            non_remotable_edges.insert((pair, key.iid));
         }
     }
-    non_remotable_edges
+    if !non_remotable_edges.is_empty() {
+        let detail = check_constraints(app, &profile)
+            .expect_err("traffic over a non-remotable interface must be rejected")
+            .to_string();
+        assert_eq!(
+            detail.matches("COIGN022").count(),
+            non_remotable_edges.len(),
+            "{} {scenario}: {detail}",
+            app.name()
+        );
+    }
+    non_remotable_edges.len()
 }
 
 #[test]
