@@ -190,3 +190,47 @@ fn coign_improves_both_benefits_tierings() {
     let three = profile_scenario(&Benefits::three_tier(), "b_vueone", &classifier2).unwrap();
     assert_eq!(two.profile, three.profile);
 }
+
+/// The cut is solved on a network with pins and colocations contracted;
+/// on real application graphs it must equal the full network's. The
+/// validated sweep re-solves every point of the 4×4 grid with Dinic on the
+/// full network and fails on any difference, and the cold sweep, which
+/// solves each point as `analyze` does, must agree with it point for
+/// point. Paper applications over three scenarios each, and twenty
+/// generated seeds in every size class.
+#[test]
+fn contracted_cuts_match_the_full_network_on_paper_and_generated_apps() {
+    use coign::runtime::profile_scenarios_observed;
+    use coign::sweep::{sweep, SweepGrid, SweepMode};
+    use coign::Application;
+    use coign_gen::{GenSize, GenSpec, GeneratedApp};
+
+    let mut apps: Vec<(Arc<dyn Application>, Vec<&str>)> = [
+        ("octarine", vec!["o_oldtb3", "o_newdoc", "o_oldwp7"]),
+        ("photodraw", vec!["p_newdoc", "p_oldcur", "p_newmsr"]),
+        ("benefits", vec!["b_vueone", "b_addone", "b_delone"]),
+    ]
+    .into_iter()
+    .map(|(name, scenarios)| (app_by_name(name).unwrap(), scenarios))
+    .collect();
+    for seed in 1..=20 {
+        for size in [GenSize::Small, GenSize::Medium, GenSize::Large] {
+            let app = GeneratedApp::new(GenSpec::new(seed, size));
+            apps.push((Arc::new(app), vec!["g_main", "g_doc", "g_idle"]));
+        }
+    }
+    let grid = SweepGrid::paper_networks();
+    let mut distinct = 0;
+    for (app, scenarios) in &apps {
+        let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
+        let profile = profile_scenarios_observed(app.as_ref(), scenarios, &classifier, None)
+            .unwrap_or_else(|e| panic!("{}: {e}", app.name()));
+        let validated = sweep(app.as_ref(), &profile, &grid, SweepMode::WarmValidated)
+            .unwrap_or_else(|e| panic!("{}: {e}", app.name()));
+        let cold = sweep(app.as_ref(), &profile, &grid, SweepMode::Cold).unwrap();
+        assert_eq!(validated.points.len(), 16);
+        assert_eq!(validated, cold, "{}", app.name());
+        distinct += validated.distinct_partitions();
+    }
+    assert!(distinct > apps.len(), "no application's partition moved");
+}
