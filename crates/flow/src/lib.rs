@@ -10,7 +10,17 @@
 //! paper's ≥3-machine future-work case (which is NP-hard to solve exactly).
 //!
 //! All algorithms operate on the shared residual-graph representation in
-//! [`graph`]. Location constraints are expressed with [`graph::INFINITE`]
+//! [`graph`]: edges are named by slots, and the solvers walk the residual
+//! arcs laid out vertex by vertex, each vertex's arcs one contiguous slice
+//! of `{head, rev, residual}` records, as Cherkassky and Goldberg's HIPR
+//! stores them ("On implementing push-relabel method for the maximum flow
+//! problem", Algorithmica 19, 1997). Lift-to-front follows HIPR's
+//! heuristics too: a global relabel at the start of each phase and again
+//! after every `2·(6n + m)` units of relabel work (`n` vertices, `m`
+//! residual arcs), HIPR's default interval. Every cut reports the pushes,
+//! relabels and global relabels its solve performed.
+//!
+//! Location constraints are expressed with [`graph::INFINITE`]
 //! capacities: an infinite edge can never be cut, which is how pinned
 //! components and non-remotable interfaces are enforced.
 
