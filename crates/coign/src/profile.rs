@@ -90,7 +90,9 @@ pub struct EdgeStats {
 /// executions.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IccProfile {
-    /// Summarized traffic.
+    /// Summarized traffic. A call over a non-remotable interface is never
+    /// an edge: it is a [`IccProfile::non_remotable`] pair, and `coign
+    /// check` rejects an edge such an interface carries (COIGN022).
     pub edges: HashMap<EdgeKey, EdgeStats>,
     /// Instances observed per classification (across all merged runs).
     pub instances: HashMap<ClassificationId, u64>,
