@@ -177,3 +177,48 @@ fn fault_plan_parse_survives_mutation() {
         FaultPlan::parse(&String::from_utf8_lossy(b)).map(drop)
     });
 }
+
+/// A profile edge over a non-remotable interface is a profile the logger
+/// cannot write: it records such a call as a non-remotable pair. Accumulated
+/// into an image, it is a typed COIGN022 error for `coign check` and for
+/// the pipeline, never a cut that splits the pair.
+#[test]
+fn traffic_over_a_non_remotable_interface_is_rejected() {
+    let app = Octarine;
+    let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
+    let run = profile_scenario(&app, "o_newdoc", &classifier).unwrap();
+    let mut profile = run.profile;
+    let &(a, b) = profile
+        .non_remotable
+        .iter()
+        .min()
+        .expect("o_newdoc makes non-remotable calls");
+    let rt = coign_com::ComRuntime::single_machine();
+    app.register(&rt);
+    let iid = rt
+        .registry()
+        .all()
+        .iter()
+        .flat_map(|class| class.interfaces.clone())
+        .find(|desc| !desc.remotable)
+        .expect("Octarine declares a non-remotable interface")
+        .iid;
+    profile.non_remotable.clear();
+    profile.record_message(a, b, iid, 0, 64);
+
+    let mut image = app.image();
+    rewriter::instrument(&mut image, &classifier);
+    rewriter::accumulate_profile(&mut image, &profile).unwrap();
+    let sink = coign::lint::check_app_image(&image, &app);
+    assert!(sink.has_errors());
+    assert!(
+        sink.diagnostics().iter().any(|d| d.code == "COIGN022"),
+        "{}",
+        sink.render_human()
+    );
+    let record = rewriter::read_config(&image).unwrap();
+    let Err(ComError::App(detail)) = choose_distribution(&app, &record.profile, &ethernet()) else {
+        panic!("the pipeline must refuse the profile");
+    };
+    assert!(detail.contains("COIGN022"), "{detail}");
+}
