@@ -185,22 +185,26 @@ done
   > "$TMP/chaos_gen_3_jobs4.txt"
 cmp "$TMP/chaos_gen_3.txt" "$TMP/chaos_gen_3_jobs4.txt" \
   || { echo "generated chaos summary differs between --jobs 1 and --jobs 4"; exit 1; }
-"$BIN" explore gen:3 g_main --faults-at 4000,9000,14000 --thresholds 1,3 > "$TMP/explore_a.txt"
+# Both explore runs go through the recovery solver, so their summaries are
+# pinned against committed expectations as well as across --jobs.
+"$BIN" explore gen:3 g_main --faults-at 4000,9000,14000 --thresholds 1,3 > "$TMP/explore_gen_3.txt"
 "$BIN" explore gen:3 g_main --faults-at 4000,9000,14000 --thresholds 1,3 --jobs 4 \
   > "$TMP/explore_b.txt"
-cmp "$TMP/explore_a.txt" "$TMP/explore_b.txt" \
+cmp "$TMP/explore_gen_3.txt" "$TMP/explore_b.txt" \
   || { echo "explore summary differs between --jobs 1 and --jobs 4"; exit 1; }
-grep -q "invariants: ok" "$TMP/explore_a.txt" \
+check_expected explore_gen_3.txt "explore summary"
+grep -q "invariants: ok" "$TMP/explore_gen_3.txt" \
   || { echo "explore found invariant violations on gen seed 3"; exit 1; }
 # The drift-armed axis: drift polls and drift re-solves must be just as
 # independent of the job count.
 "$BIN" explore gen:3 g_main --faults-at 4000,9000,14000 --thresholds 1,3 --drift \
-  > "$TMP/explore_drift_a.txt"
+  > "$TMP/explore_gen_3_drift.txt"
 "$BIN" explore gen:3 g_main --faults-at 4000,9000,14000 --thresholds 1,3 --drift --jobs 4 \
   > "$TMP/explore_drift_b.txt"
-cmp "$TMP/explore_drift_a.txt" "$TMP/explore_drift_b.txt" \
+cmp "$TMP/explore_gen_3_drift.txt" "$TMP/explore_drift_b.txt" \
   || { echo "drift-armed explore summary differs between --jobs 1 and --jobs 4"; exit 1; }
-grep -q "invariants: ok" "$TMP/explore_drift_a.txt" \
+check_expected explore_gen_3_drift.txt "drift-armed explore summary"
+grep -q "invariants: ok" "$TMP/explore_gen_3_drift.txt" \
   || { echo "drift-armed explore found invariant violations on gen seed 3"; exit 1; }
 # Drift-armed and replicated together, on a medium app: the explore mode
 # the benchmark's recovery workload runs.
