@@ -16,7 +16,7 @@
 //! coign check app.cimg [--json]          # static analysis, no profiling needed
 //! coign profile app.cimg o_oldwp7 --jobs 4   # run scenarios (parallel), accumulate logs
 //! coign analyze app.cimg ethernet        # cut the graph, realize the result
-//! coign sweep app.cimg --json            # partition across a network grid (warm-started)
+//! coign sweep app.cimg --json            # partition across a network grid (Dinic-checked)
 //! coign show app.cimg                    # inspect the configuration record
 //! coign run app.cimg o_oldwp7            # execute distributed, report times
 //! coign hotspots app.cimg                # communication hot spots (§6)
@@ -372,15 +372,17 @@ pub fn cmd_analyze(path: &Path, network_name: &str, obs: Option<&Obs>) -> ComRes
 }
 
 /// `coign sweep <image> [--json]` — evaluates the min-cut partition
-/// across a fixed grid of network latency/bandwidth points (warm-starting
-/// each solve from its predecessor and cross-validating against a cold
-/// Dinic solve) and reports where the best distribution changes.
+/// across a fixed grid of network latency/bandwidth points (one flow
+/// network re-parameterized per point, each solve cross-validated against
+/// a Dinic solve of a network rebuilt from scratch) and reports where the
+/// best distribution changes.
 ///
 /// Under an observability bundle the command runs under a `sweep` phase
 /// span and the registry gains the warm/cold solve counts. The sweep itself
-/// always runs [`SweepMode::WarmValidated`] — one warm-started solve per
-/// grid point, each cross-validated by a cold Dinic solve — so both
-/// counters equal the number of grid points.
+/// always runs [`SweepMode::WarmValidated`] — one lift-to-front solve of
+/// the re-parameterized network per grid point (the warm count), each
+/// cross-validated by a Dinic solve of a rebuilt one (the cold count) — so
+/// both counters equal the number of grid points.
 pub fn cmd_sweep(path: &Path, json: bool, obs: Option<&Obs>) -> ComResult<String> {
     let _span = obs.map(|o| o.tracer.phase_span("sweep"));
     let (image, record) = load_profiled(path, None)?;
@@ -905,8 +907,9 @@ fn chaos_trial(
 /// random fault plans with the self-healing runtime enabled, each trial
 /// checked against the recovery invariants (typed outcomes only, zero
 /// double executions, constraint-satisfying post-recovery placements,
-/// warm-started re-solves). The summary is byte-identical for a given
-/// seed, across repeated runs and across `--jobs`.
+/// warm re-solves after one cold base cut). The summary is
+/// byte-identical for a given seed, across repeated runs and across
+/// `--jobs`.
 ///
 /// Under an observability bundle trials emit the full fault/recovery
 /// instrumentation (breaker transitions, `recovery` instants,

@@ -24,7 +24,7 @@ USAGE:
                                         (--jobs N profiles scenarios on N worker threads;
                                          the merged log is identical for every N)
   coign analyze    <image> [network]    choose & realize a distribution (ethernet|isdn|atm|san)
-  coign sweep      <image> [--json]     partition across a latency/bandwidth grid (warm-started)
+  coign sweep      <image> [--json]     partition across a latency/bandwidth grid (Dinic-checked)
   coign place      <image> <scenario> [network]   multiway placement across N machines
         [--machines N]                  topology size (default 3)
         [--replicate]                   copy classes the stage-4/5 lints prove immutable

@@ -160,22 +160,30 @@ pub fn analyze(
         format_args!("network {}", network.network_name),
     )?;
 
-    let mut placement = HashMap::with_capacity(n);
-    for (node, class) in graph.nodes.iter().enumerate() {
-        let machine = if source_side[node] {
+    Ok(Distribution {
+        placement: placement_of(&graph, &source_side),
+        predicted_comm_us: graph.crossing_time_us(&source_side[..n]),
+        network_name: graph.network_name,
+    })
+}
+
+/// The placement a cut of `graph` gives: each classification on the client
+/// when its node is on the source side, on the server otherwise.
+pub(crate) fn placement_of(
+    graph: &IccGraph,
+    source_side: &[bool],
+) -> HashMap<ClassificationId, MachineId> {
+    let machine = |client| {
+        if client {
             MachineId::CLIENT
         } else {
             MachineId::SERVER
-        };
-        placement.insert(*class, machine);
-    }
-    let predicted_comm_us = graph.crossing_time_us(&source_side[..n]);
-
-    Ok(Distribution {
-        placement,
-        predicted_comm_us,
-        network_name: graph.network_name,
-    })
+        }
+    };
+    let classes = graph.nodes.iter().zip(source_side);
+    classes
+        .map(|(&class, &client)| (class, machine(client)))
+        .collect()
 }
 
 /// Cuts `graph` under `constraints` with `algorithm`, solving the

@@ -1,39 +1,29 @@
-//! Warm-started partition sweeps across a grid of network conditions.
+//! Partition sweeps across a grid of network conditions.
 //!
 //! The paper's motivating observation is that the best distribution of an
 //! application *changes with the network*: a cut tuned for a SAN is wrong
 //! for ISDN. Answering "where does the partition flip?" means solving the
-//! same min-cut over a whole grid of latency/bandwidth points — and those
-//! solves are highly related: raising latency or lowering bandwidth only
-//! ever *increases* edge capacities (`α·messages + β·bytes` with
-//! `α = latency + overhead/bw` and `β = 1/bw`), never shrinks them.
+//! same min-cut over a whole grid of latency/bandwidth points, whose edge
+//! capacities are `α·messages + β·bytes` with `α = latency + overhead/bw`
+//! and `β = 1/bw`.
 //!
 //! Every mode solves the network `analysis::Contracted` from the graph: pinned
 //! and colocated classifications merged into the terminals and into one
 //! node per group, so the solver never floods the infinite edges the cut
 //! cannot separate anyway.
 //!
-//! The warm sweep exploits that relatedness twice. First, the flow
-//! network's *topology* is network-independent — node order, edge keys,
-//! and the contraction depend only on the profile — so it is built once
-//! and only its communication-edge capacities are rewritten per point
+//! The warm sweep exploits that the flow network's *topology* is
+//! network-independent — node order, edge keys, and the contraction depend
+//! only on the profile — so it is built once and only its
+//! communication-edge capacities are rewritten per point
 //! ([`coign_flow::FlowNetwork::set_undirected_capacity`]) from the
 //! network-independent `(messages, bytes)` table the graph build keeps,
-//! skipping the per-point graph rebuild entirely. That rebuild is a
-//! minority of a cold point: on the benchmark's 1 000-node
-//! `partition_scale` graphs it takes about half a millisecond of a cold
-//! point's 1.1 ms (2-core Xeon container, seed 1, `--trace 1`), and
-//! building and solving the contracted network takes the rest, so most
-//! of what the warm path saves comes from the warm start below. Second, a
-//! max flow that was feasible at one grid point remains feasible at the
-//! next: points are visited in capacity-monotone order (latency
-//! ascending; within a latency row, bandwidth descending) and each solve
-//! is warm-started from its predecessor's flow via
-//! [`coign_flow::min_cut_warm`]. The first point of each row chains from
-//! the first point of the previous row (same bandwidth, lower latency), so
-//! every consecutive pair along the warm chain is capacity-monotone. Warm
-//! or cold, the residual-reachability cut extraction returns the *unique
-//! minimal source side* of the min cut, so placements are identical —
+//! skipping the per-point graph rebuild entirely. Each point is then
+//! solved from zero flow with lift-to-front: starting from the previous
+//! point's flow saves too few pushes to pay for re-installing it (see
+//! DESIGN.md). Warm or cold, the residual-reachability cut extraction
+//! returns the *unique minimal source side* of the min cut, so placements
+//! are identical —
 //! [`SweepMode::WarmValidated`] proves it against a cold Dinic solve on an
 //! independently rebuilt, uncontracted network at every point.
 
@@ -48,7 +38,7 @@ use crate::profile::IccProfile;
 use crate::runtime::checked_constraints;
 use coign_com::{ComError, ComResult};
 use coign_dcom::{NetworkModel, NetworkProfile};
-use coign_flow::{min_cut, min_cut_warm, MaxFlowAlgorithm};
+use coign_flow::{min_cut, MaxFlowAlgorithm};
 
 /// The latency/bandwidth grid a sweep evaluates.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,16 +89,15 @@ impl SweepGrid {
 /// How the sweep solves each grid point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepMode {
-    /// Build the flow network once, re-parameterize its capacities per
-    /// point, and warm-start each solve from its predecessor along the
-    /// capacity-monotone chain (lift-to-front).
+    /// Build the flow network once and re-parameterize its capacities per
+    /// point, solving each point with lift-to-front.
     Warm,
     /// Solve every point from scratch — full graph rebuild plus a cold
     /// lift-to-front solve, exactly what running `coign analyze` once per
-    /// network point would cost. The baseline the warm chain is
+    /// network point would cost. The baseline the warm sweep is
     /// benchmarked against.
     Cold,
-    /// Warm-start, then re-solve every point cold with Dinic — an
+    /// The warm sweep, re-solving every point with Dinic as well — an
     /// independent algorithm on an independently rebuilt network, without
     /// the contraction — and fail if cut value or placement disagree.
     WarmValidated,
@@ -230,11 +219,9 @@ fn sweep_cold(
 /// The warm path: the flow network's *topology* never changes across the
 /// grid — only its communication-edge capacities do — so it is built once
 /// and re-parameterized per point with
-/// [`FlowNetwork::set_undirected_capacity`], and each solve is
-/// warm-started from its predecessor's flow along the capacity-monotone
-/// chain. With `validate`, every point is additionally re-solved cold
-/// (full uncontracted rebuild, Dinic) and the sweep fails on any
-/// disagreement.
+/// [`FlowNetwork::set_undirected_capacity`] before each lift-to-front
+/// solve. With `validate`, every point is additionally re-solved (full
+/// uncontracted rebuild, Dinic) and the sweep fails on any disagreement.
 ///
 /// [`FlowNetwork::set_undirected_capacity`]: coign_flow::FlowNetwork::set_undirected_capacity
 fn sweep_warm(
@@ -268,14 +255,10 @@ fn sweep_warm(
     let keys: Vec<(usize, usize)> = base_graph.weights_us.keys().copied().collect();
 
     let mut points = Vec::with_capacity(latencies.len() * bandwidths.len());
-    // Flow snapshot of the previous point in the warm chain, and of the
-    // first point of the previous latency row (the row-to-row link).
-    let mut previous: Option<Vec<u64>> = None;
-    let mut row_start: Option<Vec<u64>> = None;
     let mut weights = vec![0.0f64; traffic.len()];
 
     for &latency_us in latencies {
-        for (col, &bandwidth_bps) in bandwidths.iter().enumerate() {
+        for &bandwidth_bps in bandwidths {
             let network = NetworkProfile::exact(&grid_model(latency_us, bandwidth_bps));
             for (w, stats) in weights.iter_mut().zip(traffic) {
                 *w = network.predict_traffic_us(stats.messages, stats.bytes);
@@ -287,14 +270,12 @@ fn sweep_warm(
                 flow.set_undirected_capacity(pair, IccGraph::capacity_of(weights[k]));
             }
 
-            let warm_from = if col == 0 { &row_start } else { &previous };
-            let cut = min_cut_warm(flow, source, sink, warm_from.as_deref());
+            let cut = min_cut(flow, source, sink, MaxFlowAlgorithm::LiftToFront);
             check_cut_in_range(
                 cut.cut_value,
                 || traffic_capacity(&weights),
                 format_args!("latency {latency_us} us, bandwidth {bandwidth_bps} B/s"),
             )?;
-            let snapshot = flow.snapshot_flows();
             let source_side = contracted.lift(&cut.source_side);
             if validate {
                 let graph = IccGraph::build(profile, &network);
@@ -302,7 +283,7 @@ fn sweep_warm(
                 let cold = min_cut(&mut full, s, t, MaxFlowAlgorithm::Dinic);
                 if cold.cut_value != cut.cut_value || cold.source_side != source_side {
                     return Err(ComError::App(format!(
-                        "warm-started sweep diverged from cold solve at \
+                        "warm sweep diverged from cold solve at \
                          latency={latency_us}us bandwidth={bandwidth_bps}B/s: \
                          warm cut {} vs cold cut {}",
                         cut.cut_value, cold.cut_value
@@ -327,11 +308,6 @@ fn sweep_warm(
                 &base_graph.nodes,
                 &source_side,
             ));
-
-            if col == 0 {
-                row_start = Some(snapshot.clone());
-            }
-            previous = Some(snapshot);
         }
     }
     Ok(SweepResult { points })
@@ -365,9 +341,8 @@ fn make_point(
     }
 }
 
-/// The network model of one grid point: a jitter-free pure pipe so that
-/// `NetworkProfile::exact` is monotone in latency and `1/bandwidth` — the
-/// property the warm chain's feasibility rests on.
+/// The network model of one grid point: a jitter-free pure pipe of the
+/// given latency and bandwidth.
 fn grid_model(latency_us: f64, bandwidth_bps: f64) -> NetworkModel {
     let mut model = NetworkModel::new("sweep-grid", latency_us, bandwidth_bps);
     model.jitter = 0.0;
@@ -498,14 +473,14 @@ mod tests {
 }
 
 #[cfg(test)]
-mod properties {
+pub(crate) mod properties {
     use super::*;
     use crate::analysis::{build_flow_network, check_cut_in_range, cut_graph, traffic_capacity};
     use coign_com::{Clsid, Iid};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    const CASES: u64 = 1_000;
+    pub(crate) const CASES: u64 = 1_000;
 
     fn c(n: u32) -> ClassificationId {
         ClassificationId(n)
@@ -516,7 +491,7 @@ mod properties {
     /// server pins, colocation chains, non-remotable pairs, traffic between
     /// the two pinned groups, constraints naming classes the profile never
     /// saw, and — now and then — a group pinned to both machines.
-    fn case(seed: u64) -> (IccProfile, Vec<Constraint>) {
+    pub(crate) fn case(seed: u64) -> (IccProfile, Vec<Constraint>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.gen_range(1..=24u32);
         let iid = Iid::from_name("IX");

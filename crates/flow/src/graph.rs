@@ -2,8 +2,8 @@
 //!
 //! A network is described by its *edge slots*: adding an edge appends slot
 //! `2k` (the edge) and slot `2k + 1` (its reverse). Slots are the names
-//! the public surface speaks in — original capacities,
-//! [`FlowNetwork::set_undirected_capacity`], flow snapshots.
+//! the public surface speaks in — original capacities and
+//! [`FlowNetwork::set_undirected_capacity`].
 //!
 //! The solvers walk a second view of the same network, built once per
 //! topology: the residual arcs laid out vertex by vertex, each vertex's
@@ -144,11 +144,6 @@ impl FlowNetwork {
         self.nodes
     }
 
-    /// Number of directed edges (excluding the implicit reverses).
-    pub(crate) fn edge_count(&self) -> usize {
-        self.heads.len() / 2
-    }
-
     /// Adds a node, returning its id.
     pub(crate) fn add_node(&mut self) -> NodeId {
         self.drop_layout();
@@ -209,11 +204,10 @@ impl FlowNetwork {
     /// Rewrites the capacity of undirected edge pair `pair` (both
     /// directions get `cap`) and clears any flow on it.
     ///
-    /// Topology is untouched, so edge ids — and therefore
-    /// [`FlowNetwork::snapshot_flows`] layouts taken before the rewrite —
-    /// stay index-compatible. This is the re-parameterization primitive
-    /// behind capacity sweeps: build the network once, then rescale edge
-    /// weights point by point instead of rebuilding.
+    /// Topology is untouched, so edge ids and the arc layout stay as they
+    /// are. This is the re-parameterization primitive behind capacity
+    /// sweeps: build the network once, then rescale edge weights point by
+    /// point instead of rebuilding.
     ///
     /// # Panics
     ///
@@ -272,127 +266,6 @@ impl FlowNetwork {
         arcs.slot[arcs.of(u)].iter().map(|&e| e as usize)
     }
 
-    /// Flow currently on forward edge `e` (original − residual).
-    fn flow_on(&self, e: usize) -> u64 {
-        self.caps[e].saturating_sub(self.residual(e))
-    }
-
-    /// Snapshot of the flow on every directed edge slot (forward and
-    /// reverse, in raw edge-id order) — the format consumed by
-    /// warm-started solvers such as
-    /// `push_relabel::max_flow_warm`.
-    ///
-    /// Take it after a completed max-flow run; pass it to a later solve on
-    /// a network with identical topology and capacities that only grew.
-    pub fn snapshot_flows(&self) -> Vec<u64> {
-        (0..self.caps.len()).map(|e| self.flow_on(e)).collect()
-    }
-
-    /// Repairs a [`FlowNetwork::snapshot_flows`] snapshot so it is a valid
-    /// feasible flow under the network's *current* capacities, which may be
-    /// smaller than the capacities the snapshot was taken under.
-    ///
-    /// `push_relabel::max_flow_warm`
-    /// requires capacities that only grew since the snapshot; a recovery
-    /// re-solve violates that — pinning a component away from a dead
-    /// machine shrinks an edge that may have carried flow. This primitive
-    /// restores feasibility: each pair is normalized to its net flow and
-    /// clamped to the current capacity, then conservation is repaired by
-    /// cancelling flow into over-full nodes (propagating the cancellation
-    /// backward toward the flow's origin) and out of starved nodes
-    /// (propagating forward). Every repair step strictly decreases the
-    /// total flow, so the loop terminates; nodes are visited lowest-id
-    /// first and each node's arcs in slot order, so the result is
-    /// deterministic. The repaired snapshot is then a legal warm start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot length does not match the edge table.
-    pub fn clamp_flows(&self, s: NodeId, t: NodeId, flows: &mut [u64]) {
-        assert_eq!(
-            flows.len(),
-            self.caps.len(),
-            "flow snapshot does not match the network topology"
-        );
-        // Normalize each pair to its net direction and clamp to the
-        // current capacity of that slot.
-        for base in (0..flows.len()).step_by(2) {
-            let net = i128::from(flows[base]) - i128::from(flows[base + 1]);
-            let (slot, amount) = if net >= 0 {
-                (base, u64::try_from(net).expect("net flow fits u64"))
-            } else {
-                (base + 1, u64::try_from(-net).expect("net flow fits u64"))
-            };
-            flows[base] = 0;
-            flows[base + 1] = 0;
-            flows[slot] = amount.min(self.caps[slot]);
-        }
-        let mut balance = vec![0i128; self.node_count()];
-        for (e, &f) in flows.iter().enumerate() {
-            if f > 0 {
-                balance[self.head(e ^ 1)] -= i128::from(f);
-                balance[self.head(e)] += i128::from(f);
-            }
-        }
-        // Interior nodes must conserve exactly; the source may only emit
-        // (net inflow there would surface as a deficit at the sink) and
-        // the sink may only absorb.
-        let needs_repair = |v: NodeId, b: i128| {
-            if v == s {
-                b > 0
-            } else if v == t {
-                b < 0
-            } else {
-                b != 0
-            }
-        };
-        while let Some(v) = (0..self.node_count()).find(|&v| needs_repair(v, balance[v])) {
-            if balance[v] > 0 {
-                // Excess inflow: cancel incoming flow, handing the excess
-                // back to each arc's tail.
-                let mut need = u64::try_from(balance[v]).expect("balance fits u64");
-                for e in self.edges_of(v) {
-                    let inc = e ^ 1; // the arc head(e) → v
-                    let cut = need.min(flows[inc]);
-                    if cut > 0 {
-                        flows[inc] -= cut;
-                        balance[v] -= i128::from(cut);
-                        balance[self.head(e)] += i128::from(cut);
-                        need -= cut;
-                    }
-                    if need == 0 {
-                        break;
-                    }
-                }
-                debug_assert_eq!(need, 0, "excess exceeds inflow at node {v}");
-            } else {
-                // Starved: cancel outgoing flow, handing the deficit
-                // forward to each arc's head.
-                let mut need = u64::try_from(-balance[v]).expect("balance fits u64");
-                for e in self.edges_of(v) {
-                    let cut = need.min(flows[e]);
-                    if cut > 0 {
-                        flows[e] -= cut;
-                        balance[v] += i128::from(cut);
-                        balance[self.head(e)] -= i128::from(cut);
-                        need -= cut;
-                    }
-                    if need == 0 {
-                        break;
-                    }
-                }
-                debug_assert_eq!(need, 0, "deficit exceeds outflow at node {v}");
-            }
-        }
-    }
-
-    /// Pushes `amount` units along edge slot `e`.
-    pub(crate) fn push_along(&mut self, e: usize, amount: u64) {
-        let arcs = self.arcs_mut();
-        let a = arcs.arc_of[e] as usize;
-        arcs.push(a, amount);
-    }
-
     /// Nodes reachable from `s` in the residual graph — the source side of
     /// a minimum cut once a maximum flow has been established.
     pub(crate) fn residual_reachable(&self, s: NodeId) -> Vec<bool> {
@@ -420,8 +293,10 @@ impl FlowNetwork {
     pub(crate) fn conservation_violations(&self, s: NodeId, t: NodeId) -> Vec<NodeId> {
         let mut net: Vec<i128> = vec![0; self.node_count()];
         for base in (0..self.caps.len()).step_by(2) {
-            let flow = self.flow_on(base) as i128 - self.flow_on(base + 1) as i128;
-            // Positive flow travels along the forward edge.
+            // A push moves residual from a slot to its pair, so the slot's
+            // residual below its capacity is the pair's net flow; positive
+            // flow travels along the forward edge.
+            let flow = i128::from(self.caps[base]) - i128::from(self.residual(base));
             net[self.head(base + 1)] -= flow;
             net[self.head(base)] += flow;
         }
@@ -435,13 +310,20 @@ impl FlowNetwork {
 mod tests {
     use super::*;
 
+    /// Pushes `amount` units along edge slot `e`.
+    fn push_along(g: &mut FlowNetwork, e: usize, amount: u64) {
+        let arcs = g.arcs_mut();
+        let a = arcs.arc_of[e] as usize;
+        arcs.push(a, amount);
+    }
+
     #[test]
     fn build_and_inspect() {
         let mut g = FlowNetwork::new(3);
         g.add_edge(0, 1, 10);
         g.add_undirected(1, 2, 5);
         assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 2);
+        assert_eq!(g.heads.len(), 4); // two edges, each with its reverse
         assert_eq!(g.residual(0), 10);
         assert_eq!(g.residual(1), 0); // reverse of the directed edge
         assert_eq!(g.residual(2), 5);
@@ -470,13 +352,12 @@ mod tests {
     fn push_and_reset() {
         let mut g = FlowNetwork::new(2);
         g.add_edge(0, 1, 10);
-        g.push_along(0, 4);
+        push_along(&mut g, 0, 4);
         assert_eq!(g.residual(0), 6);
         assert_eq!(g.residual(1), 4);
-        assert_eq!(g.flow_on(0), 4);
         g.reset();
         assert_eq!(g.residual(0), 10);
-        assert_eq!(g.flow_on(0), 0);
+        assert_eq!(g.residual(1), 0);
     }
 
     #[test]
@@ -484,7 +365,7 @@ mod tests {
         let mut g = FlowNetwork::new(3);
         g.add_edge(0, 1, 1);
         g.add_edge(1, 2, 1);
-        g.push_along(0, 1); // saturate 0→1
+        push_along(&mut g, 0, 1); // saturate 0→1
         let seen = g.residual_reachable(0);
         assert!(seen[0] && !seen[1] && !seen[2]);
     }
@@ -494,94 +375,11 @@ mod tests {
         let mut g = FlowNetwork::new(3);
         g.add_edge(0, 1, 5);
         g.add_edge(1, 2, 5);
-        g.push_along(0, 3);
+        push_along(&mut g, 0, 3);
         // Node 1 received 3 but forwarded 0 → violation.
         assert_eq!(g.conservation_violations(0, 2), vec![1]);
-        g.push_along(2, 3);
+        push_along(&mut g, 2, 3);
         assert!(g.conservation_violations(0, 2).is_empty());
-    }
-
-    /// Per-node net balance of a snapshot (inflow − outflow).
-    fn balances(g: &FlowNetwork, flows: &[u64]) -> Vec<i128> {
-        let mut balance = vec![0i128; g.node_count()];
-        for (e, &f) in flows.iter().enumerate() {
-            balance[g.head(e ^ 1)] -= f as i128;
-            balance[g.head(e)] += f as i128;
-        }
-        balance
-    }
-
-    #[test]
-    fn clamp_flows_repairs_a_shrunk_chain() {
-        // 0 —10— 1 —10— 2 carrying 10 units; the middle edge shrinks to 3.
-        let mut g = FlowNetwork::new(3);
-        g.add_undirected(0, 1, 10);
-        g.add_undirected(1, 2, 10);
-        crate::push_relabel::max_flow(&mut g, 0, 2);
-        let mut flows = g.snapshot_flows();
-        g.reset();
-        g.set_undirected_capacity(1, 3);
-        g.clamp_flows(0, 2, &mut flows);
-        // Both edges now carry 3 units forward: feasible and conserving.
-        assert_eq!(flows, vec![3, 0, 3, 0]);
-        assert_eq!(balances(&g, &flows), vec![-3, 0, 3]);
-    }
-
-    #[test]
-    fn clamp_flows_to_zero_capacity_drains_the_path() {
-        let mut g = FlowNetwork::new(3);
-        g.add_undirected(0, 1, 5);
-        g.add_undirected(1, 2, 5);
-        crate::push_relabel::max_flow(&mut g, 0, 2);
-        let mut flows = g.snapshot_flows();
-        g.reset();
-        g.set_undirected_capacity(0, 0);
-        g.clamp_flows(0, 2, &mut flows);
-        assert_eq!(flows, vec![0; 4]);
-    }
-
-    #[test]
-    fn clamp_flows_is_identity_on_a_feasible_snapshot() {
-        let mut g = FlowNetwork::new(4);
-        g.add_undirected(0, 1, 7);
-        g.add_undirected(1, 2, 4);
-        g.add_undirected(2, 3, 9);
-        crate::push_relabel::max_flow(&mut g, 0, 3);
-        let snapshot = g.snapshot_flows();
-        g.reset();
-        let mut flows = snapshot.clone();
-        g.clamp_flows(0, 3, &mut flows);
-        assert_eq!(flows, snapshot);
-    }
-
-    #[test]
-    fn clamp_flows_reroutes_around_a_dead_branch() {
-        // Two disjoint 0→3 paths; killing one leaves the other intact.
-        let mut g = FlowNetwork::new(4);
-        g.add_undirected(0, 1, 6);
-        g.add_undirected(1, 3, 6);
-        g.add_undirected(0, 2, 4);
-        g.add_undirected(2, 3, 4);
-        crate::push_relabel::max_flow(&mut g, 0, 3);
-        let mut flows = g.snapshot_flows();
-        g.reset();
-        g.set_undirected_capacity(1, 0); // sever 1→3
-        g.clamp_flows(0, 3, &mut flows);
-        let balance = balances(&g, &flows);
-        assert_eq!(balance[1], 0);
-        assert_eq!(balance[2], 0);
-        assert_eq!(balance[3], 4, "the surviving path still carries 4");
-        for (e, &f) in flows.iter().enumerate() {
-            assert!(f <= g.original(e), "clamped flow exceeds capacity");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn clamp_flows_rejects_wrong_snapshot_length() {
-        let mut g = FlowNetwork::new(2);
-        g.add_undirected(0, 1, 1);
-        g.clamp_flows(0, 1, &mut [0u64; 3]);
     }
 
     #[test]

@@ -34,5 +34,5 @@ pub mod multiway;
 pub mod push_relabel;
 
 pub use graph::{FlowNetwork, INFINITE};
-pub use mincut::{min_cut, min_cut_invocations, min_cut_warm, MaxFlowAlgorithm};
+pub use mincut::{min_cut, min_cut_invocations, MaxFlowAlgorithm};
 pub use multiway::{multiway_cut, refine_assignment};

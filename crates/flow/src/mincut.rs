@@ -58,7 +58,7 @@ pub struct CutResult {
     /// `true` for nodes on the source (client) side.
     pub source_side: Vec<bool>,
     /// Push operations the solve performed (Dinic: one per arc of each
-    /// augmenting path). A warm start's re-installed flow is not counted.
+    /// augmenting path).
     pub pushes: u64,
     /// Relabel operations, gap relabels included (Dinic: none).
     pub relabels: u64,
@@ -103,31 +103,6 @@ pub fn min_cut(
 ) -> CutResult {
     MIN_CUT_INVOCATIONS.with(|n| n.set(n.get() + 1));
     let flow = algorithm.run(g, s, t);
-    CutResult::extract(g, s, t, flow)
-}
-
-/// Computes a minimum `s`–`t` cut, warm-starting lift-to-front from a
-/// previous solve's flow when one is supplied.
-///
-/// `previous_flows` is a [`FlowNetwork::snapshot_flows`] taken after a
-/// completed solve on a network with identical topology whose capacities
-/// were no larger than this one's (see
-/// `push_relabel::max_flow_warm` for
-/// the feasibility argument). With `None` this is exactly
-/// [`min_cut`] with [`MaxFlowAlgorithm::LiftToFront`]. Warm starting never
-/// changes the cut value or the source side — only how much work the solve
-/// performs.
-pub fn min_cut_warm(
-    g: &mut FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    previous_flows: Option<&[u64]>,
-) -> CutResult {
-    MIN_CUT_INVOCATIONS.with(|n| n.set(n.get() + 1));
-    let flow = match previous_flows {
-        Some(flows) => push_relabel::max_flow_warm(g, s, t, flows),
-        None => push_relabel::max_flow(g, s, t),
-    };
     CutResult::extract(g, s, t, flow)
 }
 
@@ -228,15 +203,6 @@ mod tests {
         let cut = min_cut(&mut clrs(), 0, 5, MaxFlowAlgorithm::Dinic);
         let work = (cut.pushes, cut.relabels, cut.global_relabels);
         assert_eq!(work, (9, 0, 0), "Dinic");
-        // A warm start from the finished flow only hands the source's
-        // unsaturated arc back: one push, no relabel.
-        let mut g = clrs();
-        min_cut(&mut g, 0, 5, MaxFlowAlgorithm::LiftToFront);
-        let flows = g.snapshot_flows();
-        g.reset();
-        let warm = min_cut_warm(&mut g, 0, 5, Some(&flows));
-        assert_eq!((warm.pushes, warm.relabels), (1, 0));
-        assert_eq!(warm.cut_value, cut.cut_value);
     }
 
     #[test]
@@ -286,30 +252,22 @@ mod properties {
 
     const CASES: u64 = 64;
 
-    /// Builds a random connected undirected graph from a seed, with every
-    /// capacity scaled by `mul`. The RNG sequence depends only on the seed,
-    /// so the same seed always yields the same topology — different `mul`
-    /// values give capacity-rescaled copies of one graph.
-    fn random_graph_scaled(seed: u64, n: usize, extra_edges: usize, mul: u64) -> FlowNetwork {
+    /// Builds a random connected undirected graph from a seed.
+    fn random_graph(seed: u64, n: usize, extra_edges: usize) -> FlowNetwork {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut g = FlowNetwork::new(n);
         // Spanning chain keeps it connected.
         for i in 1..n {
-            g.add_undirected(i - 1, i, rng.gen_range(1u64..100) * mul);
+            g.add_undirected(i - 1, i, rng.gen_range(1u64..100));
         }
         for _ in 0..extra_edges {
             let u = rng.gen_range(0..n);
             let v = rng.gen_range(0..n);
             if u != v {
-                g.add_undirected(u, v, rng.gen_range(1u64..100) * mul);
+                g.add_undirected(u, v, rng.gen_range(1u64..100));
             }
         }
         g
-    }
-
-    /// Builds a random connected undirected graph from a seed.
-    fn random_graph(seed: u64, n: usize, extra_edges: usize) -> FlowNetwork {
-        random_graph_scaled(seed, n, extra_edges, 1)
     }
 
     /// Case `case`'s graph: a seed, a node count from `n` and an extra-edge
@@ -337,71 +295,6 @@ mod properties {
                     None => expected = Some(cut.cut_value),
                     Some(v) => assert_eq!(v, cut.cut_value, "case {case}: {alg:?}"),
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn warm_starts_agree_with_every_cold_algorithm() {
-        for case in 0..CASES {
-            let (seed, n, extra) = graph_case(case, 3..20, 0..24);
-            // Solve a sequence of monotonically growing rescalings of one
-            // graph, warm-starting each solve from the previous flow, and
-            // check every point against both algorithms run cold.
-            let mut previous: Option<Vec<u64>> = None;
-            for mul in [1u64, 3, 3, 8] {
-                let mut g = random_graph_scaled(seed, n, extra, mul);
-                let warm = min_cut_warm(&mut g, 0, n - 1, previous.as_deref());
-                assert_eq!(
-                    crossing_capacity(&g, &warm.source_side),
-                    warm.cut_value,
-                    "case {case}"
-                );
-                for alg in MaxFlowAlgorithm::ALL {
-                    let mut cold = random_graph_scaled(seed, n, extra, mul);
-                    let cut = min_cut(&mut cold, 0, n - 1, alg);
-                    assert_eq!(cut.cut_value, warm.cut_value, "case {case}: {alg:?} x{mul}");
-                    assert_eq!(
-                        cut.source_side, warm.source_side,
-                        "case {case}: {alg:?} x{mul}"
-                    );
-                }
-                assert_eq!(g.conservation_violations(0, n - 1), [], "case {case}");
-                previous = Some(g.snapshot_flows());
-            }
-        }
-    }
-
-    #[test]
-    fn clamped_warm_starts_survive_capacity_shrinks() {
-        for case in 0..CASES {
-            let (seed, n, extra) = graph_case(case, 3..16, 0..16);
-            // Solve once, then rewrite every edge capacity from a second
-            // seeded stream — some shrink (including to zero), some grow.
-            // `clamp_flows` must repair the stale snapshot into a legal
-            // warm start that reproduces the cold answer exactly.
-            let mut g = random_graph_scaled(seed, n, extra, 4);
-            min_cut(&mut g, 0, n - 1, MaxFlowAlgorithm::LiftToFront);
-            let mut flows = g.snapshot_flows();
-            g.reset();
-            let mut caps = StdRng::seed_from_u64(seed ^ 0x5eed);
-            for pair in 0..g.edge_count() {
-                g.set_undirected_capacity(pair, caps.gen_range(0u64..600));
-            }
-            g.clamp_flows(0, n - 1, &mut flows);
-            for (e, &f) in flows.iter().enumerate() {
-                assert!(f <= g.original(e), "case {case}: edge {e} over capacity");
-            }
-            let warm = min_cut_warm(&mut g, 0, n - 1, Some(&flows));
-            assert_eq!(g.conservation_violations(0, n - 1), [], "case {case}");
-            for alg in MaxFlowAlgorithm::ALL {
-                let mut cold = random_graph_scaled(seed, n, extra, 4);
-                let mut caps = StdRng::seed_from_u64(seed ^ 0x5eed);
-                for pair in 0..cold.edge_count() {
-                    cold.set_undirected_capacity(pair, caps.gen_range(0u64..600));
-                }
-                let cut = min_cut(&mut cold, 0, n - 1, alg);
-                assert_eq!(cut.cut_value, warm.cut_value, "case {case}: {alg:?}");
             }
         }
     }
@@ -455,49 +348,19 @@ mod properties {
         (cut.cut_value, &cut.source_side)
     }
 
-    /// Shrinks about a quarter of `g`'s edge pairs, pins included, to a
-    /// seeded fraction of their capacity (zero included).
-    fn shrink(g: &mut FlowNetwork, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        for pair in 0..g.edge_count() {
-            if rng.gen_range(0..4) == 0 {
-                let cap = rng.gen_range(0..=g.original(pair * 2));
-                g.set_undirected_capacity(pair, cap);
-            }
-        }
-    }
-
     #[test]
     fn lift_to_front_matches_dinic_at_partition_scale() {
         // Graphs large enough for lift-to-front's periodic global relabel
-        // to fire, solved cold, warm along a ×1/×3/×8 capacity chain, and
-        // warm again from a snapshot `clamp_flows` repaired after shrinks.
+        // to fire, at three capacity scales.
         for case in 0..16 {
-            let mut previous: Option<Vec<u64>> = None;
             for mul in [1, 3, 8] {
                 let (mut g, s, t) = pinned_graph(case, mul);
-                let mut cold_net = g.clone();
-                let cold = min_cut(&mut cold_net, s, t, MaxFlowAlgorithm::LiftToFront);
-                let warm = min_cut_warm(&mut g, s, t, previous.as_deref());
+                let cold = min_cut(&mut g, s, t, MaxFlowAlgorithm::LiftToFront);
                 let mut reference = pinned_graph(case, mul).0;
                 let dinic = min_cut(&mut reference, s, t, MaxFlowAlgorithm::Dinic);
-                assert_eq!(cut_of(&cold), cut_of(&dinic), "case {case}: cold x{mul}");
-                assert_eq!(cut_of(&warm), cut_of(&dinic), "case {case}: warm x{mul}");
-                for net in [&cold_net, &g] {
-                    assert_eq!(net.conservation_violations(s, t), [], "case {case} x{mul}");
-                }
-                previous = Some(g.snapshot_flows());
+                assert_eq!(cut_of(&cold), cut_of(&dinic), "case {case} x{mul}");
+                assert_eq!(g.conservation_violations(s, t), [], "case {case} x{mul}");
             }
-            let (mut g, s, t) = pinned_graph(case, 8);
-            shrink(&mut g, case);
-            let mut flows = previous.expect("the chain ran");
-            g.clamp_flows(s, t, &mut flows);
-            let warm = min_cut_warm(&mut g, s, t, Some(&flows));
-            let mut reference = pinned_graph(case, 8).0;
-            shrink(&mut reference, case);
-            let dinic = min_cut(&mut reference, s, t, MaxFlowAlgorithm::Dinic);
-            assert_eq!(cut_of(&warm), cut_of(&dinic), "case {case}: clamped");
-            assert_eq!(g.conservation_violations(s, t), [], "case {case}: clamped");
         }
     }
 

@@ -28,13 +28,7 @@
 //!
 //! The result is a real maximum flow, so
 //! `FlowNetwork::residual_reachable` yields the unique minimal source side
-//! of the minimum cut — the same side every exact solver yields — and a
-//! [`FlowNetwork::snapshot_flows`] of it is a feasible warm start.
-//!
-//! `max_flow_warm` supports *warm starts*: re-solving a network whose
-//! topology is unchanged but whose capacities grew (e.g. a sweep over
-//! network speeds) by re-installing the previous solve's flow as the
-//! starting preflow instead of starting from zero.
+//! of the minimum cut — the same side every exact solver yields.
 
 use crate::graph::{Arcs, FlowNetwork, NodeId, ResidualArc};
 use crate::mincut::SolveWork;
@@ -62,85 +56,11 @@ const GLOBAL_RELABEL_YARDSTICKS: usize = 2;
 /// Panics if `s == t`.
 pub(crate) fn max_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> (u64, SolveWork) {
     assert_ne!(s, t, "source and sink must differ");
-    let excess = vec![0u128; g.node_count()];
-    solve(g, s, t, excess)
-}
-
-/// Computes a maximum `s`–`t` flow, warm-started from a previous solve.
-///
-/// `previous_flows` must be a [`FlowNetwork::snapshot_flows`] taken after a
-/// completed max-flow run on a network with *identical topology* (same
-/// nodes, same edges in the same order) and edge capacities no larger than
-/// the current ones. The old flow is then still feasible here, so it is
-/// re-installed as the starting assignment and only the incremental flow
-/// admitted by the enlarged capacities has to be found. When consecutive
-/// solves differ only by a capacity rescaling — a sweep across network
-/// latency/bandwidth points — this skips almost all of the work.
-///
-/// The result is exactly the maximum flow value; warm starting changes the
-/// amount of work, never the answer.
-///
-/// # Panics
-///
-/// Panics if `s == t`, if the snapshot length does not match the network's
-/// edge table, or if some edge capacity shrank below its previous flow
-/// (the snapshot would be infeasible here — the caller broke the
-/// monotonicity contract).
-pub(crate) fn max_flow_warm(
-    g: &mut FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    previous_flows: &[u64],
-) -> (u64, SolveWork) {
-    assert_ne!(s, t, "source and sink must differ");
-    assert_eq!(
-        previous_flows.len(),
-        g.edge_count() * 2,
-        "flow snapshot does not match the network topology"
-    );
+    // Saturate every residual arc out of `s`, find a maximum preflow, then
+    // return its stranded excess to `s`; the flow arriving at `t` is the
+    // answer.
     let n = g.node_count();
-    // Re-install the previous flow, pair by pair. For each undirected pair
-    // only the net direction carries flow (the snapshot's saturating
-    // subtraction guarantees one slot of each pair is zero).
-    let mut balance = vec![0i128; n];
-    for base in (0..previous_flows.len()).step_by(2) {
-        let f = i128::from(previous_flows[base]) - i128::from(previous_flows[base + 1]);
-        let (arc, amount) = if f >= 0 {
-            (base, u64::try_from(f).expect("net flow fits u64"))
-        } else {
-            (base + 1, u64::try_from(-f).expect("net flow fits u64"))
-        };
-        if amount > 0 {
-            assert!(
-                g.residual(arc) >= amount,
-                "warm start infeasible: an edge capacity shrank below its previous flow"
-            );
-            g.push_along(arc, amount);
-        }
-        let u = g.head(base + 1); // tail of the forward edge
-        let v = g.head(base);
-        balance[u] -= f;
-        balance[v] += f;
-    }
-    // A valid previous flow conserves at every interior node, leaving
-    // excess only at the sink (and a deficit at the source, which
-    // push-relabel never tracks).
     let mut excess = vec![0u128; n];
-    for (v, &b) in balance.iter().enumerate() {
-        if v == s {
-            continue;
-        }
-        debug_assert!(b >= 0, "previous flow violates conservation at node {v}");
-        excess[v] = u128::try_from(b.max(0)).expect("balance fits u128");
-    }
-    solve(g, s, t, excess)
-}
-
-/// Saturates every residual arc out of `s`, finds a maximum preflow, then
-/// returns its stranded excess to `s`; the flow arriving at `t` is the
-/// answer.
-fn solve(g: &mut FlowNetwork, s: NodeId, t: NodeId, mut excess: Vec<u128>) -> (u64, SolveWork) {
-    let n = g.node_count();
     let arcs = g.arcs_mut();
     for a in arcs.of(s) {
         let ResidualArc { head, residual, .. } = arcs.arc[a];
@@ -486,58 +406,5 @@ mod tests {
     fn same_source_and_sink_panics() {
         let mut g = FlowNetwork::new(2);
         max_flow(&mut g, 1, 1);
-    }
-
-    /// The chain network at a given capacity scale (same topology each time).
-    fn chain_scaled(mul: u64) -> FlowNetwork {
-        let mut g = FlowNetwork::new(4);
-        g.add_undirected(0, 1, 100 * mul);
-        g.add_undirected(1, 2, 3 * mul);
-        g.add_undirected(2, 3, 100 * mul);
-        g
-    }
-
-    #[test]
-    fn warm_start_matches_cold_solve_after_capacity_growth() {
-        let mut g = chain_scaled(1);
-        assert_eq!(max_flow(&mut g, 0, 3).0, 3);
-        let flows = g.snapshot_flows();
-
-        let mut warm = chain_scaled(5);
-        assert_eq!(max_flow_warm(&mut warm, 0, 3, &flows).0, 15);
-        assert_eq!(warm.residual_reachable(0), vec![true, true, false, false]);
-
-        let mut cold = chain_scaled(5);
-        assert_eq!(max_flow(&mut cold, 0, 3).0, 15);
-    }
-
-    #[test]
-    fn warm_start_with_identical_capacities_is_a_no_op_resolve() {
-        let mut g = chain_scaled(2);
-        let value = max_flow(&mut g, 0, 3).0;
-        let flows = g.snapshot_flows();
-        let mut again = chain_scaled(2);
-        assert_eq!(max_flow_warm(&mut again, 0, 3, &flows).0, value);
-    }
-
-    #[test]
-    #[should_panic(expected = "warm start infeasible")]
-    fn warm_start_rejects_shrunken_capacities() {
-        let mut g = chain_scaled(4);
-        max_flow(&mut g, 0, 3);
-        let flows = g.snapshot_flows();
-        let mut smaller = chain_scaled(1);
-        max_flow_warm(&mut smaller, 0, 3, &flows);
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot does not match")]
-    fn warm_start_rejects_mismatched_topology() {
-        let mut g = chain_scaled(1);
-        max_flow(&mut g, 0, 3);
-        let flows = g.snapshot_flows();
-        let mut other = FlowNetwork::new(4);
-        other.add_undirected(0, 3, 1);
-        max_flow_warm(&mut other, 0, 3, &flows);
     }
 }

@@ -23,7 +23,8 @@
 //! exceed the script, and equals it on completed runs), a
 //! constraint-satisfying post-recovery placement ([`RecoveryCoordinator::validate`]
 //! = `validate_placement` with dead machines excluded), no instance left on
-//! a dead machine after a completed run, warm-started re-solves, and
+//! a dead machine after a completed run, warm re-solves after one cold
+//! base cut, and
 //! (statically, once) replication legality — no class is both replicable
 //! and mutable-shared.
 //!

@@ -13,9 +13,11 @@
 //!
 //! It also pins the recovery solver's memo: a solve that repeats the
 //! previous pin set answers from the last cut, and every answer equals a
-//! fresh solver's cold one.
+//! fresh solver's cold one and, on the three paper applications, Dinic's
+//! cut of the full network pinned as the recovery asks.
 
-use coign::classifier::{ClassifierKind, InstanceClassifier};
+use coign::classifier::{ClassificationId, ClassifierKind, InstanceClassifier};
+use coign::constraints::Constraint;
 use coign::icc::IccGraph;
 use coign::recovery::RecoverySolver;
 use coign::runtime::{
@@ -26,7 +28,9 @@ use coign::{Application, Distribution, IccProfile};
 use coign_apps::scenarios::app_by_name;
 use coign_com::{ComError, MachineId};
 use coign_dcom::{CallPolicy, FaultPlan, NetworkModel, NetworkProfile, TimeWindow};
+use coign_flow::{min_cut, FlowNetwork, MaxFlowAlgorithm, INFINITE};
 use coign_gen::{GenSize, GenSpec, GeneratedApp};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const SEED: u64 = 7;
@@ -317,5 +321,92 @@ fn repeated_pin_sets_answer_as_a_cold_solve_would() {
         let profile =
             profile_scenarios_observed(&app, &app.scenarios(), &classifier, None).unwrap();
         assert_repeated_solves_match_cold_ones(&app, &profile);
+    }
+}
+
+/// Dinic's cut of the full, uncontracted flow network of `graph`:
+/// communication edges at their capacities, non-remotable pairs and
+/// `constraints` at [`INFINITE`].
+fn dinic_placement(
+    graph: &IccGraph,
+    constraints: &[Constraint],
+) -> HashMap<ClassificationId, MachineId> {
+    let n = graph.node_count();
+    let (source, sink) = (n, n + 1);
+    let mut flow = FlowNetwork::new(n + 2);
+    for (&(a, b), &weight) in &graph.weights_us {
+        flow.add_undirected(a, b, IccGraph::capacity_of(weight));
+    }
+    for &(a, b) in &graph.non_remotable {
+        flow.add_undirected(a, b, INFINITE);
+    }
+    let node = |class: &ClassificationId| graph.index.get(class).copied();
+    for constraint in constraints {
+        let pair = match constraint {
+            Constraint::PinClient(class) => node(class).map(|v| (source, v)),
+            Constraint::PinServer(class) => node(class).map(|v| (v, sink)),
+            Constraint::Colocate(a, b) => node(a).zip(node(b)),
+        };
+        if let Some((a, b)) = pair {
+            flow.add_undirected(a, b, INFINITE);
+        }
+    }
+    let cut = min_cut(&mut flow, source, sink, MaxFlowAlgorithm::Dinic);
+    assert!(cut.cut_value < INFINITE, "the constraints contradict");
+    let machine = |client| {
+        if client {
+            MachineId::CLIENT
+        } else {
+            MachineId::SERVER
+        }
+    };
+    let classes = graph.nodes.iter().zip(cut.source_side);
+    classes
+        .map(|(&class, client)| (class, machine(client)))
+        .collect()
+}
+
+#[test]
+fn recovery_answers_equal_dinic_cuts_on_the_paper_apps() {
+    for (name, scenario) in [
+        ("octarine", "o_oldtb3"),
+        ("photodraw", "p_oldcur"),
+        ("benefits", "b_vueone"),
+    ] {
+        let app = app_by_name(name).unwrap();
+        let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
+        let profile = profile_scenario(app.as_ref(), scenario, &classifier)
+            .unwrap()
+            .profile;
+        let graph = IccGraph::build(
+            &profile,
+            &NetworkProfile::exact(&NetworkModel::ethernet_10baset()),
+        );
+        let constraints = derive_constraints(app.as_ref(), &profile);
+        let mut solver = RecoverySolver::new(&graph, &constraints);
+        let base = solver.solve(None).unwrap();
+        assert_eq!(base, dinic_placement(&graph, &constraints), "{name}");
+        assert!(
+            base.values().any(|&m| m == MachineId::SERVER),
+            "{name}: the base cut places nothing on the server"
+        );
+        // A dead machine redirects every pin and pins every node to the
+        // survivor; the colocations stay.
+        for (dead, pin) in [
+            (MachineId::CLIENT, Constraint::PinServer as fn(_) -> _),
+            (MachineId::SERVER, Constraint::PinClient),
+        ] {
+            let pinned: Vec<Constraint> = constraints
+                .iter()
+                .filter(|c| matches!(c, Constraint::Colocate(..)))
+                .cloned()
+                .chain(graph.nodes.iter().map(|&class| pin(class)))
+                .collect();
+            assert_eq!(
+                solver.solve(Some(dead)).unwrap(),
+                dinic_placement(&graph, &pinned),
+                "{name}: {dead} dead"
+            );
+        }
     }
 }
