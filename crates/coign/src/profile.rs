@@ -11,9 +11,7 @@
 use crate::classifier::ClassificationId;
 use coign_com::codec::{Decoder, Encoder};
 use coign_com::{Clsid, ComResult, Iid};
-use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasher;
 
 /// Smallest message-size bucket boundary, in bytes.
 pub const BUCKET_BASE: u64 = 64;
@@ -245,70 +243,41 @@ impl IccProfile {
     }
 
     /// Numbers the profile's classifications densely and merges its
-    /// traffic per unordered node pair, in time linear in the profile.
+    /// traffic per unordered node pair, in time linear in the profile for
+    /// any ids, and with no hash: nothing in the table depends on the
+    /// iteration order of the profile's maps.
     ///
-    /// One pass over `edges` maps each endpoint to a first-seen ordinal
-    /// through [`IdSlots`]; only the distinct ids are then sorted. Two
-    /// stable counting sorts over node indices — by the larger endpoint,
-    /// then by the smaller — order the normalized entries by pair, and one
-    /// scan merges each run with saturating adds. Because node indices
-    /// follow id order, the pairs come out in the same order as sorting
-    /// the classification pairs themselves.
+    /// Each edge entry is normalized to its raw `(lo, hi)` id pair. Stable
+    /// radix sorts by `hi`, then by `lo`, order the entries by pair, and
+    /// one scan merges each run with saturating adds. One more radix sort,
+    /// over every occurrence of an id — ROOT, the instances, the pair
+    /// endpoints and the non-remotable endpoints — ranks the distinct ids
+    /// and writes each endpoint's node index back. Node indices follow id
+    /// order, so the pairs stay sorted.
     pub(crate) fn pair_table(&self) -> PairTable {
-        let mut slots = IdSlots::with_capacity(self.instances.len() + 1);
-        slots.ordinal(ClassificationId::ROOT);
-        for class in self.instances.keys() {
-            slots.ordinal(*class);
-        }
+        let ordered = |a: ClassificationId, b: ClassificationId| {
+            if a <= b {
+                (a.0, b.0)
+            } else {
+                (b.0, a.0)
+            }
+        };
         let mut entries: Vec<PairEntry> = self
             .edges
             .iter()
-            .map(|(key, stats)| PairEntry {
-                lo: slots.ordinal(key.from),
-                hi: slots.ordinal(key.to),
-                stats: *stats,
+            .map(|(key, stats)| {
+                let (lo, hi) = ordered(key.from, key.to);
+                PairEntry {
+                    lo,
+                    hi,
+                    stats: *stats,
+                }
             })
             .collect();
-        let non_remotable: Vec<(u32, u32)> = self
-            .non_remotable
-            .iter()
-            .map(|(a, b)| (slots.ordinal(*a), slots.ordinal(*b)))
-            .collect();
-
-        // Rank the distinct ids: `rank[ordinal]` is the node index.
-        let mut by_id: Vec<(ClassificationId, u32)> = slots.ids.iter().copied().zip(0..).collect();
-        by_id.sort_unstable();
-        let mut rank = vec![0u32; by_id.len()];
-        for (node, (_, ordinal)) in (0..).zip(&by_id) {
-            rank[*ordinal as usize] = node;
-        }
-        let nodes: Vec<ClassificationId> = by_id.into_iter().map(|(id, _)| id).collect();
-        let normalized = |a: u32, b: u32| {
-            let (a, b) = (rank[a as usize], rank[b as usize]);
-            if a <= b {
-                (a, b)
-            } else {
-                (b, a)
-            }
-        };
-
-        // Normalize, counting both sort keys in the same pass. Then two
-        // stable counting sorts of entry indices, by `hi` and then by `lo`,
-        // order the entries by pair without moving them.
-        let mut lo_counts = vec![0usize; nodes.len()];
-        let mut hi_counts = vec![0usize; nodes.len()];
-        for entry in &mut entries {
-            (entry.lo, entry.hi) = normalized(entry.lo, entry.hi);
-            lo_counts[entry.lo as usize] += 1;
-            hi_counts[entry.hi as usize] += 1;
-        }
-        let all = 0..u32::try_from(entries.len()).expect("fewer than 2^32 profile edges");
-        let by_hi = counting_sort(all, hi_counts, |i| entries[i as usize].hi);
-        let by_pair = counting_sort(by_hi.into_iter(), lo_counts, |i| entries[i as usize].lo);
-
+        radix_sort(&mut entries, |entry| entry.hi);
+        radix_sort(&mut entries, |entry| entry.lo);
         let mut pairs: Vec<PairEntry> = Vec::with_capacity(entries.len());
-        for i in by_pair {
-            let entry = entries[i as usize];
+        for entry in entries {
             match pairs.last_mut() {
                 Some(merged) if (merged.lo, merged.hi) == (entry.lo, entry.hi) => {
                     merged.stats.messages =
@@ -318,15 +287,46 @@ impl IccProfile {
                 _ => pairs.push(entry),
             }
         }
+        let mut non_remotable: Vec<(u32, u32)> = self
+            .non_remotable
+            .iter()
+            .map(|&(a, b)| ordered(a, b))
+            .collect();
+        radix_sort(&mut non_remotable, |pair| pair.1);
+        radix_sort(&mut non_remotable, |pair| pair.0);
 
+        // Endpoint `k` is occurrence `(ends[k], k)`; ROOT and the instances
+        // occur with no endpoint to write back.
+        let mut ends: Vec<u32> = pairs
+            .iter()
+            .flat_map(|pair| [pair.lo, pair.hi])
+            .chain(non_remotable.iter().flat_map(|&(a, b)| [a, b]))
+            .collect();
+        let no_end = u32::try_from(ends.len()).expect("fewer than 2^32 pair endpoints");
+        let mut occurrences: Vec<(u32, u32)> = (ends.iter().copied().zip(0..))
+            .chain(self.instances.keys().map(|class| (class.0, no_end)))
+            .chain([(ClassificationId::ROOT.0, no_end)])
+            .collect();
+        radix_sort(&mut occurrences, |occurrence| occurrence.0);
+        let mut nodes: Vec<ClassificationId> = Vec::new();
+        for (id, end) in occurrences {
+            if nodes.last() != Some(&ClassificationId(id)) {
+                nodes.push(ClassificationId(id));
+            }
+            if let Some(node) = ends.get_mut(end as usize) {
+                *node = (nodes.len() - 1) as u32;
+            }
+        }
+
+        let (pair_ends, non_remotable_ends) = ends.split_at(2 * pairs.len());
+        for (pair, node) in pairs.iter_mut().zip(pair_ends.chunks_exact(2)) {
+            (pair.lo, pair.hi) = (node[0], node[1]);
+        }
         PairTable {
             pairs,
-            non_remotable: non_remotable
-                .into_iter()
-                .map(|(a, b)| {
-                    let (a, b) = normalized(a, b);
-                    (a as usize, b as usize)
-                })
+            non_remotable: non_remotable_ends
+                .chunks_exact(2)
+                .map(|node| (node[0] as usize, node[1] as usize))
                 .collect(),
             nodes,
         }
@@ -424,7 +424,7 @@ impl IccProfile {
 
 /// A profile's traffic over a dense node numbering, from
 /// [`IccProfile::pair_table`].
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct PairTable {
     /// Every classification the profile names, plus
     /// [`ClassificationId::ROOT`], ascending: `nodes[i]` is node `i`.
@@ -432,103 +432,46 @@ pub(crate) struct PairTable {
     /// Merged traffic per node pair `(lo, hi)` with `lo <= hi`,
     /// ascending, self-pairs included.
     pub(crate) pairs: Vec<PairEntry>,
-    /// The non-remotable pairs as normalized node pairs, in no order.
+    /// The non-remotable pairs as normalized node pairs, ascending.
     pub(crate) non_remotable: Vec<(usize, usize)>,
 }
 
 /// Traffic between two nodes of a [`PairTable`]. While the table is
-/// built, `lo` and `hi` first hold the endpoints' id ordinals.
-#[derive(Debug, Clone, Copy)]
+/// built, `lo` and `hi` first hold the endpoints' raw ids.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct PairEntry {
     pub(crate) lo: u32,
     pub(crate) hi: u32,
     pub(crate) stats: EdgeStats,
 }
 
-/// Stable counting sort of the indices in `order` by `key`, given how
-/// many indices carry each key.
-fn counting_sort(
-    order: impl ExactSizeIterator<Item = u32>,
-    counts: Vec<usize>,
-    key: impl Fn(u32) -> u32,
-) -> Vec<u32> {
-    let mut next = counts;
-    let mut start = 0;
-    for slot in &mut next {
-        (*slot, start) = (start, start + *slot);
-    }
-    let mut out = vec![0; order.len()];
-    for i in order {
-        let at = &mut next[key(i) as usize];
-        out[*at] = i;
-        *at += 1;
-    }
-    out
-}
-
-/// An open-addressed map from classification id to the order in which
-/// ids were first seen, probed linearly from a multiply-shift hash of the
-/// id: a multiply and a shift per lookup, and a table sized by the number
-/// of distinct ids, never by the largest id.
-///
-/// Ids come from profiles read out of application images, so they can be
-/// chosen to collide under any fixed multiplier. Each table draws its odd
-/// multiplier at random, which makes multiply-shift hashing universal;
-/// the ordinals, and so everything built from them, do not depend on it.
-struct IdSlots {
-    /// `(id, ordinal)` per slot; an ordinal of [`IdSlots::FREE`] marks a
-    /// free slot.
-    table: Vec<(u32, u32)>,
-    /// Odd, drawn per table.
-    multiplier: u64,
-    /// `table.len() == 1 << (64 - shift)`.
-    shift: u32,
-    /// Distinct ids by ordinal.
-    ids: Vec<ClassificationId>,
-}
-
-impl IdSlots {
-    const FREE: u32 = u32::MAX;
-
-    fn with_capacity(ids: usize) -> Self {
-        let bits = (2 * ids).max(16).next_power_of_two().trailing_zeros();
-        IdSlots {
-            table: vec![(0, Self::FREE); 1 << bits],
-            multiplier: RandomState::new().hash_one(0u64) | 1,
-            shift: 64 - bits,
-            ids: Vec::with_capacity(ids),
+/// Stable LSD radix sort of `items` by `key`, 11 bits a pass, running
+/// only the passes the largest key reaches, each with only the buckets it
+/// reaches.
+fn radix_sort<T: Copy>(items: &mut Vec<T>, key: impl Fn(&T) -> u32) {
+    const DIGIT: u32 = 11;
+    const MASK: usize = (1 << DIGIT) - 1;
+    let largest = items.iter().map(&key).max().unwrap_or(0);
+    let mut sorted = Vec::new();
+    let mut shift = 0;
+    while shift < u32::BITS && largest >> shift != 0 {
+        let digit = |item: &T| (key(item) >> shift) as usize & MASK;
+        let mut next = vec![0usize; ((largest >> shift) as usize).min(MASK) + 1];
+        for item in items.iter() {
+            next[digit(item)] += 1;
         }
-    }
-
-    /// The slot holding `id`, or the free slot where it belongs.
-    fn probe(&self, id: u32) -> usize {
-        let mask = self.table.len() - 1;
-        let mut at = (u64::from(id).wrapping_mul(self.multiplier) >> self.shift) as usize;
-        while self.table[at].1 != Self::FREE && self.table[at].0 != id {
-            at = (at + 1) & mask;
+        let mut start = 0;
+        for slot in &mut next {
+            (*slot, start) = (start, start + *slot);
         }
-        at
-    }
-
-    /// The ordinal of `id`, assigning the next one on first sight.
-    fn ordinal(&mut self, id: ClassificationId) -> u32 {
-        let at = self.probe(id.0);
-        if self.table[at].1 != Self::FREE {
-            return self.table[at].1;
+        sorted.resize(items.len(), items[0]);
+        for item in items.iter() {
+            let at = &mut next[digit(item)];
+            sorted[*at] = *item;
+            *at += 1;
         }
-        let ordinal = u32::try_from(self.ids.len()).expect("fewer than 2^32 - 1 classifications");
-        self.table[at] = (id.0, ordinal);
-        self.ids.push(id);
-        if 2 * self.ids.len() > self.table.len() {
-            // Double the table, keeping it at most half full.
-            self.shift -= 1;
-            self.table = vec![(0, Self::FREE); self.table.len() * 2];
-            for (ordinal, id) in (0..).zip(self.ids.iter().map(|id| id.0)) {
-                let at = self.probe(id);
-                self.table[at] = (id, ordinal);
-            }
-        }
-        ordinal
+        std::mem::swap(items, &mut sorted);
+        shift += DIGIT;
     }
 }
 

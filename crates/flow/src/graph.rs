@@ -124,6 +124,8 @@ pub struct FlowNetwork {
     /// Residual of each edge slot while no layout is built: what the
     /// layout starts from when it is next built.
     carried: Vec<u64>,
+    /// Whether every edge has the same capacity both ways.
+    symmetric: bool,
     arcs: OnceLock<Arcs>,
 }
 
@@ -135,6 +137,7 @@ impl FlowNetwork {
             heads: Vec::new(),
             caps: Vec::new(),
             carried: Vec::new(),
+            symmetric: true,
             arcs: OnceLock::new(),
         }
     }
@@ -177,6 +180,18 @@ impl FlowNetwork {
         self.heads.extend([id(v), id(u)]);
         self.caps.extend([cap, rev_cap]);
         self.carried.extend([cap, rev_cap]);
+        self.symmetric &= cap == rev_cap;
+    }
+
+    /// Whether every edge has the same original capacity both ways, so
+    /// that any flow read backwards is a flow of the same value.
+    pub(crate) fn is_symmetric(&self) -> bool {
+        self.symmetric
+    }
+
+    /// Total original capacity of the arcs leaving `v`.
+    pub(crate) fn capacity_out(&self, v: NodeId) -> u128 {
+        self.edges_of(v).map(|e| u128::from(self.caps[e])).sum()
     }
 
     /// Forgets the arc layout after a topology change, keeping each

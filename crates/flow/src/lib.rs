@@ -17,8 +17,11 @@
 //! problem", Algorithmica 19, 1997). Lift-to-front follows HIPR's
 //! heuristics too: a global relabel at the start of each phase and again
 //! after every `2·(6n + m)` units of relabel work (`n` vertices, `m`
-//! residual arcs), HIPR's default interval. Every cut reports the pushes,
-//! relabels and global relabels its solve performed.
+//! residual arcs), HIPR's default interval. On a network whose every edge
+//! has the same capacity both ways, it floods from whichever terminal has
+//! less capacity and turns the flow around afterwards; the cut is the same
+//! minimal one either way. Every cut reports the pushes, relabels and
+//! global relabels its solve performed.
 //!
 //! Location constraints are expressed with [`graph::INFINITE`]
 //! capacities: an infinite edge can never be cut, which is how pinned

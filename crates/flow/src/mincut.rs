@@ -197,9 +197,19 @@ mod tests {
 
     #[test]
     fn solver_work_is_counted_exactly() {
+        // The sink's 24 units of capacity are below the source's 29, so
+        // lift-to-front solves this symmetric network from the sink.
         let cut = min_cut(&mut clrs(), 0, 5, MaxFlowAlgorithm::LiftToFront);
         let work = (cut.pushes, cut.relabels, cut.global_relabels);
-        assert_eq!(work, (9, 3, 2), "lift-to-front");
+        assert_eq!(work, (5, 0, 1), "lift-to-front from the sink");
+        // An arc from the sink back to the source carries no flow toward
+        // the sink, but it leaves the network directed: solved forward.
+        let mut directed = clrs();
+        directed.add_edge(5, 0, 1);
+        let forward = min_cut(&mut directed, 0, 5, MaxFlowAlgorithm::LiftToFront);
+        assert_eq!(forward.cut_value, cut.cut_value);
+        let work = (forward.pushes, forward.relabels, forward.global_relabels);
+        assert_eq!(work, (9, 3, 2), "lift-to-front from the source");
         let cut = min_cut(&mut clrs(), 0, 5, MaxFlowAlgorithm::Dinic);
         let work = (cut.pushes, cut.relabels, cut.global_relabels);
         assert_eq!(work, (9, 0, 0), "Dinic");

@@ -29,6 +29,17 @@
 //! The result is a real maximum flow, so
 //! `FlowNetwork::residual_reachable` yields the unique minimal source side
 //! of the minimum cut — the same side every exact solver yields.
+//!
+//! Both phases flood from one terminal, and which one matters: a solve
+//! from the terminal with less capacity floods less excess that the other
+//! cannot take, and so has less to push back.
+//! When every edge has the same capacity both ways and the sink's original
+//! capacity is below the source's (`from_sink`), the solve runs from `t`
+//! to `s`. A `t`–`s` flow on such a network read backwards is an `s`–`t`
+//! flow of the same value, so giving every arc its pair's residual, one
+//! pass over the arcs, leaves the network holding an `s`–`t` maximum flow
+//! and the minimal source side is unchanged. Directed networks are always
+//! solved from `s`.
 
 use crate::graph::{Arcs, FlowNetwork, NodeId, ResidualArc};
 use crate::mincut::SolveWork;
@@ -50,15 +61,56 @@ const GLOBAL_RELABEL_YARDSTICKS: usize = 2;
 ///
 /// The network retains the residual state on return, so
 /// [`FlowNetwork::residual_reachable`] immediately yields the minimum cut.
+/// On a network that [`from_sink`] picks, the solve runs from `t` to `s`
+/// and each arc then takes its pair's residual (see the module doc). The
+/// value returned is the flow the solve added, also on a network that
+/// already held one.
 ///
 /// # Panics
 ///
 /// Panics if `s == t`.
 pub(crate) fn max_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> (u64, SolveWork) {
     assert_ne!(s, t, "source and sink must differ");
-    // Saturate every residual arc out of `s`, find a maximum preflow, then
-    // return its stranded excess to `s`; the flow arriving at `t` is the
-    // answer.
+    if !from_sink(g, s, t) {
+        return flow_from(g, s, t);
+    }
+    let before = net_inflow(g.arcs(), t);
+    let (_, work) = flow_from(g, t, s);
+    let arcs = g.arcs_mut();
+    for a in 0..arcs.arc.len() {
+        let b = arcs.arc[a].rev as usize;
+        if a < b {
+            let residual = arcs.arc[a].residual;
+            arcs.arc[a].residual = arcs.arc[b].residual;
+            arcs.arc[b].residual = residual;
+        }
+    }
+    let value = net_inflow(arcs, t) - before;
+    debug_assert!(g.conservation_violations(s, t).is_empty());
+    (u64::try_from(value).expect("flow exceeds u64"), work)
+}
+
+/// Whether [`max_flow`] solves from the sink: the network is symmetric and
+/// its sink has less original capacity than its source. A tie keeps `s`.
+pub(crate) fn from_sink(g: &FlowNetwork, s: NodeId, t: NodeId) -> bool {
+    g.is_symmetric() && g.capacity_out(t) < g.capacity_out(s)
+}
+
+/// Net flow into `v` on a symmetric network: an arc and its pair always
+/// sum to twice their capacity, so the flow along an arc is half its
+/// pair's residual less its own.
+fn net_inflow(arcs: &Arcs, v: NodeId) -> i128 {
+    let twice: i128 = arcs.arc[arcs.of(v)]
+        .iter()
+        .map(|arc| i128::from(arc.residual) - i128::from(arcs.arc[arc.rev as usize].residual))
+        .sum();
+    twice / 2
+}
+
+/// Push-relabel from `s` to `t`: saturates every residual arc out of `s`,
+/// finds a maximum preflow, then returns its stranded excess to `s`. The
+/// flow arriving at `t` is the answer.
+fn flow_from(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> (u64, SolveWork) {
     let n = g.node_count();
     let mut excess = vec![0u128; n];
     let arcs = g.arcs_mut();
@@ -406,5 +458,231 @@ mod tests {
     fn same_source_and_sink_panics() {
         let mut g = FlowNetwork::new(2);
         max_flow(&mut g, 1, 1);
+    }
+}
+
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use crate::graph::INFINITE;
+    use crate::mincut::{min_cut, MaxFlowAlgorithm};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Net flow into `v`: an edge slot's flow is its capacity less its
+    /// residual.
+    fn inflow(g: &FlowNetwork, v: NodeId) -> i128 {
+        g.edges_of(v)
+            .map(|e| i128::from(g.residual(e)) - i128::from(g.original(e)))
+            .sum()
+    }
+
+    /// A random capacity, zero one time in eight.
+    fn capacity(rng: &mut StdRng) -> u64 {
+        if rng.gen_bool(0.125) {
+            0
+        } else {
+            rng.gen_range(1..100)
+        }
+    }
+
+    /// Case `case`'s network and terminals. Kinds by `case % 5`:
+    /// undirected random capacities; the same with parallel edges;
+    /// [`INFINITE`] pins on both terminals; terminals with equal capacity
+    /// (by the same capacities to random nodes); directed edges only.
+    fn network(case: u64) -> (FlowNetwork, NodeId, NodeId) {
+        let mut rng = StdRng::seed_from_u64(case);
+        let n = rng.gen_range(2..=24);
+        let s = rng.gen_range(0..n);
+        let t = (s + rng.gen_range(1..n)) % n;
+        let mut g = FlowNetwork::new(n);
+        let kind = case % 5;
+        let inner: Vec<NodeId> = (0..n).filter(|&v| v != s && v != t).collect();
+        if kind == 3 {
+            for _ in 0..rng.gen_range(1..4) {
+                let cap = capacity(&mut rng);
+                for terminal in [s, t] {
+                    let other = match inner.len() {
+                        0 => s + t - terminal,
+                        k => inner[rng.gen_range(0..k)],
+                    };
+                    g.add_undirected(terminal, other, cap);
+                }
+            }
+        }
+        for _ in 0..rng.gen_range(0..3 * n) {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if kind == 3 && (u == s || u == t || v == s || v == t) {
+                continue; // keep the terminals' capacities equal
+            }
+            let cap = capacity(&mut rng);
+            match kind {
+                1 => {
+                    for _ in 0..rng.gen_range(1..4) {
+                        g.add_undirected(u, v, cap);
+                    }
+                }
+                4 => g.add_edge(u, v, cap),
+                _ => g.add_undirected(u, v, cap),
+            }
+        }
+        if kind == 2 {
+            for &v in &inner {
+                match rng.gen_range(0..4) {
+                    0 => g.add_undirected(s, v, INFINITE),
+                    1 => g.add_undirected(v, t, INFINITE),
+                    _ => {}
+                }
+            }
+        }
+        (g, s, t)
+    }
+
+    /// Over 1 000 networks of every kind: the direction rule picks the
+    /// terminal with less capacity on symmetric networks only, keeps the
+    /// source on a tie, and lift-to-front's cut equals Dinic's. The network
+    /// is then left holding an `s`–`t` maximum flow, as `min_cut`
+    /// documents: conserved at every inner node, the cut value arriving at
+    /// `t`, every arc from the source side to the sink side saturated. A
+    /// second solve on that flow finds no more and the same cut.
+    #[test]
+    fn solving_from_the_sink_finds_the_same_cut() {
+        let mut reversed = [0; 5];
+        for case in 0..1_000 {
+            let (mut g, s, t) = network(case);
+            let kind = case % 5;
+            let (cap_s, cap_t) = (g.capacity_out(s), g.capacity_out(t));
+            let expected = kind != 4 && cap_t < cap_s;
+            assert_eq!(from_sink(&g, s, t), expected, "case {case}");
+            if kind == 3 {
+                assert_eq!(cap_s, cap_t, "case {case}");
+            }
+            reversed[kind as usize] += usize::from(expected);
+
+            let cut = min_cut(&mut g, s, t, MaxFlowAlgorithm::LiftToFront);
+            let dinic = min_cut(&mut network(case).0, s, t, MaxFlowAlgorithm::Dinic);
+            assert_eq!(cut.cut_value, dinic.cut_value, "case {case}");
+            assert_eq!(cut.source_side, dinic.source_side, "case {case}");
+            assert_eq!(g.conservation_violations(s, t), [], "case {case}");
+            assert_eq!(inflow(&g, t), i128::from(cut.cut_value), "case {case}");
+            let side = &cut.source_side;
+            for u in (0..g.node_count()).filter(|&u| side[u]) {
+                for e in g.edges_of(u).filter(|&e| !side[g.head(e)]) {
+                    assert_eq!(g.residual(e), 0, "case {case}: slot {e} unsaturated");
+                }
+            }
+            if case % 10 == 0 {
+                let again = min_cut(&mut g, s, t, MaxFlowAlgorithm::LiftToFront);
+                assert_eq!(again.cut_value, 0, "case {case}");
+                assert_eq!(again.source_side, cut.source_side, "case {case}");
+            }
+        }
+        // Every symmetric kind reverses somewhere; directed and tied
+        // networks never do.
+        assert!(reversed[0] > 0 && reversed[1] > 0 && reversed[2] > 0);
+        assert_eq!((reversed[3], reversed[4]), (0, 0));
+    }
+
+    /// A network shaped like the contracted ones `partition_scale` cuts: a
+    /// chain over `n` classifications plus `3n` random edges, with
+    /// `client_permille` of the classifications merged into the source and
+    /// `server_permille` into the sink. Returns the network and terminals.
+    fn contracted_graph(
+        seed: u64,
+        n: usize,
+        client_permille: usize,
+        server_permille: usize,
+    ) -> (FlowNetwork, NodeId, NodeId) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let clients = n * client_permille / 1000;
+        let servers = n * server_permille / 1000;
+        let mut ids: Vec<usize> = (0..n).collect();
+        for i in 0..clients + servers {
+            ids.swap(i, rng.gen_range(i..n));
+        }
+        let inner = n - clients - servers;
+        let (s, t) = (inner, inner + 1);
+        let mut vertex = vec![0; n];
+        for (k, &id) in ids.iter().enumerate() {
+            vertex[id] = match k {
+                k if k < clients => s,
+                k if k < clients + servers => t,
+                k => k - clients - servers,
+            };
+        }
+        let mut g = FlowNetwork::new(inner + 2);
+        let pairs: Vec<(usize, usize)> = (1..n)
+            .map(|i| (i - 1, i))
+            .chain((0..3 * n).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))))
+            .collect();
+        for (a, b) in pairs {
+            if vertex[a] != vertex[b] {
+                g.add_undirected(vertex[a], vertex[b], rng.gen_range(64..14_000));
+            }
+        }
+        (g, s, t)
+    }
+
+    /// Pushes of the chosen direction and of a forward-only solve, summed
+    /// per pin regime (client-heavy, then server-heavy) over `graphs`
+    /// graphs of `n` classifications each. With `oracle`, every chosen cut
+    /// is also checked against Dinic's.
+    fn pushes_per_regime(graphs: u64, n: usize, oracle: bool) -> [(u64, u64); 2] {
+        let mut sums = [(0, 0); 2];
+        for (regime, (client, server)) in [(110, 90), (90, 110)].into_iter().enumerate() {
+            for seed in 0..graphs {
+                let (mut g, s, t) = contracted_graph(seed, n, client, server);
+                let mut forward = g.clone();
+                let cut = min_cut(&mut g, s, t, MaxFlowAlgorithm::LiftToFront);
+                if oracle {
+                    let dinic = min_cut(&mut forward.clone(), s, t, MaxFlowAlgorithm::Dinic);
+                    assert_eq!(
+                        cut.cut_value, dinic.cut_value,
+                        "seed {seed} regime {regime}"
+                    );
+                    assert_eq!(
+                        cut.source_side, dinic.source_side,
+                        "seed {seed} regime {regime}"
+                    );
+                }
+                let (value, work) = flow_from(&mut forward, s, t);
+                assert_eq!(value, cut.cut_value, "seed {seed} regime {regime}");
+                sums[regime].0 += cut.pushes;
+                sums[regime].1 += work.pushes;
+            }
+        }
+        sums
+    }
+
+    /// The gain as exact counts: on `partition_scale`-shaped networks in
+    /// both pin regimes, the direction the rule picks pushes no more than
+    /// a forward-only solve, summed per regime.
+    #[test]
+    fn chosen_direction_pushes_no_more_at_partition_scale() {
+        for (regime, (chosen, forward)) in
+            pushes_per_regime(24, 2_000, false).into_iter().enumerate()
+        {
+            assert!(
+                chosen <= forward,
+                "regime {regime}: {chosen} pushes > {forward} forward"
+            );
+        }
+    }
+
+    /// The same at the 20 000-classification shape of the benchmark's
+    /// `analysis.analyze_100x_us` solve, with every cut checked against
+    /// Dinic's. Release only: `cargo test --release -p coign-flow --
+    /// --ignored`.
+    #[test]
+    #[ignore = "release-only: 20 000-classification solves"]
+    fn chosen_direction_pushes_no_more_at_100x() {
+        for (regime, (chosen, forward)) in
+            pushes_per_regime(4, 20_000, true).into_iter().enumerate()
+        {
+            assert!(
+                chosen <= forward,
+                "regime {regime}: {chosen} pushes > {forward} forward"
+            );
+        }
     }
 }

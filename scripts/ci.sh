@@ -74,6 +74,11 @@ echo "==> run teardown (one scenario 200 cycles in-process, release, peak RSS fl
 # ignored 200-cycle variant is what a long-lived host would do.
 cargo test --locked --release -q --test run_teardown -- --ignored
 
+echo "==> lift-to-front direction at 20 000 classifications (release, both pin regimes)"
+# Tier-1 checks the direction rule on 2 000-classification networks; the
+# ignored variant solves the benchmark's 100x shape against Dinic.
+cargo test --locked --release -q -p coign-flow -- --ignored
+
 echo "==> benchmark/ci.sh (measured surface: offline build, smoke test, --check-expected)"
 # The benchmark is a workspace of its own that compiles against pinned
 # signatures of these crates; build and smoke it here so a break of that
