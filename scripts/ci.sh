@@ -168,7 +168,8 @@ grep -q "invariants: ok" "$TMP/chaos_seed_11.txt" \
 echo "==> sweep, chaos & explore over generated applications (two gen seeds vs committed expectations)"
 # The generator is deterministic per seed, so the whole downstream pipeline
 # must be too: emit two generated images, profile + analyze them, sweep
-# the network grid and run the chaos harness over each, and diff against committed expectations. The
+# the network grid, run the chaos harness and place them on four machines,
+# and diff each against committed expectations. The
 # schedule-space explorer must likewise be byte-identical across --jobs
 # and report zero invariant violations on a healthy generated app.
 # Regenerate after an intentional change with the same flag as above.
@@ -185,6 +186,9 @@ for gseed in 3 16; do
   check_expected "chaos_gen_${gseed}.txt" "generated chaos summary"
   grep -q "invariants: ok" "$TMP/chaos_gen_${gseed}.txt" \
     || { echo "chaos invariants violated on generated seed ${gseed}"; exit 1; }
+  # A four-machine placement pins the multiway cut on generated graphs.
+  "$BIN" place "$GIMG" g_main ethernet --machines 4 > "$TMP/place_gen_${gseed}.txt"
+  check_expected "place_gen_${gseed}.txt" "generated placement"
 done
 "$BIN" chaos "$TMP/gen-3-small.cimg" g_main ethernet --seed 7 --trials 5 --jobs 4 \
   > "$TMP/chaos_gen_3_jobs4.txt"
