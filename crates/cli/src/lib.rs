@@ -1104,7 +1104,7 @@ fn lint_derived_router(
 /// fleet-scale serving harness: multiplexes N simulated user sessions over
 /// the distribution chosen for the image's accumulated profile, as a
 /// sharded discrete-event simulation with per-link ICC batching and
-/// session-state pooling ([`coign::serve`]). The summary is byte-identical
+/// session-state pooling ([`coign::serve()`]). The summary is byte-identical
 /// for a given seed across repeated runs and across `--jobs`.
 ///
 /// Under an observability bundle the registry gains the serve counters

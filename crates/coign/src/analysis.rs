@@ -9,6 +9,7 @@ use crate::classifier::ClassificationId;
 use crate::constraints::Constraint;
 use crate::icc::{IccGraph, TIME_SCALE};
 use crate::lint::satisfiability::UnionFind;
+use crate::multiway::MultiwayConstraint;
 use crate::profile::IccProfile;
 use coign_com::codec::{Decoder, Encoder};
 use coign_com::{ComError, ComResult, MachineId};
@@ -79,13 +80,11 @@ impl Distribution {
 
 /// Runs the analysis engine: profile + network + constraints → distribution.
 ///
-/// The flow network has one node per classification plus a source (the
-/// client) and sink (the server). Constraint and non-remotable edges carry
-/// infinite capacity; communication edges carry their predicted time. The
-/// minimum cut is computed with the requested algorithm (the paper's choice
-/// is [`MaxFlowAlgorithm::LiftToFront`]) on that network with every group
-/// joined by infinite edges contracted to one node (`Contracted`), which
-/// yields the same cut.
+/// The flow network (`Contracted`) has a source (the client), a sink (the
+/// server) and one node per group of classifications the constraints keep
+/// together; communication edges carry their predicted time. The minimum
+/// cut is computed with the requested algorithm (the paper's choice is
+/// [`MaxFlowAlgorithm::LiftToFront`]).
 ///
 /// Fails with [`ComError::App`] if constraints are contradictory (e.g. a
 /// GUI component connected to a storage component through a non-remotable
@@ -93,8 +92,7 @@ impl Distribution {
 /// over the colocation closure ([`crate::lint::satisfiability`]) *before*
 /// any flow network is built — min-cut never runs on an unsatisfiable
 /// constraint set. The contraction's own check for a group pinned to both
-/// machines, and the infinite-cut check after the cut, remain as
-/// defense-in-depth invariants.
+/// machines remains as a defense-in-depth invariant.
 ///
 /// # Examples
 ///
@@ -188,27 +186,24 @@ pub(crate) fn placement_of(
 
 /// Cuts `graph` under `constraints` with `algorithm`, solving the
 /// [`Contracted`] network, and returns the cut value and the full
-/// network's minimal source side (graph nodes, then source and sink).
-/// `point` names the network point in errors, as in
-/// [`check_cut_in_range`].
+/// network's minimal source side ([`Contracted::lift_cut`]). `point` names
+/// the network point in errors, as in [`check_cut_in_range`].
 pub(crate) fn cut_graph(
     graph: &IccGraph,
     constraints: &[Constraint],
     algorithm: MaxFlowAlgorithm,
     point: std::fmt::Arguments<'_>,
 ) -> ComResult<(u64, Vec<bool>)> {
-    let traffic = || traffic_capacity(graph.weights_us.values());
-    let Some(mut contracted) = Contracted::build(graph, constraints) else {
-        return Err(out_of_range(traffic(), point));
-    };
-    let cut = min_cut(
-        &mut contracted.flow,
-        contracted.source,
-        contracted.sink,
-        algorithm,
-    );
-    check_cut_in_range(cut.cut_value, traffic, point)?;
-    Ok((cut.cut_value, contracted.lift(&cut.source_side)))
+    let mut contracted =
+        Contracted::two_way(graph, constraints).map_err(|_| contradictory(point))?;
+    let (source, sink) = (contracted.terminal(0), contracted.terminal(1));
+    let cut = min_cut(&mut contracted.flow, source, sink, algorithm);
+    check_cut_in_range(
+        cut.cut_value,
+        || traffic_capacity(graph.weights_us.values()),
+        point,
+    )?;
+    Ok((cut.cut_value, contracted.lift_cut(&cut.source_side)))
 }
 
 /// Total capacity of communication edges of the given weights.
@@ -219,10 +214,13 @@ pub(crate) fn traffic_capacity<'a>(weights_us: impl IntoIterator<Item = &'a f64>
         .sum()
 }
 
-/// Rejects a minimum cut at or past the [`INFINITE`] sentinel, naming the
-/// cause; see [`out_of_range`]. `traffic` gives the total capacity of the
+/// Rejects a minimum cut at or past the [`INFINITE`] sentinel, the top of
+/// the capacity range. `traffic` gives the total capacity of the
 /// communication edges (computed on this failure path only) and `point`
-/// the network point the graph was parameterized for.
+/// the network point the graph was parameterized for. A [`Contracted`]
+/// cut never exceeds the traffic, so only [`build_flow_network`]'s can
+/// reach the sentinel below it: by severing an infinite edge, reported as
+/// a contradiction.
 pub(crate) fn check_cut_in_range(
     cut_value: u64,
     traffic: impl FnOnce() -> u128,
@@ -231,108 +229,124 @@ pub(crate) fn check_cut_in_range(
     if cut_value < INFINITE {
         return Ok(());
     }
-    Err(out_of_range(traffic(), point))
+    let traffic = traffic();
+    if traffic < u128::from(INFINITE) {
+        return Err(contradictory(point));
+    }
+    Err(ComError::App(format!(
+        "communication volume exceeds the solver's capacity range ({point}): the \
+         communication edges carry {traffic} capacity units (1/{TIME_SCALE} us each), at \
+         or past the uncuttable-edge sentinel {INFINITE}; the location constraints are \
+         not at fault"
+    )))
 }
 
-/// The error for a minimum cut of the full network at or past the
-/// [`INFINITE`] sentinel.
-///
-/// A cut that large means one of two things, told apart by what the
-/// communication edges carry in total (`traffic`). If that is below the
-/// sentinel, the cut severs a constraint or non-remotable edge: the
-/// constraints contradict each other, and the caller skipped the
-/// satisfiability pre-check that reports that with `COIGN0xx` diagnostics.
-/// Otherwise the traffic itself reaches the sentinel, where a constraint
-/// edge can no longer be told from a communication edge.
-pub(crate) fn out_of_range(traffic: u128, point: std::fmt::Arguments<'_>) -> ComError {
-    ComError::App(if traffic < u128::from(INFINITE) {
-        format!(
-            "location constraints are contradictory ({point}): the minimum cut severs an \
-             infinite-capacity (constraint or non-remotable) edge"
-        )
-    } else {
-        format!(
-            "communication volume exceeds the solver's capacity range ({point}): the \
-             communication edges carry {traffic} capacity units (1/{TIME_SCALE} us each), at \
-             or past the uncuttable-edge sentinel {INFINITE}; the location constraints are \
-             not at fault"
-        )
-    })
+/// The two-way error for a group pinned to both machines, in the words
+/// the full network's infinite cut is reported with.
+pub(crate) fn contradictory(point: std::fmt::Arguments<'_>) -> ComError {
+    ComError::App(format!(
+        "location constraints are contradictory ({point}): the minimum cut severs an \
+         infinite-capacity (constraint or non-remotable) edge"
+    ))
 }
 
-/// The network the cut is solved on: [`build_flow_network`]'s, with every
-/// group of nodes the cut cannot separate merged into one node.
-/// Client-pinned classifications merge into the source and server-pinned
-/// ones into the sink; each colocated group (explicit
-/// [`Constraint::Colocate`] pairs and non-remotable pairs, closed
-/// transitively) becomes one node. Every infinite edge disappears with
-/// the merge. A communication edge inside one group drops out; edges
-/// between two groups stay separate parallel arcs, so no capacity is
-/// summed that the full network does not sum.
+/// A group of classifications pinned to two machines, found by the
+/// contraction before anything is solved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Contradiction {
+    /// The group's smallest classification.
+    pub(crate) class: ClassificationId,
+    /// Two machines the group is pinned to, the lower first.
+    pub(crate) machines: [MachineId; 2],
+}
+
+/// The network every cut is solved on: [`build_flow_network`]'s, on one
+/// terminal per machine, with every group of nodes the cut cannot
+/// separate merged into one node. Classifications pinned to machine `m`
+/// merge into terminal `m`; each colocated group (colocation pairs and
+/// non-remotable pairs, closed transitively) becomes one node. A
+/// communication edge inside one group drops out; edges between two
+/// groups stay separate parallel arcs, so no capacity is summed that the
+/// full network does not sum.
 ///
-/// Below [`INFINITE`], no minimum cut of the full network severs an
-/// infinite edge, so every one keeps each merged group on one side: the
+/// Below [`INFINITE`], no minimum cut of the full network, nor any
+/// isolating cut of a multiway placement, severs an infinite edge, so the
 /// minimum cuts of the two networks correspond one to one, and the
 /// minimal source side lifted back through the node map ([`Self::lift`])
-/// is the full network's (Picard and Queyranne, 1980). At or past the
-/// sentinel both cuts are rejected with the same error, since the
-/// contracted cut is never smaller.
+/// is the full network's (Picard and Queyranne, 1980).
 pub(crate) struct Contracted {
     pub(crate) flow: FlowNetwork,
-    pub(crate) source: usize,
-    pub(crate) sink: usize,
     /// Contracted node of each graph node.
     node: Vec<usize>,
+    /// Number of contracted nodes that are not terminals; terminal `m` is
+    /// node `groups + m`.
+    groups: usize,
+    /// For each contracted node, whether it is one classification pinned
+    /// nowhere: the nodes a multiway placement may move and copy.
+    pub(crate) free: Vec<bool>,
     /// For each pair of `flow`, in pair order, the index of the
     /// communication edge behind it in `weights_us` order.
     pub(crate) traffic_pair: Vec<usize>,
 }
 
 impl Contracted {
-    /// Contracts `graph` under `constraints`, or `None` when some group is
-    /// pinned to both machines — the full network's cut would be infinite.
-    /// Nodes are numbered by their groups' smallest members, the source and
-    /// sink last; communication edges keep `weights_us` order.
-    pub(crate) fn build(graph: &IccGraph, constraints: &[Constraint]) -> Option<Self> {
+    /// Contracts `graph` onto `machines` terminals under `constraints`.
+    /// Nodes are numbered by their groups' smallest members, the terminals
+    /// last in machine order; communication edges keep `weights_us` order.
+    pub(crate) fn build(
+        graph: &IccGraph,
+        machines: usize,
+        constraints: impl IntoIterator<Item = MultiwayConstraint>,
+    ) -> Result<Self, Contradiction> {
         let n = graph.node_count();
-        let (source, sink) = (n, n + 1);
-        let mut groups = UnionFind::new(n + 2);
+        let mut groups = UnionFind::new(n + machines);
         for &(a, b) in &graph.non_remotable {
             groups.union(a, b);
         }
         for constraint in constraints {
-            let node = |class| graph.index.get(class).copied();
+            let node = |class| graph.index.get(&class).copied();
             let pair = match constraint {
-                Constraint::PinClient(class) => node(class).map(|v| (source, v)),
-                Constraint::PinServer(class) => node(class).map(|v| (v, sink)),
-                Constraint::Colocate(a, b) => node(a).zip(node(b)),
+                MultiwayConstraint::Pin(class, m) => node(class).map(|v| (v, n + usize::from(m.0))),
+                MultiwayConstraint::Colocate(a, b) => node(a).zip(node(b)),
             };
             if let Some((a, b)) = pair {
                 groups.union(a, b);
             }
         }
-        let (source_root, sink_root) = (groups.find(source), groups.find(sink));
-        if source_root == sink_root {
-            return None;
+        // A group's root is its smallest member, so the root of a group
+        // holding two terminals is a classification joining them.
+        let roots: Vec<usize> = (n..n + machines).map(|t| groups.find(t)).collect();
+        for (m, &root) in roots.iter().enumerate() {
+            if let Some(first) = roots[..m].iter().position(|&r| r == root) {
+                return Err(Contradiction {
+                    class: graph.nodes[root],
+                    machines: [MachineId(first as u16), MachineId(m as u16)],
+                });
+            }
         }
-        let mut number = vec![usize::MAX; n + 2];
-        let mut node = Vec::with_capacity(n);
-        let mut groups_count = 0;
+        // Number the other groups in order of first member; a group is
+        // free until a second member turns up.
+        let mut number = vec![usize::MAX; n + machines];
+        let mut free = Vec::new();
         for v in 0..n {
             let root = groups.find(v);
-            if root != source_root && root != sink_root && number[root] == usize::MAX {
-                number[root] = groups_count;
-                groups_count += 1;
+            if roots.contains(&root) {
+                continue;
             }
-            node.push(root);
+            if number[root] == usize::MAX {
+                number[root] = free.len();
+                free.push(true);
+            } else {
+                free[number[root]] = false;
+            }
         }
-        let (source, sink) = (groups_count, groups_count + 1);
-        number[source_root] = source;
-        number[sink_root] = sink;
-        for v in &mut node {
-            *v = number[*v];
+        let groups_count = free.len();
+        free.resize(groups_count + machines, false);
+        for (m, &root) in roots.iter().enumerate() {
+            number[root] = groups_count + m;
         }
-        let mut flow = FlowNetwork::new(groups_count + 2);
+        let node: Vec<usize> = (0..n).map(|v| number[groups.find(v)]).collect();
+        let mut flow = FlowNetwork::new(groups_count + machines);
         let mut traffic_pair = Vec::new();
         for (k, ((a, b), weight)) in graph.weights_us.iter().enumerate() {
             if node[*a] != node[*b] {
@@ -340,19 +354,44 @@ impl Contracted {
                 traffic_pair.push(k);
             }
         }
-        Some(Contracted {
+        Ok(Contracted {
             flow,
-            source,
-            sink,
             node,
+            groups: groups_count,
+            free,
             traffic_pair,
         })
     }
 
-    /// Lifts a source side of the contracted network to the full
-    /// network's nodes: every graph node, then the source and the sink.
-    pub(crate) fn lift(&self, source_side: &[bool]) -> Vec<bool> {
-        let mut full: Vec<bool> = self.node.iter().map(|&v| source_side[v]).collect();
+    /// [`Self::build`] for the two-way cut: the client is machine 0, the
+    /// server machine 1.
+    pub(crate) fn two_way(
+        graph: &IccGraph,
+        constraints: &[Constraint],
+    ) -> Result<Self, Contradiction> {
+        let on_machines = |constraint: &Constraint| match *constraint {
+            Constraint::PinClient(class) => MultiwayConstraint::Pin(class, MachineId::CLIENT),
+            Constraint::PinServer(class) => MultiwayConstraint::Pin(class, MachineId::SERVER),
+            Constraint::Colocate(a, b) => MultiwayConstraint::Colocate(a, b),
+        };
+        Self::build(graph, 2, constraints.iter().map(on_machines))
+    }
+
+    /// The contracted node of machine `m`'s terminal.
+    pub(crate) fn terminal(&self, m: usize) -> usize {
+        self.groups + m
+    }
+
+    /// Lifts a value per contracted node (a side, a machine) to every
+    /// graph node.
+    pub(crate) fn lift<T: Copy>(&self, per_node: &[T]) -> Vec<T> {
+        self.node.iter().map(|&v| per_node[v]).collect()
+    }
+
+    /// Lifts a source side of a two-way cut to the full network's nodes:
+    /// every graph node, then the source and the sink.
+    pub(crate) fn lift_cut(&self, source_side: &[bool]) -> Vec<bool> {
+        let mut full = self.lift(source_side);
         full.extend([true, false]);
         full
     }
@@ -549,6 +588,27 @@ mod tests {
         assert!(detail.contains("COIGN020"), "{detail}");
     }
 
+    /// Two classifications whose single edge carries `bytes`.
+    fn heavy_pair_profile(bytes: u64) -> IccProfile {
+        let mut profile = IccProfile::new();
+        profile.record_instance(c(1), Clsid::from_name("Viewer"));
+        profile.record_instance(c(2), Clsid::from_name("Storage"));
+        profile.record_message(c(1), c(2), Iid::from_name("IX"), 0, bytes);
+        profile
+    }
+
+    /// Three-machine constraints pinning classification 1 to machine 0,
+    /// 2 to machine 1 and the root to machine 2, plus `extra`.
+    fn three_machine_pins(extra: &[MultiwayConstraint]) -> Vec<MultiwayConstraint> {
+        let mut constraints = vec![
+            MultiwayConstraint::Pin(c(1), MachineId(0)),
+            MultiwayConstraint::Pin(c(2), MachineId(1)),
+            MultiwayConstraint::Pin(ClassificationId::ROOT, MachineId(2)),
+        ];
+        constraints.extend_from_slice(extra);
+        constraints
+    }
+
     #[test]
     fn capacity_overflow_is_not_reported_as_a_contradiction() {
         // Two classifications, satisfiably pinned apart, whose single edge
@@ -557,10 +617,7 @@ mod tests {
         // when the edge's weight saturates `u64`, which used to overflow
         // the solvers' residual arithmetic.
         for bytes in [1 << 50, u64::MAX / 2] {
-            let mut profile = IccProfile::new();
-            profile.record_instance(c(1), Clsid::from_name("Viewer"));
-            profile.record_instance(c(2), Clsid::from_name("Storage"));
-            profile.record_message(c(1), c(2), Iid::from_name("IX"), 0, bytes);
+            let profile = heavy_pair_profile(bytes);
             let constraints = vec![Constraint::PinClient(c(1)), Constraint::PinServer(c(2))];
             let graph = IccGraph::build(&profile, &network());
             assert_eq!(IccGraph::capacity_of(graph.total_time_us()), INFINITE);
@@ -583,6 +640,15 @@ mod tests {
                     .solve(None)
                     .unwrap_err(),
             );
+            errors.push(
+                crate::multiway::analyze_multiway(
+                    &profile,
+                    &network(),
+                    &three_machine_pins(&[]),
+                    3,
+                )
+                .unwrap_err(),
+            );
             for err in errors {
                 let detail = err.to_string();
                 assert!(
@@ -592,6 +658,85 @@ mod tests {
                 assert!(!detail.contains("contradictory"), "{bytes} bytes: {detail}");
             }
         }
+    }
+
+    #[test]
+    fn contradiction_past_the_sentinel_is_reported_as_a_contradiction() {
+        // The same heavy pair, now also colocated: one group pinned to two
+        // machines. Traffic past the sentinel must not hide that the
+        // constraints are at fault.
+        let profile = heavy_pair_profile(1 << 50);
+        let constraints = vec![
+            Constraint::PinClient(c(1)),
+            Constraint::PinServer(c(2)),
+            Constraint::Colocate(c(1), c(2)),
+        ];
+        let graph = IccGraph::build(&profile, &network());
+        assert_eq!(IccGraph::capacity_of(graph.total_time_us()), INFINITE);
+        let grid = crate::sweep::SweepGrid::paper_networks();
+        let modes = [
+            crate::sweep::SweepMode::Cold,
+            crate::sweep::SweepMode::Warm,
+            crate::sweep::SweepMode::WarmValidated,
+        ];
+        let mut errors: Vec<ComError> = modes
+            .iter()
+            .map(|&mode| {
+                crate::sweep::sweep_profile(&profile, &constraints, &grid, mode).unwrap_err()
+            })
+            .collect();
+        errors.push(
+            crate::recovery::RecoverySolver::new(&graph, &constraints)
+                .solve(None)
+                .unwrap_err(),
+        );
+        let colocated = three_machine_pins(&[MultiwayConstraint::Colocate(c(1), c(2))]);
+        errors.push(
+            crate::multiway::analyze_multiway(&profile, &network(), &colocated, 3).unwrap_err(),
+        );
+        for err in errors {
+            let detail = err.to_string();
+            assert!(detail.contains("contradictory"), "{detail}");
+            assert!(!detail.contains("capacity range"), "{detail}");
+        }
+    }
+
+    #[test]
+    fn contraction_names_a_group_pinned_to_two_machines() {
+        let mut profile = document_profile();
+        profile.record_non_remotable(c(2), c(3));
+        let graph = IccGraph::build(&profile, &network());
+        let pins = [
+            MultiwayConstraint::Pin(ClassificationId::ROOT, MachineId(0)),
+            MultiwayConstraint::Pin(c(3), MachineId(1)),
+            MultiwayConstraint::Pin(c(1), MachineId(2)),
+            MultiwayConstraint::Colocate(c(1), c(2)),
+        ];
+        let Err(contradiction) = Contracted::build(&graph, 3, pins) else {
+            panic!("classifications 1, 2 and 3 form one group pinned to two machines");
+        };
+        assert_eq!(
+            contradiction,
+            Contradiction {
+                class: c(1),
+                machines: [MachineId(1), MachineId(2)],
+            }
+        );
+        // The two-way network of a satisfiable set: groups numbered by
+        // smallest member, then the terminals; only classification 2 is
+        // alone and pinned nowhere.
+        let graph = IccGraph::build(&document_profile(), &network());
+        let contracted = Contracted::two_way(
+            &graph,
+            &[
+                Constraint::PinServer(c(3)),
+                Constraint::Colocate(c(1), ClassificationId::ROOT),
+            ],
+        )
+        .unwrap();
+        assert_eq!(contracted.lift(&[10, 11, 12, 13]), [10, 10, 11, 13]);
+        assert_eq!(contracted.free, [false, true, false, false]);
+        assert_eq!((contracted.terminal(0), contracted.terminal(1)), (2, 3));
     }
 
     #[test]

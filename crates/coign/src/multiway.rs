@@ -9,14 +9,14 @@
 //! heuristic assigns everything else to minimize cross-machine
 //! communication time.
 
-use crate::analysis::Distribution;
+use crate::analysis::{check_cut_in_range, traffic_capacity, Contracted, Distribution};
 use crate::classifier::ClassificationId;
 use crate::icc::IccGraph;
 use crate::lint::sharing::ReplicationReport;
 use crate::profile::IccProfile;
 use coign_com::{ClassRegistry, ComError, ComResult, MachineId};
 use coign_dcom::NetworkProfile;
-use coign_flow::{multiway_cut, refine_assignment, FlowNetwork, MaxFlowAlgorithm, INFINITE};
+use coign_flow::{multiway_cut, refine_assignment, MaxFlowAlgorithm};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// A placement constraint for multiway partitioning.
@@ -201,15 +201,17 @@ impl MultiwayPlacement {
 
 /// Partitions a profile across `machine_count` machines.
 ///
-/// Builds the concrete ICC graph, adds one terminal node per machine wired
-/// to its pinned classifications with infinite edges, runs the isolation
-/// heuristic (within `2 − 2/k` of the optimal multiway cut), and refines
-/// the result with deterministic single-node moves
+/// Contracts the concrete ICC graph onto one terminal per machine
+/// (`analysis::Contracted`), runs the isolation heuristic with
+/// lift-to-front (within `2 − 2/k` of the optimal multiway cut), and
+/// refines the result with deterministic single-node moves of the
+/// classifications pinned nowhere and colocated with nothing
 /// ([`coign_flow::refine_assignment`]).
 ///
 /// Every machine must pin at least one classification (a terminal with no
 /// pull would trivially attract nothing); the client terminal always has
-/// the application root.
+/// the application root. A group pinned to two machines fails before any
+/// cut is solved, naming a classification of the group and both machines.
 pub fn analyze_multiway(
     profile: &IccProfile,
     network: &NetworkProfile,
@@ -244,47 +246,17 @@ pub fn analyze_multiway_with_replication(
         ));
     }
     let graph = IccGraph::build(profile, network);
-    let n = graph.node_count();
-    let mut flow = FlowNetwork::new(n + machine_count);
-    for ((a, b), weight) in &graph.weights_us {
-        flow.add_undirected(*a, *b, IccGraph::capacity_of(*weight));
-    }
-    // Nodes touched by an infinite-capacity edge (constraints or
-    // non-remotable pairs) must never move or replicate.
-    let mut constrained: HashSet<usize> = HashSet::new();
-    for (a, b) in &graph.non_remotable {
-        flow.add_undirected(*a, *b, INFINITE);
-        constrained.insert(*a);
-        constrained.insert(*b);
-    }
-
-    // Terminal node for machine m is n + m.
     let mut pinned_machines = vec![false; machine_count];
     for constraint in constraints {
-        match constraint {
-            MultiwayConstraint::Pin(class, machine) => {
-                let m = machine.0 as usize;
-                if m >= machine_count {
-                    return Err(ComError::App(format!(
-                        "constraint pins {class} to {machine}, outside the \
-                         {machine_count}-machine topology"
-                    )));
-                }
-                if let Some(&node) = graph.index.get(class) {
-                    flow.add_undirected(node, n + m, INFINITE);
-                    pinned_machines[m] = true;
-                    constrained.insert(node);
-                }
+        if let MultiwayConstraint::Pin(class, machine) = constraint {
+            let m = machine.0 as usize;
+            if m >= machine_count {
+                return Err(ComError::App(format!(
+                    "constraint pins {class} to {machine}, outside the \
+                     {machine_count}-machine topology"
+                )));
             }
-            MultiwayConstraint::Colocate(a, b) => {
-                if let (Some(&na), Some(&nb)) = (graph.index.get(a), graph.index.get(b)) {
-                    if na != nb {
-                        flow.add_undirected(na, nb, INFINITE);
-                        constrained.insert(na);
-                        constrained.insert(nb);
-                    }
-                }
-            }
+            pinned_machines[m] |= graph.index.contains_key(class);
         }
     }
     if let Some(empty) = pinned_machines.iter().position(|p| !p) {
@@ -294,34 +266,43 @@ pub fn analyze_multiway_with_replication(
         )));
     }
 
-    let terminals: Vec<usize> = (0..machine_count).map(|m| n + m).collect();
-    let cut = multiway_cut(&flow, &terminals, MaxFlowAlgorithm::Dinic);
-
-    // A severed infinite edge means contradictory constraints.
-    if cut.cut_value >= INFINITE {
-        return Err(ComError::App(
-            "multiway constraints are contradictory: the cut severs an \
-             infinite-capacity edge"
-                .to_string(),
-        ));
-    }
+    let contracted = Contracted::build(&graph, machine_count, constraints.iter().copied())
+        .map_err(|c| {
+            let [a, b] = c.machines;
+            ComError::App(format!(
+                "multiway constraints are contradictory: the group of {} is pinned to both \
+                 {a} and {b}",
+                c.class
+            ))
+        })?;
+    let terminals: Vec<usize> = (0..machine_count).map(|m| contracted.terminal(m)).collect();
+    let cut = multiway_cut(&contracted.flow, &terminals, MaxFlowAlgorithm::LiftToFront);
+    check_cut_in_range(
+        cut.cut_value,
+        || traffic_capacity(graph.weights_us.values()),
+        format_args!("network {}", graph.network_name),
+    )?;
 
     // Heuristic cut cost (in modeled microseconds) before refinement.
     let mut assignment = cut.assignment;
-    let heuristic_cut_us = predicted_comm_us(&graph, &assignment);
+    let heuristic_cut_us = predicted_comm_us(&graph, &contracted.lift(&assignment));
 
-    // Exact local refinement: free nodes (no infinite incident edge) may
-    // hop to the machine holding most of their traffic.
-    let movable: Vec<bool> = (0..flow.node_count())
-        .map(|node| node < n && !constrained.contains(&node))
-        .collect();
-    refine_assignment(&flow, &mut assignment, &movable, machine_count);
+    // Exact local refinement: free classifications may hop to the machine
+    // holding most of their traffic.
+    refine_assignment(
+        &contracted.flow,
+        &mut assignment,
+        &contracted.free,
+        machine_count,
+    );
+    let assignment = contracted.lift(&assignment);
     let predicted = predicted_comm_us(&graph, &assignment);
 
-    let replicas = plan_replicas(&graph, &assignment, machine_count, plan, &constrained);
+    let free = contracted.lift(&contracted.free);
+    let replicas = plan_replicas(&graph, &assignment, machine_count, plan, &free);
     let gain: f64 = replicas.iter().map(|r| r.gain_us).sum();
 
-    let mut placement = HashMap::with_capacity(n);
+    let mut placement = HashMap::with_capacity(graph.node_count());
     for (node, class) in graph.nodes.iter().enumerate() {
         placement.insert(*class, MachineId(assignment[node] as u16));
     }
@@ -348,8 +329,9 @@ fn predicted_comm_us(graph: &IccGraph, assignment: &[usize]) -> f64 {
         .sum()
 }
 
-/// Greedy marginal-gain replica selection. A replicable, unconstrained
-/// classification gets a copy on every machine whose local traffic with it
+/// Greedy marginal-gain replica selection. A replicable classification
+/// that is `free` (pinned nowhere, colocated with nothing) gets a copy on
+/// every machine whose local traffic with it
 /// is strictly positive — the copy serves that traffic locally, so each
 /// chosen replica strictly reduces modeled cut cost. Replica gains are
 /// independent (copies never talk to each other), so the greedy pass is
@@ -359,7 +341,7 @@ fn plan_replicas(
     assignment: &[usize],
     machine_count: usize,
     plan: &ReplicationPlan,
-    constrained: &HashSet<usize>,
+    free: &[bool],
 ) -> Vec<Replica> {
     let mut replicas = Vec::new();
     for class in &plan.replicable {
@@ -369,7 +351,7 @@ fn plan_replicas(
         let Some(&node) = graph.index.get(class) else {
             continue;
         };
-        if constrained.contains(&node) {
+        if !free[node] {
             continue;
         }
         let home = assignment[node];
@@ -401,8 +383,8 @@ fn plan_replicas(
 /// Re-runs the greedy replica selection for an *existing* distribution —
 /// the recovery path's "replication re-run over survivors". The home
 /// assignment is taken from the distribution as-is (homes never move
-/// here); non-remotable classifications stay unconstrained-copy-free as
-/// in [`analyze_multiway_with_replication`]; and no replica lands on a
+/// here); non-remotable classifications are never copied, as in
+/// [`analyze_multiway_with_replication`]; and no replica lands on a
 /// machine in `dead`. Deterministic for a given profile and distribution.
 pub fn replicate_for_distribution(
     profile: &IccProfile,
@@ -418,12 +400,10 @@ pub fn replicate_for_distribution(
         .iter()
         .map(|class| distribution.machine_of(*class).0 as usize)
         .collect();
-    let mut constrained: HashSet<usize> = HashSet::new();
-    for (a, b) in &graph.non_remotable {
-        constrained.insert(*a);
-        constrained.insert(*b);
-    }
-    plan_replicas(&graph, &assignment, machine_count, plan, &constrained)
+    // With no constraint, only non-remotable groups are not free.
+    let contracted = Contracted::build(&graph, 0, []).expect("no pin, no contradiction");
+    let free = contracted.lift(&contracted.free);
+    plan_replicas(&graph, &assignment, machine_count, plan, &free)
         .into_iter()
         .filter(|r| !dead.contains(&r.machine))
         .collect()
@@ -702,6 +682,51 @@ mod tests {
         ];
         let dist = analyze_multiway(&profile, &network(), &constraints, 3).unwrap();
         assert_eq!(dist.machine_of(c(1)), dist.machine_of(c(2)));
+    }
+
+    /// Anchors for `machines` machines over the tiered profile: the root
+    /// on the client, then classifications 3, 2, 1 on the last machines
+    /// down to machine 1.
+    fn anchors(machines: usize) -> Vec<MultiwayConstraint> {
+        let mut pins = vec![MultiwayConstraint::Pin(ClassificationId::ROOT, CLIENT)];
+        for (class, m) in (1..=3).rev().zip((1..machines).rev()) {
+            pins.push(MultiwayConstraint::Pin(c(class), MachineId(m as u16)));
+        }
+        pins
+    }
+
+    #[test]
+    fn contradictions_name_the_group_and_both_machines() {
+        // Classifications 2 and 3 sit on the last two machines; joining
+        // them, by a colocation or by a non-remotable interface, pins one
+        // group to both. The contraction reports it before any solve.
+        for machines in [3, 4] {
+            let (low, high) = (
+                MachineId(machines as u16 - 2),
+                MachineId(machines as u16 - 1),
+            );
+            let expected = format!(
+                "multiway constraints are contradictory: the group of c:2 is pinned to both \
+                 {low} and {high}"
+            );
+            let mut colocated = anchors(machines);
+            colocated.push(MultiwayConstraint::Colocate(c(3), c(2)));
+            let mut shared = tiered_profile();
+            shared.record_non_remotable(c(3), c(2));
+            for (profile, constraints) in
+                [(tiered_profile(), colocated), (shared, anchors(machines))]
+            {
+                let before = coign_flow::min_cut_invocations();
+                let err =
+                    analyze_multiway(&profile, &network(), &constraints, machines).unwrap_err();
+                assert_eq!(err.to_string(), format!("application error: {expected}"));
+                assert_eq!(
+                    coign_flow::min_cut_invocations(),
+                    before,
+                    "{machines} machines"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1054,5 +1079,181 @@ mod tests {
         assert_eq!(plan.replicable, vec![c(2)]);
         assert!(plan.allows(c(2)));
         assert!(!plan.allows(c(1)));
+    }
+}
+
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use crate::constraints::Constraint;
+    use crate::sweep::properties::{case, CASES};
+    use coign_dcom::NetworkModel;
+    use coign_flow::{FlowNetwork, INFINITE};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The placement as it was solved before the contraction: the full
+    /// network, one terminal node per machine after the graph nodes, every
+    /// pin, colocation and non-remotable pair an [`INFINITE`] edge, cut by
+    /// Dinic; a cut past the sentinel means contradictory constraints.
+    fn full_network_placement(
+        graph: &IccGraph,
+        constraints: &[MultiwayConstraint],
+        machine_count: usize,
+        plan: &ReplicationPlan,
+    ) -> Option<MultiwayPlacement> {
+        let n = graph.node_count();
+        let mut flow = FlowNetwork::new(n + machine_count);
+        for ((a, b), weight) in &graph.weights_us {
+            flow.add_undirected(*a, *b, IccGraph::capacity_of(*weight));
+        }
+        let mut constrained: HashSet<usize> = HashSet::new();
+        for (a, b) in &graph.non_remotable {
+            flow.add_undirected(*a, *b, INFINITE);
+            constrained.extend([*a, *b]);
+        }
+        for constraint in constraints {
+            match constraint {
+                MultiwayConstraint::Pin(class, machine) => {
+                    if let Some(&node) = graph.index.get(class) {
+                        flow.add_undirected(node, n + machine.0 as usize, INFINITE);
+                        constrained.insert(node);
+                    }
+                }
+                MultiwayConstraint::Colocate(a, b) => {
+                    if let (Some(&na), Some(&nb)) = (graph.index.get(a), graph.index.get(b)) {
+                        if na != nb {
+                            flow.add_undirected(na, nb, INFINITE);
+                            constrained.extend([na, nb]);
+                        }
+                    }
+                }
+            }
+        }
+        let terminals: Vec<usize> = (n..n + machine_count).collect();
+        let cut = multiway_cut(&flow, &terminals, MaxFlowAlgorithm::Dinic);
+        if cut.cut_value >= INFINITE {
+            return None;
+        }
+        let mut assignment = cut.assignment;
+        let heuristic_cut_us = predicted_comm_us(graph, &assignment);
+        let movable: Vec<bool> = (0..flow.node_count())
+            .map(|node| node < n && !constrained.contains(&node))
+            .collect();
+        refine_assignment(&flow, &mut assignment, &movable, machine_count);
+        let predicted = predicted_comm_us(graph, &assignment);
+        let free: Vec<bool> = (0..n).map(|node| !constrained.contains(&node)).collect();
+        let replicas = plan_replicas(graph, &assignment, machine_count, plan, &free);
+        let gain: f64 = replicas.iter().map(|r| r.gain_us).sum();
+        let placement = graph
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(node, class)| (*class, MachineId(assignment[node] as u16)))
+            .collect();
+        Some(MultiwayPlacement {
+            distribution: Distribution {
+                placement,
+                predicted_comm_us: predicted,
+                network_name: graph.network_name.clone(),
+            },
+            heuristic_cut_us,
+            replicas,
+            replicated_comm_us: predicted - gain,
+        })
+    }
+
+    /// The sweep's seeded two-way case on `machines` machines: client pins
+    /// stay on machine 0, server pins spread over the others by
+    /// classification, every machine left without a pin gets an anchor,
+    /// and about a third of the classifications may be replicated.
+    fn multiway_case(
+        seed: u64,
+        machines: usize,
+    ) -> Option<(IccProfile, Vec<MultiwayConstraint>, ReplicationPlan)> {
+        let (profile, two_way) = case(seed);
+        let mut constraints: Vec<MultiwayConstraint> = two_way
+            .iter()
+            .map(|constraint| match *constraint {
+                Constraint::PinClient(class) => MultiwayConstraint::Pin(class, MachineId(0)),
+                Constraint::PinServer(class) => {
+                    let m = 1 + class.0 as usize % (machines - 1);
+                    MultiwayConstraint::Pin(class, MachineId(m as u16))
+                }
+                Constraint::Colocate(a, b) => MultiwayConstraint::Colocate(a, b),
+            })
+            .collect();
+        let network = NetworkProfile::exact(&NetworkModel::ethernet_10baset());
+        let extra = anchor_unpinned_machines(&profile, &network, &constraints, machines).ok()?;
+        constraints.extend(extra);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut classes: Vec<ClassificationId> = profile.class_of.keys().copied().collect();
+        classes.sort();
+        classes.retain(|_| rng.gen_range(0..3) == 0);
+        Some((
+            profile,
+            constraints,
+            ReplicationPlan {
+                replicable: classes,
+            },
+        ))
+    }
+
+    #[test]
+    fn contracted_placements_equal_full_network_placements() {
+        let networks = [NetworkModel::ethernet_10baset(), NetworkModel::isdn()];
+        let (mut compared, mut contradictions, mut refined, mut replicated) = (0, 0, 0, 0);
+        for seed in 0..CASES {
+            for machines in [3, 4] {
+                let Some((profile, constraints, plan)) = multiway_case(seed, machines) else {
+                    continue;
+                };
+                let network = NetworkProfile::exact(&networks[seed as usize % 2]);
+                let graph = IccGraph::build(&profile, &network);
+                let contracted = analyze_multiway_with_replication(
+                    &profile,
+                    &network,
+                    &constraints,
+                    machines,
+                    &plan,
+                );
+                let full = full_network_placement(&graph, &constraints, machines, &plan);
+                compared += 1;
+                match (contracted, full) {
+                    (Ok(placed), Some(reference)) => {
+                        assert_eq!(placed, reference, "case {seed}, {machines} machines");
+                        refined += usize::from(
+                            placed.distribution.predicted_comm_us < placed.heuristic_cut_us,
+                        );
+                        replicated += usize::from(!placed.replicas.is_empty());
+                    }
+                    (Err(err), None) => {
+                        let detail = err.to_string();
+                        assert!(
+                            detail.contains("multiway constraints are contradictory"),
+                            "case {seed}, {machines} machines: {detail}"
+                        );
+                        contradictions += 1;
+                    }
+                    (contracted, full) => panic!(
+                        "case {seed}, {machines} machines: contracted {contracted:?}, \
+                         full network {full:?}"
+                    ),
+                }
+            }
+        }
+        println!(
+            "{compared} placements: {contradictions} contradictory, {refined} changed by \
+             refinement, {replicated} with replicas"
+        );
+        assert!(compared >= 1_000, "{compared} placements compared");
+        assert!(
+            contradictions * 20 > compared,
+            "{contradictions} contradictions"
+        );
+        assert!(
+            refined > 0 && replicated > 0,
+            "{refined} refined, {replicated} replicated"
+        );
     }
 }

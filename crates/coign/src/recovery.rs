@@ -126,8 +126,8 @@ pub struct RecoveryEvent {
 /// The online re-partitioning solver. On two machines it answers from a
 /// table rather than by a solve:
 ///
-/// - with no dead machine, the answer is [`cut_graph`]'s cut of the graph
-///   under the constraint set, solved once when the solver is built;
+/// - with no dead machine, the answer is the analysis engine's cut of the
+///   graph under the constraint set, solved once when the solver is built;
 /// - with a dead machine, every node is pinned to the survivor (pins that
 ///   demanded the dead machine are redirected), so the only cut puts every
 ///   classification on the survivor, with a max-flow of 0.

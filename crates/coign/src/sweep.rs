@@ -28,7 +28,7 @@
 //! independently rebuilt, uncontracted network at every point.
 
 use crate::analysis::{
-    build_flow_network, check_cut_in_range, cut_graph, out_of_range, traffic_capacity, Contracted,
+    build_flow_network, check_cut_in_range, contradictory, cut_graph, traffic_capacity, Contracted,
 };
 use crate::application::Application;
 use crate::classifier::ClassificationId;
@@ -237,16 +237,15 @@ fn sweep_warm(
     // weights is shared by the whole grid.
     let base_network = NetworkProfile::exact(&grid_model(latencies[0], bandwidths[0]));
     let base_graph = IccGraph::build(profile, &base_network);
-    let Some(mut contracted) = Contracted::build(&base_graph, constraints) else {
+    let Ok(mut contracted) = Contracted::two_way(&base_graph, constraints) else {
         // A group pinned to both machines: the first point's cut is the
         // first to fail, as it would be on the full network.
         let (latency_us, bandwidth_bps) = (latencies[0], bandwidths[0]);
-        return Err(out_of_range(
-            traffic_capacity(base_graph.weights_us.values()),
-            format_args!("latency {latency_us} us, bandwidth {bandwidth_bps} B/s"),
-        ));
+        return Err(contradictory(format_args!(
+            "latency {latency_us} us, bandwidth {bandwidth_bps} B/s"
+        )));
     };
-    let (source, sink) = (contracted.source, contracted.sink);
+    let (source, sink) = (contracted.terminal(0), contracted.terminal(1));
 
     // Per-pair traffic in graph-key order: the network-independent part
     // of each edge weight. The contracted network's pair `p` carries
@@ -276,7 +275,7 @@ fn sweep_warm(
                 || traffic_capacity(&weights),
                 format_args!("latency {latency_us} us, bandwidth {bandwidth_bps} B/s"),
             )?;
-            let source_side = contracted.lift(&cut.source_side);
+            let source_side = contracted.lift_cut(&cut.source_side);
             if validate {
                 let graph = IccGraph::build(profile, &network);
                 let (mut full, s, t) = build_flow_network(&graph, constraints);

@@ -12,9 +12,9 @@
 //! the arc and its pair and nothing else, and a scan over a vertex's arcs
 //! reads one run of memory instead of chasing edge ids into a second
 //! table. Within a vertex the arcs keep edge-slot order, so every
-//! algorithm meets them in the order the edges were added. Adding a node
-//! or an edge drops the layout (the residuals are carried over) and the
-//! next reader rebuilds it.
+//! algorithm meets them in the order the edges were added. Adding an edge
+//! drops the layout, and the next reader rebuilds it from the original
+//! capacities: a network is built whole before it holds any flow.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -22,10 +22,11 @@ use std::sync::OnceLock;
 /// Node index within a [`FlowNetwork`].
 pub type NodeId = usize;
 
-/// Capacity treated as uncuttable.
+/// The top of the capacity range, and the capacity of an edge no finite
+/// cut severs.
 ///
 /// Large enough that no realistic communication graph sums to it, small
-/// enough that summing millions of infinite edges cannot overflow `u64`
+/// enough that summing millions of such edges cannot overflow `u64`
 /// arithmetic inside the algorithms (excess bookkeeping uses `u128`).
 pub const INFINITE: u64 = u64::MAX / (1 << 22);
 
@@ -55,8 +56,8 @@ pub(crate) struct Arcs {
 impl Arcs {
     /// Lays out the slots of `heads` (slot `e`'s tail is the head of
     /// `e ^ 1`) by tail, in slot order within a tail, each arc starting
-    /// with the residual `residuals` gives its slot.
-    fn build(n: usize, heads: &[u32], residuals: &[u64]) -> Self {
+    /// with its slot's capacity in `caps`.
+    fn build(n: usize, heads: &[u32], caps: &[u64]) -> Self {
         let m = heads.len();
         assert!(
             u32::try_from(m).is_ok(),
@@ -84,7 +85,7 @@ impl Arcs {
             .map(|&e| ResidualArc {
                 head: heads[e as usize],
                 rev: arc_of[e as usize ^ 1],
-                residual: residuals[e as usize],
+                residual: caps[e as usize],
             })
             .collect();
         Arcs {
@@ -111,9 +112,9 @@ impl Arcs {
 /// A directed flow network with residual bookkeeping.
 ///
 /// Edges are stored in pairs: edge slot `2k` and its reverse `2k + 1`.
-/// Capacities mutate as flow is pushed; [`FlowNetwork::reset`] restores
-/// the original capacities so several algorithms can run on the same
-/// instance.
+/// Residuals change as flow is pushed;
+/// [`FlowNetwork::set_undirected_capacity`] rewrites a pair and clears its
+/// flow.
 #[derive(Debug, Clone)]
 pub struct FlowNetwork {
     nodes: usize,
@@ -121,9 +122,6 @@ pub struct FlowNetwork {
     heads: Vec<u32>,
     /// Original capacity of each edge slot.
     caps: Vec<u64>,
-    /// Residual of each edge slot while no layout is built: what the
-    /// layout starts from when it is next built.
-    carried: Vec<u64>,
     /// Whether every edge has the same capacity both ways.
     symmetric: bool,
     arcs: OnceLock<Arcs>,
@@ -136,7 +134,6 @@ impl FlowNetwork {
             nodes: n,
             heads: Vec::new(),
             caps: Vec::new(),
-            carried: Vec::new(),
             symmetric: true,
             arcs: OnceLock::new(),
         }
@@ -148,8 +145,9 @@ impl FlowNetwork {
     }
 
     /// Adds a node, returning its id.
+    #[cfg(test)]
     pub(crate) fn add_node(&mut self) -> NodeId {
-        self.drop_layout();
+        self.arcs = OnceLock::new();
         self.nodes += 1;
         self.nodes - 1
     }
@@ -160,6 +158,7 @@ impl FlowNetwork {
     ///
     /// Panics if `u` or `v` is out of range (a programming error in the
     /// graph construction, not a runtime condition).
+    #[cfg(test)]
     pub(crate) fn add_edge(&mut self, u: NodeId, v: NodeId, cap: u64) {
         self.add_edge_with_reverse(u, v, cap, 0);
     }
@@ -175,12 +174,27 @@ impl FlowNetwork {
     /// Adds an edge with explicit forward and reverse capacities.
     fn add_edge_with_reverse(&mut self, u: NodeId, v: NodeId, cap: u64, rev_cap: u64) {
         assert!(u < self.nodes && v < self.nodes, "node out of range");
-        self.drop_layout();
+        self.arcs = OnceLock::new();
         let id = |x: NodeId| u32::try_from(x).expect("node ids fit the arc layout");
         self.heads.extend([id(v), id(u)]);
         self.caps.extend([cap, rev_cap]);
-        self.carried.extend([cap, rev_cap]);
         self.symmetric &= cap == rev_cap;
+    }
+
+    /// This network with every node `v` moved to `into(v)`: each edge
+    /// keeps its capacities both ways and its place in edge order, and an
+    /// edge whose ends land on one node drops out. Merging nodes that no
+    /// finite cut separates leaves every finite cut, and the minimal source
+    /// side, as it was.
+    pub(crate) fn merged(&self, into: impl Fn(NodeId) -> NodeId) -> FlowNetwork {
+        let mut merged = FlowNetwork::new(self.nodes);
+        for base in (0..self.caps.len()).step_by(2) {
+            let (u, v) = (into(self.head(base + 1)), into(self.head(base)));
+            if u != v {
+                merged.add_edge_with_reverse(u, v, self.caps[base], self.caps[base + 1]);
+            }
+        }
+        merged
     }
 
     /// Whether every edge has the same original capacity both ways, so
@@ -194,20 +208,10 @@ impl FlowNetwork {
         self.edges_of(v).map(|e| u128::from(self.caps[e])).sum()
     }
 
-    /// Forgets the arc layout after a topology change, keeping each
-    /// slot's residual for the next build.
-    fn drop_layout(&mut self) {
-        if let Some(arcs) = self.arcs.take() {
-            for (residual, &a) in self.carried.iter_mut().zip(&arcs.arc_of) {
-                *residual = arcs.arc[a as usize].residual;
-            }
-        }
-    }
-
     /// The arc layout, built on first use after a topology change.
     pub(crate) fn arcs(&self) -> &Arcs {
         self.arcs
-            .get_or_init(|| Arcs::build(self.nodes, &self.heads, &self.carried))
+            .get_or_init(|| Arcs::build(self.nodes, &self.heads, &self.caps))
     }
 
     /// [`FlowNetwork::arcs`], for pushing flow.
@@ -232,37 +236,27 @@ impl FlowNetwork {
         assert!(base + 1 < self.caps.len(), "edge pair out of range");
         self.caps[base] = cap;
         self.caps[base + 1] = cap;
-        match self.arcs.get_mut() {
-            Some(arcs) => {
-                for e in [base, base + 1] {
-                    arcs.arc[arcs.arc_of[e] as usize].residual = cap;
-                }
-            }
-            None => {
-                self.carried[base] = cap;
-                self.carried[base + 1] = cap;
+        if let Some(arcs) = self.arcs.get_mut() {
+            for e in [base, base + 1] {
+                arcs.arc[arcs.arc_of[e] as usize].residual = cap;
             }
         }
     }
 
     /// Restores every edge to its original capacity (undoes all flow).
-    pub fn reset(&mut self) {
-        match self.arcs.get_mut() {
-            Some(arcs) => {
-                for (arc, &e) in arcs.arc.iter_mut().zip(&arcs.slot) {
-                    arc.residual = self.caps[e as usize];
-                }
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
+        if let Some(arcs) = self.arcs.get_mut() {
+            for (arc, &e) in arcs.arc.iter_mut().zip(&arcs.slot) {
+                arc.residual = self.caps[e as usize];
             }
-            None => self.carried.copy_from_slice(&self.caps),
         }
     }
 
     /// Residual capacity of edge slot `e`.
     pub(crate) fn residual(&self, e: usize) -> u64 {
-        match self.arcs.get() {
-            Some(arcs) => arcs.arc[arcs.arc_of[e] as usize].residual,
-            None => self.carried[e],
-        }
+        let arcs = self.arcs();
+        arcs.arc[arcs.arc_of[e] as usize].residual
     }
 
     /// Original capacity of edge `e`.

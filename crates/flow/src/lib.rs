@@ -23,9 +23,9 @@
 //! minimal one either way. Every cut reports the pushes, relabels and
 //! global relabels its solve performed.
 //!
-//! Location constraints are expressed with [`graph::INFINITE`]
-//! capacities: an infinite edge can never be cut, which is how pinned
-//! components and non-remotable interfaces are enforced.
+//! Nodes a cut must keep together are merged rather than joined by
+//! [`graph::INFINITE`] edges, so no network Coign cuts carries one;
+//! `INFINITE` is the top of the capacity range.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

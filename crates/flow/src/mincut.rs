@@ -93,8 +93,9 @@ impl CutResult {
 
 /// Computes a minimum `s`–`t` cut of the network.
 ///
-/// The network is left in its post-flow residual state; call
-/// [`FlowNetwork::reset`] to reuse it.
+/// The network is left in its post-flow residual state; rewriting every
+/// pair's capacity ([`FlowNetwork::set_undirected_capacity`]) readies it
+/// for another solve.
 pub fn min_cut(
     g: &mut FlowNetwork,
     s: NodeId,
@@ -217,9 +218,9 @@ mod tests {
 
     #[test]
     fn growing_a_solved_network_rebuilds_its_arc_layout() {
-        // Solve, then add a node and edges to the solved network, as
-        // `multiway_cut` does with its super-sink: the next solve must see
-        // the new arcs and start from the old residuals.
+        // Solve, then add a node and edges to the solved network: the next
+        // solve must see the new arcs, and starts from zero flow, since the
+        // layout is rebuilt from the original capacities.
         let mut g = chain();
         let first = min_cut(&mut g, 0, 4, MaxFlowAlgorithm::LiftToFront);
         assert_eq!(first.cut_value, 2);
@@ -229,10 +230,11 @@ mod tests {
         assert_eq!(g.node_count(), 6);
         assert_eq!(g.edges_of(extra).collect::<Vec<_>>(), [9, 10]);
         assert_eq!(g.edges_of(1).collect::<Vec<_>>(), [1, 2, 8]);
-        // The old 2 units stay on the network, so the solve finds only the
-        // 8 more the new path admits past the first edge's 10.
+        // The new path lifts the flow past the old cut to the first edge's
+        // 10, all of it found by this solve.
         let grown = min_cut(&mut g, 0, 4, MaxFlowAlgorithm::LiftToFront);
-        assert_eq!(grown.cut_value, 10 - 2);
+        assert_eq!(grown.cut_value, 10);
+        assert_eq!(grown.source_side, [true, false, false, false, false, false]);
         g.reset();
         let fresh = min_cut(&mut g, 0, 4, MaxFlowAlgorithm::Dinic);
         assert_eq!(fresh.cut_value, 10);

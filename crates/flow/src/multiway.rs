@@ -7,8 +7,11 @@
 //! cut isolating it from all other terminals; take the union of all
 //! isolating cuts except the heaviest. The result is within `2 − 2/k` of the
 //! optimal multiway cut.
+//!
+//! A terminal is isolated from the others by merging them into one sink
+//! (`FlowNetwork::merged`), which keeps an undirected network undirected.
 
-use crate::graph::{FlowNetwork, NodeId, INFINITE};
+use crate::graph::{FlowNetwork, NodeId};
 use crate::mincut::{min_cut, MaxFlowAlgorithm};
 
 /// Result of a heuristic multiway cut.
@@ -35,57 +38,53 @@ pub fn multiway_cut(
     algorithm: MaxFlowAlgorithm,
 ) -> MultiwayCut {
     assert!(terminals.len() >= 2, "need at least two terminals");
-    let mut seen = std::collections::HashSet::new();
-    assert!(
-        terminals.iter().all(|t| seen.insert(*t)),
-        "terminals must be distinct"
-    );
-
     let n = g.node_count();
-    // For each terminal, the isolating min cut: terminal vs. super-sink
-    // wired to every other terminal with infinite edges.
-    let mut cuts: Vec<(usize, u64, Vec<bool>)> = Vec::with_capacity(terminals.len());
-    for (i, &term) in terminals.iter().enumerate() {
-        let mut work = g.clone();
-        work.reset();
-        let super_sink = work.add_node();
-        for (j, &other) in terminals.iter().enumerate() {
-            if j != i {
-                work.add_edge(other, super_sink, INFINITE);
-            }
-        }
-        let cut = min_cut(&mut work, term, super_sink, algorithm);
-        let mut side = cut.source_side;
-        side.truncate(n);
-        cuts.push((i, cut.cut_value, side));
+    let mut is_terminal = vec![false; n];
+    for &t in terminals {
+        assert!(
+            !std::mem::replace(&mut is_terminal[t], true),
+            "terminals must be distinct"
+        );
     }
 
+    // For each terminal, the isolating min cut: the terminal against the
+    // other terminals merged into one sink.
+    let cuts: Vec<(u64, Vec<bool>)> = (terminals.iter().enumerate())
+        .map(|(i, &source)| {
+            let sink = terminals[usize::from(i == 0)];
+            let merge = |v| {
+                if is_terminal[v] && v != source {
+                    sink
+                } else {
+                    v
+                }
+            };
+            let cut = min_cut(&mut g.merged(merge), source, sink, algorithm);
+            (cut.cut_value, cut.source_side)
+        })
+        .collect();
+
     // Drop the heaviest isolating cut (2 − 2/k approximation).
-    let heaviest = cuts
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, (_, value, _))| *value)
-        .map(|(pos, _)| pos)
+    let heaviest = (0..cuts.len())
+        .max_by_key(|&i| cuts[i].0)
         .expect("at least two cuts");
-    let dropped_terminal = cuts[heaviest].0;
 
     // Assign greedily: lightest cuts claim their source side first.
-    let mut order: Vec<usize> = (0..cuts.len()).filter(|&p| p != heaviest).collect();
-    order.sort_by_key(|&p| cuts[p].1);
+    let mut order: Vec<usize> = (0..cuts.len()).filter(|&i| i != heaviest).collect();
+    order.sort_by_key(|&i| cuts[i].0);
 
     let mut assignment = vec![usize::MAX; n];
-    for &p in &order {
-        let (terminal_idx, _, side) = &cuts[p];
-        for (node, &in_side) in side.iter().enumerate() {
+    for &i in &order {
+        for (node, &in_side) in cuts[i].1.iter().enumerate() {
             if in_side && assignment[node] == usize::MAX {
-                assignment[node] = *terminal_idx;
+                assignment[node] = i;
             }
         }
     }
     // Everything unclaimed belongs to the dropped terminal's machine.
     for slot in assignment.iter_mut() {
         if *slot == usize::MAX {
-            *slot = dropped_terminal;
+            *slot = heaviest;
         }
     }
     // Terminals always live on their own machine.
@@ -294,6 +293,7 @@ mod tests {
 #[cfg(test)]
 mod properties {
     use super::*;
+    use crate::graph::INFINITE;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -348,25 +348,111 @@ mod properties {
             );
 
             // Upper bound: the sum of all isolating min cuts.
-            let mut isolating_sum = 0u64;
-            for (i, &term) in terminals.iter().enumerate() {
-                let mut work = g.clone();
-                work.reset();
-                let sink = work.add_node();
-                for (j, &other) in terminals.iter().enumerate() {
-                    if j != i {
-                        work.add_edge(other, sink, INFINITE);
-                    }
-                }
-                isolating_sum +=
-                    crate::mincut::min_cut(&mut work, term, sink, MaxFlowAlgorithm::Dinic)
-                        .cut_value;
-            }
+            let isolating_sum: u64 = (0..terminals.len())
+                .map(|i| super_sink_cut(&g, &terminals, i, MaxFlowAlgorithm::Dinic).0)
+                .sum();
             assert!(
                 cut.cut_value <= isolating_sum,
                 "case {case}: cut {} > isolating sum {isolating_sum}",
                 cut.cut_value
             );
+        }
+    }
+
+    /// The isolating cut the heuristic used to solve, kept as a reference:
+    /// the network with a super-sink that every other terminal drains into
+    /// over an [`INFINITE`] arc.
+    fn super_sink_cut(
+        g: &FlowNetwork,
+        terminals: &[NodeId],
+        i: usize,
+        algorithm: MaxFlowAlgorithm,
+    ) -> (u64, Vec<bool>) {
+        let mut work = g.clone();
+        let sink = work.add_node();
+        for (j, &other) in terminals.iter().enumerate() {
+            if j != i {
+                work.add_edge(other, sink, INFINITE);
+            }
+        }
+        let cut = min_cut(&mut work, terminals[i], sink, algorithm);
+        let mut side = cut.source_side;
+        side.truncate(g.node_count());
+        (cut.cut_value, side)
+    }
+
+    /// The heuristic as it was solved on super-sink networks, kept as a
+    /// reference.
+    fn super_sink_multiway_cut(
+        g: &FlowNetwork,
+        terminals: &[NodeId],
+        algorithm: MaxFlowAlgorithm,
+    ) -> MultiwayCut {
+        let cuts: Vec<(u64, Vec<bool>)> = (0..terminals.len())
+            .map(|i| super_sink_cut(g, terminals, i, algorithm))
+            .collect();
+        let heaviest = (0..cuts.len()).max_by_key(|&i| cuts[i].0).unwrap();
+        let mut order: Vec<usize> = (0..cuts.len()).filter(|&i| i != heaviest).collect();
+        order.sort_by_key(|&i| cuts[i].0);
+        let mut assignment = vec![heaviest; g.node_count()];
+        let mut claimed = vec![false; g.node_count()];
+        for &i in &order {
+            for (node, &in_side) in cuts[i].1.iter().enumerate() {
+                if in_side && !claimed[node] {
+                    claimed[node] = true;
+                    assignment[node] = i;
+                }
+            }
+        }
+        for (i, &t) in terminals.iter().enumerate() {
+            assignment[t] = i;
+        }
+        let cut_value = crossing_value(g, &assignment);
+        MultiwayCut {
+            assignment,
+            cut_value,
+        }
+    }
+
+    /// Merging the other terminals into one sink gives the multiway cut the
+    /// super-sink networks give, on undirected and directed networks, with
+    /// parallel edges, isolated nodes and edges between terminals.
+    #[test]
+    fn merged_sinks_match_the_super_sink_reference() {
+        for case in 0..1_000u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let k = 2 + (case % 3) as usize;
+            let n = rng.gen_range(k..k + 30);
+            let directed = case % 4 == 3;
+            let mut g = FlowNetwork::new(n);
+            for _ in 0..rng.gen_range(0..3 * n) {
+                let (u, v, cap) = (
+                    rng.gen_range(0..n),
+                    rng.gen_range(0..n),
+                    rng.gen_range(1..60),
+                );
+                if u == v {
+                    continue;
+                }
+                if directed && rng.gen_bool(0.3) {
+                    g.add_edge(u, v, cap);
+                } else {
+                    g.add_undirected(u, v, cap);
+                }
+            }
+            // Distinct terminals anywhere in the network.
+            let mut ids: Vec<NodeId> = (0..n).collect();
+            for i in 0..k {
+                ids.swap(i, rng.gen_range(i..n));
+            }
+            let terminals = &ids[..k];
+            for algorithm in MaxFlowAlgorithm::ALL {
+                assert_eq!(
+                    multiway_cut(&g, terminals, algorithm),
+                    super_sink_multiway_cut(&g, terminals, algorithm),
+                    "case {case}, {algorithm:?}"
+                );
+            }
         }
     }
 

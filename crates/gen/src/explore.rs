@@ -21,8 +21,9 @@
 //! typed outcomes only, zero double executions, exactly-once on the
 //! generated app's commit ledger (the observed commit count can never
 //! exceed the script, and equals it on completed runs), a
-//! constraint-satisfying post-recovery placement ([`RecoveryCoordinator::validate`]
-//! = `validate_placement` with dead machines excluded), no instance left on
+//! constraint-satisfying post-recovery placement
+//! ([`coign::recovery::RecoveryCoordinator::validate`] =
+//! `validate_placement` with dead machines excluded), no instance left on
 //! a dead machine after a completed run, warm re-solves after one cold
 //! base cut, and
 //! (statically, once) replication legality — no class is both replicable

@@ -54,6 +54,11 @@ fi
 echo "==> cargo clippy -D warnings"
 cargo clippy --locked --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+# A broken, ambiguous or private intra-doc link fails here rather than
+# rendering as plain text.
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps
+
 echo "==> cargo build --release --workspace"
 # --workspace matters: the root manifest is a package, so a bare build
 # would skip coign-cli and coign-bench and the smoke blocks below would
